@@ -3,7 +3,8 @@
 `solverify verify` wires policy ingestion, the frontend, instrumentation,
 translation, and verification, then renders a human-readable report (plus an
 optional machine-readable JSON one).  Exit codes: 0 fully verified, 1
-refuted, 2 partially verified, 3 input error.
+refuted, 2 partially verified, 3 input error, 4 internal error (a crash of
+the verifier or of its solver, never a verdict).
 """
 
 from __future__ import annotations
@@ -12,11 +13,12 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 
 from solverify import __version__
 from solverify.engine import verify as engine_verify
-from solverify.engine.smtio import SolverCrashed
+from solverify.engine.smtio import SolverCrashed, SolverUnavailable
 from solverify.engine.trace import CounterexampleTrace
 from solverify.instrument import (
     NotSyntacticallyConformant, instrument_for_conformance, make_runtime_checks,
@@ -35,6 +37,7 @@ EXIT_FULLY_VERIFIED = 0
 EXIT_REFUTED = 1
 EXIT_PARTIAL = 2
 EXIT_INPUT_ERROR = 3
+EXIT_INTERNAL_ERROR = 4
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -220,6 +223,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_error_report(path: str | None, verdict: str, error: str):
+    if path:
+        with open(path, "w") as fh:
+            json.dump({"schema": REPORT_SCHEMA_VERSION, "verdict": verdict,
+                       "error": error}, fh, indent=2, sort_keys=True)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     cfg = RunConfig(mode=args.mode, sol_paths=args.sol,
@@ -234,14 +244,16 @@ def main(argv: list[str] | None = None) -> int:
         report, code = run(cfg)
     except (InputError, PolicyError, LexError, ParseError, UnsupportedFeature,
             TypeError_, DeepCopyUnsupported, NotSyntacticallyConformant,
-            TranslateError, SolverCrashed, OSError) as exc:
+            TranslateError, SolverUnavailable, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if args.report_json:
-            with open(args.report_json, "w") as fh:
-                json.dump({"schema": REPORT_SCHEMA_VERSION,
-                           "verdict": "InputError", "error": str(exc)}, fh,
-                          indent=2, sort_keys=True)
+        _write_error_report(args.report_json, "InputError", str(exc))
         return EXIT_INPUT_ERROR
+    except Exception as exc:  # a failure of the verifier or its solver
+        summary = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"internal error: {summary}", file=sys.stderr)
+        _write_error_report(args.report_json, "InternalError",
+                            traceback.format_exc())
+        return EXIT_INTERNAL_ERROR
     _print_report(report)
     if cfg.report_json:
         with open(cfg.report_json, "w") as fh:

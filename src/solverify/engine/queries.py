@@ -271,34 +271,25 @@ def _render_shared(assertions: list[T.Term]) -> list[str]:
     """Print assertions with repeated subterms named by define-fun, keeping
     the emitted text proportional to the term DAG.  Terms under a binder
     stay inline (they may mention bound variables)."""
-    counts: dict[int, int] = {}
+    nodes: list[T.Term] = []
     has_bound: dict[int, bool] = {}
 
-    def scan(t: T.Term):
-        if t.tid in counts:
-            counts[t.tid] += 1
-            return
-        counts[t.tid] = 1
-        hb = t.op == "boundvar"
-        for a in t.args:
-            scan(a)
-            hb = hb or has_bound[a.tid]
-        has_bound[t.tid] = hb
+    def scan(t: T.Term, args_bound: list[bool]) -> bool:
+        nodes.append(t)
+        return t.op == "boundvar" or any(args_bound)
 
-    for a in assertions:
-        scan(a)
+    T.fold(assertions, scan, has_bound)
+    counts: dict[int, int] = {}  # references from parents and the assertion list
+    for ref in [a for t in nodes for a in t.args] + list(assertions):
+        counts[ref.tid] = counts.get(ref.tid, 0) + 1
 
-    names: dict[int, str] = {}
     defs: list[str] = []
-    rendered: dict[int, str] = {}
+    texts: dict[int, str | None] = {}
 
-    def render(t: T.Term) -> str:
-        hit = names.get(t.tid)
-        if hit is not None:
-            return hit
-        hit = rendered.get(t.tid)
-        if hit is not None and counts[t.tid] <= 1:
-            return hit
+    def render(t: T.Term, args: list[str]) -> str:
+        for a in t.args:
+            if counts[a.tid] == 1:
+                texts[a.tid] = None  # its only reader has it; keep memory linear
         if t.op == "intval":
             return str(t.value) if t.value >= 0 else f"(- {-t.value})"
         if t.op == "boolval":
@@ -307,24 +298,21 @@ def _render_shared(assertions: list[T.Term]) -> list[str]:
             return t.value
         if t.op == "forall":
             var, var_sort = t.value
-            text = (f"(forall (({var} {T.sort_to_sexpr(var_sort)})) "
-                    f"{render(t.args[0])})")
+            text = f"(forall (({var} {T.sort_to_sexpr(var_sort)})) {args[0]})"
         elif t.op == "app":
-            text = f"({t.value} {' '.join(render(a) for a in t.args)})"
+            text = f"({t.value} {' '.join(args)})"
         elif t.op == "neg":
-            text = f"(- {render(t.args[0])})"
+            text = f"(- {args[0]})"
         else:
-            text = f"({t.op} {' '.join(render(a) for a in t.args)})"
+            text = f"({t.op} {' '.join(args)})"
         if counts[t.tid] > 1 and len(text) > 24 and not has_bound[t.tid] \
                 and t.sort is not None:
             name = f"aux!{len(defs)}"
             defs.append(f"(define-fun {name} () {T.sort_to_sexpr(t.sort)} {text})")
-            names[t.tid] = name
             return name
-        rendered[t.tid] = text
         return text
 
-    bodies = [f"(assert {render(a)})" for a in assertions]
+    bodies = [f"(assert {text})" for text in T.fold(assertions, render, texts)]
     return defs + bodies
 
 

@@ -5,7 +5,8 @@ executable comes from `--solver`, the SMT_SOLVER environment variable, or
 falls back to the bundled solver run as a subprocess.  One process serves a
 whole verification run: queries are framed with an echo marker and separated
 by reset; a per-query timeout kills and respawns the process, and that query
-reports unknown.
+reports unknown.  The solver's stderr goes to a temporary file whose tail is
+attached when the solver fails.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tempfile
 import threading
 from dataclasses import dataclass, field
 
@@ -25,6 +27,13 @@ MARKER = "<<query-done>>"
 
 class SolverCrashed(Exception):
     pass
+
+
+class SolverUnavailable(SolverCrashed):
+    """The solver executable cannot be started (a configuration error)."""
+
+
+STDERR_TAIL_BYTES = 2000
 
 
 @dataclass
@@ -51,15 +60,37 @@ class SolverSession:
     def __init__(self, argv: list[str]):
         self.argv = argv
         self.proc: subprocess.Popen | None = None
+        self.stderr = None  # the running solver's stderr file
 
     def _ensure(self):
         if self.proc is None or self.proc.poll() is not None:
+            self._close_stderr()
+            self.stderr = tempfile.TemporaryFile()
             try:
                 self.proc = subprocess.Popen(
                     self.argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                    stderr=subprocess.DEVNULL, text=True, bufsize=1)
+                    stderr=self.stderr, text=True, bufsize=1)
             except OSError as exc:
-                raise SolverCrashed(f"cannot run {self.argv[0]}: {exc}") from None
+                self._close_stderr()
+                raise SolverUnavailable(f"cannot run {self.argv[0]}: {exc}") from None
+
+    def _close_stderr(self):
+        if self.stderr is not None:
+            self.stderr.close()
+            self.stderr = None
+
+    def crashed(self, message: str) -> SolverCrashed:
+        """The error for a failed solver, with the tail of its stderr."""
+        if self.stderr is not None:
+            fd = self.stderr.fileno()
+            size = os.fstat(fd).st_size
+            start = max(0, size - STDERR_TAIL_BYTES)
+            # pread leaves the offset the solver writes at untouched
+            tail = os.pread(fd, size - start, start).decode(errors="replace")
+            lines = tail.splitlines()[1 if start else 0:]
+            if lines:
+                message += "\nsolver stderr:\n" + "\n".join(lines)
+        return SolverCrashed(message)
 
     def close(self):
         if self.proc is not None and self.proc.poll() is None:
@@ -73,6 +104,7 @@ class SolverSession:
             except subprocess.TimeoutExpired:
                 self.proc.kill()
         self.proc = None
+        self._close_stderr()
 
     def _kill(self):
         if self.proc is not None:
@@ -101,14 +133,14 @@ class SolverSession:
                 if not line:
                     if timed_out[0]:
                         return ""
-                    raise SolverCrashed("solver closed its output stream")
+                    raise self.crashed("solver closed its output stream")
                 if line.strip() == MARKER:
                     break
                 lines.append(line.rstrip("\n"))
         except (OSError, ValueError):
             if timed_out[0]:
                 return ""
-            raise SolverCrashed("solver pipe failed") from None
+            raise self.crashed("solver pipe failed") from None
         finally:
             timer.cancel()
         return "\n".join(lines)
@@ -140,9 +172,9 @@ def check_smt(query: SmtQuery, timeout: float = 600.0,
     lines = out.splitlines()
     status = lines[0].strip()
     if status.startswith("(error"):
-        raise SolverCrashed(out[:400])
+        raise session.crashed(out[:400])
     if status not in ("sat", "unsat", "unknown"):
-        raise SolverCrashed(f"unexpected solver output: {out[:200]}")
+        raise session.crashed(f"unexpected solver output: {out[:200]}")
     values: dict[str, object] = {}
     if status == "sat" and len(lines) > 1:
         values = _parse_values("\n".join(lines[1:]))

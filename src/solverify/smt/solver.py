@@ -17,14 +17,11 @@ from __future__ import annotations
 
 import itertools
 
+from solverify.smt.sat import Cdcl
 from solverify.smt.terms import (
-    BOOL_S, INT_S, Script, Term, TermBank, is_array_sort,
+    BOOL_S, INT_S, Script, Term, TermBank, fold, is_array_sort, rebuild,
+    substitute,
 )
-
-try:
-    from sympy.logic.algorithms.dpll2 import SATSolver as _SympySat
-except Exception:  # pragma: no cover - sympy is a declared dependency
-    _SympySat = None
 
 
 class SolverUnknown(Exception):
@@ -42,78 +39,77 @@ class Simplifier:
     def __init__(self, bank: TermBank):
         self.bank = bank
         self.cache: dict[int, Term] = {}
-        self._select_cache: dict[tuple[int, int], Term] = {}
+        self._select_memo: dict[int, dict[int, Term]] = {}  # key -> array -> read
+        self._eq_memo: dict[int, dict[int, Term]] = {}      # const -> ite -> test
 
     def run(self, t: Term) -> Term:
-        hit = self.cache.get(t.tid)
-        if hit is not None:
-            return hit
-        out = self._rw(t)
-        self.cache[t.tid] = out
-        return out
+        return fold([t], self._rw, self.cache)[0]
 
     def _mk(self, op, args, value=None, sort=None):
         return self.bank.mk(op, tuple(args), value=value, sort=sort)
 
-    def _rw(self, t: Term) -> Term:
-        bank = self.bank
+    def _rw(self, t: Term, args: list[Term]) -> Term:
         if not t.args:
             return t
-        args = [self.run(a) for a in t.args]
-
         if t.op == "select":
             return self._select(args[0], args[1])
         if t.op == "distinct":
-            parts = []
-            for a, b in itertools.combinations(args, 2):
-                parts.append(self._mk("not", [self._mk("=", [a, b], sort=BOOL_S)],
-                                      sort=BOOL_S))
-            if not parts:
-                return bank.boolval(True)
-            out = parts[0] if len(parts) == 1 else self._mk("and", parts, sort=BOOL_S)
-            return self.run(out)
-
-        out = self._mk(t.op, args, value=t.value, sort=t.sort)
-        return self._fold(out)
+            eqs = [self._fold(self._mk("=", pair, sort=BOOL_S))
+                   for pair in itertools.combinations(args, 2)]
+            parts = [self._fold(self._mk("not", [eq], sort=BOOL_S)) for eq in eqs]
+            return self._fold(self._mk("and", parts, sort=BOOL_S))
+        return self._fold(self._mk(t.op, args, value=t.value, sort=t.sort))
 
     def _select(self, base: Term, key: Term) -> Term:
-        memo = self._select_cache.get((base.tid, key.tid))
-        if memo is not None:
-            return memo
-        out = self._select_inner(base, key)
-        self._select_cache[(base.tid, key.tid)] = out
-        return out
+        """Read-over-write: `base[key]` with the stores and ite branches of
+        `base` resolved against `key` as far as equality folding decides."""
+        tests: dict[int, Term] = {}
 
-    def _select_inner(self, base: Term, key: Term) -> Term:
-        bank = self.bank
-        if base.op == "store":
-            arr, k, v = base.args
-            eq = self._fold(self._mk("=", [k, key], sort=BOOL_S))
-            if eq.op == "boolval":
-                return v if eq.value else self._select(arr, key)
-            return self._fold(self._mk("ite", [eq, v, self._select(arr, key)],
-                                       sort=v.sort))
-        if base.op == "ite":
-            c, a, b = base.args
-            return self._fold(self._mk(
-                "ite", [c, self._select(a, key), self._select(b, key)],
-                sort=self._value_sort(base)))
-        return self._mk("select", [base, key], sort=self._value_sort(base))
+        def test(store: Term) -> Term:
+            eq = tests.get(store.tid)
+            if eq is None:
+                eq = self._fold(self._mk("=", [store.args[1], key], sort=BOOL_S))
+                tests[store.tid] = eq
+            return eq
+
+        def below(arr: Term) -> tuple:
+            if arr.op == "store":
+                eq = test(arr)
+                return () if eq.op == "boolval" and eq.value else (arr.args[0],)
+            return arr.args[1:] if arr.op == "ite" else ()
+
+        def read(arr: Term, reads: list[Term]) -> Term:
+            if arr.op == "store":
+                eq, v = test(arr), arr.args[2]
+                if eq.op == "boolval":
+                    return v if eq.value else reads[0]
+                return self._fold(self._mk("ite", [eq, v, reads[0]], sort=v.sort))
+            if arr.op == "ite":
+                return self._fold(self._mk("ite", [arr.args[0], *reads],
+                                           sort=self._value_sort(arr)))
+            return self._mk("select", [arr, key], sort=self._value_sort(arr))
+
+        memo = self._select_memo.setdefault(key.tid, {})
+        return fold([base], read, memo, below)[0]
 
     @staticmethod
     def _value_sort(arr_term: Term):
         return arr_term.sort[2] if is_array_sort(arr_term.sort) else None
 
     def _eq_const(self, ite_term: Term, const: Term) -> Term:
-        memo = self._select_cache.get((ite_term.tid, ~const.tid))
-        if memo is not None:
-            return memo
-        c, a, b = ite_term.args
-        out = self._fold(self._mk("ite", [
-            c, self._fold(self._mk("=", [a, const], sort=BOOL_S)),
-            self._fold(self._mk("=", [b, const], sort=BOOL_S))], sort=BOOL_S))
-        self._select_cache[(ite_term.tid, ~const.tid)] = out
-        return out
+        """`ite_term = const` with the equality pushed into every ite leaf."""
+        def below(t: Term) -> tuple:
+            return tuple(x for x in t.args[1:] if x.op == "ite")
+
+        def test(t: Term, tests: list[Term]) -> Term:
+            it = iter(tests)
+            sides = [next(it) if x.op == "ite"
+                     else self._fold(self._mk("=", [x, const], sort=BOOL_S))
+                     for x in t.args[1:]]
+            return self._fold(self._mk("ite", [t.args[0], *sides], sort=BOOL_S))
+
+        memo = self._eq_memo.setdefault(const.tid, {})
+        return fold([ite_term], test, memo, below)[0]
 
     def _fold(self, t: Term) -> Term:
         bank = self.bank
@@ -397,6 +393,17 @@ class Theory:
         self.model_classes: dict[int, int] = {}
         self.cc: CC | None = None
         self.unhandled: list[tuple[int, Term, bool]] = []
+        self._differences: dict[tuple[int, int], tuple | None] = {}
+
+    def _difference(self, a: Term, b: Term):
+        """linear(a) - linear(b) as (const, coeffs), or None if nonlinear;
+        atoms keep their terms across checks, so this is computed once."""
+        key = (a.tid, b.tid)
+        if key not in self._differences:
+            la, lb = linearize(a), linearize(b)
+            self._differences[key] = None if la is None or lb is None \
+                else _combine(la, lb)
+        return self._differences[key]
 
     # constraint shape: (coeff map over cc-roots, const, lits)
     def check(self, assignment: dict[int, bool]):
@@ -424,23 +431,22 @@ class Theory:
                     else:
                         diseqs.append((a, b, lit))
                     if a.sort == INT_S:
-                        la, lb = linearize(a), linearize(b)
-                        if la is not None and lb is not None:
-                            diff, coeffs = _combine(la, lb)
+                        lin = self._difference(a, b)
+                        if lin is not None:
+                            diff, coeffs = lin
                             if value:
                                 bounds.append((coeffs, diff, lit))
                                 bounds.append(({k: -v for k, v in coeffs.items()},
                                                -diff, lit))
                     continue
                 if atom.op in ("<", "<=", ">", ">="):
-                    a, b = atom.args
-                    la, lb = linearize(a), linearize(b)
-                    if la is None or lb is None:
+                    lin = self._difference(*atom.args)
+                    if lin is None:
                         self.unhandled.append((lit, atom, value))
                         continue
                     op = atom.op if value else {"<": ">=", "<=": ">",
                                                 ">": "<=", ">=": "<"}[atom.op]
-                    diff, coeffs = _combine(la, lb)
+                    diff, coeffs = lin
                     # a - b + diff' forms: normalize to sum + const <= 0
                     if op == "<=":
                         bounds.append((coeffs, diff, lit))
@@ -546,10 +552,10 @@ class Theory:
         for a, b, lit in diseqs:
             if a.sort != INT_S:
                 continue
-            la, lb = linearize(a), linearize(b)
-            if la is None or lb is None:
+            lin = self._difference(a, b)
+            if lin is None:
                 continue
-            diff, coeffs = _combine(la, lb)
+            diff, coeffs = lin
             items: dict[int, int] = {}
             for t, v in coeffs.items():
                 n = node(t)
@@ -587,10 +593,10 @@ class Theory:
             for a, b, lit in diseqs:
                 if a.sort != INT_S:
                     continue
-                la, lb = linearize(a), linearize(b)
-                if la is None or lb is None:
+                lin = self._difference(a, b)
+                if lin is None:
                     continue
-                diff, coeffs = _combine(la, lb)
+                diff, coeffs = lin
                 total = diff
                 ok = True
                 items: dict[int, int] = {}
@@ -777,6 +783,7 @@ class CNF:
     def __init__(self, bank: TermBank):
         self.bank = bank
         self.var_of: dict[int, int] = {}
+        self.lit_of: dict[int, int] = {}  # term -> Tseitin literal
         self.atom_terms: dict[int, Term] = {}
         self.clauses: list[list[int]] = []
         self.nvars = 0
@@ -797,128 +804,62 @@ class CNF:
         self.clauses.append([lit])
 
     def convert(self, t: Term) -> int:
-        if t.op == "boolval":
-            v = self.var_for(t)
-            self.clauses.append([v] if t.value else [-v])
-            return v
-        if t.op == "not":
-            return -self.convert(t.args[0])
-        if t.tid in self.var_of and t.op in CONNECTIVES:
-            return self.var_of[t.tid]
-        if t.op == "and":
-            lits = [self.convert(a) for a in t.args]
-            v = self.var_for(t)
-            for l in lits:
-                self.clauses.append([-v, l])
-            self.clauses.append([v] + [-l for l in lits])
-            return v
-        if t.op == "or":
-            lits = [self.convert(a) for a in t.args]
-            v = self.var_for(t)
-            for l in lits:
-                self.clauses.append([-l, v])
-            self.clauses.append([-v] + lits)
-            return v
-        if t.op == "=>":
-            a = self.convert(t.args[0])
-            b = self.convert(t.args[1])
-            v = self.var_for(t)
-            # v <-> (-a or b)
-            self.clauses.append([-v, -a, b])
-            self.clauses.append([a, v])
-            self.clauses.append([-b, v])
-            return v
-        if t.op == "ite":  # boolean ite
-            c = self.convert(t.args[0])
-            a = self.convert(t.args[1])
-            b = self.convert(t.args[2])
-            v = self.var_for(t)
-            self.clauses.append([-v, -c, a])
-            self.clauses.append([-v, c, b])
-            self.clauses.append([v, -c, -a])
-            self.clauses.append([v, c, -b])
-            return v
-        if t.op == "=" and t.args[0].sort == BOOL_S:
-            a = self.convert(t.args[0])
-            b = self.convert(t.args[1])
-            v = self.var_for(t)
-            self.clauses.append([-v, -a, b])
-            self.clauses.append([-v, a, -b])
-            self.clauses.append([v, a, b])
-            self.clauses.append([v, -a, -b])
-            return v
-        # theory atom or boolean symbol
+        """Tseitin literal of a boolean term (definitions added once)."""
+        return fold([t], self._encode, self.lit_of, _connective_args)[0]
+
+    def _encode(self, t: Term, lits: list[int]) -> int:
+        op = t.op
+        if op == "not":
+            return -lits[0]
         v = self.var_for(t)
-        if t.op not in ("sym",):
+        add = self.clauses.append
+        if op == "boolval":
+            add([v] if t.value else [-v])
+        elif op == "and":
+            for l in lits:
+                add([-v, l])
+            add([v] + [-l for l in lits])
+        elif op == "or":
+            for l in lits:
+                add([-l, v])
+            add([-v] + lits)
+        elif op == "=>":  # v <-> (-a or b)
+            a, b = lits
+            add([-v, -a, b])
+            add([a, v])
+            add([-b, v])
+        elif op == "ite":  # boolean ite
+            c, a, b = lits
+            add([-v, -c, a])
+            add([-v, c, b])
+            add([v, -c, -a])
+            add([v, c, -b])
+        elif lits:  # = over booleans
+            a, b = lits
+            add([-v, -a, b])
+            add([-v, a, -b])
+            add([v, a, b])
+            add([v, -a, -b])
+        elif op != "sym":  # theory atom
             self.atom_terms[v] = t
-        elif t.sort == BOOL_S:
+        elif t.sort == BOOL_S:  # boolean symbol
             self.atom_terms.setdefault(v, t)
         return v
 
 
+def _connective_args(t: Term) -> tuple:
+    """The arguments CNF encodes as booleans; theory atoms are leaves."""
+    if t.op in CONNECTIVES or (t.op == "=" and t.args[0].sort == BOOL_S):
+        return t.args
+    return ()
+
+
 # ---------------------------------------------------------------------------
-# SAT wrapper
+# SAT search
 
-def _sat_solve(clauses: list[list[int]], nvars: int):
-    if not clauses:
-        return {}
-    for c in clauses:
-        if not c:
-            return None
-    if _SympySat is not None:
-        variables = set(range(1, nvars + 1))
-        solver = _SympySat([set(c) for c in clauses], variables, set())
-        for model in solver._find_model():
-            return dict(model)
-        return None
-    return _dpll(clauses, nvars)
-
-
-def _dpll(clauses, nvars):  # minimal fallback
-    assign: dict[int, bool] = {}
-
-    def value(lit):
-        v = assign.get(abs(lit))
-        if v is None:
-            return None
-        return v if lit > 0 else not v
-
-    def propagate():
-        changed = True
-        while changed:
-            changed = False
-            for c in clauses:
-                vals = [value(l) for l in c]
-                if any(v is True for v in vals):
-                    continue
-                unknown = [l for l, v in zip(c, vals) if v is None]
-                if not unknown:
-                    return False
-                if len(unknown) == 1:
-                    assign[abs(unknown[0])] = unknown[0] > 0
-                    changed = True
-        return True
-
-    def rec():
-        if not propagate():
-            return False
-        for var in range(1, nvars + 1):
-            if var not in assign:
-                saved = dict(assign)
-                assign[var] = True
-                if rec():
-                    return True
-                assign.clear()
-                assign.update(saved)
-                assign[var] = False
-                if rec():
-                    return True
-                assign.clear()
-                assign.update(saved)
-                return False
-        return True
-
-    return dict(assign) if rec() else None
+def _sat_solve(clauses: list[list[int]], nvars: int, theory: "Theory | None" = None):
+    """A model (var -> bool) of the clauses that `theory` accepts, or None."""
+    return Cdcl(nvars, clauses, theory).solve()
 
 
 # ---------------------------------------------------------------------------
@@ -931,7 +872,7 @@ class GroundSolver:
         self.theory: Theory | None = None
         self.assignment: dict[int, bool] | None = None
 
-    def solve(self, assertions: list[Term], max_rounds: int = 4000) -> str:
+    def solve(self, assertions: list[Term]) -> str:
         for a in assertions:
             if a.op == "boolval":
                 if not a.value:
@@ -939,25 +880,15 @@ class GroundSolver:
                 continue
             self.cnf.assert_root(a)
         self._add_equality_lemmas()
-        clauses = self.cnf.clauses
         theory = Theory(self.bank, self.cnf.atom_terms)
         self.theory = theory
-        for _ in range(max_rounds):
-            model = _sat_solve(clauses, self.cnf.nvars)
-            if model is None:
-                return "unsat"
-            conflict = theory.check(model)
-            if conflict is None:
-                self.assignment = model
-                if theory.unhandled:
-                    return "unknown"
-                if not self._validate(theory, model):
-                    return "unknown"
-                return "sat"
-            if not conflict:
-                return "unsat"
-            clauses = clauses + [[-l for l in conflict]]
-        raise SolverUnknown("theory loop budget exhausted")
+        model = _sat_solve(self.cnf.clauses, self.cnf.nvars, theory)
+        if model is None:
+            return "unsat"
+        self.assignment = model
+        if theory.unhandled or not self._validate(theory, model):
+            return "unknown"
+        return "sat"
 
     def _add_equality_lemmas(self):
         """Eager equality reasoning in the boolean layer: transitivity
@@ -1031,46 +962,46 @@ class GroundSolver:
                                         in self.cnf.atom_terms.items()})
 
 
-def _polarity_extract(bank: TermBank, t: Term, proxies: list, polarity: bool) -> Term:
+def _polarity_extract(bank: TermBank, t: Term, proxies: list, polarity: bool,
+                      forall_memo: dict) -> Term:
     """Replace positive-polarity foralls with proxy booleans; a negative
-    occurrence is outside the fragment."""
+    occurrence is outside the fragment.  Only the boolean structure above a
+    quantifier is walked."""
+    if not _has_forall(t, forall_memo):
+        return t
     if t.op == "forall":
         if not polarity:
             raise SolverUnknown("negative quantifier")
         proxy = bank.sym(f"qproxy!{len(proxies)}", BOOL_S)
         proxies.append((proxy, t))
         return proxy
+
+    def sub(x: Term, pol: bool) -> Term:
+        return _polarity_extract(bank, x, proxies, pol, forall_memo)
+
     if t.op == "not":
-        return bank.mk("not", (_polarity_extract(bank, t.args[0], proxies,
-                                                 not polarity),), sort=BOOL_S)
+        return bank.mk("not", (sub(t.args[0], not polarity),), sort=BOOL_S)
     if t.op in ("and", "or"):
-        return bank.mk(t.op, tuple(_polarity_extract(bank, a, proxies, polarity)
-                                   for a in t.args), sort=BOOL_S)
+        return bank.mk(t.op, tuple(sub(a, polarity) for a in t.args), sort=BOOL_S)
     if t.op == "=>":
-        a = _polarity_extract(bank, t.args[0], proxies, not polarity)
-        b = _polarity_extract(bank, t.args[1], proxies, polarity)
-        return bank.mk("=>", (a, b), sort=BOOL_S)
+        a = sub(t.args[0], not polarity)
+        return bank.mk("=>", (a, sub(t.args[1], polarity)), sort=BOOL_S)
     if t.op == "ite" and t.sort == BOOL_S:
         c = t.args[0]  # both polarities; quantifier-free conditions only
-        if _has_forall(c):
+        if _has_forall(c, forall_memo):
             raise SolverUnknown("quantifier in ite condition")
-        a = _polarity_extract(bank, t.args[1], proxies, polarity)
-        b = _polarity_extract(bank, t.args[2], proxies, polarity)
-        return bank.mk("ite", (c, a, b), sort=BOOL_S)
-    if _has_forall(t):
-        raise SolverUnknown("quantifier in unsupported position")
-    return t
+        a = sub(t.args[1], polarity)
+        return bank.mk("ite", (c, a, sub(t.args[2], polarity)), sort=BOOL_S)
+    raise SolverUnknown("quantifier in unsupported position")
 
 
-def _has_forall(t: Term) -> bool:
-    if t.op == "forall":
-        return True
-    return any(_has_forall(a) for a in t.args)
+def _has_forall(t: Term, memo: dict) -> bool:
+    return fold([t], lambda x, below: x.op == "forall" or any(below), memo)[0]
 
 
 def _collect_pools(roots: list[Term]) -> dict:
+    """Ground terms by sort: the instantiation candidates."""
     pools: dict = {}
-    seen: set[int] = set()
 
     def add(t: Term):
         if is_array_sort(t.sort) or t.sort is None:
@@ -1078,16 +1009,9 @@ def _collect_pools(roots: list[Term]) -> dict:
         pools.setdefault(t.sort, {})
         pools[t.sort].setdefault(t.tid, t)
 
-    def has_bound(t: Term) -> bool:
-        if t.op == "boundvar":
-            return True
-        return any(has_bound(a) for a in t.args)
-
-    def walk(t: Term):
-        if t.tid in seen:
-            return
-        seen.add(t.tid)
-        if not has_bound(t):
+    def visit(t: Term, args_bound: list[bool]) -> bool:
+        bound = t.op == "boundvar" or any(args_bound)
+        if not bound:
             if t.op == "select":
                 add(t.args[1])
                 add(t)
@@ -1095,13 +1019,10 @@ def _collect_pools(roots: list[Term]) -> dict:
                 add(t)
             elif t.op == "=":
                 for a in t.args:
-                    if not has_bound(a):
-                        add(a)
-        for a in t.args:
-            walk(a)
+                    add(a)
+        return bound
 
-    for r in roots:
-        walk(r)
+    fold(roots, visit)
     return {sort: [terms[tid] for tid in sorted(terms)]
             for sort, terms in pools.items()}
 
@@ -1127,7 +1048,7 @@ def _instantiate(bank: TermBank, simp: Simplifier, proxies: list,
                 continue
             seen_instances.add(key)
             sub = {name: t for (name, _), t in zip(bound, combo)}
-            inst = simp.run(_subst(bank, body, sub))
+            inst = simp.run(substitute(bank, body, sub))
             if inst.op == "boolval" and inst.value:
                 continue
             out.append(bank.mk("=>", (proxy, inst), sort=BOOL_S))
@@ -1136,41 +1057,14 @@ def _instantiate(bank: TermBank, simp: Simplifier, proxies: list,
     return out
 
 
-def _subst(bank: TermBank, t: Term, sub: dict[str, Term]) -> Term:
-    cache: dict[int, Term] = {}
-
-    def rec(x: Term) -> Term:
-        hit = cache.get(x.tid)
-        if hit is not None:
-            return hit
-        if x.op == "boundvar" and x.value in sub:
-            out = sub[x.value]
-        elif x.args:
-            out = bank.mk(x.op, tuple(rec(a) for a in x.args), value=x.value,
-                          sort=x.sort)
-        else:
-            out = x
-        cache[x.tid] = out
-        return out
-
-    return rec(t)
-
-
 def lift_ites(bank: TermBank, roots: list[Term]) -> list[Term]:
     """Name non-boolean ite terms with fresh symbols and defining clauses."""
     defs: list[Term] = []
-    cache: dict[int, Term] = {}
+    memo: dict[int, Term] = {}
     counter = itertools.count()
 
-    def rec(t: Term) -> Term:
-        hit = cache.get(t.tid)
-        if hit is not None:
-            return hit
-        if t.args:
-            out = bank.mk(t.op, tuple(rec(a) for a in t.args), value=t.value,
-                          sort=t.sort)
-        else:
-            out = t
+    def lift(t: Term, args: list[Term]) -> Term:
+        out = rebuild(bank, t, args)
         if out.op == "ite" and out.sort != BOOL_S and not is_array_sort(out.sort):
             c, a, b = out.args
             v = bank.sym(f"ite!{next(counter)}", out.sort)
@@ -1180,14 +1074,13 @@ def lift_ites(bank: TermBank, roots: list[Term]) -> list[Term]:
                                        bank.mk("=", (v, b), sort=BOOL_S)),
                                 sort=BOOL_S))
             out = v
-        cache[t.tid] = out
         return out
 
-    out_roots = [rec(r) for r in roots]
+    out_roots = fold(roots, lift, memo)
     # definitions can contain further ites
     i = 0
     while i < len(defs):
-        defs[i] = rec(defs[i])
+        defs[i] = fold([defs[i]], lift, memo)[0]
         i += 1
     return out_roots + defs
 
@@ -1213,7 +1106,9 @@ def solve(script: Script) -> Solved:
     try:
         roots = [simp.run(a) for a in script.assertions]
         proxies: list = []
-        roots = [_polarity_extract(bank, r, proxies, True) for r in roots]
+        forall_memo: dict = {}
+        roots = [_polarity_extract(bank, r, proxies, True, forall_memo)
+                 for r in roots]
         # Instances attach as proxy => instance; the formula itself forces a
         # proxy true exactly on the paths where its axiom was assumed.
 

@@ -84,6 +84,42 @@ class TermBank:
         return self.mk("app", args, value=name, sort=sort)
 
 
+def fold(roots, combine, memo: dict | None = None, children=None) -> list:
+    """Post-order evaluation over the term DAG below `roots`.
+
+    `combine(t, results)` gets the results of `children(t)` (default: the
+    arguments) in order and is called once per term, memoised by `tid` in
+    `memo`, which callers may keep across calls.  The walk keeps its own
+    stack, so term depth is bounded by memory, not by recursion.  Terms
+    finish in the order a left-to-right recursive walk finishes them.
+    """
+    memo = {} if memo is None else memo
+    for root in roots:
+        if root.tid in memo:
+            continue
+        stack = [(root, None)]
+        while stack:
+            t, kids = stack.pop()
+            if kids is not None:
+                memo[t.tid] = combine(t, [memo[k.tid] for k in kids])
+                continue
+            if t.tid in memo:
+                continue
+            kids = t.args if children is None else children(t)
+            stack.append((t, kids))
+            for k in reversed(kids):
+                if k.tid not in memo:
+                    stack.append((k, None))
+    return [memo[r.tid] for r in roots]
+
+
+def rebuild(bank: TermBank, t: Term, args: list) -> Term:
+    """`t` with its arguments replaced (the same node when none changed)."""
+    if all(a is b for a, b in zip(args, t.args)):
+        return t
+    return bank.mk(t.op, tuple(args), value=t.value, sort=t.sort)
+
+
 BOOL_OPS = {"and", "or", "not", "=>", "ite"}
 INT_OPS = {"+", "-", "*", "div", "mod", "neg"}
 REL_OPS = {"=", "distinct", "<", "<=", ">", ">="}
@@ -172,24 +208,19 @@ def _tokenize_sexpr(text: str) -> list[str]:
 
 
 def read_sexprs(text: str) -> list:
-    tokens = _tokenize_sexpr(text)
-    pos = 0
-
-    def read():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
+    out: list = []
+    open_lists: list[list] = []
+    for tok in _tokenize_sexpr(text):
         if tok == "(":
-            items = []
-            while tokens[pos] != ")":
-                items.append(read())
-            pos += 1
-            return items
-        return tok
-
-    out = []
-    while pos < len(tokens):
-        out.append(read())
+            open_lists.append([])
+            continue
+        if tok == ")":
+            if not open_lists:
+                raise ValueError("unbalanced ')'")
+            tok = open_lists.pop()
+        (open_lists[-1] if open_lists else out).append(tok)
+    if open_lists:
+        raise ValueError("unbalanced '('")
     return out
 
 
@@ -233,53 +264,34 @@ def parse_script(text: str) -> Script:
 
 
 def _script_term(parser: ScriptParser, sx, env: dict) -> Term:
+    """The term an s-expression denotes; evaluated with an explicit work
+    stack, so nesting depth is not limited by recursion."""
     bank = parser.bank
     script = parser.script
     defines = parser.defines
 
-    def to_term(sx, env: dict) -> Term:
-        if isinstance(sx, str):
-            if sx == "true":
-                return bank.boolval(True)
-            if sx == "false":
-                return bank.boolval(False)
-            if sx.lstrip("-").isdigit():
-                return bank.intval(int(sx))
-            if sx in env:
-                return env[sx]
-            if sx in script.decls:
-                args, sort = script.decls[sx]
-                if args:
-                    raise ScriptError(f"{sx} needs arguments")
-                return bank.sym(sx, sort)
-            if sx in defines:
-                params, body = defines[sx]
-                if params:
-                    raise ScriptError(f"{sx} needs arguments")
-                return body
-            raise ScriptError(f"unknown symbol {sx!r}")
-        head = sx[0]
-        if head == "let":
-            new_env = dict(env)
-            for name, value in sx[1]:
-                new_env[name] = to_term(value, env)
-            return to_term(sx[2], new_env)
-        if head in ("forall", "exists"):
-            if head == "exists":
-                raise ScriptError("exists is not supported")
-            body_env = dict(env)
-            bindings = []
-            for name, sort_sx in sx[1]:
-                sort = _parse_sort(sort_sx, script.sorts)
-                bindings.append((name, sort))
-                body_env[name] = bank.mk("boundvar", value=name, sort=sort)
-            body = to_term(sx[2], body_env)
-            for name, sort in reversed(bindings):
-                body = bank.mk("forall", (body,), value=(name, sort), sort=BOOL_S)
+    def atom(sx: str, env: dict) -> Term:
+        if sx == "true":
+            return bank.boolval(True)
+        if sx == "false":
+            return bank.boolval(False)
+        if sx.lstrip("-").isdigit():
+            return bank.intval(int(sx))
+        if sx in env:
+            return env[sx]
+        if sx in script.decls:
+            args, sort = script.decls[sx]
+            if args:
+                raise ScriptError(f"{sx} needs arguments")
+            return bank.sym(sx, sort)
+        if sx in defines:
+            params, body = defines[sx]
+            if params:
+                raise ScriptError(f"{sx} needs arguments")
             return body
-        if head == "!":
-            return to_term(sx[1], env)  # strip annotations (:pattern ...)
-        args = tuple(to_term(a, env) for a in sx[1:])
+        raise ScriptError(f"unknown symbol {sx!r}")
+
+    def apply(head, args: tuple) -> Term:
         if head == "-" and len(args) == 1:
             if args[0].op == "intval":
                 return bank.intval(-args[0].value)
@@ -307,10 +319,59 @@ def _script_term(parser: ScriptParser, sx, env: dict) -> Term:
             if len(params) != len(args):
                 raise ScriptError(f"{head}: arity mismatch")
             sub = {name: arg for (name, _), arg in zip(params, args)}
-            return _substitute(bank, body, sub)
+            return substitute(bank, body, sub)
         raise ScriptError(f"unknown operator {head!r}")
 
-    return to_term(sx, env)
+    def pop(n: int) -> list[Term]:
+        taken = results[len(results) - n:]
+        del results[len(results) - n:]
+        return taken
+
+    results: list[Term] = []
+    # ("eval", sx, env) | ("let", names, body, env) | ("forall", bindings)
+    # | ("apply", head, n): the last three consume finished results
+    work: list[tuple] = [("eval", sx, env)]
+    while work:
+        task = work.pop()
+        kind = task[0]
+        if kind == "apply":
+            results.append(apply(task[1], tuple(pop(task[2]))))
+            continue
+        if kind == "let":
+            _, names, body, outer = task
+            work.append(("eval", body, {**outer, **dict(zip(names, pop(len(names))))}))
+            continue
+        if kind == "forall":
+            body = results.pop()
+            for name, sort in reversed(task[1]):
+                body = bank.mk("forall", (body,), value=(name, sort), sort=BOOL_S)
+            results.append(body)
+            continue
+        _, sx, env = task
+        if isinstance(sx, str):
+            results.append(atom(sx, env))
+            continue
+        head = sx[0]
+        if head == "let":
+            work.append(("let", [name for name, _ in sx[1]], sx[2], env))
+            work.extend(("eval", value, env) for _, value in reversed(sx[1]))
+        elif head in ("forall", "exists"):
+            if head == "exists":
+                raise ScriptError("exists is not supported")
+            body_env = dict(env)
+            bindings = []
+            for name, sort_sx in sx[1]:
+                sort = _parse_sort(sort_sx, script.sorts)
+                bindings.append((name, sort))
+                body_env[name] = bank.mk("boundvar", value=name, sort=sort)
+            work.append(("forall", bindings))
+            work.append(("eval", sx[2], body_env))
+        elif head == "!":
+            work.append(("eval", sx[1], env))  # strip annotations (:pattern ...)
+        else:
+            work.append(("apply", head, len(sx) - 1))
+            work.extend(("eval", a, env) for a in reversed(sx[1:]))
+    return results[0]
 
 
 def _feed_command(parser: ScriptParser, sx):
@@ -355,20 +416,11 @@ def _feed_command(parser: ScriptParser, sx):
         raise ScriptError(f"unsupported command {cmd}")
 
 
-def _substitute(bank: TermBank, t: Term, sub: dict[str, Term]) -> Term:
-    cache: dict[int, Term] = {}
-
-    def rec(x: Term) -> Term:
-        if x.tid in cache:
-            return cache[x.tid]
+def substitute(bank: TermBank, t: Term, sub: dict[str, Term]) -> Term:
+    """`t` with the bound variables named in `sub` replaced."""
+    def combine(x: Term, args: list) -> Term:
         if x.op == "boundvar" and x.value in sub:
-            out = sub[x.value]
-        elif x.args:
-            out = bank.mk(x.op, tuple(rec(a) for a in x.args), value=x.value,
-                          sort=x.sort)
-        else:
-            out = x
-        cache[x.tid] = out
-        return out
+            return sub[x.value]
+        return rebuild(bank, x, args)
 
-    return rec(t)
+    return fold([t], combine)[0]

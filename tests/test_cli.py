@@ -1,10 +1,11 @@
 import json
 import os
+import sys
 
 from conftest import fixture_path
 from solverify.cli import (
-    EXIT_FULLY_VERIFIED, EXIT_INPUT_ERROR, EXIT_PARTIAL, EXIT_REFUTED, main,
-    render_trace,
+    EXIT_FULLY_VERIFIED, EXIT_INPUT_ERROR, EXIT_INTERNAL_ERROR, EXIT_PARTIAL,
+    EXIT_REFUTED, main, render_trace,
 )
 from solverify.engine.trace import CounterexampleTrace, Transaction
 
@@ -206,3 +207,67 @@ def test_multiple_source_files(tmp_path):
                    "--sol", str(part1), "--sol", str(part2), "--root", "B",
                    "--k", "1")
     assert code == EXIT_FULLY_VERIFIED
+
+
+def test_deep_store_chain_contract_fully_verified(tmp_path, capsys):
+    # 400 straight-line stores to symbolic keys used to die with a
+    # RecursionError in the term walkers
+    n = 400
+    chain = tmp_path / "chain.sol"
+    chain.write_text("contract StoreChain {\n"
+                     "    mapping(int => int) m;\n"
+                     "    constructor() public { }\n"
+                     "    function Fill(int x) public {\n"
+                     + "".join(f"        m[x + {i}] = {i + 1};\n" for i in range(n))
+                     + "        assert(m[x] == 1);\n    }\n}\n")
+    report = tmp_path / "r.json"
+    code = run_cli("verify", "--mode", "assertions", "--k", "1",
+                   "--sol", str(chain), "--report-json", str(report))
+    assert code == EXIT_FULLY_VERIFIED
+    assert json.loads(report.read_text())["verdict"] == "FullyVerified"
+
+
+def _assert_internal_error(code, capsys, report):
+    assert code == EXIT_INTERNAL_ERROR
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("internal error: ") and "\n" not in err
+    assert json.loads(report.read_text())["verdict"] == "InternalError"
+    return err
+
+
+def test_internal_failure_exits_four(monkeypatch, capsys, tmp_path):
+    import solverify.cli as cli
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("invariant broken\nsecond line")
+
+    monkeypatch.setattr(cli, "engine_verify", boom)
+    report = tmp_path / "r.json"
+    code = run_cli("verify", "--mode", "assertions",
+                   "--sol", fixture_path("nested_maps.sol"), "--root", "C",
+                   "--report-json", str(report))
+    err = _assert_internal_error(code, capsys, report)
+    assert "RuntimeError: invariant broken second line" in err
+
+
+def test_solver_error_exits_four(capsys, tmp_path):
+    from solverify.engine.smtio import close_sessions
+    fake = tmp_path / "fake_solver.py"
+    fake.write_text("import sys\n"
+                    "for line in sys.stdin:\n"
+                    "    if '(exit)' in line:\n"
+                    "        break\n"
+                    "    if 'check-sat' in line:\n"
+                    "        print('(error \"maximum recursion depth exceeded\")', flush=True)\n"
+                    "    if 'echo' in line:\n"
+                    "        print('<<query-done>>', flush=True)\n")
+    report = tmp_path / "r.json"
+    try:
+        code = run_cli("verify", "--mode", "assertions",
+                       "--sol", fixture_path("nested_maps.sol"), "--root", "C",
+                       "--solver", f"{sys.executable} {fake}",
+                       "--report-json", str(report))
+    finally:
+        close_sessions()
+    err = _assert_internal_error(code, capsys, report)
+    assert "maximum recursion depth exceeded" in err

@@ -1,12 +1,19 @@
 """Units for the bundled SMT solver and the process interface."""
 
+import itertools
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from solverify.engine.queries import _render_shared
+from solverify.smt import solver
 from solverify.smt.cli import run
-from solverify.smt.terms import read_sexprs
+from solverify.smt.solver import _sat_solve
+from solverify.smt.terms import (
+    BOOL_S, INT_S, TermBank, array_sort, parse_script, read_sexprs,
+)
 
 
 def answer(script: str) -> str:
@@ -188,7 +195,7 @@ def test_solver_crashed_on_missing_binary(tmp_path):
     from solverify.engine.queries import SmtQuery
     from solverify.engine import smtio
     q = SmtQuery(text="(check-sat)", slots={}, selectors=[])
-    with pytest.raises(smtio.SolverCrashed):
+    with pytest.raises(smtio.SolverUnavailable):
         smtio.check_smt(q, timeout=5, solver_path=str(tmp_path / "nope"))
 
 
@@ -201,3 +208,110 @@ def test_timeout_yields_unknown():
         assert smtio.check_smt(q, timeout=1.0, solver_path=argv).status == "unknown"
     finally:
         smtio.close_sessions()
+
+
+def test_solver_crashed_carries_stderr_tail(tmp_path):
+    from solverify.engine.queries import SmtQuery
+    from solverify.engine import smtio
+    fake = tmp_path / "fake_solver.py"
+    fake.write_text("import sys\n"
+                    "sys.stdin.readline()\n"
+                    "sys.stderr.write('loading\\nfatal: out of memory\\n')\n"
+                    "sys.exit(3)\n")
+    q = SmtQuery(text="(check-sat)", slots={}, selectors=[])
+    try:
+        with pytest.raises(smtio.SolverCrashed) as info:
+            smtio.check_smt(q, timeout=30,
+                            solver_path=f"{sys.executable} {fake}")
+    finally:
+        smtio.close_sessions()
+    assert str(info.value).endswith("fatal: out of memory")
+    assert not isinstance(info.value, smtio.SolverUnavailable)
+
+
+# -- the SAT core against an independent oracle ------------------------------------
+
+def _cnfs():
+    def clauses(n):
+        lit = st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))
+        return st.lists(st.lists(lit, min_size=2, max_size=3), min_size=n, max_size=40)
+    return st.integers(3, 12).flatmap(lambda n: st.tuples(st.just(n), clauses(n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cnfs())
+def test_sat_core_agrees_with_enumeration(case):
+    nvars, clauses = case
+    model = _sat_solve(clauses, nvars)
+    if model is None:
+        for bits in itertools.product((False, True), repeat=nvars):
+            assert not all(any(bits[abs(l) - 1] == (l > 0) for l in c)
+                           for c in clauses), "unsat, but enumeration finds a model"
+    else:
+        assert all(any(model[abs(l)] == (l > 0) for l in c) for c in clauses)
+
+
+def _cycle_script(n: int, escape: bool) -> str:
+    """x0 < x1 < ... < x(n-1) < x0, each edge forced through its own boolean
+    decision; with `escape`, q lets one edge go."""
+    lines = [f"(declare-const x{i} Int)(declare-const p{i} Bool)" for i in range(n)]
+    lines.append("(declare-const q Bool)")
+    for i in range(n):
+        edge = f"(< x{i} x{(i + 1) % n})"
+        lines.append(f"(assert (or p{i} {edge}))")
+        lines.append(f"(assert (or (not p{i}) {edge}{' q' if escape else ''}))")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("escape", [False, True])
+def test_difference_cycle_is_learnt_in_one_search(monkeypatch, escape):
+    sat_calls, checks = [], []
+    real_sat, real_check = solver._sat_solve, solver.Theory.check
+    monkeypatch.setattr(solver, "_sat_solve",
+                        lambda *a: sat_calls.append(1) or real_sat(*a))
+    monkeypatch.setattr(solver.Theory, "check",
+                        lambda self, m: checks.append(1) or real_check(self, m))
+    n = 6
+    script = parse_script(_cycle_script(n, escape))
+    solved = solver.solve(script)
+    assert len(sat_calls) == 1 and checks  # theory conflicts learnt in one search
+    if not escape:
+        assert solved.answer == "unsat"
+        return
+    assert solved.answer == "sat"
+    bank = script.bank
+    x = [solved.value_of(bank.sym(f"x{i}", "Int")) for i in range(n)]
+    p = [solved.value_of(bank.sym(f"p{i}", "Bool")) for i in range(n)]
+    q = solved.value_of(bank.sym("q", "Bool"))
+    for i in range(n):
+        edge = x[i] < x[(i + 1) % n]
+        assert (p[i] or edge) and (not p[i] or edge or q)
+
+
+# -- term depth ------------------------------------------------------------------
+
+def test_deep_store_chain_through_every_stage():
+    depth = 5000
+    bank = TermBank()
+    x, y = bank.sym("x", INT_S), bank.sym("y", INT_S)
+    arr = bank.sym("m", array_sort(INT_S, INT_S))
+    for i in range(depth):
+        key = bank.mk("+", (x, bank.intval(i)), sort=INT_S)
+        arr = bank.mk("store", (arr, key, bank.intval(i + 1)), sort=arr.sort)
+    read = bank.mk("select", (arr, x), sort=INT_S)
+    goals = [bank.mk("=", (read, bank.intval(1)), sort=BOOL_S),  # boolean ite chain
+             bank.mk("=", (read, y), sort=BOOL_S)]                # integer ite chain
+    lines = _render_shared(goals)
+    script = parse_script("(declare-fun x () Int)(declare-fun y () Int)"
+                          "(declare-fun m () (Array Int Int))" + "".join(lines))
+    assert _render_shared(script.assertions) == lines
+    simp = solver.Simplifier(script.bank)
+    roots = [simp.run(a) for a in script.assertions]
+    assert [r.op for r in roots] == ["ite", "="]
+    lifted = solver.lift_ites(script.bank, roots)
+    assert len(lifted) == 2 + 2 * depth  # one symbol and two definitions per ite
+    cnf = solver.CNF(script.bank)
+    for r in lifted:
+        cnf.assert_root(r)
+    eq_atoms = [t for t in cnf.atom_terms.values() if t.op == "="]
+    assert len(eq_atoms) >= 2 * depth
