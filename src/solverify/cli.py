@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from solverify import __version__
 from solverify.engine import verify as engine_verify
-from solverify.engine.smtio import SolverCrashed, SolverUnavailable
+from solverify.engine.smtio import SolverConfig, SolverCrashed, SolverUnavailable
 from solverify.engine.trace import CounterexampleTrace
 from solverify.instrument import (
     NotSyntacticallyConformant, instrument_for_conformance, make_runtime_checks,
@@ -147,9 +147,11 @@ def run(cfg: RunConfig):
 
     result = engine_verify(tr, hinfo,
                            policy=policy if cfg.mode == "conformance" else None,
-                           k_max=cfg.k_max, solver_path=cfg.solver,
-                           timeout=cfg.timeout, loop_unroll=cfg.loop_unroll,
-                           dump_dir=cfg.dump_smt)
+                           k_max=cfg.k_max,
+                           solver=SolverConfig(solver_path=cfg.solver,
+                                               timeout=cfg.timeout,
+                                               dump_dir=cfg.dump_smt),
+                           loop_unroll=cfg.loop_unroll)
     report["verdict"] = result.verdict
     report["timings"] = {
         "invariant_seconds": round(result.timings.invariant_seconds, 3),

@@ -5,5 +5,7 @@ replay."""
 from solverify.engine.verify import (  # noqa: F401
     FullyVerified, PartiallyVerified, Refuted, verify,
 )
-from solverify.engine.smtio import CheckResult, SolverCrashed, check_smt, solver_argv  # noqa: F401
+from solverify.engine.smtio import (  # noqa: F401
+    CheckResult, SolverConfig, SolverCrashed, check_smt, solver_argv,
+)
 from solverify.engine.trace import CounterexampleTrace, ReplayMismatch, Transaction  # noqa: F401

@@ -6,7 +6,7 @@ import time
 from dataclasses import dataclass, field
 
 from solverify.engine.queries import vc_gen
-from solverify.engine.smtio import check_smt
+from solverify.engine.smtio import SolverConfig, check_smt
 from solverify.engine.trace import CounterexampleTrace, extract_trace
 from solverify.engine.unroll import unroll_harness
 from solverify.translate import HarnessInfo, Translation
@@ -21,9 +21,6 @@ class Domains:
     int_args: list[int] = field(default_factory=list)
     senders: list[int] = field(default_factory=list)
 
-    def sender_pool(self) -> list[int]:
-        return self.senders
-
 
 def _restrict(stmt: I.IrStmt, hinfo: HarnessInfo, domains: Domains,
               local_types: dict[str, I.IrType]) -> I.IrStmt:
@@ -34,40 +31,23 @@ def _restrict(stmt: I.IrStmt, hinfo: HarnessInfo, domains: Domains,
         arg_bases.update(arg_vars)
     sender_bases = {hinfo.ctor_sender, hinfo.sender_var}
 
-    def base_name(v: str) -> str:
-        return v.split("$", 1)[0]
-
-    def dom_assume(var: str) -> I.IrStmt | None:
-        base = base_name(var)
+    def pin(s: I.IrStmt) -> I.IrStmt | None:
+        if not isinstance(s, I.Havoc):
+            return None
+        base = s.var.split("$", 1)[0]
         ty = local_types.get(base)
         if base in sender_bases and domains.senders:
-            return I.Assume(I.disj(*[I.op("==", I.Var(var), I.RConst(s))
-                                     for s in domains.senders]))
-        if base in arg_bases and ty == I.INT and domains.int_args:
-            return I.Assume(I.disj(*[I.op("==", I.Var(var), I.IConst(v))
-                                     for v in domains.int_args]))
-        if base in arg_bases and ty == I.REF and domains.senders:
-            return I.Assume(I.disj(*[I.op("==", I.Var(var), I.RConst(s))
-                                     for s in domains.senders] + [
-                I.op("==", I.Var(var), I.RConst(0))]))
-        return None
+            values = [I.RConst(v) for v in domains.senders]
+        elif base in arg_bases and ty == I.INT and domains.int_args:
+            values = [I.IConst(v) for v in domains.int_args]
+        elif base in arg_bases and ty == I.REF and domains.senders:
+            values = [I.RConst(v) for v in domains.senders] + [I.RConst(0)]
+        else:
+            return None
+        return I.seq(s, I.Assume(I.disj(*[I.op("==", I.Var(s.var), v)
+                                          for v in values])))
 
-    def walk(s: I.IrStmt) -> I.IrStmt:
-        if isinstance(s, I.Seq):
-            out = []
-            for x in s.stmts:
-                out.append(walk(x))
-            return I.seq(*out)
-        if isinstance(s, I.If):
-            return I.If(s.cond, walk(s.then), walk(s.els))
-        if isinstance(s, I.Havoc):
-            extra = dom_assume(s.var)
-            if extra is not None:
-                return I.seq(s, extra)
-            return s
-        return s
-
-    return walk(stmt)
+    return I.map_stmt(stmt, pin)
 
 
 @dataclass
@@ -89,9 +69,8 @@ class BmcOutcome:
 
 
 def bounded_check(tr: Translation, hinfo: HarnessInfo, k_max: int,
-                  solver_path: str | None = None, timeout: float = 600.0,
-                  loop_unroll: int = 8, domains: Domains | None = None,
-                  dump_dir: str | None = None) -> BmcOutcome:
+                  solver: SolverConfig = SolverConfig(),
+                  loop_unroll: int = 8, domains: Domains | None = None) -> BmcOutcome:
     """Search for a failing transaction sequence of length up to k_max."""
     start = time.monotonic()
     harness = tr.ir.procedures[hinfo.proc]
@@ -105,12 +84,7 @@ def bounded_check(tr: Translation, hinfo: HarnessInfo, k_max: int,
                 returns=unrolled.returns, locals=unrolled.locals,
                 body=_restrict(unrolled.body, hinfo, domains, local_types))
         _, query = vc_gen(tr.ir, unrolled, initial_alloc=True)
-        if dump_dir is not None:
-            import os
-            os.makedirs(dump_dir, exist_ok=True)
-            with open(os.path.join(dump_dir, f"main_bmc_{k}.smt2"), "w") as fh:
-                fh.write(query.text)
-        result = check_smt(query, timeout=timeout, solver_path=solver_path)
+        result = check_smt(query, solver, f"main_bmc_{k}")
         statuses.append(result.status)
         if result.status == "sat":
             trace = extract_trace(result, query, unrolled, hinfo, tr, k)

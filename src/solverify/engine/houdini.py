@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from solverify.engine.candidates import CandidatePredicate
 from solverify.engine.queries import QueryBuilder
-from solverify.engine.smtio import check_smt
+from solverify.engine.smtio import SolverConfig, check_smt
 from solverify.engine.unroll import Inliner
 from solverify.translate import HarnessInfo, Translation
 from solverify.vir import ast as I
@@ -43,15 +43,7 @@ class HoudiniResult:
 
 
 def _asserts_to_assumes(s: I.IrStmt) -> I.IrStmt:
-    if isinstance(s, I.Assert):
-        return I.Assume(s.cond)
-    if isinstance(s, I.Seq):
-        return I.Seq(tuple(_asserts_to_assumes(x) for x in s.stmts))
-    if isinstance(s, I.If):
-        return I.If(s.cond, _asserts_to_assumes(s.then), _asserts_to_assumes(s.els))
-    if isinstance(s, I.While):
-        return I.While(s.cond, _asserts_to_assumes(s.body))
-    return s
+    return I.map_stmt(s, lambda x: I.Assume(x.cond) if isinstance(x, I.Assert) else None)
 
 
 @dataclass
@@ -65,41 +57,26 @@ class _ProcCheck:
 
 def _build_checks(tr: Translation, hinfo: HarnessInfo,
                   loop_unroll: int = 8) -> list[_ProcCheck]:
+    """One inlined call per procedure: the constructor on a freshly
+    allocated instance, each public function on an existing one."""
     root = hinfo.root
+    is_root = I.Assume(I.op("==", I.select(I.Var(DTYPE), I.Var("inst")),
+                            I.NamedConst(root)))
+    entries = [(tr.ctor_proc(root), True, tr.ctor_params(root),
+                I.seq(I.Call("New", (), ("inst",)), is_root))]
+    entries += [(pname, False, list(ptypes), is_root)
+                for _, pname, ptypes in tr.public_functions(root)]
     checks: list[_ProcCheck] = []
-
-    def inlined(call: I.Call, extra_locals):
-        inliner = Inliner(tr.ir, loop_unroll=loop_unroll)
-        body = inliner.inline(call)
-        return body, extra_locals + inliner.new_locals
-
-    ctor_tys = tr.ctor_params(root)
-    args = [I.Var(f"a{i}") for i in range(len(ctor_tys))]
-    locals_ = [("inst", I.REF), ("snd", I.REF)] + \
-        [(f"a{i}", ty) for i, ty in enumerate(ctor_tys)]
-    call = I.Call(tr.ctor_proc(root),
-                  tuple([I.Var("inst")] + args + [I.Var("snd")]))
-    pre = I.seq(I.Call("New", (), ("inst",)),
-                I.Assume(I.op("==", I.select(I.Var(DTYPE), I.Var("inst")),
-                              I.NamedConst(root))))
-    inliner = Inliner(tr.ir, loop_unroll=loop_unroll)
-    body = inliner.inline(I.seq(pre, call))
-    checks.append(_ProcCheck(name=tr.ctor_proc(root), is_ctor=True, body=body,
-                             locals=locals_ + inliner.new_locals,
-                             param_types=ctor_tys))
-
-    for fname, pname, ptypes in tr.public_functions(root):
+    for name, is_ctor, ptypes, pre in entries:
         args = [I.Var(f"a{i}") for i in range(len(ptypes))]
         locals_ = [("inst", I.REF), ("snd", I.REF)] + \
             [(f"a{i}", ty) for i, ty in enumerate(ptypes)]
-        call = I.Call(pname, tuple([I.Var("inst")] + args + [I.Var("snd")]))
-        pre = I.Assume(I.op("==", I.select(I.Var(DTYPE), I.Var("inst")),
-                            I.NamedConst(root)))
+        call = I.Call(name, tuple([I.Var("inst")] + args + [I.Var("snd")]))
         inliner = Inliner(tr.ir, loop_unroll=loop_unroll)
         body = inliner.inline(I.seq(pre, call))
-        checks.append(_ProcCheck(name=pname, is_ctor=False, body=body,
+        checks.append(_ProcCheck(name=name, is_ctor=is_ctor, body=body,
                                  locals=locals_ + inliner.new_locals,
-                                 param_types=list(ptypes)))
+                                 param_types=ptypes))
     return checks
 
 
@@ -128,22 +105,14 @@ def _proc_query(tr: Translation, check: _ProcCheck,
 
 def houdini_infer(tr: Translation, hinfo: HarnessInfo,
                   candidates: list[CandidatePredicate],
-                  solver_path: str | None = None, timeout: float = 120.0,
-                  loop_unroll: int = 8, dump_dir: str | None = None) -> HoudiniResult:
+                  solver: SolverConfig = SolverConfig(),
+                  loop_unroll: int = 8) -> HoudiniResult:
     start = time.monotonic()
     checks = _build_checks(tr, hinfo, loop_unroll=loop_unroll)
     remaining = list(candidates)
     rounds = 0
     queries = 0
     history: list[list[str]] = []
-
-    def dump(query, name):
-        if dump_dir is None:
-            return
-        import os
-        os.makedirs(dump_dir, exist_ok=True)
-        with open(os.path.join(dump_dir, name), "w") as fh:
-            fh.write(query.text)
 
     while True:
         rounds += 1
@@ -158,8 +127,7 @@ def houdini_infer(tr: Translation, hinfo: HarnessInfo,
                 break
             query = _proc_query(tr, check, live, live, asserts_live=False)
             queries += 1
-            dump(query, f"{check.name}_houdini_{rounds}.smt2")
-            result = check_smt(query, timeout=timeout, solver_path=solver_path)
+            result = check_smt(query, solver, f"{check.name}_houdini_{rounds}")
             if result.status == "unsat":
                 continue
             if result.status == "sat":
@@ -171,10 +139,10 @@ def houdini_infer(tr: Translation, hinfo: HarnessInfo,
                                 removed[text] = c
                 continue
             # unknown: fall back to per-candidate checks, refuting on unknown
-            for cand in live:
+            for i, cand in enumerate(live):
                 single = _proc_query(tr, check, live, [cand], asserts_live=False)
                 queries += 1
-                r = check_smt(single, timeout=timeout, solver_path=solver_path)
+                r = check_smt(single, solver, f"{check.name}_houdini_{rounds}_cand{i}")
                 if r.status != "unsat":
                     removed[cand.text] = cand
         if not removed:
@@ -186,8 +154,7 @@ def houdini_infer(tr: Translation, hinfo: HarnessInfo,
     for check in checks:
         query = _proc_query(tr, check, remaining, [], asserts_live=True)
         queries += 1
-        dump(query, f"{check.name}_houdini_final.smt2")
-        result = check_smt(query, timeout=timeout, solver_path=solver_path)
+        result = check_smt(query, solver, f"{check.name}_houdini_final")
         if result.status != "unsat":
             flag = False
             break

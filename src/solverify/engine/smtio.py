@@ -162,11 +162,28 @@ def close_sessions():
     _sessions.clear()
 
 
-def check_smt(query: SmtQuery, timeout: float = 600.0,
-              solver_path: str | None = None) -> CheckResult:
-    """Run the query through the solver process; timeouts map to unknown."""
-    session = _session_for(solver_argv(solver_path))
-    out = session.ask(query.text, timeout).strip()
+@dataclass(frozen=True)
+class SolverConfig:
+    """How the queries of a run are solved: the solver command (None: the
+    SMT_SOLVER variable, else the bundled solver), the per-query timeout in
+    seconds, and the directory every query is written to (`--dump-smt`)."""
+
+    solver_path: str | None = None
+    timeout: float = 600.0
+    dump_dir: str | None = None
+
+
+def check_smt(query: SmtQuery, config: SolverConfig = SolverConfig(),
+              name: str = "query") -> CheckResult:
+    """Run the query through the solver process; timeouts map to unknown.
+    With a dump directory configured, the query is first written there as
+    `<name>.smt2`."""
+    if config.dump_dir is not None:
+        os.makedirs(config.dump_dir, exist_ok=True)
+        with open(os.path.join(config.dump_dir, f"{name}.smt2"), "w") as fh:
+            fh.write(query.text)
+    session = _session_for(solver_argv(config.solver_path))
+    out = session.ask(query.text, config.timeout).strip()
     if not out:
         return CheckResult(status="unknown")  # timeout
     lines = out.splitlines()

@@ -43,16 +43,8 @@ class CounterexampleTrace:
 
 
 def _scan_nondet_syms(stmt: I.IrStmt, out: list[str]):
-    if isinstance(stmt, I.Havoc) and is_nondet_var(stmt.var):
-        out.append(stmt.var)
-    elif isinstance(stmt, I.Seq):
-        for s in stmt.stmts:
-            _scan_nondet_syms(s, out)
-    elif isinstance(stmt, I.If):
-        _scan_nondet_syms(stmt.then, out)
-        _scan_nondet_syms(stmt.els, out)
-    elif isinstance(stmt, I.While):
-        _scan_nondet_syms(stmt.body, out)
+    out.extend(s.var for s in I.iter_stmt(stmt)
+               if isinstance(s, I.Havoc) and is_nondet_var(s.var))
 
 
 def _iteration_blocks(body: I.IrStmt, hinfo: HarnessInfo, k: int):

@@ -23,49 +23,20 @@ NONDET_RE = re.compile(r"^nd\d+(@\d+)?(\$\d+)?$")
 
 
 def rename_expr(e: I.IrExpr, mapping: dict[str, str]) -> I.IrExpr:
-    if isinstance(e, I.Var):
-        return I.Var(mapping.get(e.name, e.name))
-    if isinstance(e, I.Op):
-        return I.Op(e.op, tuple(rename_expr(a, mapping) for a in e.args))
-    if isinstance(e, I.UFApply):
-        return I.UFApply(e.name, tuple(rename_expr(a, mapping) for a in e.args))
-    if isinstance(e, I.Select):
-        return I.Select(rename_expr(e.base, mapping),
-                        tuple(rename_expr(k, mapping) for k in e.keys))
-    if isinstance(e, I.Forall):
-        inner = {k: v for k, v in mapping.items() if k != e.var}
-        return I.Forall(e.var, e.var_ty, rename_expr(e.body, inner))
-    return e
+    def rename(x: I.IrExpr) -> I.IrExpr | None:
+        if isinstance(x, I.Var):
+            return I.Var(mapping.get(x.name, x.name))
+        if isinstance(x, I.Forall):  # the bound variable shadows the mapping
+            inner = {k: v for k, v in mapping.items() if k != x.var}
+            return I.Forall(x.var, x.var_ty, rename_expr(x.body, inner))
+        return None
+
+    return I.map_expr(e, rename)
 
 
 def rename_stmt(s: I.IrStmt, mapping: dict[str, str]) -> I.IrStmt:
-    def rx(e: I.IrExpr) -> I.IrExpr:
-        return rename_expr(e, mapping)
-
-    if isinstance(s, I.Skip):
-        return s
-    if isinstance(s, I.Havoc):
-        return I.Havoc(mapping.get(s.var, s.var))
-    if isinstance(s, I.Assign):
-        return I.Assign(mapping.get(s.var, s.var), rx(s.expr))
-    if isinstance(s, I.Store):
-        return I.Store(mapping.get(s.base, s.base),
-                       tuple(rx(k) for k in s.keys), rx(s.value))
-    if isinstance(s, I.Assume):
-        return I.Assume(rx(s.cond))
-    if isinstance(s, I.Assert):
-        return I.Assert(rx(s.cond), s.label)
-    if isinstance(s, I.Call):
-        return I.Call(s.proc, tuple(rx(a) for a in s.args),
-                      tuple(mapping.get(r, r) for r in s.results))
-    if isinstance(s, I.Seq):
-        return I.Seq(tuple(rename_stmt(x, mapping) for x in s.stmts))
-    if isinstance(s, I.If):
-        return I.If(rx(s.cond), rename_stmt(s.then, mapping),
-                    rename_stmt(s.els, mapping))
-    if isinstance(s, I.While):
-        return I.While(rx(s.cond), rename_stmt(s.body, mapping))
-    raise TypeError(type(s).__name__)
+    return I.map_stmt(s, expr=lambda e: rename_expr(e, mapping),
+                      var=lambda v: mapping.get(v, v))
 
 
 class Inliner:
@@ -78,16 +49,14 @@ class Inliner:
         self.new_locals: list[tuple[str, I.IrType]] = []
 
     def inline(self, s: I.IrStmt, depth: int = 0) -> I.IrStmt:
-        if isinstance(s, I.Seq):
-            return I.seq(*[self.inline(x, depth) for x in s.stmts])
-        if isinstance(s, I.If):
-            return I.If(s.cond, self.inline(s.then, depth),
-                        self.inline(s.els, depth))
-        if isinstance(s, I.While):
-            return self._unroll_loop(s, depth, self.loop_unroll)
-        if isinstance(s, I.Call):
-            return self._inline_call(s, depth)
-        return s
+        def expand(x: I.IrStmt) -> I.IrStmt | None:
+            if isinstance(x, I.While):
+                return self._unroll_loop(x, depth, self.loop_unroll)
+            if isinstance(x, I.Call):
+                return self._inline_call(x, depth)
+            return None
+
+        return I.map_stmt(s, expand)
 
     def _unroll_loop(self, s: I.While, depth: int, n: int) -> I.IrStmt:
         if n == 0:
@@ -118,20 +87,11 @@ class Inliner:
 
 
 def assigned_vars(s: I.IrStmt, out: set[str]):
-    if isinstance(s, I.Havoc):
-        out.add(s.var)
-    elif isinstance(s, I.Assign):
-        out.add(s.var)
-    elif isinstance(s, I.Call):
-        out.update(s.results)
-    elif isinstance(s, I.Seq):
-        for x in s.stmts:
-            assigned_vars(x, out)
-    elif isinstance(s, I.If):
-        assigned_vars(s.then, out)
-        assigned_vars(s.els, out)
-    elif isinstance(s, I.While):
-        assigned_vars(s.body, out)
+    for x in I.iter_stmt(s):
+        if isinstance(x, (I.Havoc, I.Assign)):
+            out.add(x.var)
+        elif isinstance(x, I.Call):
+            out.update(x.results)
 
 
 def unroll_harness(program: I.IrProgram, harness: I.IrProcedure, k: int,

@@ -12,9 +12,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from solverify.engine.bmc import BmcOutcome, Domains, bounded_check
+from solverify.engine.bmc import BmcOutcome, bounded_check
 from solverify.engine.candidates import CandidatePredicate, generate_candidates
 from solverify.engine.houdini import HoudiniResult, houdini_infer
+from solverify.engine.smtio import SolverConfig
 from solverify.engine.trace import CounterexampleTrace
 from solverify.policy import Policy
 from solverify.translate import HarnessInfo, Translation
@@ -40,7 +41,7 @@ class FullyVerified:
 class Refuted:
     trace: CounterexampleTrace
     k: int
-    houdini: HoudiniResult | None
+    houdini: HoudiniResult
     timings: Timings = field(default_factory=Timings)
 
     verdict = "Refuted"
@@ -49,7 +50,7 @@ class Refuted:
 @dataclass
 class PartiallyVerified:
     bound: int
-    houdini: HoudiniResult | None
+    houdini: HoudiniResult
     invariant: list[CandidatePredicate] = field(default_factory=list)
     timings: Timings = field(default_factory=Timings)
 
@@ -57,34 +58,26 @@ class PartiallyVerified:
 
 
 def verify(tr: Translation, hinfo: HarnessInfo, policy: Policy | None = None,
-           k_max: int = 6, solver_path: str | None = None,
-           timeout: float = 600.0, loop_unroll: int = 8,
-           domains: Domains | None = None,
-           candidates: list[CandidatePredicate] | None = None,
-           skip_invariant: bool = False, dump_dir: str | None = None):
+           k_max: int = 6, solver: SolverConfig = SolverConfig(),
+           loop_unroll: int = 8,
+           candidates: list[CandidatePredicate] | None = None):
     """FullyVerified, Refuted (with replayed trace), or PartiallyVerified."""
     start = time.monotonic()
     timings = Timings()
 
-    houdini = None
-    if not skip_invariant:
-        pool = candidates
-        if pool is None:
-            pool = generate_candidates(tr, policy, hinfo.root) if policy else []
-        houdini = houdini_infer(tr, hinfo, pool, solver_path=solver_path,
-                                timeout=timeout, loop_unroll=loop_unroll,
-                                dump_dir=dump_dir)
-        timings.invariant_seconds = houdini.seconds
-        if houdini.all_asserts_verified:
-            timings.total_seconds = time.monotonic() - start
-            return FullyVerified(invariant=houdini.invariant, houdini=houdini,
-                                 timings=timings)
+    pool = candidates
+    if pool is None:
+        pool = generate_candidates(tr, policy, hinfo.root) if policy else []
+    houdini = houdini_infer(tr, hinfo, pool, solver=solver,
+                            loop_unroll=loop_unroll)
+    timings.invariant_seconds = houdini.seconds
+    if houdini.all_asserts_verified:
+        timings.total_seconds = time.monotonic() - start
+        return FullyVerified(invariant=houdini.invariant, houdini=houdini,
+                             timings=timings)
 
-    outcome: BmcOutcome = bounded_check(tr, hinfo, k_max,
-                                        solver_path=solver_path,
-                                        timeout=timeout,
-                                        loop_unroll=loop_unroll,
-                                        domains=domains, dump_dir=dump_dir)
+    outcome: BmcOutcome = bounded_check(tr, hinfo, k_max, solver=solver,
+                                        loop_unroll=loop_unroll)
     timings.bmc_seconds = outcome.seconds
     timings.total_seconds = time.monotonic() - start
     if outcome.trace is not None:
@@ -92,5 +85,4 @@ def verify(tr: Translation, hinfo: HarnessInfo, policy: Policy | None = None,
                        houdini=houdini, timings=timings)
     # unknown answers end the provable range; claim only what was proven
     return PartiallyVerified(bound=outcome.safe_bound(), houdini=houdini,
-                             invariant=houdini.invariant if houdini else [],
-                             timings=timings)
+                             invariant=houdini.invariant, timings=timings)

@@ -113,22 +113,11 @@ def state_predicate(states, workflow: Workflow, enum_name: str = "StateType",
 def _substitute_old(e: ast.SolExpr, mapping: dict[str, str]) -> ast.SolExpr:
     """Replace state-variable reads with their entry snapshots."""
     e = copy.deepcopy(e)
-
-    def walk(x: ast.SolExpr):
+    for x in ast.walk(e):
         if isinstance(x, ast.Var) and x.binding == "state" and x.name in mapping:
             x.name = mapping[x.name]
             x.binding = "local"
             x.owner = None
-        for name in x.STRUCT_FIELDS:
-            v = getattr(x, name)
-            if isinstance(v, ast.SolExpr):
-                walk(v)
-            elif isinstance(v, list):
-                for item in v:
-                    if isinstance(item, ast.SolExpr):
-                        walk(item)
-
-    walk(e)
     return e
 
 
@@ -330,62 +319,15 @@ def make_runtime_checks(program: ast.SolProgram) -> ast.SolProgram:
     and every transformed check is implied by the original one under every
     valuation of the nondet atoms."""
     program = copy.deepcopy(program)
-
-    def rewrite(stmts: list[ast.SolStmt]):
-        for s in stmts:
+    for body in ast.bodies(program):
+        for s in ast.walk(body):
             if isinstance(s, (ast.Require, ast.Assert)):
                 s.cond = runtime_check_condition(s.cond)
-            elif isinstance(s, ast.If):
-                rewrite(s.then)
-                rewrite(s.els)
-            elif isinstance(s, ast.While):
-                rewrite(s.body)
-
     for c in program.contracts:
-        for m in c.modifiers:
-            rewrite(m.pre_stmts)
-            rewrite(m.post_stmts)
-        for fn in c.functions + ([c.constructor] if c.constructor else []):
-            if fn.body is not None:
-                rewrite(fn.body)
         c.functions = [f for f in c.functions if f.name != NONDET_FN or f.body is not None]
     return program
 
 
 def count_nondet_calls(program: ast.SolProgram) -> int:
-    count = 0
-
-    def walk_expr(e):
-        nonlocal count
-        if isinstance(e, ast.ExprCall) and e.fn == NONDET_FN:
-            count += 1
-        for name in getattr(e, "STRUCT_FIELDS", ()):
-            v = getattr(e, name)
-            if isinstance(v, ast.SolExpr):
-                walk_expr(v)
-            elif isinstance(v, list):
-                for x in v:
-                    if isinstance(x, ast.SolExpr):
-                        walk_expr(x)
-
-    def walk_stmts(stmts):
-        for s in stmts:
-            for name in s.STRUCT_FIELDS:
-                v = getattr(s, name, None)
-                if isinstance(v, ast.SolExpr):
-                    walk_expr(v)
-                elif isinstance(v, list):
-                    for x in v:
-                        if isinstance(x, ast.SolStmt):
-                            walk_stmts([x])
-                        elif isinstance(x, ast.SolExpr):
-                            walk_expr(x)
-
-    for c in program.contracts:
-        for m in c.modifiers:
-            walk_stmts(m.pre_stmts)
-            walk_stmts(m.post_stmts)
-        for fn in c.functions + ([c.constructor] if c.constructor else []):
-            if fn.body is not None:
-                walk_stmts(fn.body)
-    return count
+    return sum(isinstance(x, ast.ExprCall) and x.fn == NONDET_FN
+               for body in ast.bodies(program) for x in ast.walk(body))

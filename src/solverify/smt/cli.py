@@ -5,6 +5,7 @@ default solver executable when no external one is configured."""
 
 from __future__ import annotations
 
+import io
 import sys
 
 from solverify.smt.solver import Solved, solve
@@ -95,7 +96,9 @@ class Session:
 
 
 def _iter_commands(stream):
-    """Yield balanced s-expressions from a character stream."""
+    """Yield balanced s-expressions from a character stream.  A `)` that
+    closes nothing is yielded on its own, so it is answered with an error
+    and the commands after it are still served."""
     buf = []
     depth = 0
     in_comment = False
@@ -119,7 +122,7 @@ def _iter_commands(stream):
         if ch == "(":
             depth += 1
         elif ch == ")":
-            depth -= 1
+            depth = max(depth - 1, 0)
             if depth == 0:
                 text = "".join(buf).strip()
                 buf = []
@@ -127,9 +130,11 @@ def _iter_commands(stream):
                     yield text
 
 
-def main() -> int:
-    session = Session(sys.stdout)
-    for text in _iter_commands(sys.stdin):
+def serve(inp, out):
+    """Answer the commands read from `inp` on `out`, until end of input or
+    `(exit)`."""
+    session = Session(out)
+    for text in _iter_commands(inp):
         try:
             sx = read_sexprs(text)[0]
         except Exception as exc:
@@ -137,22 +142,17 @@ def main() -> int:
             continue
         if not session.handle(sx):
             break
+
+
+def main() -> int:
+    serve(sys.stdin, sys.stdout)
     return 0
 
 
 def run(text: str) -> str:
     """One-shot convenience for tests: feed a script, capture the output."""
-    import io
     out = io.StringIO()
-    session = Session(out)
-    for command_text in _iter_commands(io.StringIO(text)):
-        try:
-            sx = read_sexprs(command_text)[0]
-        except Exception as exc:
-            session.emit(f'(error "{exc}")')
-            continue
-        if not session.handle(sx):
-            break
+    serve(io.StringIO(text), out)
     return out.getvalue().strip()
 
 

@@ -8,6 +8,7 @@ structurally.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 
@@ -417,6 +418,10 @@ class SolContract:
                 return m
         return None
 
+    def all_functions(self) -> list[SolFunction]:
+        """The functions, then the constructor."""
+        return self.functions + ([self.constructor] if self.constructor else [])
+
     STRUCT_FIELDS = ("name", "bases", "state_vars", "enums", "constructor",
                      "functions", "modifiers")
     __eq__ = _stmt_eq
@@ -434,3 +439,54 @@ class SolProgram:
 
     STRUCT_FIELDS = ("contracts",)
     __eq__ = _stmt_eq
+
+
+# ---------------------------------------------------------------------------
+# Traversal.  The children of a node are the expressions and statements in
+# its STRUCT_FIELDS, held directly or in a list, in field order.
+
+def _is_node(x) -> bool:
+    return isinstance(x, (SolExpr, SolStmt))
+
+
+def children(node) -> list:
+    out = []
+    for name in node.STRUCT_FIELDS:
+        v = getattr(node, name)
+        out.extend(x for x in (v if isinstance(v, list) else [v]) if _is_node(x))
+    return out
+
+
+def map_children(node, f: Callable):
+    """Replace every child of `node` by `f(child)`, in place; returns `node`."""
+    for name in node.STRUCT_FIELDS:
+        v = getattr(node, name)
+        if _is_node(v):
+            setattr(node, name, f(v))
+        elif isinstance(v, list):
+            v[:] = [f(x) if _is_node(x) else x for x in v]
+    return node
+
+
+def walk(root) -> Iterator:
+    """`root` (a node or a list of nodes) and every statement and expression
+    below it, pre-order.  A node's children are read after the node is
+    handed out, so the consumer may replace them first."""
+    stack = list(reversed(root)) if isinstance(root, list) else [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(children(node)))
+
+
+def bodies(program: SolProgram) -> Iterator[list[SolStmt]]:
+    """Every top-level statement list, contract by contract: the function
+    bodies, the constructor body, then each modifier's pre- and
+    post-statements."""
+    for c in program.contracts:
+        for fn in c.all_functions():
+            if fn.body is not None:
+                yield fn.body
+        for m in c.modifiers:
+            yield m.pre_stmts
+            yield m.post_stmts

@@ -22,46 +22,16 @@ class UnknownModifier(Exception):
 
 
 def _collect_names(stmts: list[ast.SolStmt], out: set[str]):
-    for s in stmts:
-        if isinstance(s, ast.DeclStmt):
-            out.add(s.name)
-        elif isinstance(s, ast.If):
-            _collect_names(s.then, out)
-            _collect_names(s.els, out)
-        elif isinstance(s, ast.While):
-            _collect_names(s.body, out)
+    out.update(s.name for s in ast.walk(stmts) if isinstance(s, ast.DeclStmt))
 
 
-def _rename(stmts: list[ast.SolStmt], mapping: dict[str, str]) -> list[ast.SolStmt]:
-    def fix_expr(e: ast.SolExpr):
-        if isinstance(e, ast.Var) and e.name in mapping and e.binding in (None, "local"):
-            e.name = mapping[e.name]
-        for name in e.STRUCT_FIELDS:
-            v = getattr(e, name)
-            if isinstance(v, ast.SolExpr):
-                fix_expr(v)
-            elif isinstance(v, list):
-                for x in v:
-                    if isinstance(x, ast.SolExpr):
-                        fix_expr(x)
-
-    def fix_stmt(s: ast.SolStmt):
-        if isinstance(s, ast.DeclStmt) and s.name in mapping:
-            s.name = mapping[s.name]
-        for name in s.STRUCT_FIELDS:
-            v = getattr(s, name, None)
-            if isinstance(v, ast.SolExpr):
-                fix_expr(v)
-            elif isinstance(v, list):
-                for x in v:
-                    if isinstance(x, ast.SolStmt):
-                        fix_stmt(x)
-                    elif isinstance(x, ast.SolExpr):
-                        fix_expr(x)
-
-    for s in stmts:
-        fix_stmt(s)
-    return stmts
+def _rename(stmts: list[ast.SolStmt], mapping: dict[str, str]):
+    for node in ast.walk(stmts):
+        if isinstance(node, ast.DeclStmt) and node.name in mapping:
+            node.name = mapping[node.name]
+        elif isinstance(node, ast.Var) and node.name in mapping \
+                and node.binding in (None, "local"):
+            node.name = mapping[node.name]
 
 
 def _normalize_tail_return(fn: ast.SolFunction, body: list[ast.SolStmt]) -> list[ast.SolStmt]:
@@ -81,8 +51,7 @@ def desugar_modifiers(program: ast.SolProgram) -> ast.SolProgram:
     """Inline applied modifiers into function bodies, in place."""
     order = linearize(program)
     for c in program.contracts:
-        fns = c.functions + ([c.constructor] if c.constructor else [])
-        for fn in fns:
+        for fn in c.all_functions():
             if fn.body is None or not fn.applied_modifiers:
                 continue
             taken = set(n for n, _ in fn.params)

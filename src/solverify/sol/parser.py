@@ -188,7 +188,7 @@ class _Parser:
                     raise ParseError(tok.line, tok.col, "a single '_;' placeholder")
                 seen_placeholder = True
                 continue
-            (post if seen_placeholder else pre).append(self.parse_stmt())
+            (post if seen_placeholder else pre).extend(self.parse_stmt())
         self.take()
         if not seen_placeholder:
             raise ParseError(pos[0], pos[1], "'_;' placeholder in modifier body")
@@ -278,11 +278,17 @@ class _Parser:
         self.expect("symbol", "{")
         stmts = []
         while not self.at_symbol("}"):
-            stmts.append(self.parse_stmt())
+            stmts.extend(self.parse_stmt())
         self.take()
         return stmts
 
-    def parse_stmt(self) -> ast.SolStmt:
+    def parse_body(self) -> list[ast.SolStmt]:
+        """The body of an if, else or while: a block or a single statement."""
+        return self.parse_block() if self.at_symbol("{") else self.parse_stmt()
+
+    def parse_stmt(self) -> list[ast.SolStmt]:
+        """One source statement.  It parses to one statement, except that
+        `T x = new ...;` gives the declaration of x, then the allocation."""
         self.check_supported(self.cur)
         pos = self.pos()
         if self.at_keyword("require"):
@@ -291,46 +297,45 @@ class _Parser:
             cond = self.parse_expr()
             self.expect("symbol", ")")
             self.expect("symbol", ";")
-            return ast.Require(cond=cond, pos=pos)
+            return [ast.Require(cond=cond, pos=pos)]
         if self.at_keyword("assert"):
             self.take()
             self.expect("symbol", "(")
             cond = self.parse_expr()
             self.expect("symbol", ")")
             self.expect("symbol", ";")
-            return ast.Assert(cond=cond, pos=pos)
+            return [ast.Assert(cond=cond, pos=pos)]
         if self.at_keyword("revert"):
             self.take()
             self.expect("symbol", "(")
             self.expect("symbol", ")")
             self.expect("symbol", ";")
             # revert() aborts like a failed precondition.
-            return ast.Require(cond=ast.BoolLit(False, pos=pos), pos=pos)
+            return [ast.Require(cond=ast.BoolLit(False, pos=pos), pos=pos)]
         if self.at_keyword("if"):
             self.take()
             self.expect("symbol", "(")
             cond = self.parse_expr()
             self.expect("symbol", ")")
-            then = self.parse_block() if self.at_symbol("{") else [self.parse_stmt()]
+            then = self.parse_body()
             els: list[ast.SolStmt] = []
             if self.at_keyword("else"):
                 self.take()
-                els = self.parse_block() if self.at_symbol("{") else [self.parse_stmt()]
-            return ast.If(cond=cond, then=then, els=els, pos=pos)
+                els = self.parse_body()
+            return [ast.If(cond=cond, then=then, els=els, pos=pos)]
         if self.at_keyword("while"):
             self.take()
             self.expect("symbol", "(")
             cond = self.parse_expr()
             self.expect("symbol", ")")
-            body = self.parse_block() if self.at_symbol("{") else [self.parse_stmt()]
-            return ast.While(cond=cond, body=body, pos=pos)
+            return [ast.While(cond=cond, body=self.parse_body(), pos=pos)]
         if self.at_keyword("return"):
             self.take()
             value = None
             if not self.at_symbol(";"):
                 value = self.parse_expr()
             self.expect("symbol", ";")
-            return ast.Return(value=value, pos=pos)
+            return [ast.Return(value=value, pos=pos)]
 
         # Local declaration: starts with a type keyword, `mapping`, or an
         # identifier followed by another identifier.
@@ -343,23 +348,23 @@ class _Parser:
             if self.at_symbol("="):
                 self.take()
                 if self.at_keyword("new"):
-                    return self._parse_new_into(
-                        ast.Var(name=name, pos=pos), pos, decl=(name, ty))
+                    return [ast.DeclStmt(name=name, ty=ty, init=None, pos=pos),
+                            self._parse_new_into(ast.Var(name=name, pos=pos), pos)]
                 init = self.parse_expr()
             self.expect("symbol", ";")
-            return ast.DeclStmt(name=name, ty=ty, init=init, pos=pos)
+            return [ast.DeclStmt(name=name, ty=ty, init=init, pos=pos)]
 
         # Assignment, call, or push.
         lhs = self.parse_expr()
         if self.at_symbol(";"):
             self.take()
-            return self._statement_from_bare_expr(lhs, pos)
+            return [self._statement_from_bare_expr(lhs, pos)]
         self.expect("symbol", "=")
         if self.at_keyword("new"):
-            return self._parse_new_into(lhs, pos)
+            return [self._parse_new_into(lhs, pos)]
         rhs = self.parse_expr()
         self.expect("symbol", ";")
-        return self._statement_from_assignment(lhs, rhs, pos)
+        return [self._statement_from_assignment(lhs, rhs, pos)]
 
     def _looks_like_decl(self) -> bool:
         # IDENT IDENT or IDENT[] IDENT
@@ -368,8 +373,7 @@ class _Parser:
         return (self.peek(1).kind == "symbol" and self.peek(1).text == "["
                 and self.peek(2).kind == "symbol" and self.peek(2).text == "]")
 
-    def _parse_new_into(self, target: ast.SolExpr, pos,
-                        decl: tuple[str, ast.SolType] | None = None) -> ast.SolStmt:
+    def _parse_new_into(self, target: ast.SolExpr, pos) -> ast.SolStmt:
         self.expect("keyword", "new")
         stmt: ast.SolStmt
         if self.at_symbol("("):
@@ -406,8 +410,6 @@ class _Parser:
                 args = self.parse_args()
                 self.expect("symbol", ";")
                 stmt = ast.NewContract(target=target, contract=base.name, args=args, pos=pos)
-        if decl is not None:
-            return _DeclGroup(decl, stmt, pos)
         return stmt
 
     def _statement_from_bare_expr(self, e: ast.SolExpr, pos) -> ast.SolStmt:
@@ -574,78 +576,18 @@ class _MethodCall(ast.SolExpr):
     STRUCT_FIELDS = ("receiver", "fn", "args")
 
 
-class _DeclGroup(ast.SolStmt):
-    """Parser-internal: a declaration whose initializer is a `new` statement;
-    flattened into DeclStmt + New* by the post-parse normalizer."""
-
-    def __init__(self, decl, stmt, pos):
-        self.decl = decl
-        self.stmt = stmt
-        self.pos = pos
-
-    STRUCT_FIELDS = ("decl", "stmt")
-
-
-def _flatten_decl_groups(stmts: list[ast.SolStmt]) -> list[ast.SolStmt]:
-    out: list[ast.SolStmt] = []
-    for s in stmts:
-        if isinstance(s, _DeclGroup):
-            name, ty = s.decl
-            out.append(ast.DeclStmt(name=name, ty=ty, init=None, pos=s.pos))
-            out.append(s.stmt)
-            continue
-        if isinstance(s, ast.If):
-            s.then = _flatten_decl_groups(s.then)
-            s.els = _flatten_decl_groups(s.els)
-        elif isinstance(s, ast.While):
-            s.body = _flatten_decl_groups(s.body)
-        out.append(s)
-    return out
-
-
-def _reject_expression_method_calls(stmts: list[ast.SolStmt]):
+def _reject_expression_method_calls(program: ast.SolProgram):
     # _MethodCall must only survive at statement level; anywhere else the
     # subset does not allow calls in expressions.
-    def walk_expr(e):
-        if isinstance(e, _MethodCall):
-            raise ParseError(e.pos[0], e.pos[1],
-                             "calls are statements in the subset")
-        for name in getattr(e, "STRUCT_FIELDS", ()):
-            v = getattr(e, name)
-            if isinstance(v, ast.SolExpr):
-                walk_expr(v)
-            elif isinstance(v, list):
-                for x in v:
-                    if isinstance(x, ast.SolExpr):
-                        walk_expr(x)
-
-    def walk(s):
-        for name in s.STRUCT_FIELDS:
-            v = getattr(s, name, None)
-            if isinstance(v, ast.SolExpr):
-                walk_expr(v)
-            elif isinstance(v, list):
-                for x in v:
-                    if isinstance(x, ast.SolStmt):
-                        walk(x)
-                    elif isinstance(x, ast.SolExpr):
-                        walk_expr(x)
-
-    for s in stmts:
-        walk(s)
+    for body in ast.bodies(program):
+        for node in ast.walk(body):
+            if isinstance(node, _MethodCall):
+                raise ParseError(node.pos[0], node.pos[1],
+                                 "calls are statements in the subset")
 
 
 def parse_contract(source: str) -> ast.SolProgram:
     """Parse a source file into a SolProgram."""
     program = _Parser(tokenize(source)).parse_program()
-    for c in program.contracts:
-        for fn in list(c.functions) + ([c.constructor] if c.constructor else []):
-            if fn.body is not None:
-                fn.body = _flatten_decl_groups(fn.body)
-                _reject_expression_method_calls(fn.body)
-        for m in c.modifiers:
-            m.pre_stmts = _flatten_decl_groups(m.pre_stmts)
-            m.post_stmts = _flatten_decl_groups(m.post_stmts)
-            _reject_expression_method_calls(m.pre_stmts)
-            _reject_expression_method_calls(m.post_stmts)
+    _reject_expression_method_calls(program)
     return program

@@ -101,14 +101,14 @@ def typecheck(program: ast.SolProgram) -> ast.SolProgram:
                        and enum_scope.enum_members(t.name) is not None}
         c.state_vars = [(n, _resolve_type(program, order, c, t, c.pos))
                         for n, t in c.state_vars]
-        for fn in c.functions + ([c.constructor] if c.constructor else []):
+        for fn in c.all_functions():
             fn.params = [(n, _resolve_type(program, order, c, t, fn.pos))
                          for n, t in fn.params]
             if fn.returns is not None:
                 fn.returns = _resolve_type(program, order, c, fn.returns, fn.pos)
 
     for c in program.contracts:
-        for fn in c.functions + ([c.constructor] if c.constructor else []):
+        for fn in c.all_functions():
             if fn.body is None:
                 if fn.returns != ast.BOOL or fn.params:
                     raise TypeError_(fn.pos, "definition-free functions must be "

@@ -11,6 +11,7 @@ constructors first, zero-initialize their own state, then the body.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 from solverify.sol import ast as S
@@ -140,29 +141,17 @@ def _hoist_nondets(env: TransEnv, e: S.SolExpr) -> S.SolExpr:
     """Replace nondet() occurrences with fresh havoc'd booleans; the havocs
     are emitted at procedure entry so every run consumes them in a fixed
     order."""
-    import copy as _copy
+    def hoist(x: S.SolExpr) -> S.SolExpr:
+        if not isinstance(x, S.ExprCall):
+            return S.map_children(x, hoist)
+        name = env.fresh_nondet()
+        env.prelude_hoists.append(I.Havoc(name))
+        v = S.Var(name=name)
+        v.ty = S.BOOL
+        v.binding = "local"
+        return v
 
-    e = _copy.deepcopy(e)
-
-    def walk(x: S.SolExpr) -> S.SolExpr:
-        if isinstance(x, S.ExprCall):
-            name = env.fresh_nondet()
-            env.prelude_hoists.append(I.Havoc(name))
-            v = S.Var(name=name)
-            v.ty = S.BOOL
-            v.binding = "local"
-            return v
-        for fname in x.STRUCT_FIELDS:
-            v = getattr(x, fname)
-            if isinstance(v, S.SolExpr):
-                setattr(x, fname, walk(v))
-            elif isinstance(v, list):
-                for i, item in enumerate(v):
-                    if isinstance(item, S.SolExpr):
-                        v[i] = walk(item)
-        return x
-
-    return walk(e)
+    return hoist(copy.deepcopy(e))
 
 
 def _store_into(env: TransEnv, lhs: S.SolExpr, value: I.IrExpr) -> I.IrStmt:
@@ -390,26 +379,17 @@ def _collect_map_sigs(program: S.SolProgram) -> set:
             sigs.add(map_signature(t))
             t = t.value
 
-    def walk_stmts(stmts):
-        for s in stmts:
-            if isinstance(s, S.DeclStmt):
-                add_type(s.ty)
-            elif isinstance(s, S.NewArray):
-                add_type(S.MappingType(S.INT, s.elem_ty))
-            elif isinstance(s, S.NewMap):
-                add_type(s.map_ty)
-            elif isinstance(s, S.If):
-                walk_stmts(s.then)
-                walk_stmts(s.els)
-            elif isinstance(s, S.While):
-                walk_stmts(s.body)
-
     for c in program.contracts:
         for _, t in c.state_vars:
             add_type(t)
-        for fn in c.functions + ([c.constructor] if c.constructor else []):
-            if fn.body is not None:
-                walk_stmts(fn.body)
+        for fn in c.all_functions():
+            for s in S.walk(fn.body or []):
+                if isinstance(s, S.DeclStmt):
+                    add_type(s.ty)
+                elif isinstance(s, S.NewArray):
+                    add_type(S.MappingType(S.INT, s.elem_ty))
+                elif isinstance(s, S.NewMap):
+                    add_type(s.map_ty)
     return sigs
 
 

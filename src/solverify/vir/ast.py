@@ -7,6 +7,7 @@ havoc, assignment, map store, assume/assert, calls, structured control flow.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 
@@ -211,6 +212,79 @@ def seq_list(s: IrStmt) -> list[IrStmt]:
     if isinstance(s, Skip):
         return []
     return [s]
+
+
+# -- traversal -----------------------------------------------------------------
+
+def map_expr(e: IrExpr, f: Callable[[IrExpr], IrExpr | None]) -> IrExpr:
+    """Rebuild `e` top-down: where `f` returns an expression it replaces the
+    node outright, elsewhere the node is rebuilt from its mapped children."""
+    out = f(e)
+    if out is not None:
+        return out
+    if isinstance(e, Op):
+        return Op(e.op, tuple(map_expr(a, f) for a in e.args))
+    if isinstance(e, UFApply):
+        return UFApply(e.name, tuple(map_expr(a, f) for a in e.args))
+    if isinstance(e, Select):
+        return Select(map_expr(e.base, f), tuple(map_expr(k, f) for k in e.keys))
+    if isinstance(e, Forall):
+        return Forall(e.var, e.var_ty, map_expr(e.body, f))
+    return e
+
+
+def _same(x):
+    return x
+
+
+def map_stmt(s: IrStmt, f: Callable[[IrStmt], IrStmt | None] = lambda s: None,
+             expr: Callable[[IrExpr], IrExpr] = _same,
+             var: Callable[[str], str] = _same) -> IrStmt:
+    """Rebuild `s` top-down, in source order.  Where `f` returns a statement
+    it replaces the node outright; elsewhere sequences (re-flattened by
+    `seq`), branches and loops are rebuilt from their mapped parts, every
+    expression goes through `expr` and every assigned variable through
+    `var`."""
+    out = f(s)
+    if out is not None:
+        return out
+    if isinstance(s, Seq):
+        return seq(*(map_stmt(x, f, expr, var) for x in s.stmts))
+    if isinstance(s, If):
+        return If(expr(s.cond), map_stmt(s.then, f, expr, var),
+                  map_stmt(s.els, f, expr, var))
+    if isinstance(s, While):
+        return While(expr(s.cond), map_stmt(s.body, f, expr, var))
+    if expr is _same and var is _same:  # a simple statement maps to itself
+        return s
+    if isinstance(s, Havoc):
+        return Havoc(var(s.var))
+    if isinstance(s, Assign):
+        return Assign(var(s.var), expr(s.expr))
+    if isinstance(s, Store):
+        return Store(var(s.base), tuple(expr(k) for k in s.keys), expr(s.value))
+    if isinstance(s, Assume):
+        return Assume(expr(s.cond))
+    if isinstance(s, Assert):
+        return Assert(expr(s.cond), s.label)
+    if isinstance(s, Call):
+        return Call(s.proc, tuple(expr(a) for a in s.args),
+                    tuple(var(r) for r in s.results))
+    return s
+
+
+def iter_stmt(s: IrStmt) -> Iterator[IrStmt]:
+    """`s` and every statement nested in it, pre-order, in source order."""
+    stack = [s]
+    while stack:
+        x = stack.pop()
+        yield x
+        if isinstance(x, Seq):
+            stack.extend(reversed(x.stmts))
+        elif isinstance(x, If):
+            stack += (x.els, x.then)
+        elif isinstance(x, While):
+            stack.append(x.body)
 
 
 # -- procedures and programs ---------------------------------------------------

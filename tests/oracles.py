@@ -8,7 +8,7 @@ import itertools
 
 from solverify.engine.candidates import CandidatePredicate
 from solverify.engine.houdini import _build_checks, _proc_query
-from solverify.engine.smtio import check_smt
+from solverify.engine.smtio import SolverConfig, check_smt
 from solverify.translate import HarnessInfo, Translation
 from solverify.vir import ast as I
 from solverify.vir.interp import Interp, MapValue
@@ -131,19 +131,18 @@ def bfs_search(tr: Translation, hinfo: HarnessInfo, k_max: int,
 
 
 def inductive(tr: Translation, checks, subset: list[CandidatePredicate],
-              solver_path=None, timeout: float = 60.0) -> bool:
+              solver: SolverConfig = SolverConfig(timeout=60.0)) -> bool:
     """Is the conjunction of `subset` established by the constructor and
     preserved by every public function (assertions blocking, not failing)?"""
     for check in checks:
         query = _proc_query(tr, check, subset, subset, asserts_live=False)
-        if check_smt(query, timeout=timeout, solver_path=solver_path).status != "unsat":
+        if check_smt(query, solver).status != "unsat":
             return False
     return True
 
 
 def greatest_inductive_subset(tr: Translation, hinfo: HarnessInfo,
-                              candidates: list[CandidatePredicate],
-                              solver_path=None) -> list[str]:
+                              candidates: list[CandidatePredicate]) -> list[str]:
     """Union of all inductive subsets, by enumeration (pools of size <= 8)."""
     assert len(candidates) <= 8
     checks = _build_checks(tr, hinfo)
@@ -152,6 +151,6 @@ def greatest_inductive_subset(tr: Translation, hinfo: HarnessInfo,
         subset = [c for i, c in enumerate(candidates) if mask & (1 << i)]
         if set(c.text for c in subset) <= union:
             continue
-        if inductive(tr, checks, subset, solver_path=solver_path):
+        if inductive(tr, checks, subset):
             union |= {c.text for c in subset}
     return sorted(union)

@@ -12,7 +12,7 @@ from oracles import bfs_search
 from solverify.engine import verify
 from solverify.engine.bmc import Domains, bounded_check
 from solverify.engine.queries import vc_gen
-from solverify.engine.smtio import check_smt
+from solverify.engine.smtio import SolverConfig, check_smt
 from solverify.engine.trace import replay_trace
 from solverify.instrument import (
     count_nondet_calls, instrument_for_conformance, make_runtime_checks,
@@ -152,7 +152,7 @@ def test_criterion_5_dual_interpreter_equivalence():
         flat = I.IrProcedure("flat", [], [], driver.locals + inliner.new_locals,
                              body)
         _, query = vc_gen(tr.ir, flat, initial_alloc=True)
-        assert check_smt(query, timeout=300).status == "unsat"
+        assert check_smt(query, SolverConfig(timeout=300)).status == "unsat"
 
         # randomized source-versus-IR agreement is exercised in
         # test_equivalence over 24 seeds; re-run a third of them here
@@ -170,7 +170,7 @@ def test_criterion_6_bounded_completeness_against_bfs():
             tr, hinfo, _ = build(src)
             domains = Domains(int_args=[0, 1, 2], senders=senders)
             outcome = bounded_check(tr, hinfo, k_max=4, domains=domains,
-                                    timeout=300)
+                                    solver=SolverConfig(timeout=300))
             found = bfs_search(tr, hinfo, 4, senders=senders,
                                int_args=[0, 1, 2])
             if found is None:

@@ -6,8 +6,8 @@ from solverify.engine.bmc import Domains, bounded_check
 from solverify.engine.candidates import CandidatePredicate, generate_candidates
 from solverify.engine.houdini import houdini_infer
 from solverify.engine.queries import vc_gen
-from solverify.engine.smtio import check_smt
-from solverify.engine.unroll import RecursionDepthExceeded, unroll_harness
+from solverify.engine.smtio import SolverConfig, check_smt
+from solverify.engine.unroll import RecursionDepthExceeded, rename_stmt, unroll_harness
 from solverify.policy import parse_policy
 from solverify.sol import desugar_modifiers, parse_contract, typecheck
 from solverify.instrument import instrument_for_conformance
@@ -264,6 +264,15 @@ def test_unroll_inner_loop_blocking_assume():
     assert text.count("Assume(cond=Op(op='!'") >= 1
 
 
+def test_rename_stmt_leaves_forall_bound_variable_alone():
+    body = I.seq(I.Havoc("i"),
+                 I.Assume(I.Forall("i", I.INT, I.op("==", I.Var("i"), I.Var("x")))))
+    renamed = rename_stmt(body, {"i": "i$1", "x": "x$1"})
+    assert renamed == I.seq(
+        I.Havoc("i$1"),
+        I.Assume(I.Forall("i", I.INT, I.op("==", I.Var("i"), I.Var("x$1")))))
+
+
 def test_recursion_depth_exceeded():
     src = """
     contract R {
@@ -284,7 +293,7 @@ def test_vcgen_assert_false_sat():
     proc = I.IrProcedure("p", [], [], [], I.Assert(I.BConst(False), "x"))
     prog.procedures["p"] = proc
     _, query = vc_gen(prog, proc)
-    assert check_smt(query, timeout=60).status == "sat"
+    assert check_smt(query, SolverConfig(timeout=60)).status == "sat"
 
 
 def test_vcgen_blocked_path_unsat():
@@ -293,14 +302,14 @@ def test_vcgen_blocked_path_unsat():
         I.Assume(I.BConst(False)), I.Assert(I.BConst(False), "x")))
     prog.procedures["p"] = proc
     _, query = vc_gen(prog, proc)
-    assert check_smt(query, timeout=60).status == "unsat"
+    assert check_smt(query, SolverConfig(timeout=60)).status == "unsat"
 
 
 def test_vcgen_instrumented_hb_k4_unsat(hb_source, hb_policy_text):
     tr, hinfo, _ = build(hb_source, hb_policy_text, "HelloBlockchain")
     unrolled = unroll_harness(tr.ir, tr.ir.procedures["main"], 4)
     _, query = vc_gen(tr.ir, unrolled, initial_alloc=True)
-    assert check_smt(query, timeout=300).status == "unsat"
+    assert check_smt(query, SolverConfig(timeout=300)).status == "unsat"
 
 
 # -- bounded checking versus exhaustive search -----------------------------------------
@@ -365,7 +374,8 @@ FINITIZED = [
 def test_bmc_agrees_with_exhaustive_search(name, src, expected_k):
     tr, hinfo, _ = build(src)
     domains = Domains(int_args=[0, 1, 2], senders=SENDERS)
-    outcome = bounded_check(tr, hinfo, k_max=4, domains=domains, timeout=120)
+    outcome = bounded_check(tr, hinfo, k_max=4, domains=domains,
+                            solver=SolverConfig(timeout=120))
     found = bfs_search(tr, hinfo, 4, senders=SENDERS, int_args=[0, 1, 2])
     if expected_k is None:
         assert outcome.trace is None
@@ -380,7 +390,7 @@ def test_bmc_agrees_with_exhaustive_search(name, src, expected_k):
 
 def test_counter_unreachable_at_k2():
     tr, hinfo, _ = build(COUNTER_K3)
-    outcome = bounded_check(tr, hinfo, k_max=2, timeout=120)
+    outcome = bounded_check(tr, hinfo, k_max=2, solver=SolverConfig(timeout=120))
     assert outcome.trace is None
     assert bfs_search(tr, hinfo, 2, senders=SENDERS[:1], int_args=[0]) is None
 
@@ -396,7 +406,7 @@ def test_trace_for_parameterless_assert():
     }
     """
     tr, hinfo, _ = build(src)
-    outcome = bounded_check(tr, hinfo, k_max=2, timeout=120)
+    outcome = bounded_check(tr, hinfo, k_max=2, solver=SolverConfig(timeout=120))
     assert outcome.trace is not None
     fns = [tx.fn for tx in outcome.trace.transactions]
     assert fns == ["P", "Boom"]
@@ -407,7 +417,7 @@ def test_initial_state_bug_trace_length_one(hb_source, hb_policy_text):
         "RequestMessage = message;\n        State = StateType.Request;",
         "RequestMessage = message;\n        State = StateType.Respond;")
     tr, hinfo, _ = build(src, hb_policy_text, "HelloBlockchain")
-    outcome = bounded_check(tr, hinfo, k_max=2, timeout=120)
+    outcome = bounded_check(tr, hinfo, k_max=2, solver=SolverConfig(timeout=120))
     assert outcome.k_reached == 1
     assert len(outcome.trace.transactions) == 1
     assert "initial state" in outcome.trace.failing_label
@@ -418,7 +428,7 @@ def test_refuted_traces_replay(hb_source, hb_policy_text):
     # of a buggy fixture is itself the property
     src = hb_source.replace("State = StateType.Respond;", "State = StateType.Request;")
     tr, hinfo, _ = build(src, hb_policy_text, "HelloBlockchain")
-    outcome = bounded_check(tr, hinfo, k_max=3, timeout=180)
+    outcome = bounded_check(tr, hinfo, k_max=3, solver=SolverConfig(timeout=180))
     assert outcome.trace is not None
     assert outcome.trace.failing_label.startswith("HelloBlockchain.SendResponse")
 
@@ -467,7 +477,7 @@ def test_fully_verified_invariant_is_sufficient_on_recheck():
     assert inductive(tr, checks, result.invariant)
     for check in checks:
         query = _proc_query(tr, check, result.invariant, [], asserts_live=True)
-        assert check_smt(query, timeout=120).status == "unsat", check.name
+        assert check_smt(query, SolverConfig(timeout=120)).status == "unsat", check.name
 
 
 def test_nested_contract_creation_initial_state_bug():
@@ -526,7 +536,13 @@ def test_unknown_solver_answers_shrink_the_safety_claim(tmp_path, monkeypatch):
     solver = f"{sys.executable} {fake}"
     tr, hinfo, _ = build(COUNTER_KEEPS_ONE)
     pool = int_candidates(tr, "K", "x", [1])
-    result = verify(tr, hinfo, candidates=pool, k_max=3, solver_path=solver)
+    dump = tmp_path / "smt"
+    result = verify(tr, hinfo, candidates=pool, k_max=3,
+                    solver=SolverConfig(solver, dump_dir=str(dump)))
     assert result.verdict == "PartiallyVerified"
     assert result.bound == 0
     assert result.invariant == []  # every candidate conservatively dropped
+    # every query is dumped under its own name, per-candidate fallbacks too
+    dumped = sorted(p.name for p in dump.iterdir())
+    assert len(dumped) == result.houdini.queries + 3
+    assert "K_Ctor_houdini_1_cand0.smt2" in dumped and "main_bmc_3.smt2" in dumped

@@ -61,6 +61,41 @@ def test_modifier_requires_placeholder():
         parse_contract("contract A { modifier M() { int x; } }")
 
 
+def test_declaration_initialized_by_new_splits_in_two():
+    program = parse_contract("""
+    contract B { }
+    contract A {
+        function F(bool c) public {
+            B b = new B();
+            if (c) B d = new B();
+        }
+    }
+    """)
+    body = program.contract("A").function("F").body
+    for stmts in (body[:2], body[2].then):
+        assert [type(s) for s in stmts] == [ast.DeclStmt, ast.NewContract]
+        assert stmts[0].init is None and stmts[1].target.name == stmts[0].name
+
+
+def test_call_in_modifier_expression_rejected():
+    with pytest.raises(ParseError, match="calls are statements"):
+        parse_contract("contract A { B b; modifier M() { _; require(b.ok()); } }")
+
+
+def test_bodies_reach_functions_constructor_and_modifiers():
+    program = parse_contract("""
+    contract A {
+        int x;
+        modifier M() { x = 1; _; x = 2; }
+        constructor() public { x = 3; }
+        function F() public M() { x = 4; if (x > 0) { x = 5; } }
+    }
+    """)
+    stored = [s.rhs.value for body in ast.bodies(program)
+              for s in ast.walk(body) if isinstance(s, ast.Assign)]
+    assert stored == [4, 5, 3, 1, 2]
+
+
 def test_parse_print_round_trip(hb_source):
     one = parse_contract(hb_source)
     two = parse_contract(print_program(one))

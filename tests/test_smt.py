@@ -152,6 +152,13 @@ def test_echo():
     assert run('(echo "ping")') == "ping"
 
 
+def test_stray_close_paren_is_an_error_and_serving_continues():
+    lines = run(")(check-sat)").splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("(error")
+    assert lines[1] == "sat"
+
+
 def test_get_model():
     out = run("""
     (declare-const x Int)
@@ -186,7 +193,7 @@ def test_check_smt_respects_smt_solver_env(monkeypatch):
                        f"{sys.executable} -m solverify.smt.cli")
     try:
         q = SmtQuery(text="(assert true)(check-sat)(exit)", slots={}, selectors=[])
-        assert smtio.check_smt(q, timeout=60).status == "sat"
+        assert smtio.check_smt(q, smtio.SolverConfig(timeout=60)).status == "sat"
     finally:
         smtio.close_sessions()
 
@@ -196,7 +203,7 @@ def test_solver_crashed_on_missing_binary(tmp_path):
     from solverify.engine import smtio
     q = SmtQuery(text="(check-sat)", slots={}, selectors=[])
     with pytest.raises(smtio.SolverUnavailable):
-        smtio.check_smt(q, timeout=5, solver_path=str(tmp_path / "nope"))
+        smtio.check_smt(q, smtio.SolverConfig(str(tmp_path / "nope"), timeout=5))
 
 
 def test_timeout_yields_unknown():
@@ -205,7 +212,7 @@ def test_timeout_yields_unknown():
     argv = f"{sys.executable} -c 'import time; time.sleep(60)'"
     q = SmtQuery(text="(check-sat)", slots={}, selectors=[])
     try:
-        assert smtio.check_smt(q, timeout=1.0, solver_path=argv).status == "unknown"
+        assert smtio.check_smt(q, smtio.SolverConfig(argv, timeout=1.0)).status == "unknown"
     finally:
         smtio.close_sessions()
 
@@ -221,8 +228,8 @@ def test_solver_crashed_carries_stderr_tail(tmp_path):
     q = SmtQuery(text="(check-sat)", slots={}, selectors=[])
     try:
         with pytest.raises(smtio.SolverCrashed) as info:
-            smtio.check_smt(q, timeout=30,
-                            solver_path=f"{sys.executable} {fake}")
+            smtio.check_smt(q, smtio.SolverConfig(f"{sys.executable} {fake}",
+                                                  timeout=30))
     finally:
         smtio.close_sessions()
     assert str(info.value).endswith("fatal: out of memory")

@@ -1,0 +1,89 @@
+"""Frozen query corpus: every SMT query the fixtures produce.
+
+Each invocation runs `solverify verify --dump-smt` with the bundled solver
+(Houdini, then bounded checking up to k = 3 where the verdict needs it).
+The corpus records the sha256 of every dumped file and the answer the
+bundled solver gives it, so a change to query text (traversal order,
+fresh-name numbering, rendering) or to an answer shows up here.
+
+After an intended change, regenerate it with
+
+    PYTHONPATH=src python tests/test_smt_corpus.py --write
+"""
+
+import hashlib
+import json
+import os
+import shlex
+import sys
+import tempfile
+
+from conftest import fixture_path
+from solverify.cli import main
+from solverify.smt import cli as smt_cli
+
+CORPUS = fixture_path(os.path.join("smt", "corpus.json"))
+BUNDLED = shlex.join([sys.executable, "-m", "solverify.smt.cli"])
+
+
+def _conformance(sol: str, policy: str, *extra: str) -> list[str]:
+    return ["--mode", "conformance", "--policy", fixture_path(policy),
+            "--sol", fixture_path(sol), *extra]
+
+
+def _assertions(sol: str, root: str, k: str) -> list[str]:
+    return ["--mode", "assertions", "--sol", fixture_path(sol),
+            "--root", root, "--k", k]
+
+
+INVOCATIONS = {
+    "helloblockchain": _conformance("helloblockchain.sol", "helloblockchain.json"),
+    "digitallocker_buggy": _conformance("digitallocker_buggy.sol",
+                                        "digitallocker.json", "--k", "3"),
+    "bazaar_buggy": _conformance("bazaar_buggy.sol", "bazaar.json",
+                                 "--root", "Bazaar", "--k", "3"),
+    "assettransfer_fixed": _conformance("assettransfer_fixed.sol",
+                                        "assettransfer.json", "--k", "3"),
+    "assettransfer_buggy": _conformance("assettransfer_buggy.sol",
+                                        "assettransfer.json", "--k", "3"),
+    "nested_maps": _assertions("nested_maps.sol", "C", "2"),
+    "poa_validators": _assertions("poa_validators.sol", "Validators", "3"),
+}
+
+
+def dump_corpus(workdir: str) -> dict:
+    """{invocation: {dumped file: {"sha256", "answer"}}}"""
+    corpus = {}
+    for name, args in INVOCATIONS.items():
+        out = os.path.join(workdir, name)
+        main(["verify", *args, "--solver", BUNDLED, "--dump-smt", out])
+        entries = {}
+        for fname in sorted(os.listdir(out)):
+            with open(os.path.join(out, fname)) as fh:
+                text = fh.read()
+            entries[fname] = {
+                "sha256": hashlib.sha256(text.encode()).hexdigest(),
+                "answer": smt_cli.run(text).splitlines()[0],
+            }
+        corpus[name] = entries
+    return corpus
+
+
+def test_dumped_queries_match_frozen_corpus(tmp_path):
+    with open(CORPUS) as fh:
+        expected = json.load(fh)
+    got = dump_corpus(str(tmp_path))
+    assert sorted(got) == sorted(expected)
+    for name in expected:
+        assert got[name] == expected[name], name
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(__doc__)
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = dump_corpus(tmp)
+    os.makedirs(os.path.dirname(CORPUS), exist_ok=True)
+    with open(CORPUS, "w") as fh:
+        json.dump(corpus, fh, indent=1, sort_keys=True)
+        fh.write("\n")

@@ -2,7 +2,8 @@ import pytest
 
 from solverify.vir.ast import (
     BOOL, INT, REF, Assert, Assign, Assume, BConst, Call, Forall, Havoc,
-    IConst, If, IrProcedure, MapType, Skip, Store, Var, While, op, select, seq,
+    IConst, If, IrProcedure, MapType, Skip, Store, Var, While, iter_stmt, op,
+    select, seq,
 )
 from solverify.vir.interp import (
     AssertFailed, Blocked, BudgetExhausted, Completed, UnsupportedQuantifier,
@@ -97,6 +98,14 @@ def test_round_trip_with_all_statement_kinds():
     program.add_proc(IrProcedure("t", [], [], [("x", INT), ("r", REF)], body))
     text = print_ir(program)
     assert print_ir(parse_ir(text)) == text
+
+
+def test_iter_stmt_visits_nested_bodies_in_source_order():
+    body = seq(Havoc("a"),
+               If(Var("c"), seq(Havoc("b"), While(Var("c"), Havoc("d"))), Havoc("e")),
+               Havoc("f"))
+    assert [s.var for s in iter_stmt(body) if isinstance(s, Havoc)] == \
+        ["a", "b", "d", "e", "f"]
 
 
 # -- interpreter ------------------------------------------------------------------
