@@ -6,6 +6,7 @@ default solver executable when no external one is configured."""
 from __future__ import annotations
 
 import io
+import re
 import sys
 
 from solverify.smt.solver import Solved, solve
@@ -95,39 +96,40 @@ class Session:
         return True
 
 
+_SYNTAX = re.compile(r'[();"]')
+
+
 def _iter_commands(stream):
-    """Yield balanced s-expressions from a character stream.  A `)` that
+    """Yield balanced s-expressions from a text stream, read a line at a
+    time so a command is answered as soon as its line arrives.  A `)` that
     closes nothing is yielded on its own, so it is answered with an error
     and the commands after it are still served."""
     buf = []
     depth = 0
-    in_comment = False
     in_string = False
-    while True:
-        ch = stream.read(1)
-        if not ch:
-            return
-        if in_comment:
-            if ch == "\n":
-                in_comment = False
-            continue
-        if ch == ";" and not in_string:
-            in_comment = True
-            continue
-        if ch == '"':
-            in_string = not in_string
-        buf.append(ch)
-        if in_string:
-            continue
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth = max(depth - 1, 0)
-            if depth == 0:
-                text = "".join(buf).strip()
-                buf = []
-                if text:
-                    yield text
+    for line in iter(stream.readline, ""):
+        start = 0  # first character of `line` not yet in `buf`
+        for m in _SYNTAX.finditer(line):
+            ch = m.group()
+            if ch == '"':
+                in_string = not in_string
+            elif in_string:
+                continue
+            elif ch == ";":  # comment: drop the rest of the line
+                line = line[:m.start()]
+                break
+            elif ch == "(":
+                depth += 1
+            else:
+                depth = max(depth - 1, 0)
+                if depth == 0:
+                    buf.append(line[start:m.end()])
+                    start = m.end()
+                    text = "".join(buf).strip()
+                    buf = []
+                    if text:
+                        yield text
+        buf.append(line[start:])
 
 
 def serve(inp, out):

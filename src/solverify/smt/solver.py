@@ -16,6 +16,7 @@ accordingly (counterexamples are replayed before being reported).
 from __future__ import annotations
 
 import itertools
+import math
 
 from solverify.smt.sat import Cdcl
 from solverify.smt.terms import (
@@ -39,6 +40,7 @@ class Simplifier:
     def __init__(self, bank: TermBank):
         self.bank = bank
         self.cache: dict[int, Term] = {}
+        self.linear: dict = {}  # linearize memo, shared with the theory
         self._select_memo: dict[int, dict[int, Term]] = {}  # key -> array -> read
         self._eq_memo: dict[int, dict[int, Term]] = {}      # const -> ite -> test
 
@@ -166,8 +168,10 @@ class Simplifier:
             a, b = args
             if a is b:
                 return bank.boolval(True)
-            if a.op == "intval" and b.op == "intval":
-                return bank.boolval(a.value == b.value)
+            if a.sort == INT_S:
+                d = self._constant_difference(a, b)
+                if d is not None:
+                    return bank.boolval(d == 0)
             if a.op == "boolval" and b.op == "boolval":
                 return bank.boolval(a.value == b.value)
             # Distributing equality-with-constant over ite turns finite-state
@@ -178,73 +182,89 @@ class Simplifier:
                 return self._eq_const(b, a)
             return t
         if t.op in ("<", "<=", ">", ">="):
-            a, b = args
-            if a.op == "intval" and b.op == "intval":
-                return bank.boolval({"<": a.value < b.value,
-                                     "<=": a.value <= b.value,
-                                     ">": a.value > b.value,
-                                     ">=": a.value >= b.value}[t.op])
+            d = self._constant_difference(*args)
+            if d is not None:
+                return bank.boolval({"<": d < 0, "<=": d <= 0,
+                                     ">": d > 0, ">=": d >= 0}[t.op])
             return t
-        if t.op in ("+", "-", "*", "neg"):
-            lin = linearize(t)
+        if t.op in LINEAR_OPS:
+            lin = linearize(t, self.linear)
             if lin is not None and not lin[1]:
                 return bank.intval(lin[0])
             return t
         return t
 
+    def _constant_difference(self, a: Term, b: Term) -> int | None:
+        """a - b when it is a constant, else None.  Comparisons with a
+        constant difference are decided here, so offset-key store tests
+        (`x + i = x`) never reach CNF or the theory."""
+        if a.op not in LINEAR_OPS and b.op not in LINEAR_OPS:
+            # two leaves: distinct opaque terms never differ by a constant
+            if a.op == b.op == "intval":
+                return a.value - b.value
+            return 0 if a is b else None
+        d = difference(a, b, self.linear)
+        return d[0] if d is not None and not d[1] else None
+
 
 # ---------------------------------------------------------------------------
 # Linear view of integer terms
 
-def linearize(t: Term):
-    """(constant, {opaque term: coefficient}) or None if nonlinear."""
-    if t.op == "intval":
+LINEAR_OPS = ("+", "-", "neg", "*")
+
+
+def linearize(t: Term, memo: dict | None = None):
+    """(constant, {opaque term: coefficient}) or None if nonlinear.
+
+    `memo` maps `tid` to the result; one query keeps one memo across calls,
+    so every node of a sum is visited once however often it is asked."""
+    return fold([t], _linear, memo, _linear_args)[0]
+
+
+def _linear_args(t: Term) -> tuple:
+    return t.args if t.op in LINEAR_OPS else ()
+
+
+def _linear(t: Term, subs: list):
+    op = t.op
+    if op == "intval":
         return t.value, {}
-    if t.op == "+":
-        const, coeffs = 0, {}
-        for a in t.args:
-            sub = linearize(a)
-            if sub is None:
-                return None
-            const += sub[0]
-            for k, v in sub[1].items():
-                coeffs[k] = coeffs.get(k, 0) + v
-        return const, {k: v for k, v in coeffs.items() if v}
-    if t.op == "-":
-        sub = linearize(t.args[0])
-        if sub is None:
-            return None
-        const, coeffs = sub[0], dict(sub[1])
-        for a in t.args[1:]:
-            sub = linearize(a)
-            if sub is None:
-                return None
-            const -= sub[0]
-            for k, v in sub[1].items():
-                coeffs[k] = coeffs.get(k, 0) - v
-        return const, {k: v for k, v in coeffs.items() if v}
-    if t.op == "neg":
-        sub = linearize(t.args[0])
-        if sub is None:
-            return None
-        return -sub[0], {k: -v for k, v in sub[1].items()}
-    if t.op == "*":
-        scale = 1
-        other = None
-        for a in t.args:
-            if a.op == "intval":
-                scale *= a.value
-            elif other is None:
-                other = a
-            else:
-                return None
-        if other is None:
+    if op not in LINEAR_OPS:
+        return 0, {t: 1}
+    if op == "*":  # linear only with at most one non-constant factor
+        scale = math.prod(a.value for a in t.args if a.op == "intval")
+        others = [sub for a, sub in zip(t.args, subs) if a.op != "intval"]
+        if not others:
             return scale, {}
-        sub = linearize(other) if other.op in ("+", "-", "neg", "*", "intval") else (0, {other: 1})
-        if sub is None:
+        if len(others) > 1 or others[0] is None:
             return None
-        return sub[0] * scale, {k: v * scale for k, v in sub[1].items()}
-    return 0, {t: 1}
+        const, coeffs = others[0]
+        return const * scale, {k: v * scale for k, v in coeffs.items()}
+    if any(sub is None for sub in subs):
+        return None
+    if op == "neg":
+        const, coeffs = subs[0]
+        return -const, {k: -v for k, v in coeffs.items()}
+    const, coeffs = subs[0]
+    coeffs = dict(coeffs)
+    sign = -1 if op == "-" else 1
+    for c, sub in subs[1:]:
+        const += sign * c
+        for k, v in sub.items():
+            coeffs[k] = coeffs.get(k, 0) + sign * v
+    return const, {k: v for k, v in coeffs.items() if v}
+
+
+def difference(a: Term, b: Term, memo: dict):
+    """linear(a) - linear(b) as (const, coeffs), or None if nonlinear."""
+    la, lb = linearize(a, memo), linearize(b, memo)
+    if la is None or lb is None:
+        return None
+    const = la[0] - lb[0]
+    coeffs = dict(la[1])
+    for k, v in lb[1].items():
+        coeffs[k] = coeffs.get(k, 0) - v
+    return const, {k: v for k, v in coeffs.items() if v}
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +279,7 @@ class CC:
     def __init__(self, bank: TermBank):
         self.bank = bank
         self.parent: dict[int, int] = {}
-        self.terms: dict[int, Term] = {}
+        self.terms: dict[int, Term] = {}  # the terms added, by tid
         self.proof: dict[int, tuple[int, object] | None] = {}
         self.use: dict[int, list[Term]] = {}
         self.sig: dict[tuple, Term] = {}
@@ -271,18 +291,18 @@ class CC:
         self.diseqs: list[tuple[Term, Term, int]] = []
 
     def add(self, t: Term):
-        if t.tid in self.parent:
-            return
+        fold([t], self._register, self.terms)
+
+    def _register(self, t: Term, _args) -> Term:
+        """Called once per new term, after its arguments (post-order)."""
         self.parent[t.tid] = t.tid
-        self.terms[t.tid] = t
         self.proof[t.tid] = None
         self.members[t.tid] = [t.tid]
-        for a in t.args:
-            self.add(a)
         if t.args:
             for a in t.args:
                 self.use.setdefault(self.find(a.tid), []).append(t)
             self._congruence(t)
+        return t
 
     def find(self, tid: int) -> int:
         root = tid
@@ -386,24 +406,14 @@ class CC:
 # Theory solver: EUF + integer difference constraints
 
 class Theory:
-    def __init__(self, bank: TermBank, atoms: dict[int, Term]):
+    def __init__(self, bank: TermBank, atoms: dict[int, Term], linear: dict):
         self.bank = bank
         self.atoms = atoms  # sat var -> atom term
+        self.linear = linear  # the query's linearize memo
         self.model_ints: dict[int, int] = {}
         self.model_classes: dict[int, int] = {}
         self.cc: CC | None = None
         self.unhandled: list[tuple[int, Term, bool]] = []
-        self._differences: dict[tuple[int, int], tuple | None] = {}
-
-    def _difference(self, a: Term, b: Term):
-        """linear(a) - linear(b) as (const, coeffs), or None if nonlinear;
-        atoms keep their terms across checks, so this is computed once."""
-        key = (a.tid, b.tid)
-        if key not in self._differences:
-            la, lb = linearize(a), linearize(b)
-            self._differences[key] = None if la is None or lb is None \
-                else _combine(la, lb)
-        return self._differences[key]
 
     # constraint shape: (coeff map over cc-roots, const, lits)
     def check(self, assignment: dict[int, bool]):
@@ -431,7 +441,7 @@ class Theory:
                     else:
                         diseqs.append((a, b, lit))
                     if a.sort == INT_S:
-                        lin = self._difference(a, b)
+                        lin = difference(a, b, self.linear)
                         if lin is not None:
                             diff, coeffs = lin
                             if value:
@@ -440,7 +450,7 @@ class Theory:
                                                -diff, lit))
                     continue
                 if atom.op in ("<", "<=", ">", ">="):
-                    lin = self._difference(*atom.args)
+                    lin = difference(*atom.args, self.linear)
                     if lin is None:
                         self.unhandled.append((lit, atom, value))
                         continue
@@ -552,7 +562,7 @@ class Theory:
         for a, b, lit in diseqs:
             if a.sort != INT_S:
                 continue
-            lin = self._difference(a, b)
+            lin = difference(a, b, self.linear)
             if lin is None:
                 continue
             diff, coeffs = lin
@@ -593,7 +603,7 @@ class Theory:
             for a, b, lit in diseqs:
                 if a.sort != INT_S:
                     continue
-                lin = self._difference(a, b)
+                lin = difference(a, b, self.linear)
                 if lin is None:
                     continue
                 diff, coeffs = lin
@@ -676,7 +686,7 @@ class Theory:
             return t.value
         if t.op == "boolval":
             return t.value
-        lin = linearize(t) if t.sort == INT_S else None
+        lin = linearize(t, self.linear) if t.sort == INT_S else None
         if lin is not None:
             const, coeffs = lin
             total = const
@@ -719,15 +729,6 @@ class Theory:
         if root not in cache:
             cache[root] = len(cache) + 1
         return cache[root]
-
-
-def _combine(la, lb):
-    """linear(a) - linear(b) -> (const, coeffs)."""
-    const = la[0] - lb[0]
-    coeffs = dict(la[1])
-    for k, v in lb[1].items():
-        coeffs[k] = coeffs.get(k, 0) - v
-    return const, {k: v for k, v in coeffs.items() if v}
 
 
 def _as_edge(items: dict[int, int], const: int):
@@ -866,8 +867,9 @@ def _sat_solve(clauses: list[list[int]], nvars: int, theory: "Theory | None" = N
 # Top level
 
 class GroundSolver:
-    def __init__(self, bank: TermBank):
+    def __init__(self, bank: TermBank, linear: dict):
         self.bank = bank
+        self.linear = linear  # the query's linearize memo
         self.cnf = CNF(bank)
         self.theory: Theory | None = None
         self.assignment: dict[int, bool] | None = None
@@ -880,7 +882,7 @@ class GroundSolver:
                 continue
             self.cnf.assert_root(a)
         self._add_equality_lemmas()
-        theory = Theory(self.bank, self.cnf.atom_terms)
+        theory = Theory(self.bank, self.cnf.atom_terms, self.linear)
         self.theory = theory
         model = _sat_solve(self.cnf.clauses, self.cnf.nvars, theory)
         if model is None:
@@ -1121,7 +1123,7 @@ def solve(script: Script) -> Solved:
             roots.extend(insts)
 
         roots = lift_ites(bank, [simp.run(r) for r in roots])
-        solver = GroundSolver(bank)
+        solver = GroundSolver(bank, simp.linear)
         answer = solver.solve(roots)
     except SolverUnknown:
         return Solved("unknown", None, None)

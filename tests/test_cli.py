@@ -2,6 +2,8 @@ import json
 import os
 import sys
 
+import pytest
+
 from conftest import fixture_path
 from solverify.cli import (
     EXIT_FULLY_VERIFIED, EXIT_INPUT_ERROR, EXIT_INTERNAL_ERROR, EXIT_PARTIAL,
@@ -223,6 +225,29 @@ def test_deep_store_chain_contract_fully_verified(tmp_path, capsys):
     report = tmp_path / "r.json"
     code = run_cli("verify", "--mode", "assertions", "--k", "1",
                    "--sol", str(chain), "--report-json", str(report))
+    assert code == EXIT_FULLY_VERIFIED
+    assert json.loads(report.read_text())["verdict"] == "FullyVerified"
+
+
+@pytest.mark.parametrize("params, pre, goal", [
+    # constant offset: decided by the simplifier
+    ("int x", "", "z == x + 3000"),
+    # not constant offset: goes through congruence closure in the theory
+    ("int x, int w", "        require(w == x);\n", "z != w"),
+], ids=["constant-offset", "congruence"])
+def test_deep_arithmetic_contract_fully_verified(tmp_path, params, pre, goal):
+    # 3000 increments used to die with a RecursionError in `linearize`
+    # and in congruence closure
+    src = tmp_path / "inc.sol"
+    src.write_text("contract Inc {\n"
+                   "    constructor() public { }\n"
+                   f"    function Bump({params}) public {{\n{pre}"
+                   "        int z = x;\n"
+                   + "        z = z + 1;\n" * 3000
+                   + f"        assert({goal});\n    }}\n}}\n")
+    report = tmp_path / "r.json"
+    code = run_cli("verify", "--mode", "assertions", "--k", "1",
+                   "--sol", str(src), "--report-json", str(report))
     assert code == EXIT_FULLY_VERIFIED
     assert json.loads(report.read_text())["verdict"] == "FullyVerified"
 

@@ -1,6 +1,9 @@
 """Units for the bundled SMT solver and the process interface."""
 
+import io
 import itertools
+import math
+import operator
 import subprocess
 import sys
 
@@ -9,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from solverify.engine.queries import _render_shared
 from solverify.smt import solver
-from solverify.smt.cli import run
+from solverify.smt.cli import run, serve
 from solverify.smt.solver import _sat_solve
 from solverify.smt.terms import (
     BOOL_S, INT_S, TermBank, array_sort, parse_script, read_sexprs,
@@ -159,6 +162,27 @@ def test_stray_close_paren_is_an_error_and_serving_continues():
     assert lines[1] == "sat"
 
 
+def test_comments_and_strings_do_not_split_commands():
+    out = run('(echo "a (b) ; c") ; note (\n(assert true) ; )\n(check-sat)')
+    assert out.splitlines() == ["a (b) ; c", "sat"]
+
+
+def test_each_command_is_answered_before_the_next_line_is_read():
+    # an interactive pipe: the next line is written only after the answer
+    out = io.StringIO()
+    lines = ["(assert true)\n", "(check-sat)\n", "(reset)(assert false)\n",
+             "(check-sat)\n"]
+    answers_seen = []
+
+    class Pipe:
+        def readline(self):
+            answers_seen.append(out.getvalue().split())
+            return lines.pop(0) if lines else ""
+
+    serve(Pipe(), out)
+    assert answers_seen == [[], [], ["sat"], ["sat"], ["sat", "unsat"]]
+
+
 def test_get_model():
     out = run("""
     (declare-const x Int)
@@ -297,20 +321,27 @@ def test_difference_cycle_is_learnt_in_one_search(monkeypatch, escape):
 
 # -- term depth ------------------------------------------------------------------
 
+def _store_chain(bank, keys, x):
+    arr = bank.sym("m", array_sort(INT_S, INT_S))
+    for i, key in enumerate(keys):
+        arr = bank.mk("store", (arr, key, bank.intval(i + 1)), sort=arr.sort)
+    return bank.mk("select", (arr, x), sort=INT_S)
+
+
 def test_deep_store_chain_through_every_stage():
+    # fresh keys k_i keep every store test `(= k_i x)` undecided, so the
+    # read stays a chain of `depth` ites through every stage
     depth = 5000
     bank = TermBank()
     x, y = bank.sym("x", INT_S), bank.sym("y", INT_S)
-    arr = bank.sym("m", array_sort(INT_S, INT_S))
-    for i in range(depth):
-        key = bank.mk("+", (x, bank.intval(i)), sort=INT_S)
-        arr = bank.mk("store", (arr, key, bank.intval(i + 1)), sort=arr.sort)
-    read = bank.mk("select", (arr, x), sort=INT_S)
+    read = _store_chain(bank, [bank.sym(f"k{i}", INT_S) for i in range(depth)], x)
     goals = [bank.mk("=", (read, bank.intval(1)), sort=BOOL_S),  # boolean ite chain
              bank.mk("=", (read, y), sort=BOOL_S)]                # integer ite chain
     lines = _render_shared(goals)
     script = parse_script("(declare-fun x () Int)(declare-fun y () Int)"
-                          "(declare-fun m () (Array Int Int))" + "".join(lines))
+                          "(declare-fun m () (Array Int Int))"
+                          + "".join(f"(declare-fun k{i} () Int)" for i in range(depth))
+                          + "".join(lines))
     assert _render_shared(script.assertions) == lines
     simp = solver.Simplifier(script.bank)
     roots = [simp.run(a) for a in script.assertions]
@@ -322,3 +353,101 @@ def test_deep_store_chain_through_every_stage():
         cnf.assert_root(r)
     eq_atoms = [t for t in cnf.atom_terms.values() if t.op == "="]
     assert len(eq_atoms) >= 2 * depth
+
+
+def test_offset_key_store_chain_reads_the_stored_constant():
+    # keys x + i differ from x by a constant, so every store test is decided
+    # and the read collapses before CNF
+    depth = 5000
+    bank = TermBank()
+    x = bank.sym("x", INT_S)
+    keys = [bank.mk("+", (x, bank.intval(i)), sort=INT_S) for i in range(depth)]
+    simp = solver.Simplifier(bank)
+    assert simp.run(_store_chain(bank, keys, x)) is bank.intval(1)
+
+
+def test_linearize_deep_sum_is_iterative_and_memoised():
+    depth = 5000
+    bank = TermBank()
+    x, one = bank.sym("x", INT_S), bank.intval(1)
+    t = x
+    for _ in range(depth):
+        t = bank.mk("+", (t, one), sort=INT_S)
+    memo = {}
+    assert solver.linearize(t, memo) == (depth, {x: 1})
+    assert len(memo) == depth + 2  # each sum, x and the constant 1, once
+
+
+def _linear_terms(bank, syms):
+    leaf = st.one_of(st.sampled_from(syms),
+                     st.integers(-4, 4).map(bank.intval))
+
+    def grow(sub):
+        def mk(op):
+            return lambda args: bank.mk(op, tuple(args), sort=INT_S)
+        consts = st.integers(-3, 3).map(bank.intval)
+        return st.one_of(
+            st.lists(sub, min_size=2, max_size=3).map(mk("+")),
+            st.lists(sub, min_size=2, max_size=3).map(mk("-")),
+            sub.map(lambda a: bank.mk("neg", (a,), sort=INT_S)),
+            st.tuples(consts, sub).map(mk("*")),
+            st.tuples(sub, consts, consts).map(mk("*")))
+    return st.recursive(leaf, grow, max_leaves=12)
+
+
+def _evaluate(t, env):
+    """Direct integer evaluation, independent of `linearize`."""
+    if t.op == "intval":
+        return t.value
+    if t.op == "sym":
+        return env[t.value]
+    vals = [_evaluate(a, env) for a in t.args]
+    if t.op == "+":
+        return sum(vals)
+    if t.op == "-":
+        return vals[0] - sum(vals[1:])
+    if t.op == "neg":
+        return -vals[0]
+    if t.op == "*":
+        return math.prod(vals)
+    compare = {"=": operator.eq, "<": operator.lt, "<=": operator.le,
+               ">": operator.gt, ">=": operator.ge}[t.op]
+    return compare(*vals)
+
+
+def _commuted(bank, t):
+    """`t` with every sum's arguments reversed: the same value, another term."""
+    if not t.args:
+        return t
+    args = [_commuted(bank, a) for a in t.args]
+    if t.op == "+":
+        args.reverse()
+    return bank.mk(t.op, tuple(args), sort=t.sort)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_linear_fold_agrees_with_evaluation(data):
+    bank = TermBank()
+    names = ["a", "b", "c"][:data.draw(st.integers(2, 3))]
+    syms = [bank.sym(n, INT_S) for n in names]
+    terms = _linear_terms(bank, syms)
+    lhs = data.draw(terms)
+    if data.draw(st.booleans()):  # a constant offset of lhs: always decided
+        offset = bank.intval(data.draw(st.integers(-2, 2)))
+        rhs = bank.mk("+", (_commuted(bank, lhs), offset), sort=INT_S)
+    else:
+        rhs = data.draw(terms)
+    envs = data.draw(st.lists(st.fixed_dictionaries(
+        {n: st.integers(-6, 6) for n in names}), min_size=1, max_size=5))
+    simp = solver.Simplifier(bank)
+    for t in (lhs, rhs):
+        const, coeffs = solver.linearize(t, simp.linear)
+        for env in envs:
+            assert const + sum(v * env[k.value] for k, v in coeffs.items()) \
+                == _evaluate(t, env)
+    for op in ("=", "<", "<=", ">", ">="):
+        atom = bank.mk(op, (lhs, rhs), sort=BOOL_S)
+        folded = simp.run(atom)
+        if folded.op == "boolval":
+            assert all(_evaluate(atom, env) == folded.value for env in envs)
