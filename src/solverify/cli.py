@@ -26,12 +26,10 @@ from solverify.instrument import (
 from solverify.policy import PolicyError, parse_policy
 from solverify.sol import (
     DeepCopyUnsupported, LexError, ParseError, TypeError_, UnsupportedFeature,
-    check_syntactic_conformance, desugar_modifiers, parse_contract,
-    print_program, typecheck,
+    check_syntactic_conformance, desugar_modifiers, parse_contract, typecheck,
 )
 from solverify.sol.conformance import functions_without_transitions
 from solverify.translate import TranslateError, generate_harness, translate_program
-from solverify.vir.printer import print_ir
 
 EXIT_FULLY_VERIFIED = 0
 EXIT_REFUTED = 1
@@ -128,6 +126,7 @@ def run(cfg: RunConfig):
         program = instrument_for_conformance(program, policy)
 
     if cfg.emit_instrumented:
+        from solverify.sol.printer import print_program
         artifact = make_runtime_checks(program) if cfg.runtime_checks else program
         with open(cfg.emit_instrumented, "w") as fh:
             fh.write(print_program(artifact))
@@ -137,6 +136,7 @@ def run(cfg: RunConfig):
     hinfo = generate_harness(tr, root)
 
     if cfg.emit_ir:
+        from solverify.vir.printer import print_ir
         with open(cfg.emit_ir, "w") as fh:
             fh.write(print_ir(tr.ir))
 

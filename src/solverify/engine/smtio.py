@@ -1,22 +1,30 @@
-"""External solver process boundary.
+"""Solver process boundary.
 
-Queries are SMT-LIB2 scripts over the solver's standard streams.  The solver
-executable comes from `--solver`, the SMT_SOLVER environment variable, or
-falls back to the bundled solver run as a subprocess.  One process serves a
-whole verification run: queries are framed with an echo marker and separated
-by reset; a per-query timeout kills and respawns the process, and that query
-reports unknown.  The solver's stderr goes to a temporary file whose tail is
-attached when the solver fails.
+Queries are SMT-LIB2 scripts over a solver process's standard streams.  An
+external solver (`--solver`, or the SMT_SOLVER environment variable) runs as
+a subprocess.  Without one, the bundled solver is served from a fork of this
+process: a separate process that needs no second interpreter start-up and
+imports only the solver's own modules.  The forked child serves its pipes
+and leaves by `os._exit`, never returning into the verifier.  One process serves a whole verification run: queries are framed
+with an echo marker and separated by reset.  Each query's exchange waits on
+the pipes with a read deadline; past it the solver is killed and reaped, that
+query reports unknown, and the next one starts a fresh process.  No thread is
+started, so every fork is made from a single-threaded process.  The solver's
+stderr goes to a temporary file whose tail is attached when the solver fails.
 """
 
 from __future__ import annotations
 
+import fcntl
+import gc
 import os
+import selectors
 import shlex
+import signal
 import subprocess
-import sys
 import tempfile
-import threading
+import time
+import traceback
 from dataclasses import dataclass, field
 
 from solverify.engine.queries import SmtQuery
@@ -45,34 +53,108 @@ class CheckResult:
         return self.values.get(symbol, default)
 
 
-def solver_argv(solver_path: str | None = None) -> list[str]:
-    if solver_path:
-        return shlex.split(solver_path)
-    env = os.environ.get("SMT_SOLVER")
-    if env:
-        return shlex.split(env)
-    return [sys.executable, "-m", "solverify.smt.cli"]
+def solver_argv(solver_path: str | None = None) -> list[str] | None:
+    """The external solver's command line; None for the bundled solver."""
+    command = solver_path or os.environ.get("SMT_SOLVER")
+    return shlex.split(command) if command else None
+
+
+class ForkedSolver:
+    """The bundled solver in a forked child, behind the part of
+    `subprocess.Popen` that a session uses."""
+
+    def __init__(self, stdin: int, stdout: int, stderr: int):
+        self.returncode: int | None = None
+        self.pid = os.fork()
+        if self.pid == 0:
+            _serve_child(stdin, stdout, stderr)
+
+    def poll(self) -> int | None:
+        if self.returncode is None:
+            pid, status = os.waitpid(self.pid, os.WNOHANG)
+            if pid:
+                self.returncode = os.waitstatus_to_exitcode(status)
+        return self.returncode
+
+    def wait(self, timeout: float | None = None) -> int:
+        if timeout is None:
+            if self.returncode is None:
+                self.returncode = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+            return self.returncode
+        deadline = time.monotonic() + timeout
+        while self.poll() is None:
+            if time.monotonic() > deadline:
+                raise subprocess.TimeoutExpired("bundled solver", timeout)
+            time.sleep(0.005)
+        return self.returncode
+
+    def kill(self):
+        if self.poll() is None:
+            os.kill(self.pid, signal.SIGKILL)
+
+
+def _serve_child(stdin: int, stdout: int, stderr: int):
+    """The forked child: serve the bundled solver on the given descriptors
+    as its standard streams, then leave by `os._exit` (no `atexit`, no
+    return into the verifier's frames).  The solver's modules are imported
+    here, not before the fork: the time is the same, and the verifier's
+    peak memory stays about 1 MB lower."""
+    code = 1
+    try:
+        # the verifier's objects are never collected here, so none of their
+        # finalizers runs in the child
+        gc.freeze()
+        # copies above 2 first, so no dup2 below overwrites a source
+        fds = [fcntl.fcntl(fd, fcntl.F_DUPFD, 3) for fd in (stdin, stdout, stderr)]
+        for target, fd in enumerate(fds):
+            os.dup2(fd, target)
+        os.closerange(3, os.sysconf("SC_OPEN_MAX"))
+        from solverify.smt.cli import serve
+        with open(0, encoding="utf-8", closefd=False) as inp, \
+                open(1, "w", encoding="utf-8", closefd=False) as out:
+            serve(inp, out)
+        code = 0
+    except BaseException:  # reported, not re-raised: os._exit is the way out
+        os.write(2, traceback.format_exc().encode(errors="replace"))
+    finally:
+        os._exit(code)
 
 
 class SolverSession:
-    """A long-lived solver process fed query after query."""
+    """A long-lived solver process fed query after query: an external
+    command (`argv`) or, when `argv` is None, the bundled solver forked."""
 
-    def __init__(self, argv: list[str]):
+    def __init__(self, argv: list[str] | None):
         self.argv = argv
-        self.proc: subprocess.Popen | None = None
+        self.proc: subprocess.Popen | ForkedSolver | None = None
         self.stderr = None  # the running solver's stderr file
+        self.to_solver = self.from_solver = -1  # this side's pipe ends
 
     def _ensure(self):
-        if self.proc is None or self.proc.poll() is not None:
+        if self.proc is not None and self.proc.poll() is not None:
+            self._kill()
+        if self.proc is not None:
+            return
+        self._close_stderr()
+        self.stderr = tempfile.TemporaryFile()
+        child_in, self.to_solver = os.pipe()
+        self.from_solver, child_out = os.pipe()
+        try:
+            if self.argv is None:
+                self.proc = ForkedSolver(child_in, child_out, self.stderr.fileno())
+            else:
+                self.proc = subprocess.Popen(self.argv, stdin=child_in,
+                                             stdout=child_out, stderr=self.stderr)
+        except OSError as exc:
+            self._kill()
             self._close_stderr()
-            self.stderr = tempfile.TemporaryFile()
-            try:
-                self.proc = subprocess.Popen(
-                    self.argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                    stderr=self.stderr, text=True, bufsize=1)
-            except OSError as exc:
-                self._close_stderr()
-                raise SolverUnavailable(f"cannot run {self.argv[0]}: {exc}") from None
+            if self.argv is None:
+                raise SolverCrashed(f"cannot fork the bundled solver: {exc}") from None
+            raise SolverUnavailable(f"cannot run {self.argv[0]}: {exc}") from None
+        finally:
+            os.close(child_in)
+            os.close(child_out)
+        os.set_blocking(self.to_solver, False)
 
     def _close_stderr(self):
         if self.stderr is not None:
@@ -93,64 +175,79 @@ class SolverSession:
         return SolverCrashed(message)
 
     def close(self):
+        """Ask the solver to exit; kill it if it has not within two seconds."""
         if self.proc is not None and self.proc.poll() is None:
             try:
-                self.proc.stdin.write("(exit)\n")
-                self.proc.stdin.flush()
-            except OSError:
-                pass
-            try:
+                os.write(self.to_solver, b"(exit)\n")
                 self.proc.wait(timeout=2)
-            except subprocess.TimeoutExpired:
-                self.proc.kill()
-        self.proc = None
+            except (OSError, subprocess.TimeoutExpired):
+                pass
+        self._kill()
         self._close_stderr()
 
     def _kill(self):
+        """Kill and reap the solver, and close this side's pipe ends."""
         if self.proc is not None:
             self.proc.kill()
+            self.proc.wait()
             self.proc = None
+        for fd in (self.to_solver, self.from_solver):
+            if fd >= 0:
+                os.close(fd)
+        self.to_solver = self.from_solver = -1
 
     def ask(self, script_text: str, timeout: float) -> str:
-        """Send one query (without exit) and read its output block."""
+        """Send one query (without exit) and read its output block.  Past
+        `timeout` seconds the solver is killed and the answer is empty."""
         self._ensure()
         body = script_text.replace("(exit)", "")
-        payload = f"{body}\n(echo \"{MARKER}\")\n(reset)\n"
-        lines: list[str] = []
-        timed_out = [False]
-
-        def watchdog():
-            timed_out[0] = True
-            self._kill()
-
-        timer = threading.Timer(timeout, watchdog)
-        timer.start()
-        try:
-            self.proc.stdin.write(payload)
-            self.proc.stdin.flush()
-            while True:
-                line = self.proc.stdout.readline()
-                if not line:
-                    if timed_out[0]:
-                        return ""
-                    raise self.crashed("solver closed its output stream")
-                if line.strip() == MARKER:
-                    break
-                lines.append(line.rstrip("\n"))
-        except (OSError, ValueError):
-            if timed_out[0]:
-                return ""
-            raise self.crashed("solver pipe failed") from None
-        finally:
-            timer.cancel()
-        return "\n".join(lines)
-
-
-_sessions: dict[tuple[str, ...], SolverSession] = {}
+        payload = memoryview(f"{body}\n(echo \"{MARKER}\")\n(reset)\n".encode())
+        deadline = time.monotonic() + timeout
+        out = b""
+        answer = None
+        with selectors.DefaultSelector() as sel:
+            sel.register(self.from_solver, selectors.EVENT_READ)
+            sel.register(self.to_solver, selectors.EVENT_WRITE)
+            while payload or answer is None:
+                remaining = deadline - time.monotonic()
+                ready = sel.select(remaining) if remaining > 0 else []
+                if not ready:
+                    self._kill()
+                    return ""
+                for key, _ in ready:
+                    if key.fd == self.to_solver:
+                        try:
+                            payload = payload[os.write(self.to_solver, payload):]
+                        except BlockingIOError:
+                            continue
+                        except OSError:
+                            raise self.crashed("solver pipe failed") from None
+                        if not payload:
+                            sel.unregister(self.to_solver)
+                    else:
+                        chunk = os.read(self.from_solver, 1 << 16)
+                        if not chunk:
+                            raise self.crashed("solver closed its output stream")
+                        out += chunk
+                        answer = _before_marker(out)
+        return answer
 
 
-def _session_for(argv: list[str]) -> SolverSession:
-    key = tuple(argv)
+def _before_marker(out: bytes) -> str | None:
+    """The solver's output before the marker line; None until that line is
+    complete."""
+    lines = out.decode(errors="replace").split("\n")
+    for i, line in enumerate(lines[:-1]):
+        if line.strip() == MARKER:
+            return "\n".join(lines[:i])
+    return None
+
+
+_sessions: dict[tuple[str, ...] | None, SolverSession] = {}
+
+
+def _session_for(argv: list[str] | None) -> SolverSession:
+    key = tuple(argv) if argv is not None else None
     if key not in _sessions:
         _sessions[key] = SolverSession(argv)
     return _sessions[key]

@@ -16,7 +16,6 @@ from solverify.engine.smtio import CheckResult
 from solverify.engine.unroll import is_nondet_var
 from solverify.translate import HarnessInfo, Translation
 from solverify.vir import ast as I
-from solverify.vir.interp import AssertFailed, interpret
 from solverify.vir.prelude import DTYPE
 
 # Keeps model reference values clear of interpreter-allocated ids on replay.
@@ -170,14 +169,7 @@ def _trim_to_failure(tr: Translation, hinfo: HarnessInfo,
     for i in range(1, len(trace.transactions) + 1):
         prefix = CounterexampleTrace(transactions=trace.transactions[:i],
                                      failing_label=trace.failing_label, k=trace.k)
-        driver, tape = build_replay_driver(tr, hinfo.root, prefix)
-        program = tr.ir
-        program.procedures[driver.name] = driver
-        try:
-            outcome = interpret(program, driver.name, tape=tape)
-        finally:
-            program.procedures.pop(driver.name, None)
-        if isinstance(outcome, AssertFailed):
+        if _replay(tr, hinfo.root, prefix)[1]:
             return prefix
     return trace
 
@@ -215,9 +207,12 @@ def build_replay_driver(tr: Translation, root: str,
     return driver, tape
 
 
-def replay_trace(tr: Translation, hinfo: HarnessInfo, trace: CounterexampleTrace):
-    """Interpret the trace; it must fail the recorded assertion."""
-    driver, tape = build_replay_driver(tr, hinfo.root, trace)
+def _replay(tr: Translation, root: str, trace: CounterexampleTrace):
+    """Interpret the trace's replay driver: its outcome, and whether that is
+    a failed assertion.  The IR interpreter is imported here, so a run that
+    replays no trace never loads it."""
+    from solverify.vir.interp import AssertFailed, interpret
+    driver, tape = build_replay_driver(tr, root, trace)
     program = tr.ir
     saved = program.procedures.get(driver.name)
     program.procedures[driver.name] = driver
@@ -228,7 +223,13 @@ def replay_trace(tr: Translation, hinfo: HarnessInfo, trace: CounterexampleTrace
             program.procedures.pop(driver.name, None)
         else:
             program.procedures[driver.name] = saved
-    if not isinstance(outcome, AssertFailed):
+    return outcome, isinstance(outcome, AssertFailed)
+
+
+def replay_trace(tr: Translation, hinfo: HarnessInfo, trace: CounterexampleTrace):
+    """Interpret the trace; it must fail the recorded assertion."""
+    outcome, failed = _replay(tr, hinfo.root, trace)
+    if not failed:
         raise ReplayMismatch(
             f"trace did not fail any assertion on replay ({type(outcome).__name__})")
     if trace.failing_label and outcome.label != trace.failing_label:

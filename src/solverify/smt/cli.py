@@ -1,17 +1,17 @@
 """SMT-LIB2 solver process: reads commands from stdin and answers check-sat,
 get-value, get-model, and echo on stdout.  Runs one-shot or as a persistent
-session (state clears on `reset`).  `python -m solverify.smt.cli` is the
-default solver executable when no external one is configured."""
+session (state clears on `reset`).  When no external solver is configured,
+the verifier runs `serve` in a fork of itself (`engine.smtio`);
+`python -m solverify.smt.cli` runs it as a program of its own."""
 
 from __future__ import annotations
 
 import io
-import re
 import sys
 
 from solverify.smt.solver import Solved, solve
 from solverify.smt.terms import (
-    ScriptParser, is_array_sort, read_sexprs, sexpr, sort_to_sexpr,
+    ScriptParser, is_array_sort, iter_sexprs, sexpr, sort_to_sexpr,
 )
 
 
@@ -96,53 +96,15 @@ class Session:
         return True
 
 
-_SYNTAX = re.compile(r'[();"]')
-
-
-def _iter_commands(stream):
-    """Yield balanced s-expressions from a text stream, read a line at a
-    time so a command is answered as soon as its line arrives.  A `)` that
-    closes nothing is yielded on its own, so it is answered with an error
-    and the commands after it are still served."""
-    buf = []
-    depth = 0
-    in_string = False
-    for line in iter(stream.readline, ""):
-        start = 0  # first character of `line` not yet in `buf`
-        for m in _SYNTAX.finditer(line):
-            ch = m.group()
-            if ch == '"':
-                in_string = not in_string
-            elif in_string:
-                continue
-            elif ch == ";":  # comment: drop the rest of the line
-                line = line[:m.start()]
-                break
-            elif ch == "(":
-                depth += 1
-            else:
-                depth = max(depth - 1, 0)
-                if depth == 0:
-                    buf.append(line[start:m.end()])
-                    start = m.end()
-                    text = "".join(buf).strip()
-                    buf = []
-                    if text:
-                        yield text
-        buf.append(line[start:])
-
-
 def serve(inp, out):
     """Answer the commands read from `inp` on `out`, until end of input or
-    `(exit)`."""
+    `(exit)`.  Input is read a line at a time, so a command is answered as
+    soon as the line that completes it arrives."""
     session = Session(out)
-    for text in _iter_commands(inp):
-        try:
-            sx = read_sexprs(text)[0]
-        except Exception as exc:
-            session.emit(f'(error "{exc}")')
-            continue
-        if not session.handle(sx):
+    for sx in iter_sexprs(iter(inp.readline, "")):
+        if isinstance(sx, ValueError):
+            session.emit(f'(error "{sx}")')
+        elif not session.handle(sx):
             break
 
 

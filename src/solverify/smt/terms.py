@@ -8,6 +8,7 @@ back for get-value).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 
@@ -169,58 +170,53 @@ class Script:
 
 # -- s-expression reader -----------------------------------------------------------
 
-def _tokenize_sexpr(text: str) -> list[str]:
-    out = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            i += 1
-            continue
-        if c == ";":
-            j = text.find("\n", i)
-            i = n if j == -1 else j
-            continue
-        if c in "()":
-            out.append(c)
-            i += 1
-            continue
-        if c == "|":
-            j = text.find("|", i + 1)
-            if j == -1:
-                raise ValueError("unterminated quoted symbol")
-            out.append(text[i:j + 1])
-            i = j + 1
-            continue
-        if c == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                j += 1
-            out.append(text[i:j + 1])
-            i = j + 1
-            continue
-        j = i
-        while j < n and text[j] not in " \t\r\n();":
-            j += 1
-        out.append(text[i:j])
-        i = j
-    return out
+# One token: a parenthesis, a string, a quoted symbol, a comment or an atom.
+# A lone `"` or `|` opens a string or quoted symbol that the text leaves open.
+_SEXPR_TOKEN = re.compile(
+    r'[()]|"[^"]*"|\|[^|]*\||;[^\n]*|[^ \t\r\n();"|][^ \t\r\n();]*|["|]')
+
+
+def iter_sexprs(chunks):
+    """Yield the s-expressions of a stream of text chunks (lines, or one
+    whole text), each as soon as the chunk that completes it has been read;
+    one tokenizing pass builds them.  A `)` that closes nothing yields a
+    ValueError in its place and reading goes on; input that ends inside an
+    s-expression, a string or a quoted symbol yields one at the end."""
+    open_lists: list[list] = []
+    carry = ""  # an open string or quoted symbol, continued by the next chunk
+    for chunk in chunks:
+        text = carry + chunk
+        carry = ""
+        for tok in _SEXPR_TOKEN.findall(text):
+            if tok == "(":
+                open_lists.append([])
+                continue
+            if tok == ")":
+                if not open_lists:
+                    yield ValueError("unbalanced ')'")
+                    continue
+                tok = open_lists.pop()
+            elif tok[0] == ";":
+                continue
+            elif tok in ('"', "|"):  # no later `"` (`|`) closes it: it is the last
+                carry = text[text.rfind(tok):]
+                break
+            if open_lists:
+                open_lists[-1].append(tok)
+            else:
+                yield tok
+    if carry:
+        yield ValueError("unterminated string" if carry[0] == '"'
+                         else "unterminated quoted symbol")
+    elif open_lists:
+        yield ValueError("unbalanced '('")
 
 
 def read_sexprs(text: str) -> list:
-    out: list = []
-    open_lists: list[list] = []
-    for tok in _tokenize_sexpr(text):
-        if tok == "(":
-            open_lists.append([])
-            continue
-        if tok == ")":
-            if not open_lists:
-                raise ValueError("unbalanced ')'")
-            tok = open_lists.pop()
-        (open_lists[-1] if open_lists else out).append(tok)
-    if open_lists:
-        raise ValueError("unbalanced '('")
+    out = list(iter_sexprs([text]))
+    for sx in out:
+        if isinstance(sx, ValueError):
+            raise sx
     return out
 
 

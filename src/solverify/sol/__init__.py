@@ -1,6 +1,7 @@
 """Frontend for the core Solidity subset: lexer, parser, typechecker,
-inheritance linearizer, modifier desugarer, conformance checker, printer,
-and a reference interpreter used as a testing oracle."""
+inheritance linearizer, modifier desugarer, conformance checker, plus a
+printer (`printer`) and a reference interpreter used as a testing oracle
+(`interp`), imported from their modules where they are used."""
 
 from solverify.sol.ast import (  # noqa: F401
     AddressType,
@@ -19,4 +20,3 @@ from solverify.sol.typecheck import DeepCopyUnsupported, TypeError_, typecheck  
 from solverify.sol.linearize import AmbiguousLinearization, InheritanceCycle, linearize  # noqa: F401
 from solverify.sol.desugar import UnknownModifier, desugar_modifiers  # noqa: F401
 from solverify.sol.conformance import check_syntactic_conformance  # noqa: F401
-from solverify.sol.printer import print_program  # noqa: F401

@@ -587,7 +587,13 @@ def _reject_expression_method_calls(program: ast.SolProgram):
 
 
 def parse_contract(source: str) -> ast.SolProgram:
-    """Parse a source file into a SolProgram."""
-    program = _Parser(tokenize(source)).parse_program()
+    """Parse a source file into a SolProgram.  Nesting deeper than the
+    recursive descent can follow is a ParseError at the token it reached."""
+    parser = _Parser(tokenize(source))
+    try:
+        program = parser.parse_program()
+    except RecursionError:
+        raise ParseError(parser.cur.line, parser.cur.col,
+                         "less deeply nested code") from None
     _reject_expression_method_calls(program)
     return program

@@ -1,6 +1,7 @@
 """Verification IR: a small Boogie-like language with maps, havoc,
 assume/assert, procedures, and quantified allocation axioms, plus a textual
-format and a reference interpreter used as a testing oracle."""
+format (`printer`, `parser`) and a reference interpreter used as the replay
+oracle (`interp`), imported from their modules where they are used."""
 
 from solverify.vir.ast import (  # noqa: F401
     INT, BOOL, REF, MapType,
@@ -9,9 +10,3 @@ from solverify.vir.ast import (  # noqa: F401
     Skip, Store, While,
 )
 from solverify.vir.prelude import emit_prelude, mapinit_name  # noqa: F401
-from solverify.vir.printer import print_ir  # noqa: F401
-from solverify.vir.parser import parse_ir  # noqa: F401
-from solverify.vir.interp import (  # noqa: F401
-    AssertFailed, Blocked, BudgetExhausted, Completed, IrState,
-    TapeExhausted, UnsupportedQuantifier, interpret,
-)

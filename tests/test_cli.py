@@ -252,6 +252,27 @@ def test_deep_arithmetic_contract_fully_verified(tmp_path, params, pre, goal):
     assert json.loads(report.read_text())["verdict"] == "FullyVerified"
 
 
+@pytest.mark.parametrize("depth, code, verdict", [
+    (200, EXIT_FULLY_VERIFIED, "FullyVerified"),
+    # used to exit 4 with a RecursionError in the parser
+    (1000, EXIT_INPUT_ERROR, "InputError"),
+])
+def test_deeply_nested_ifs(tmp_path, capsys, depth, code, verdict):
+    body = "assert(a > 0);"
+    for i in range(depth):
+        body = f"if (a > {i}) {{ {body} }}"
+    src = tmp_path / "nested.sol"
+    src.write_text(f"contract C {{\n    function f(int a) public {{\n"
+                   f"        {body}\n    }}\n}}\n")
+    report = tmp_path / "r.json"
+    assert run_cli("verify", "--mode", "assertions", "--sol", str(src),
+                   "--report-json", str(report)) == code
+    assert json.loads(report.read_text())["verdict"] == verdict
+    if code == EXIT_INPUT_ERROR:
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: 3:") and "nested" in err and "\n" not in err
+
+
 def _assert_internal_error(code, capsys, report):
     assert code == EXIT_INTERNAL_ERROR
     err = capsys.readouterr().err.strip()
