@@ -3,17 +3,17 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 from solverify.engine.queries import vc_gen
 from solverify.engine.smtio import SolverConfig, check_smt
 from solverify.engine.trace import CounterexampleTrace, extract_trace
 from solverify.engine.unroll import unroll_harness
+from solverify.record import field, record
 from solverify.translate import HarnessInfo, Translation
 from solverify.vir import ast as I
 
 
-@dataclass
+@record
 class Domains:
     """Optional finitization: restrict havoc'd harness inputs to small
     domains (integer arguments by value; senders to a fixed id pool)."""
@@ -50,7 +50,7 @@ def _restrict(stmt: I.IrStmt, hinfo: HarnessInfo, domains: Domains,
     return I.map_stmt(stmt, pin)
 
 
-@dataclass
+@record
 class BmcOutcome:
     trace: CounterexampleTrace | None
     k_reached: int

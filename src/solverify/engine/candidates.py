@@ -8,16 +8,16 @@ constants are excluded; this pool sufficed for the conformance workloads."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from solverify.policy import Policy
+from solverify.record import record
 from solverify.smt import terms as T
 from solverify.sol.conformance import STATE_VAR
 from solverify.sol.linearize import resolve_state_var
 from solverify.translate import Translation, state_map_name
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CandidatePredicate:
     lhs_map: str          # global map name of the left state variable
     op: str               # "==" or "!="

@@ -17,12 +17,12 @@ check, which can only weaken the result, never unsoundly strengthen it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 from solverify.engine.candidates import CandidatePredicate
 from solverify.engine.queries import QueryBuilder
 from solverify.engine.smtio import SolverConfig, check_smt
 from solverify.engine.unroll import Inliner
+from solverify.record import field, record
 from solverify.translate import HarnessInfo, Translation
 from solverify.vir import ast as I
 from solverify.vir.prelude import DTYPE
@@ -32,7 +32,7 @@ class SolverError(Exception):
     pass
 
 
-@dataclass
+@record
 class HoudiniResult:
     invariant: list[CandidatePredicate]
     all_asserts_verified: bool
@@ -46,7 +46,7 @@ def _asserts_to_assumes(s: I.IrStmt) -> I.IrStmt:
     return I.map_stmt(s, lambda x: I.Assume(x.cond) if isinstance(x, I.Assert) else None)
 
 
-@dataclass
+@record
 class _ProcCheck:
     name: str
     is_ctor: bool

@@ -13,8 +13,8 @@ the selector and slot symbols.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
+from solverify.record import field, record
 from solverify.smt import terms as T
 from solverify.vir import ast as I
 from solverify.vir.prelude import ALLOC, STR_TO_INT
@@ -40,7 +40,7 @@ def sort_of(ty: I.IrType):
     raise VcError(f"no sort for {ty}")
 
 
-@dataclass
+@record
 class SmtQuery:
     """SMT-LIB2 script plus the symbol back-mapping."""
 

@@ -21,13 +21,11 @@ import os
 import selectors
 import shlex
 import signal
-import subprocess
 import tempfile
 import time
-import traceback
-from dataclasses import dataclass, field
 
 from solverify.engine.queries import SmtQuery
+from solverify.record import field, record
 from solverify.smt.terms import read_sexprs
 
 MARKER = "<<query-done>>"
@@ -44,7 +42,7 @@ class SolverUnavailable(SolverCrashed):
 STDERR_TAIL_BYTES = 2000
 
 
-@dataclass
+@record
 class CheckResult:
     status: str  # sat | unsat | unknown
     values: dict[str, object] = field(default_factory=dict)
@@ -76,16 +74,9 @@ class ForkedSolver:
                 self.returncode = os.waitstatus_to_exitcode(status)
         return self.returncode
 
-    def wait(self, timeout: float | None = None) -> int:
-        if timeout is None:
-            if self.returncode is None:
-                self.returncode = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-            return self.returncode
-        deadline = time.monotonic() + timeout
-        while self.poll() is None:
-            if time.monotonic() > deadline:
-                raise subprocess.TimeoutExpired("bundled solver", timeout)
-            time.sleep(0.005)
+    def wait(self) -> int:
+        if self.returncode is None:
+            self.returncode = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
         return self.returncode
 
     def kill(self):
@@ -115,6 +106,7 @@ def _serve_child(stdin: int, stdout: int, stderr: int):
             serve(inp, out)
         code = 0
     except BaseException:  # reported, not re-raised: os._exit is the way out
+        import traceback
         os.write(2, traceback.format_exc().encode(errors="replace"))
     finally:
         os._exit(code)
@@ -143,6 +135,7 @@ class SolverSession:
             if self.argv is None:
                 self.proc = ForkedSolver(child_in, child_out, self.stderr.fileno())
             else:
+                import subprocess
                 self.proc = subprocess.Popen(self.argv, stdin=child_in,
                                              stdout=child_out, stderr=self.stderr)
         except OSError as exc:
@@ -175,15 +168,29 @@ class SolverSession:
         return SolverCrashed(message)
 
     def close(self):
-        """Ask the solver to exit; kill it if it has not within two seconds."""
+        """Ask the solver to exit and reap it once it has closed its output;
+        kill it if it has not within two seconds."""
         if self.proc is not None and self.proc.poll() is None:
             try:
                 os.write(self.to_solver, b"(exit)\n")
-                self.proc.wait(timeout=2)
-            except (OSError, subprocess.TimeoutExpired):
+                if self._await_eof(time.monotonic() + 2):
+                    self.proc.wait()
+            except OSError:
                 pass
         self._kill()
         self._close_stderr()
+
+    def _await_eof(self, deadline: float) -> bool:
+        """Read and drop the solver's output until it closes the stream;
+        False if the deadline passes first."""
+        with selectors.DefaultSelector() as sel:
+            sel.register(self.from_solver, selectors.EVENT_READ)
+            while True:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0 or not sel.select(remaining):
+                    return False
+                if not os.read(self.from_solver, 1 << 16):
+                    return True
 
     def _kill(self):
         """Kill and reap the solver, and close this side's pipe ends."""
@@ -259,7 +266,7 @@ def close_sessions():
     _sessions.clear()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SolverConfig:
     """How the queries of a run are solved: the solver command (None: the
     SMT_SOLVER variable, else the bundled solver), the per-query timeout in

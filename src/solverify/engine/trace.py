@@ -9,11 +9,10 @@ reported as a refutation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from solverify.engine.queries import SmtQuery
 from solverify.engine.smtio import CheckResult
 from solverify.engine.unroll import is_nondet_var
+from solverify.record import field, record
 from solverify.translate import HarnessInfo, Translation
 from solverify.vir import ast as I
 from solverify.vir.prelude import DTYPE
@@ -26,7 +25,7 @@ class ReplayMismatch(Exception):
     pass
 
 
-@dataclass
+@record
 class Transaction:
     fn: str
     sender: int
@@ -34,7 +33,7 @@ class Transaction:
     nondets: list[bool] = field(default_factory=list)
 
 
-@dataclass
+@record
 class CounterexampleTrace:
     transactions: list[Transaction]
     failing_label: str

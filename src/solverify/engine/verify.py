@@ -10,7 +10,6 @@ result records safety up to that bound.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 from solverify.engine.bmc import BmcOutcome, bounded_check
 from solverify.engine.candidates import CandidatePredicate, generate_candidates
@@ -18,17 +17,18 @@ from solverify.engine.houdini import HoudiniResult, houdini_infer
 from solverify.engine.smtio import SolverConfig
 from solverify.engine.trace import CounterexampleTrace
 from solverify.policy import Policy
+from solverify.record import field, record
 from solverify.translate import HarnessInfo, Translation
 
 
-@dataclass
+@record
 class Timings:
     invariant_seconds: float = 0.0
     bmc_seconds: float = 0.0
     total_seconds: float = 0.0
 
 
-@dataclass
+@record
 class FullyVerified:
     invariant: list[CandidatePredicate]
     houdini: HoudiniResult
@@ -37,7 +37,7 @@ class FullyVerified:
     verdict = "FullyVerified"
 
 
-@dataclass
+@record
 class Refuted:
     trace: CounterexampleTrace
     k: int
@@ -47,7 +47,7 @@ class Refuted:
     verdict = "Refuted"
 
 
-@dataclass
+@record
 class PartiallyVerified:
     bound: int
     houdini: HoudiniResult

@@ -13,8 +13,6 @@ eliminated.
 
 from __future__ import annotations
 
-import copy
-
 from solverify.policy import AccessSet, Policy, Workflow, transitions_for_function
 from solverify.sol import ast
 from solverify.sol.conformance import STATE_VAR, check_syntactic_conformance
@@ -112,7 +110,7 @@ def state_predicate(states, workflow: Workflow, enum_name: str = "StateType",
 
 def _substitute_old(e: ast.SolExpr, mapping: dict[str, str]) -> ast.SolExpr:
     """Replace state-variable reads with their entry snapshots."""
-    e = copy.deepcopy(e)
+    e = ast.copy_tree(e)
     for x in ast.walk(e):
         if isinstance(x, ast.Var) and x.binding == "state" and x.name in mapping:
             x.name = mapping[x.name]
@@ -159,7 +157,7 @@ def instrument_for_conformance(program: ast.SolProgram, policy: Policy) -> ast.S
     if diags:
         raise NotSyntacticallyConformant(diags)
 
-    program = copy.deepcopy(program)
+    program = ast.copy_tree(program)
     for workflow in policy.workflows:
         contract, owner, enum_name, members, role_var = _workflow_context(program, workflow)
 
@@ -242,7 +240,7 @@ def _nnf(e: ast.SolExpr, negate: bool = False) -> ast.SolExpr:
         out = ast.BoolLit(value=(not e.value) if negate else e.value)
         out.ty = ast.BOOL
         return out
-    e = copy.deepcopy(e)
+    e = ast.copy_tree(e)
     if negate:
         out = ast.Op(op="!", args=[e])
         out.ty = ast.BOOL
@@ -318,7 +316,7 @@ def make_runtime_checks(program: ast.SolProgram) -> ast.SolProgram:
     """Executable variant of an instrumented program: no nondet calls remain,
     and every transformed check is implied by the original one under every
     valuation of the nondet atoms."""
-    program = copy.deepcopy(program)
+    program = ast.copy_tree(program)
     for body in ast.bodies(program):
         for s in ast.walk(body):
             if isinstance(s, (ast.Require, ast.Assert)):

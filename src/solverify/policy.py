@@ -10,7 +10,8 @@ rest of the pipeline consumes the immutable objects built here.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+
+from solverify.record import record
 
 
 class PolicyError(Exception):
@@ -35,7 +36,7 @@ class UnknownFunction(PolicyError):
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Diagnostic:
     """A validation finding; `code` names the violated invariant."""
 
@@ -47,7 +48,7 @@ class Diagnostic:
         return f"{self.code} at {self.location}: {self.message}"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AccessSet:
     """Roles allowed to drive a transition: global role names plus names of
     instance-role state variables."""
@@ -59,13 +60,13 @@ class AccessSet:
         return not self.global_roles and not self.instance_roles
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FunctionSig:
     name: str
     params: tuple[tuple[str, str], ...] = ()  # (identifier, policy type)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Transition:
     start: str
     function: str
@@ -73,7 +74,7 @@ class Transition:
     successors: tuple[str, ...]  # non-empty, document order
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Workflow:
     name: str
     states: tuple[str, ...]  # document order; treated as a set
@@ -95,7 +96,7 @@ class Workflow:
         return tuple(f.name for f in self.functions)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Policy:
     name: str
     roles: frozenset[str]

@@ -9,7 +9,8 @@ back for get-value).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+
+from solverify.record import record
 
 
 # -- sorts --------------------------------------------------------------------
@@ -152,7 +153,7 @@ def sexpr(t: Term) -> str:
 
 # -- script model ----------------------------------------------------------------
 
-@dataclass
+@record
 class Script:
     bank: TermBank
     logic: str = "ALL"

@@ -1,15 +1,18 @@
 """AST for the core Solidity subset.
 
-Nodes are plain mutable dataclasses; the typechecker annotates expressions in
-place (`ty`, plus binding information on variables).  Equality ignores source
-positions and type annotations so parse/print round-trip tests can compare
-structurally.
+Nodes are mutable records (`solverify.record`, `eq=False`); types are frozen
+ones.  The typechecker annotates expressions in place (`ty`, plus binding
+information on variables).  Equality ignores source positions and type
+annotations so parse/print round-trip tests can compare structurally; nodes
+still hash by identity.
 """
 
 from __future__ import annotations
 
+import copy
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
+
+from solverify.record import field, record
 
 
 # ---------------------------------------------------------------------------
@@ -19,31 +22,31 @@ class SolType:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IntType(SolType):
     def __str__(self) -> str:
         return "int"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BoolType(SolType):
     def __str__(self) -> str:
         return "bool"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StringType(SolType):
     def __str__(self) -> str:
         return "string"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AddressType(SolType):
     def __str__(self) -> str:
         return "address"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ContractType(SolType):
     name: str
 
@@ -51,7 +54,7 @@ class ContractType(SolType):
         return self.name
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NamedType(SolType):
     """Unresolved identifier type from the parser; the typechecker replaces it
     with ContractType or (for enums) IntType."""
@@ -62,12 +65,12 @@ class NamedType(SolType):
         return self.name
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MappingType(SolType):
     key: SolType  # elementary: int / string / address
     value: SolType
     # Declared with array syntax (T[]); not part of type identity.
-    is_array: bool = field(default=False, compare=False, hash=False)
+    is_array: bool = field(default=False, compare=False)
 
     def __str__(self) -> str:
         if self.is_array:
@@ -93,7 +96,7 @@ def is_array_type(ty: SolType) -> bool:
 # ---------------------------------------------------------------------------
 # Expressions
 
-@dataclass(eq=False)
+@record(eq=False)
 class SolExpr:
     pass
 
@@ -121,7 +124,7 @@ def _expr_eq(a, b) -> bool:
     return True
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class IntLit(SolExpr):
     value: int
     pos: tuple[int, int] = (0, 0)
@@ -129,7 +132,7 @@ class IntLit(SolExpr):
     STRUCT_FIELDS = ("value",)
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class BoolLit(SolExpr):
     value: bool
     pos: tuple[int, int] = (0, 0)
@@ -137,7 +140,7 @@ class BoolLit(SolExpr):
     STRUCT_FIELDS = ("value",)
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class StringLit(SolExpr):
     value: str
     pos: tuple[int, int] = (0, 0)
@@ -145,7 +148,7 @@ class StringLit(SolExpr):
     STRUCT_FIELDS = ("value",)
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class AddressLit(SolExpr):
     """Hex literal; only the null address 0x0 is meaningful in the subset."""
 
@@ -155,7 +158,7 @@ class AddressLit(SolExpr):
     STRUCT_FIELDS = ("value",)
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class Var(SolExpr):
     name: str
     pos: tuple[int, int] = (0, 0)
@@ -165,7 +168,7 @@ class Var(SolExpr):
     STRUCT_FIELDS = ("name",)
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class EnumMember(SolExpr):
     enum: str
     member: str
@@ -175,7 +178,7 @@ class EnumMember(SolExpr):
     STRUCT_FIELDS = ("enum", "member")
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class Op(SolExpr):
     op: str
     args: list[SolExpr]
@@ -184,7 +187,7 @@ class Op(SolExpr):
     STRUCT_FIELDS = ("op", "args")
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class Index(SolExpr):
     base: SolExpr
     key: SolExpr
@@ -193,14 +196,14 @@ class Index(SolExpr):
     STRUCT_FIELDS = ("base", "key")
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class MsgSender(SolExpr):
     pos: tuple[int, int] = (0, 0)
     ty: SolType | None = None
     STRUCT_FIELDS = ()
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class LengthOf(SolExpr):
     base: SolExpr
     pos: tuple[int, int] = (0, 0)
@@ -208,7 +211,7 @@ class LengthOf(SolExpr):
     STRUCT_FIELDS = ("base",)
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class ExprCall(SolExpr):
     """Expression-position call; only definition-free boolean functions
     (the nondeterministic-choice declaration) typecheck here."""
@@ -226,7 +229,7 @@ SolExpr.__eq__ = _expr_eq  # type: ignore[method-assign]
 # ---------------------------------------------------------------------------
 # Statements
 
-@dataclass(eq=False)
+@record(eq=False)
 class SolStmt:
     pass
 
@@ -250,7 +253,7 @@ def _stmt_eq(a, b) -> bool:
 SolStmt.__eq__ = _stmt_eq  # type: ignore[method-assign]
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class DeclStmt(SolStmt):
     name: str
     ty: SolType
@@ -259,7 +262,7 @@ class DeclStmt(SolStmt):
     STRUCT_FIELDS = ("name", "ty", "init")
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class Assign(SolStmt):
     lhs: SolExpr  # Var or Index chain
     rhs: SolExpr
@@ -267,14 +270,14 @@ class Assign(SolStmt):
     STRUCT_FIELDS = ("lhs", "rhs")
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class Require(SolStmt):
     cond: SolExpr
     pos: tuple[int, int] = (0, 0)
     STRUCT_FIELDS = ("cond",)
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class Assert(SolStmt):
     cond: SolExpr
     pos: tuple[int, int] = (0, 0)
@@ -282,7 +285,7 @@ class Assert(SolStmt):
     STRUCT_FIELDS = ("cond",)
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class If(SolStmt):
     cond: SolExpr
     then: list[SolStmt]
@@ -291,7 +294,7 @@ class If(SolStmt):
     STRUCT_FIELDS = ("cond", "then", "els")
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class While(SolStmt):
     cond: SolExpr
     body: list[SolStmt]
@@ -299,7 +302,7 @@ class While(SolStmt):
     STRUCT_FIELDS = ("cond", "body")
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class Push(SolStmt):
     base: SolExpr
     value: SolExpr
@@ -307,14 +310,14 @@ class Push(SolStmt):
     STRUCT_FIELDS = ("base", "value")
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class Return(SolStmt):
     value: SolExpr | None
     pos: tuple[int, int] = (0, 0)
     STRUCT_FIELDS = ("value",)
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class InternalCall(SolStmt):
     target: SolExpr | None  # lvalue or None
     fn: str
@@ -323,7 +326,7 @@ class InternalCall(SolStmt):
     STRUCT_FIELDS = ("target", "fn", "args")
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class ExternalCall(SolStmt):
     target: SolExpr | None
     receiver: SolExpr
@@ -333,7 +336,7 @@ class ExternalCall(SolStmt):
     STRUCT_FIELDS = ("target", "receiver", "fn", "args")
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class NewContract(SolStmt):
     target: SolExpr
     contract: str
@@ -342,7 +345,7 @@ class NewContract(SolStmt):
     STRUCT_FIELDS = ("target", "contract", "args")
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class NewArray(SolStmt):
     target: SolExpr
     elem_ty: SolType
@@ -351,7 +354,7 @@ class NewArray(SolStmt):
     STRUCT_FIELDS = ("target", "elem_ty", "size")
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class NewMap(SolStmt):
     target: SolExpr
     map_ty: MappingType
@@ -362,7 +365,7 @@ class NewMap(SolStmt):
 # ---------------------------------------------------------------------------
 # Declarations
 
-@dataclass(eq=False)
+@record(eq=False)
 class ModifierDef:
     name: str
     pre_stmts: list[SolStmt]
@@ -372,7 +375,7 @@ class ModifierDef:
     __eq__ = _stmt_eq
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class SolFunction:
     name: str
     params: list[tuple[str, SolType]]
@@ -387,7 +390,7 @@ class SolFunction:
     __eq__ = _stmt_eq
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class SolContract:
     name: str
     bases: list[str]
@@ -427,7 +430,7 @@ class SolContract:
     __eq__ = _stmt_eq
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class SolProgram:
     contracts: list[SolContract]
 
@@ -490,3 +493,14 @@ def bodies(program: SolProgram) -> Iterator[list[SolStmt]]:
         for m in c.modifiers:
             yield m.pre_stmts
             yield m.post_stmts
+
+
+def copy_tree(root):
+    """`copy.deepcopy` of a node, a list of nodes or a program, without one
+    level of recursion per level of nesting: the nodes below are copied
+    first, deepest first, so each copy finds its children in the memo."""
+    memo: dict = {}
+    for part in bodies(root) if isinstance(root, SolProgram) else [root]:
+        for node in reversed(list(walk(part))):
+            copy.deepcopy(node, memo)
+    return copy.deepcopy(root, memo)

@@ -9,8 +9,6 @@ code around a returning body.
 
 from __future__ import annotations
 
-import copy
-
 from solverify.sol import ast
 from solverify.sol.linearize import linearize, resolve_modifier
 
@@ -63,8 +61,8 @@ def desugar_modifiers(program: ast.SolProgram) -> ast.SolProgram:
                     raise UnknownModifier(f"{c.name}.{fn.name}: no modifier "
                                           f"named {mod_name!r}")
                 _, mod = resolved
-                pre = copy.deepcopy(mod.pre_stmts)
-                post = copy.deepcopy(mod.post_stmts)
+                pre = ast.copy_tree(mod.pre_stmts)
+                post = ast.copy_tree(mod.post_stmts)
                 declared: set[str] = set()
                 _collect_names(pre, declared)
                 _collect_names(post, declared)

@@ -9,8 +9,7 @@ distinct outcomes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from solverify.record import field, record
 from solverify.sol import ast
 from solverify.sol.linearize import linearize, resolve_function
 
@@ -48,7 +47,7 @@ class SolArr:
         return value
 
 
-@dataclass
+@record
 class Instance:
     contract: str
     index: int
@@ -58,7 +57,7 @@ class Instance:
 NULL = None  # the null address
 
 
-@dataclass
+@record
 class World:
     program: ast.SolProgram
     order: dict[str, list[str]]
@@ -143,7 +142,7 @@ class World:
             raise SolRuntimeError("step budget exhausted")
 
 
-@dataclass
+@record
 class Frame:
     world: World
     inst: Instance

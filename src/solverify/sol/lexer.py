@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from solverify.record import record
 
 
 class LexError(Exception):
@@ -33,7 +33,7 @@ SYMBOLS = [
 ]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Token:
     kind: str  # ident | keyword | int | hex | string | symbol | eof
     text: str

@@ -586,9 +586,28 @@ def _reject_expression_method_calls(program: ast.SolProgram):
                                  "calls are statements in the subset")
 
 
+# Translation and the IR passes recurse once per level of an expression.
+MAX_EXPR_DEPTH = 400
+
+
+def _reject_deep_expressions(program: ast.SolProgram):
+    """An expression nested more than MAX_EXPR_DEPTH deep is a ParseError at
+    the operator that goes past the limit."""
+    for body in ast.bodies(program):
+        height: dict[int, int] = {}
+        for node in reversed(list(ast.walk(body))):  # operands first
+            if isinstance(node, ast.SolExpr):
+                h = height[id(node)] = 1 + max(
+                    (height[id(c)] for c in ast.children(node)), default=0)
+                if h > MAX_EXPR_DEPTH:
+                    raise ParseError(node.pos[0], node.pos[1],
+                                     "less deeply nested code")
+
+
 def parse_contract(source: str) -> ast.SolProgram:
     """Parse a source file into a SolProgram.  Nesting deeper than the
-    recursive descent can follow is a ParseError at the token it reached."""
+    recursive descent can follow, or an expression deeper than
+    MAX_EXPR_DEPTH, is a ParseError at the token it reached."""
     parser = _Parser(tokenize(source))
     try:
         program = parser.parse_program()
@@ -596,4 +615,5 @@ def parse_contract(source: str) -> ast.SolProgram:
         raise ParseError(parser.cur.line, parser.cur.col,
                          "less deeply nested code") from None
     _reject_expression_method_calls(program)
+    _reject_deep_expressions(program)
     return program

@@ -260,9 +260,18 @@ def _check_call(s, callee: ast.SolFunction, scope: _Scope):
 
 
 def _check_expr(e: ast.SolExpr, scope: _Scope) -> ast.SolType:
-    ty = _infer_expr(e, scope)
-    e.ty = ty
-    return ty
+    """Type `e` and the expressions below it, operands before operators and
+    left to right.  Operator chains, the expressions that nest deeply, are
+    followed on an explicit stack, not by recursion."""
+    stack = [(e, False)]
+    while stack:
+        x, operands_done = stack.pop()
+        if operands_done or not isinstance(x, ast.Op):
+            x.ty = _infer_expr(x, scope)
+        else:
+            stack.append((x, True))
+            stack.extend((a, False) for a in reversed(x.args))
+    return e.ty
 
 
 def _infer_expr(e: ast.SolExpr, scope: _Scope) -> ast.SolType:
@@ -300,7 +309,7 @@ def _infer_expr(e: ast.SolExpr, scope: _Scope) -> ast.SolType:
         e.value = members.index(e.member)
         return ast.INT
     if isinstance(e, ast.Op):
-        arg_tys = [_check_expr(a, scope) for a in e.args]
+        arg_tys = [a.ty for a in e.args]  # typed by _check_expr
         if e.op in BOOLEAN_OPS:
             if any(t != ast.BOOL for t in arg_tys):
                 raise TypeError_(e.pos, f"{e.op} needs boolean operands")

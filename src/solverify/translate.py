@@ -11,9 +11,7 @@ constructors first, zero-initialize their own state, then the body.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
-
+from solverify.record import field, record
 from solverify.sol import ast as S
 from solverify.sol.linearize import linearize, resolve_function, subtypes_of
 from solverify.vir import ast as I
@@ -53,7 +51,7 @@ def map_signature(t: S.MappingType) -> tuple[tuple[I.IrType, ...], I.IrType]:
     return tuple(chain), map_type(cur)
 
 
-@dataclass
+@record
 class TransEnv:
     program: S.SolProgram
     order: dict[str, list[str]]
@@ -138,20 +136,23 @@ def translate_expr(env: TransEnv, e: S.SolExpr) -> I.IrExpr:
 
 
 def _hoist_nondets(env: TransEnv, e: S.SolExpr) -> S.SolExpr:
-    """Replace nondet() occurrences with fresh havoc'd booleans; the havocs
-    are emitted at procedure entry so every run consumes them in a fixed
-    order."""
-    def hoist(x: S.SolExpr) -> S.SolExpr:
-        if not isinstance(x, S.ExprCall):
-            return S.map_children(x, hoist)
-        name = env.fresh_nondet()
-        env.prelude_hoists.append(I.Havoc(name))
-        v = S.Var(name=name)
-        v.ty = S.BOOL
-        v.binding = "local"
-        return v
-
-    return hoist(copy.deepcopy(e))
+    """Replace nondet() occurrences, numbered in pre-order, with fresh
+    havoc'd booleans in a copy of `e`; the havocs are emitted at procedure
+    entry so every run consumes them in a fixed order."""
+    if not any(isinstance(x, S.ExprCall) for x in S.walk(e)):
+        return e
+    e = S.copy_tree(e)
+    fresh = {}
+    for x in S.walk(e):
+        if isinstance(x, S.ExprCall):
+            name = env.fresh_nondet()
+            env.prelude_hoists.append(I.Havoc(name))
+            v = fresh[id(x)] = S.Var(name=name)
+            v.ty = S.BOOL
+            v.binding = "local"
+    for x in S.walk(e):
+        S.map_children(x, lambda c: fresh.get(id(c), c))
+    return fresh.get(id(e), e)
 
 
 def _store_into(env: TransEnv, lhs: S.SolExpr, value: I.IrExpr) -> I.IrStmt:
@@ -338,7 +339,7 @@ def _translate_call(env: TransEnv, s, receiver: S.SolExpr | None) -> I.IrStmt:
 
 # -- whole-program translation ---------------------------------------------
 
-@dataclass
+@record
 class Translation:
     ir: I.IrProgram
     order: dict[str, list[str]]
@@ -488,7 +489,7 @@ def _translate_constructor(tr: Translation, c: S.SolContract) -> I.IrProcedure:
 
 # -- harness -----------------------------------------------------------------
 
-@dataclass
+@record
 class HarnessInfo:
     proc: str
     root: str

@@ -8,7 +8,8 @@ havoc, assignment, map store, assume/assert, calls, structured control flow.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
+
+from solverify.record import field, record
 
 
 # -- types ------------------------------------------------------------------
@@ -17,25 +18,25 @@ class IrType:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IntT(IrType):
     def __str__(self) -> str:
         return "int"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BoolT(IrType):
     def __str__(self) -> str:
         return "bool"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RefT(IrType):
     def __str__(self) -> str:
         return "Ref"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MapType(IrType):
     key: IrType
     value: IrType
@@ -51,59 +52,59 @@ REF = RefT()
 
 # -- expressions --------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IrExpr:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IConst(IrExpr):
     value: int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BConst(IrExpr):
     value: bool
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RConst(IrExpr):
     """Reference literal; 0 is the null address."""
 
     value: int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NamedConst(IrExpr):
     """Program-level integer constant (contract name codes)."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Var(IrExpr):
     name: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Op(IrExpr):
     op: str
     args: tuple[IrExpr, ...]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class UFApply(IrExpr):
     name: str
     args: tuple[IrExpr, ...]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Select(IrExpr):
     base: IrExpr
     keys: tuple[IrExpr, ...]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Forall(IrExpr):
     var: str
     var_ty: IrType
@@ -133,60 +134,60 @@ class IrStmt:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Skip(IrStmt):
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Havoc(IrStmt):
     var: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Assign(IrStmt):
     var: str
     expr: IrExpr
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Store(IrStmt):
     base: str
     keys: tuple[IrExpr, ...]
     value: IrExpr
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Assume(IrStmt):
     cond: IrExpr
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Assert(IrStmt):
     cond: IrExpr
     label: str = ""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Call(IrStmt):
     proc: str
     args: tuple[IrExpr, ...]
     results: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Seq(IrStmt):
     stmts: tuple[IrStmt, ...]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class If(IrStmt):
     cond: IrExpr
     then: IrStmt
     els: IrStmt
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class While(IrStmt):
     cond: IrExpr
     body: IrStmt
@@ -289,7 +290,7 @@ def iter_stmt(s: IrStmt) -> Iterator[IrStmt]:
 
 # -- procedures and programs ---------------------------------------------------
 
-@dataclass
+@record
 class IrProcedure:
     name: str
     params: list[tuple[str, IrType]]
@@ -304,7 +305,7 @@ class IrProcedure:
         return None
 
 
-@dataclass
+@record
 class IrProgram:
     globals: dict[str, IrType] = field(default_factory=dict)
     ufs: dict[str, tuple[tuple[IrType, ...], IrType]] = field(default_factory=dict)

@@ -20,8 +20,7 @@ Concrete semantics for a symbolic language needs two documented devices:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from solverify.record import field, record
 from solverify.vir import ast
 from solverify.vir.prelude import ALLOC, DTYPE, LENGTH
 
@@ -67,7 +66,7 @@ def default_value(ty: ast.IrType):
     return 0  # int and Ref (null)
 
 
-@dataclass
+@record
 class IrState:
     globals: dict = field(default_factory=dict)
     alloc_counter: int = 0
@@ -81,25 +80,25 @@ class IrState:
         return list(range(1, self.alloc_counter + 1))
 
 
-@dataclass
+@record
 class Completed:
     state: IrState
     returns: tuple = ()
 
 
-@dataclass
+@record
 class AssertFailed:
     label: str
     proc: str
     state: IrState
 
 
-@dataclass
+@record
 class Blocked:
     proc: str
 
 
-@dataclass
+@record
 class BudgetExhausted:
     pass
 

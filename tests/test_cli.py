@@ -1,5 +1,6 @@
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -46,6 +47,22 @@ def test_refuted_exit_one_with_trace(capsys, tmp_path):
     assert doc["verdict"] == "Refuted"
     assert len(doc["trace"]) == 1
     assert "initial state" in doc["failing_assertion"]
+
+
+def test_module_entry_point_exits_with_the_verdict_code(tmp_path):
+    report = tmp_path / "report.json"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if k != "SMT_SOLVER"}
+    env["PYTHONPATH"] = src
+    proc = subprocess.run(
+        [sys.executable, "-m", "solverify.cli", "verify",
+         "--policy", fixture_path("digitallocker.json"),
+         "--sol", fixture_path("digitallocker_buggy.sol"), "--k", "3",
+         "--report-json", str(report)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_REFUTED, proc.stderr
+    assert proc.stdout.startswith("verdict: Refuted\n")
+    assert json.loads(report.read_text())["verdict"] == "Refuted"
 
 
 def test_missing_policy_exit_three(capsys):
@@ -268,6 +285,35 @@ def test_deeply_nested_ifs(tmp_path, capsys, depth, code, verdict):
     assert run_cli("verify", "--mode", "assertions", "--sol", str(src),
                    "--report-json", str(report)) == code
     assert json.loads(report.read_text())["verdict"] == verdict
+    if code == EXIT_INPUT_ERROR:
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: 3:") and "nested" in err and "\n" not in err
+
+
+def _sum(n: int) -> str:
+    return " + ".join(["a"] * n)
+
+
+@pytest.mark.parametrize("stmts, code", [
+    (f"bool b = {'!' * 300}true; assert(b);", EXIT_FULLY_VERIFIED),
+    (f"int x = 0; x = {_sum(150)}; assert(x == x);", EXIT_FULLY_VERIFIED),
+    (f"int x = {_sum(200)}; assert(x == x);", EXIT_FULLY_VERIFIED),
+    (f"int y = {'- ' * 300}a; assert(y == y);", EXIT_FULLY_VERIFIED),
+    # used to exit 4 with a RecursionError in copy.deepcopy (translation)
+    (f"int x = 0; x = {_sum(200)}; assert(x == x);", EXIT_FULLY_VERIFIED),
+    # used to exit 4 with a RecursionError in the typechecker
+    (f"int x = {_sum(400)}; assert(x == x);", EXIT_FULLY_VERIFIED),
+    # 401 levels, one past the parser's expression bound; used to exit 4
+    (f"bool b = {'!' * 400}true; assert(b);", EXIT_INPUT_ERROR),
+    (f"int x = {_sum(401)}; assert(x == x);", EXIT_INPUT_ERROR),
+], ids=["not300", "assign150", "decl200", "neg300", "assign200", "decl400",
+        "not400", "decl401"])
+def test_deep_expressions(tmp_path, capsys, stmts, code):
+    src = tmp_path / "deep.sol"
+    src.write_text(f"contract C {{\n    function f(int a) public {{\n"
+                   f"        {stmts}\n    }}\n}}\n")
+    assert run_cli("verify", "--mode", "assertions", "--k", "2",
+                   "--sol", str(src)) == code
     if code == EXIT_INPUT_ERROR:
         err = capsys.readouterr().err.strip()
         assert err.startswith("error: 3:") and "nested" in err and "\n" not in err

@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 
 from solverify.policy import parse_policy
@@ -106,6 +108,51 @@ def test_parse_print_round_trip_nested():
     src = open("tests/fixtures/nested_maps.sol").read()
     one = parse_contract(src)
     assert parse_contract(print_program(one)) == one
+
+
+# -- records -----------------------------------------------------------------------
+
+def test_source_nodes_compare_structurally_and_hash_by_identity():
+    a, b = ast.IntLit(1, pos=(1, 1)), ast.IntLit(1, pos=(2, 5))
+    a.ty = ast.INT
+    assert a == b  # positions and annotations are not compared
+    assert len({a, b}) == 2 and {a: 0}[a] == 0
+    assert ast.IntLit(1) != ast.BoolLit(1)
+
+
+def test_is_array_is_not_part_of_a_mapping_types_identity():
+    arr, plain = ast.MappingType(ast.INT, ast.BOOL, is_array=True), \
+        ast.MappingType(ast.INT, ast.BOOL)
+    assert arr == plain and hash(arr) == hash(plain)
+    assert repr(arr) == "MappingType(key=IntType(), value=BoolType(), is_array=True)"
+
+
+def test_default_factory_gives_each_node_its_own_list():
+    f, g = ast.SolFunction("f", [], []), ast.SolFunction("g", [], [])
+    f.applied_modifiers.append("m")
+    assert g.applied_modifiers == []
+
+
+def test_deepcopy_and_copy_tree_of_a_contract_round_trip(hb_source):
+    program = parse_contract(hb_source)
+    typecheck(program)
+    for dup in (copy.deepcopy(program), ast.copy_tree(program)):
+        assert dup == program and print_program(dup) == print_program(program)
+        c, d = program.contracts[0], dup.contracts[0]
+        assert d is not c and d.functions[0].body[0] is not c.functions[0].body[0]
+        assert d.functions[0].body[0].pos == c.functions[0].body[0].pos
+
+
+def test_copy_tree_follows_deep_expressions_without_recursion():
+    e = ast.IntLit(0)
+    for _ in range(5000):
+        e = ast.Op("!", [e])
+    c = ast.copy_tree(e)
+    depth = 0
+    while isinstance(c, ast.Op):
+        assert c is not e and c.op == "!"
+        c, e, depth = c.args[0], e.args[0], depth + 1
+    assert depth == 5000 and c.value == 0 and c is not e
 
 
 # -- typechecking ----------------------------------------------------------------

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -69,6 +70,40 @@ def test_timeout_kills_the_forked_solver_and_the_next_query_forks_afresh():
     assert session.proc.pid != first.pid
 
 
+def test_closing_a_forked_session_waits_without_sleeping(monkeypatch):
+    """`close` waits for the solver to close its output, then reaps it: no
+    polling loop with sleeps between `waitpid` calls."""
+    import solverify.smt.cli as smt_cli
+    serve = smt_cli.serve
+
+    def slow_to_exit(inp, out):  # runs in the forked child
+        serve(inp, out)
+        time.sleep(0.05)
+
+    smtio.close_sessions()
+    monkeypatch.setattr(smt_cli, "serve", slow_to_exit)
+    assert _check("(assert true)(check-sat)", 30) == "sat"
+    pid = smtio._session_for(smtio.solver_argv()).proc.pid
+    sleeps = []
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+    smtio.close_sessions()
+    assert sleeps == []
+    with pytest.raises(ChildProcessError):  # reaped: no zombie
+        os.waitpid(pid, os.WNOHANG)
+
+
+def test_closing_a_solver_that_ignores_exit_kills_it_at_the_deadline():
+    session = smtio.SolverSession([sys.executable, "-c",
+                                   "import time; time.sleep(60)"])
+    session._ensure()
+    pid = session.proc.pid
+    started = time.monotonic()
+    session.close()  # its output never closes: killed after two seconds
+    assert 1.5 < time.monotonic() - started < 30
+    with pytest.raises(ChildProcessError):  # reaped: no zombie
+        os.waitpid(pid, os.WNOHANG)
+
+
 ATEXIT_ONCE = """
 import atexit, sys
 atexit.register(lambda: open(sys.argv[1], "a").write("atexit\\n"))
@@ -120,13 +155,20 @@ LAZY = ("solverify.vir.interp", "solverify.vir.parser", "solverify.vir.printer",
         "solverify.smt.sat")
 
 
-def test_importing_the_cli_loads_no_solver_printer_or_interpreter():
-    proc = _run_python("import sys, solverify.cli\n"
-                       "print(*sorted(m for m in sys.modules if m.startswith('solverify')))")
+def _modules_loaded_by(module: str) -> set[str]:
+    proc = _run_python(f"import sys, {module}\nprint(*sorted(sys.modules))")
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
+    return set(proc.stdout.split())
+
+
+def test_importing_the_cli_loads_no_solver_printer_or_interpreter():
+    loaded = _modules_loaded_by("solverify.cli")
     assert "solverify.engine.smtio" in loaded
     assert not loaded & set(LAZY)
+    # records come from solverify.record, which needs neither of these;
+    # subprocess (external solvers) and traceback (crashes) load when used
+    assert not loaded & {"dataclasses", "inspect", "subprocess", "traceback"}
+    assert not _modules_loaded_by("solverify.smt.cli") & {"dataclasses", "inspect"}
 
 
 @pytest.mark.parametrize("name", sorted(INVOCATIONS))

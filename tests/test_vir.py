@@ -1,9 +1,11 @@
+import copy
+
 import pytest
 
 from solverify.vir.ast import (
     BOOL, INT, REF, Assert, Assign, Assume, BConst, Call, Forall, Havoc,
-    IConst, If, IrProcedure, MapType, Skip, Store, Var, While, iter_stmt, op,
-    select, seq,
+    IConst, If, IrProcedure, IrProgram, MapType, RConst, Skip, Store, Var,
+    While, iter_stmt, op, select, seq,
 )
 from solverify.vir.interp import (
     AssertFailed, Blocked, BudgetExhausted, Completed, UnsupportedQuantifier,
@@ -106,6 +108,47 @@ def test_iter_stmt_visits_nested_bodies_in_source_order():
                Havoc("f"))
     assert [s.var for s in iter_stmt(body) if isinstance(s, Havoc)] == \
         ["a", "b", "d", "e", "f"]
+
+
+# -- records -----------------------------------------------------------------------
+
+def test_frozen_nodes_compare_and_hash_by_their_fields():
+    a, b = op("+", Var("x"), IConst(1)), op("+", Var("x"), IConst(1))
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert len({a, b, op("+", Var("x"), IConst(2))}) == 2
+    assert IConst(1) != RConst(1)  # equal fields, another class
+    assert Assert(BConst(True)) == Assert(BConst(True), "")  # the default
+
+
+def test_assigning_to_a_frozen_node_raises():
+    e = IConst(1)
+    with pytest.raises(AttributeError):
+        e.value = 2
+    with pytest.raises(AttributeError):
+        del e.value
+    assert e.value == 1
+
+
+def test_mutable_records_are_unhashable_and_own_their_containers():
+    p, q = IrProgram(), IrProgram()
+    assert p == q
+    with pytest.raises(TypeError):
+        hash(p)
+    p.globals["g"] = INT
+    assert q.globals == {} and p != q
+
+
+def test_record_repr_names_each_field():
+    assert repr(Assign("x", IConst(1))) == "Assign(var='x', expr=IConst(value=1))"
+    assert repr(MapType(INT, BOOL)) == "MapType(key=IntT(), value=BoolT())"
+
+
+def test_deepcopy_of_an_ir_expression_round_trips():
+    e = Forall("r", REF, op("==>", select(Var("alloc"), Var("r")), BConst(True)))
+    c = copy.deepcopy(e)
+    assert c == e and c is not e and c.body is not e.body
+    with pytest.raises(AttributeError):
+        c.var = "s"
 
 
 # -- interpreter ------------------------------------------------------------------
