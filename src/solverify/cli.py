@@ -19,6 +19,7 @@ from solverify import __version__
 from solverify.engine import verify as engine_verify
 from solverify.engine.smtio import SolverConfig, SolverCrashed, SolverUnavailable
 from solverify.engine.trace import CounterexampleTrace
+from solverify.engine.unroll import RecursionDepthExceeded
 from solverify.instrument import (
     NotSyntacticallyConformant, instrument_for_conformance, make_runtime_checks,
 )
@@ -242,7 +243,8 @@ def main(argv: list[str] | None = None) -> int:
         report, code = run(cfg)
     except (InputError, PolicyError, LexError, ParseError, UnsupportedFeature,
             TypeError_, DeepCopyUnsupported, NotSyntacticallyConformant,
-            TranslateError, SolverUnavailable, OSError) as exc:
+            TranslateError, RecursionDepthExceeded, SolverUnavailable,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         _write_error_report(args.report_json, "InputError", str(exc))
         return EXIT_INPUT_ERROR

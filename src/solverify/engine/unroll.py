@@ -13,10 +13,13 @@ import re
 from solverify.vir import ast as I
 
 
+CALL_DEPTH_LIMIT = 16  # calls inline this many levels deep, no deeper
+
+
 class RecursionDepthExceeded(Exception):
-    def __init__(self, limit: int):
-        self.limit = limit
-        super().__init__(f"call inlining exceeded depth {limit}")
+    def __init__(self, proc: str):
+        super().__init__(f"calls nest more than {CALL_DEPTH_LIMIT} deep at {proc}; "
+                         f"recursive contracts are not supported")
 
 
 NONDET_RE = re.compile(r"^nd\d+(@\d+)?(\$\d+)?$")
@@ -40,10 +43,8 @@ def rename_stmt(s: I.IrStmt, mapping: dict[str, str]) -> I.IrStmt:
 
 
 class Inliner:
-    def __init__(self, program: I.IrProgram, depth_limit: int = 16,
-                 loop_unroll: int = 8):
+    def __init__(self, program: I.IrProgram, loop_unroll: int = 8):
         self.program = program
-        self.depth_limit = depth_limit
         self.loop_unroll = loop_unroll
         self.counter = itertools.count()
         self.new_locals: list[tuple[str, I.IrType]] = []
@@ -66,8 +67,8 @@ class Inliner:
                     I.Skip())
 
     def _inline_call(self, s: I.Call, depth: int) -> I.IrStmt:
-        if depth >= self.depth_limit:
-            raise RecursionDepthExceeded(self.depth_limit)
+        if depth >= CALL_DEPTH_LIMIT:
+            raise RecursionDepthExceeded(s.proc)
         callee = self.program.procedures.get(s.proc)
         if callee is None:
             raise KeyError(f"unknown procedure {s.proc}")
@@ -95,7 +96,7 @@ def assigned_vars(s: I.IrStmt, out: set[str]):
 
 
 def unroll_harness(program: I.IrProgram, harness: I.IrProcedure, k: int,
-                   depth_limit: int = 16, loop_unroll: int = 8) -> I.IrProcedure:
+                   loop_unroll: int = 8) -> I.IrProcedure:
     """Loop-free, call-free copy of the harness with the top loop unrolled k
     times.  Per-iteration locals get a $i suffix so each iteration's
     nondeterministic inputs are distinct variables."""
@@ -123,7 +124,7 @@ def unroll_harness(program: I.IrProgram, harness: I.IrProcedure, k: int,
                 new_locals.append((mapping[v], local_types[v]))
             stmts.append(rename_stmt(loop.body, mapping))
 
-    inliner = Inliner(program, depth_limit=depth_limit, loop_unroll=loop_unroll)
+    inliner = Inliner(program, loop_unroll=loop_unroll)
     body = inliner.inline(I.seq(*stmts))
     return I.IrProcedure(name=f"{harness.name}$unrolled{k}", params=[],
                          returns=[], locals=new_locals + inliner.new_locals,

@@ -29,7 +29,6 @@ class SolverUnknown(Exception):
     pass
 
 
-ATOM_OPS = {"=", "<", "<=", ">", ">="}
 CONNECTIVES = {"and", "or", "not", "=>", "ite"}
 
 
@@ -288,7 +287,6 @@ class CC:
         self.false_t = bank.boolval(False)
         self.add(self.true_t)
         self.add(self.false_t)
-        self.diseqs: list[tuple[Term, Term, int]] = []
 
     def add(self, t: Term):
         fold([t], self._register, self.terms)
@@ -362,33 +360,32 @@ class CC:
         self.add(b)
         return self.find(a.tid) == self.find(b.tid)
 
-    def explain(self, a: Term, b: Term, out: set[int], _depth: int = 0):
-        if _depth > 200:
-            raise SolverUnknown("explanation recursion limit")
-        path_a = self._path(a.tid)
-        path_b = self._path(b.tid)
-        nodes_a = {tid: i for i, (tid, _) in enumerate(path_a)}
-        meet = None
-        for tid, _ in path_b:
-            if tid in nodes_a:
-                meet = tid
-                break
-        if meet is None:
-            return
-        for path in (path_a, path_b):
-            for tid, reason in path:
-                if tid == meet:
-                    break
-                if reason is None:
-                    continue
-                kind = reason[0]
-                if kind == "lit":
-                    out.add(reason[1])
-                elif kind == "cong":
-                    for x, y in zip(reason[1].args, reason[2].args):
-                        self.explain(x, y, out, _depth + 1)
-                elif kind == "dl":
-                    out.update(reason[1])
+    def explain(self, a: Term, b: Term, out: set[int]):
+        """Add to `out` the literals that merged `a` and `b`: the proof-forest
+        paths to where they meet, with each congruence step's argument pairs
+        explained in turn."""
+        todo, done = [(a.tid, b.tid)], set()
+        while todo:
+            pair = todo.pop()
+            if pair in done:
+                continue
+            done.add(pair)
+            path_a, path_b = self._path(pair[0]), self._path(pair[1])
+            on_a = {tid for tid, _ in path_a}
+            meet = next((tid for tid, _ in path_b if tid in on_a), None)
+            if meet is None:
+                continue
+            for path in (path_a, path_b):
+                for tid, reason in path:
+                    if tid == meet:
+                        break
+                    if reason is None:
+                        continue
+                    if reason[0] == "lit":
+                        out.add(reason[1])
+                    else:  # congruence
+                        todo.extend((x.tid, y.tid) for x, y in
+                                    zip(reason[1].args, reason[2].args))
 
     def _path(self, tid: int):
         out = []
@@ -405,277 +402,141 @@ class CC:
 # ---------------------------------------------------------------------------
 # Theory solver: EUF + integer difference constraints
 
+ZERO = -1  # origin of the difference graph; a value is a potential minus ZERO's
+COMPARISONS = {"<": ">=", "<=": ">", ">": "<=", ">=": "<"}  # op -> its negation
+
+
 class Theory:
     def __init__(self, bank: TermBank, atoms: dict[int, Term], linear: dict):
         self.bank = bank
         self.atoms = atoms  # sat var -> atom term
         self.linear = linear  # the query's linearize memo
+        self.constraints: dict[int, tuple] = {}  # literal -> what it asserts
         self.model_ints: dict[int, int] = {}
         self.model_classes: dict[int, int] = {}
         self.cc: CC | None = None
-        self.unhandled: list[tuple[int, Term, bool]] = []
+        self.incomplete = False  # the last check ignored a constraint
 
-    # constraint shape: (coeff map over cc-roots, const, lits)
     def check(self, assignment: dict[int, bool]):
         """None when consistent (model stored), else conflict literal list."""
-        bank = self.bank
-        cc = CC(bank)
+        cc = CC(self.bank)
         self.cc = cc
-        self.unhandled = []
-        diseqs: list[tuple[Term, Term, int]] = []
-        bounds: list[tuple[dict, int, int]] = []  # (coeffs, const, lit) sum+const <= 0
-
-        def as_lit(var: int) -> int:
-            return var if assignment[var] else -var
-
+        self.incomplete = False
+        diseqs, dl_terms, edges = [], [], []
         try:
             for var, atom in self.atoms.items():
                 if var not in assignment:
                     continue
-                value = assignment[var]
-                lit = as_lit(var)
-                if atom.op == "=":
-                    a, b = atom.args
-                    if value:
-                        cc.merge(a, b, lit)
-                    else:
-                        diseqs.append((a, b, lit))
-                    if a.sort == INT_S:
-                        lin = difference(a, b, self.linear)
-                        if lin is not None:
-                            diff, coeffs = lin
-                            if value:
-                                bounds.append((coeffs, diff, lit))
-                                bounds.append(({k: -v for k, v in coeffs.items()},
-                                               -diff, lit))
-                    continue
-                if atom.op in ("<", "<=", ">", ">="):
-                    lin = difference(*atom.args, self.linear)
-                    if lin is None:
-                        self.unhandled.append((lit, atom, value))
-                        continue
-                    op = atom.op if value else {"<": ">=", "<=": ">",
-                                                ">": "<=", ">=": "<"}[atom.op]
-                    diff, coeffs = lin
-                    # a - b + diff' forms: normalize to sum + const <= 0
-                    if op == "<=":
-                        bounds.append((coeffs, diff, lit))
-                    elif op == "<":
-                        bounds.append((coeffs, diff + 1, lit))
-                    elif op == ">=":
-                        bounds.append(({k: -v for k, v in coeffs.items()}, -diff, lit))
-                    else:  # >
-                        bounds.append(({k: -v for k, v in coeffs.items()}, -diff + 1, lit))
-                    continue
-                # boolean-sorted theory atoms (selects, uf applications)
-                if atom.op in ("select", "app"):
-                    cc.merge(atom, cc.true_t if value else cc.false_t, lit)
-                    continue
-                # plain boolean symbols carry no theory content
-        except _CCConflict as conflict:
-            return sorted(conflict.lits)
-
-        # CC-level disequality checks
-        try:
-            for a, b, lit in diseqs:
+                lit = var if assignment[var] else -var
+                asserted = self.constraints.get(lit)
+                if asserted is None:
+                    asserted = self.constraints[lit] = self._constraint(atom, lit)
+                merge, diseq, terms, lit_edges, outside = asserted
+                if merge is not None:
+                    cc.merge(*merge, lit)
+                if diseq is not None:
+                    diseqs.append(diseq)
+                dl_terms.extend(terms)
+                edges.extend(lit_edges)
+                self.incomplete |= outside
+            for a, b, lit, _, _ in diseqs:
                 if cc.same(a, b):
                     lits = {lit}
                     cc.explain(a, b, lits)
                     return sorted(lits)
         except _CCConflict as conflict:
             return sorted(conflict.lits)
+        conflict = self._difference_check(cc, dl_terms, edges, diseqs)
+        return None if conflict is None else sorted(conflict)
 
-        # Difference reasoning over CC roots
-        conflict = self._difference_check(cc, bounds, diseqs)
-        if conflict is not None:
-            return sorted(conflict)
-        return None
+    def _constraint(self, atom: Term, lit: int) -> tuple:
+        """What `lit` asserts of `atom`: (terms to merge in CC, disequality
+        (a, b, lit, items, const), difference terms, their edges, whether
+        part of it is outside the fragment).  A disequality's `items` and
+        `const` are its linear difference over term ids, if it has one."""
+        value = lit > 0
+        merge = diseq = None
+        bounds = []  # (const, coeffs): const + sum(coeffs) <= 0
+        outside = False
+        if atom.op == "=":
+            a, b = atom.args
+            lin = difference(a, b, self.linear) if a.sort == INT_S else None
+            if value:
+                merge = (a, b)
+                if lin is not None:
+                    bounds = [lin, _negate(lin)]
+            elif lin is None:
+                diseq = (a, b, lit, None, 0)
+            else:
+                diseq = (a, b, lit, _by_tid(lin[1]), lin[0])
+        elif atom.op in COMPARISONS:
+            lin = difference(*atom.args, self.linear)
+            op = atom.op if value else COMPARISONS[atom.op]
+            if lin is None:
+                outside = True
+            else:
+                const, coeffs = lin if op in ("<", "<=") else _negate(lin)
+                bounds = [(const + (op in ("<", ">")), coeffs)]
+        elif atom.op in ("select", "app"):  # boolean-sorted theory atoms
+            merge = (atom, self.bank.boolval(value))
+        # plain boolean symbols carry no theory content
+        terms, edges = [], []
+        for const, coeffs in bounds:
+            terms.extend(coeffs)
+            edge = _as_edge(_by_tid(coeffs), const)
+            if edge is None:
+                outside = True
+            else:
+                edges.append((*edge, frozenset((lit,))))
+        return merge, diseq, tuple(terms), tuple(edges), outside
 
-    def _difference_check(self, cc: CC, bounds, diseqs):
-        # Nodes are terms; ZERO is the constant origin.  Terms a congruence
-        # class proved equal get zero-weight edges whose reasons carry the
-        # merge explanation, so conflicts blame every literal involved.
-        ZERO = -1
-        edges: list[tuple[int, int, int, set[int]]] = []  # x - y <= w
-        dl_terms: dict[int, Term] = {}
-
-        def node(t: Term) -> int:
+    def _difference_check(self, cc: CC, dl_terms: list[Term], edges: list,
+                          diseqs: list):
+        # Terms a congruence class proved equal get zero-weight edges whose
+        # reasons carry the merge explanation, so conflicts blame every
+        # literal involved.
+        by_tid: dict[int, Term] = {}
+        for t in dl_terms:
             cc.add(t)
-            dl_terms[t.tid] = t
-            return t.tid
-
-        skipped = []
-        for coeffs, const, lit in bounds:
-            items = [(node(t), v) for t, v in coeffs.items()]
-            merged: dict[int, int] = {}
-            for n, v in items:
-                merged[n] = merged.get(n, 0) + v
-            merged = {n: v for n, v in merged.items() if v}
-            if not merged:
-                if const > 0:
-                    return {lit}
-                continue
-            if len(merged) == 1:
-                ((n, v),) = merged.items()
-                if v == 1:
-                    edges.append((n, ZERO, -const, {lit}))
-                elif v == -1:
-                    edges.append((ZERO, n, -const, {lit}))
-                else:
-                    skipped.append((coeffs, const, lit))
-                continue
-            if len(merged) == 2 and sorted(merged.values()) == [-1, 1]:
-                pos = next(n for n, v in merged.items() if v == 1)
-                neg = next(n for n, v in merged.items() if v == -1)
-                edges.append((pos, neg, -const, {lit}))
-                continue
-            skipped.append((coeffs, const, lit))
-        for _, _, lit in skipped:
-            self.unhandled.append((lit, None, True))
-
-        # congruence-implied equalities between DL-relevant terms
+            by_tid[t.tid] = t
         by_class: dict[int, list[int]] = {}
-        for tid in dl_terms:
+        for tid in by_tid:
             by_class.setdefault(cc.find(tid), []).append(tid)
         for tids in by_class.values():
-            if len(tids) < 2:
-                continue
             tids.sort()
             for a_tid, b_tid in zip(tids, tids[1:]):
                 reasons: set[int] = set()
-                cc.explain(dl_terms[a_tid], dl_terms[b_tid], reasons)
+                cc.explain(by_tid[a_tid], by_tid[b_tid], reasons)
                 edges.append((a_tid, b_tid, 0, reasons))
                 edges.append((b_tid, a_tid, 0, reasons))
 
-        graph: dict[int, list[tuple[int, int, set[int]]]] = {}
-        nodes = {ZERO}
-        for x, y, w, lits in edges:
-            graph.setdefault(y, []).append((x, w, lits))
-            nodes.add(x)
-            nodes.add(y)
-
+        graph, nodes = _graph(edges)
         dist, cycle = _bellman(graph, nodes)
         if cycle is not None:
             return cycle
 
-        # forced equalities against asserted int disequalities
-        for a, b, lit in diseqs:
-            if a.sort != INT_S:
-                continue
-            lin = difference(a, b, self.linear)
-            if lin is None:
-                continue
-            diff, coeffs = lin
-            items: dict[int, int] = {}
-            for t, v in coeffs.items():
-                n = node(t)
-                items[n] = items.get(n, 0) + v
-            items = {n: v for n, v in items.items() if v}
-            if not items:
-                if diff == 0:
-                    return {lit}
-                continue
-            if len(items) == 1:
-                ((n, v),) = items.items()
-                if abs(v) != 1:
-                    continue
-                # diff + v*n != 0, so n must avoid target = -diff/v
-                target = -diff // v
-                ub = self._dist(graph, nodes, ZERO, n)   # n - 0 <= ub
-                lb = self._dist(graph, nodes, n, ZERO)   # 0 - n <= lb
-                if ub is not None and lb is not None \
-                        and ub[0] == target and lb[0] == -target:
-                    return {lit} | ub[1] | lb[1]
-                continue
-            if len(items) == 2 and sorted(items.values()) == [-1, 1]:
-                pos = next(n for n, v in items.items() if v == 1)
-                neg = next(n for n, v in items.items() if v == -1)
-                # forced a - b == -diff ?
-                d1 = self._dist(graph, nodes, neg, pos)   # pos - neg <= d1
-                d2 = self._dist(graph, nodes, pos, neg)   # neg - pos <= d2
-                if d1 is not None and d2 is not None and d1[0] == -diff and d2[0] == diff:
-                    return {lit} | d1[1] | d2[1]
-
-        # Separate colliding values of asserted disequalities: not forced
-        # equal, so a separating constraint is consistent; retry a few times.
-        for _ in range(len(diseqs) + 3):
-            collision = None
-            for a, b, lit in diseqs:
-                if a.sort != INT_S:
-                    continue
-                lin = difference(a, b, self.linear)
-                if lin is None:
-                    continue
-                diff, coeffs = lin
-                total = diff
-                ok = True
-                items: dict[int, int] = {}
-                for t, v in coeffs.items():
-                    n = node(t)
-                    items[n] = items.get(n, 0) + v
-                for n, v in items.items():
-                    if n not in dist:
-                        ok = False
-                        break
-                    total += v * dist[n]
-                if ok and total == 0 and items:
-                    collision = (items, diff)
-                    break
+        # Separate each integer disequality the potentials violate by one
+        # edge on either side.  One whose two sides both close a negative
+        # cycle over the asserted edges is forced: a conflict.
+        separated = False
+        while True:
+            collision = next((d for d in diseqs if _collides(dist, d[3], d[4])), None)
             if collision is None:
                 break
-            items, diff = collision
-            separated = False
-            for direction in (1, -1):
-                # sum(items) + diff <= -1  (or >= 1)
-                trial = {n: v * direction for n, v in items.items()}
-                trial_const = diff * direction + 1
-                extra = _as_edge(trial, trial_const)
-                if extra is None:
-                    break
-                x, y, w = extra
-                graph.setdefault(y, []).append((x, w, set()))
-                nodes.add(x)
-                nodes.add(y)
-                new_dist, cycle = _bellman(graph, nodes)
-                if cycle is None:
-                    dist = new_dist
-                    separated = True
-                    break
-                graph[y].pop()
-            if not separated:
-                self.unhandled.append((0, None, True))
+            _, _, lit, items, const = collision
+            new_dist, forced = _separate(graph, nodes, items, const)
+            if new_dist is not None:
+                dist, separated = new_dist, True
+                continue
+            if forced is not None and separated:
+                _, forced = _separate(*_graph(edges), items, const)
+            if forced is None:
+                self.incomplete = True
                 break
+            return {lit} | forced
 
         self.model_ints = dist
-        self._zero = ZERO
         return None
-
-    # hook for the separation loop above
-    _zero = -1
-
-    @staticmethod
-    def _dist(graph, nodes, src: int, dst: int):
-        """Shortest distance src->dst with reasons; None if unreachable."""
-        INF = None
-        dist = {n: None for n in nodes}
-        reasons: dict[int, set[int]] = {src: set()}
-        dist[src] = 0
-        for _ in range(len(nodes)):
-            changed = False
-            for y, outs in graph.items():
-                if dist.get(y) is None:
-                    continue
-                for x, w, lits in outs:
-                    nd = dist[y] + w
-                    if dist.get(x) is None or nd < dist[x]:
-                        dist[x] = nd
-                        reasons[x] = reasons[y] | lits
-                        changed = True
-            if not changed:
-                break
-        if dist.get(dst) is None:
-            return None
-        return dist[dst], reasons[dst]
 
     # -- model ----------------------------------------------------------------
 
@@ -710,7 +571,7 @@ class Theory:
         cc = self.cc
         if cc is None or t.tid not in cc.parent:
             return 0
-        zero_origin = self.model_ints.get(self._zero, 0)
+        zero_origin = self.model_ints.get(ZERO, 0)
         if t.tid in self.model_ints:
             return self.model_ints[t.tid] - zero_origin
         root = cc.find(t.tid)
@@ -731,21 +592,62 @@ class Theory:
         return cache[root]
 
 
+def _negate(lin):
+    const, coeffs = lin
+    return -const, {t: -v for t, v in coeffs.items()}
+
+
+def _by_tid(coeffs: dict[Term, int]) -> dict[int, int]:
+    return {t.tid: v for t, v in coeffs.items()}
+
+
+def _collides(dist: dict[int, int], items: dict[int, int] | None, const: int) -> bool:
+    """Whether the potentials make `const + sum(items)` zero."""
+    if items is None or any(n not in dist for n in items):
+        return False
+    origin = dist[ZERO]
+    return const + sum(v * (dist[n] - origin) for n, v in items.items()) == 0
+
+
+def _separate(graph, nodes, items: dict[int, int], const: int):
+    """Add `const + sum(items) <= -1`, or else `>= 1`, to the graph.
+    (potentials, None) for the first side that keeps it consistent;
+    (None, reasons of both negative cycles) when neither does; (None, None)
+    when the sides are not difference edges."""
+    reasons: set[int] = set()
+    for sign in (1, -1):
+        edge = _as_edge({n: sign * v for n, v in items.items()}, sign * const + 1)
+        if edge is None:
+            return None, None
+        x, y, w = edge
+        graph.setdefault(y, []).append((x, w, frozenset()))
+        dist, cycle = _bellman(graph, nodes)
+        if cycle is None:
+            return dist, None
+        graph[y].pop()
+        reasons |= cycle
+    return None, reasons
+
+
 def _as_edge(items: dict[int, int], const: int):
-    """coeffs + const <= 0 as a difference edge (x, y, w), or None."""
-    items = {n: v for n, v in items.items() if v}
-    if len(items) == 1:
-        ((n, v),) = items.items()
-        if v == 1:
-            return (n, -1, -const)
-        if v == -1:
-            return (-1, n, -const)
+    """`const + sum(items) <= 0` as a difference edge (x, y, w), meaning
+    x - y <= w, or None.  A constant is a self-loop on ZERO."""
+    pos = [n for n, v in items.items() if v == 1]
+    neg = [n for n, v in items.items() if v == -1]
+    if len(pos) > 1 or len(neg) > 1 or len(pos) + len(neg) < len(items):
         return None
-    if len(items) == 2 and sorted(items.values()) == [-1, 1]:
-        pos = next(n for n, v in items.items() if v == 1)
-        neg = next(n for n, v in items.items() if v == -1)
-        return (pos, neg, -const)
-    return None
+    return (pos[0] if pos else ZERO, neg[0] if neg else ZERO, -const)
+
+
+def _graph(edges):
+    """Edges (x, y, w, reasons) as adjacency lists by source y, and the nodes."""
+    graph: dict[int, list[tuple[int, int, set[int]]]] = {}
+    nodes = {ZERO}
+    for x, y, w, lits in edges:
+        graph.setdefault(y, []).append((x, w, lits))
+        nodes.add(x)
+        nodes.add(y)
+    return graph, nodes
 
 
 def _bellman(graph, nodes):
@@ -888,7 +790,7 @@ class GroundSolver:
         if model is None:
             return "unsat"
         self.assignment = model
-        if theory.unhandled or not self._validate(theory, model):
+        if theory.incomplete or not self._validate(theory, model):
             return "unknown"
         return "sat"
 
@@ -1129,14 +1031,3 @@ def solve(script: Script) -> Solved:
         return Solved("unknown", None, None)
     return Solved(answer, solver if answer == "sat" else None, simp)
 
-
-def solve_script(script: Script):
-    """(answer, values) for scripts carrying their own get-value commands."""
-    solved = solve(script)
-    values = {}
-    if solved.answer == "sat":
-        for cmd in script.commands:
-            if cmd[0] == "get-value":
-                for t in cmd[1]:
-                    values[t] = solved.value_of(t)
-    return solved.answer, values

@@ -17,7 +17,8 @@ from solverify.sol.linearize import linearize, resolve_function, subtypes_of
 from solverify.vir import ast as I
 from solverify.vir.ast import BOOL, INT, REF, MapType
 from solverify.vir.prelude import (
-    ALLOC, DTYPE, LENGTH, STR_TO_INT, emit_prelude, lookup_map_name,
+    ALLOC, DTYPE, LENGTH, STR_TO_INT, chain_select, declare_lookup_maps,
+    emit_prelude, foralls, lookup_map_name,
 )
 
 THIS = "this"
@@ -178,41 +179,28 @@ def _alloc_sequence(env: TransEnv, tmp: str, sig, array_len: I.IrExpr | None) ->
     store of the requested size."""
     chain, leaf = sig
     env.map_sigs.add(sig)
+    ref = I.Var(tmp)
     stmts: list[I.IrStmt] = [I.Call("New", (), (tmp,))]
     if array_len is not None:
-        stmts.append(I.Store(LENGTH, (I.Var(tmp),), array_len))
+        stmts.append(I.Store(LENGTH, (ref,), array_len))
     else:
-        stmts.append(I.Assume(I.op("==", I.select(I.Var(LENGTH), I.Var(tmp)), I.IConst(0))))
-
-    def chi(idx_vars: list[I.IrExpr]) -> I.IrExpr:
-        cur: I.IrExpr = I.Var(tmp)
-        for j, key_ty in enumerate(chain[:len(idx_vars)]):
-            value_ty = leaf if j == len(chain) - 1 else REF
-            cur = I.select(I.Var(lookup_map_name(key_ty, value_ty)), cur, idx_vars[j])
-        return cur
-
-    def foralls(names_tys, body):
-        out = body
-        for name, ty in reversed(names_tys):
-            out = I.Forall(name, ty, out)
-        return out
-
+        stmts.append(I.Assume(I.op("==", I.select(I.Var(LENGTH), ref), I.IConst(0))))
     n = len(chain)
     for j in range(1, n):
         idx = [(f"i{k}", chain[k - 1]) for k in range(1, j + 1)]
         idx_vars = [I.Var(name) for name, _ in idx]
-        level = chi(idx_vars)
+        level = chain_select(ref, chain, leaf, idx_vars)
         stmts.append(I.Assume(foralls(idx, I.op("==", I.select(I.Var(LENGTH), level), I.IConst(0)))))
         stmts.append(I.Assume(foralls(idx, I.op("!", I.select(I.Var(ALLOC), level)))))
         stmts.append(I.Call("NewUnbounded", ()))
         stmts.append(I.Assume(foralls(idx, I.select(I.Var(ALLOC), level))))
         primed = idx + [(f"i{j}_", chain[j - 1])]
-        level2 = chi(idx_vars[:-1] + [I.Var(f"i{j}_")])
+        level2 = chain_select(ref, chain, leaf, idx_vars[:-1] + [I.Var(f"i{j}_")])
         stmts.append(I.Assume(foralls(
             primed, I.op("||", I.op("==", I.Var(f"i{j}"), I.Var(f"i{j}_")),
                          I.op("!=", level, level2)))))
     idx = [(f"i{k}", chain[k - 1]) for k in range(1, n + 1)]
-    leaf_sel = chi([I.Var(name) for name, _ in idx])
+    leaf_sel = chain_select(ref, chain, leaf, [I.Var(name) for name, _ in idx])
     zero: I.IrExpr = I.BConst(False) if leaf == BOOL else \
         (I.RConst(0) if leaf == REF else I.IConst(0))
     stmts.append(I.Assume(foralls(idx, I.op("==", leaf_sel, zero))))
@@ -399,7 +387,7 @@ def translate_program(program: S.SolProgram) -> Translation:
     order = linearize(program)
     contract_codes = {c.name: i + 1 for i, c in enumerate(program.contracts)}
     map_sigs = _collect_map_sigs(program)
-    ir = emit_prelude(sorted(map_sigs, key=lambda s: str(s)))
+    ir = emit_prelude(map_sigs)
     ir.constants.update(contract_codes)
     interner: dict[str, int] = {}
 
@@ -435,11 +423,7 @@ def _finish_proc(tr: Translation, env: TransEnv, name: str, params, returns,
 
 
 def _ensure_maps_declared(tr: Translation):
-    for chain, leaf in sorted(tr.map_sigs, key=lambda s: str(s)):
-        for j, key_ty in enumerate(chain):
-            value_ty = leaf if j == len(chain) - 1 else REF
-            name = lookup_map_name(key_ty, value_ty)
-            tr.ir.globals.setdefault(name, MapType(REF, MapType(key_ty, value_ty)))
+    declare_lookup_maps(tr.ir, sorted(tr.map_sigs, key=str))
 
 
 def _translate_function(tr: Translation, c: S.SolContract, fn: S.SolFunction) -> I.IrProcedure:
@@ -495,7 +479,6 @@ class HarnessInfo:
     root: str
     ctor_args: list[str]
     ctor_sender: str
-    receiver: str
     branches: list[tuple[str, str, str, list[str]]]  # (choice var, fn, proc, arg vars)
     sender_var: str
 
@@ -549,5 +532,5 @@ def generate_harness(tr: Translation, root: str) -> HarnessInfo:
                          body=I.seq(*stmts))
     tr.ir.add_proc(proc)
     return HarnessInfo(proc="main", root=root, ctor_args=ctor_args,
-                       ctor_sender="ctor_sender", receiver="inst",
+                       ctor_sender="ctor_sender",
                        branches=branches, sender_var="sender")

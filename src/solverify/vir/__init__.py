@@ -9,4 +9,4 @@ from solverify.vir.ast import (  # noqa: F401
     Assert, Assign, Assume, Call, Havoc, If, IrProcedure, IrProgram, Seq,
     Skip, Store, While,
 )
-from solverify.vir.prelude import emit_prelude, mapinit_name  # noqa: F401
+from solverify.vir.prelude import emit_prelude  # noqa: F401

@@ -13,8 +13,8 @@ Concrete semantics for a symbolic language needs two documented devices:
   pairwise distinctness, allocation monotonicity) are recognized and applied
   exactly: a row constrained to hold fresh distinct allocated references
   mints such a reference on each first read.  Any other forall in an assume
-  is checked over a finite witness set (allocated references, the provided
-  integer witnesses, and materialized keys); a forall in an assert raises
+  is checked over a finite witness set (allocated references, the integers
+  in INT_WITNESSES, and materialized keys); a forall in an assert raises
   UnsupportedQuantifier.
 """
 
@@ -23,6 +23,8 @@ from __future__ import annotations
 from solverify.record import field, record
 from solverify.vir import ast
 from solverify.vir.prelude import ALLOC, DTYPE, LENGTH
+
+INT_WITNESSES = (0, 1, 2)  # the integers a non-allocation forall is checked at
 
 
 class TapeExhausted(Exception):
@@ -120,12 +122,11 @@ class _BudgetSignal(Exception):
 
 class Interp:
     def __init__(self, program: ast.IrProgram, tape=(), budget: int = 10 ** 6,
-                 int_witnesses=(0, 1, 2), strict_tape: bool = False):
+                 strict_tape: bool = False):
         self.program = program
         self.tape = list(tape)
         self.tape_pos = 0
         self.budget = budget
-        self.int_witnesses = list(int_witnesses)
         self.strict_tape = strict_tape
         self.state = IrState()
         for name, ty in program.globals.items():
@@ -323,14 +324,11 @@ class Interp:
         inner = e.keys[0]
         if not (_free_vars(inner) & bound):
             return self.eval(inner, env), [(self.state.globals[e.base.name], last.name)]
-        sub = self._chain_from_expr(inner, bound, env)
+        sub = self._chain(inner, bound, env)
         if sub is None:
             return None
         base, levels = sub
         return base, levels + [(self.state.globals[e.base.name], last.name)]
-
-    def _chain_from_expr(self, e, bound, env):
-        return self._chain(e, bound, env)
 
     def _chain_rows(self, base, levels):
         """Materialized (prefix) rows reached by walking the chain."""
@@ -467,7 +465,7 @@ class Interp:
             if ty == ast.REF:
                 witnesses.append([0] + self.state.allocated_refs())
             elif ty == ast.INT:
-                witnesses.append(sorted(set(self.int_witnesses)))
+                witnesses.append(INT_WITNESSES)
             elif ty == ast.BOOL:
                 witnesses.append([False, True])
             else:
@@ -595,14 +593,12 @@ def _free_vars(e: ast.IrExpr) -> set[str]:
 
 
 def interpret(program: ast.IrProgram, entry: str, tape=(), budget: int = 10 ** 6,
-              args: list | None = None, int_witnesses=(0, 1, 2),
-              strict_tape: bool = False):
+              args: list | None = None, strict_tape: bool = False):
     """Run `entry` to an outcome: Completed, AssertFailed, Blocked, or
     BudgetExhausted.  Deterministic given the tape."""
     if entry not in program.procedures:
         raise IrRuntimeError(f"no procedure named {entry}")
-    interp = Interp(program, tape=tape, budget=budget,
-                    int_witnesses=int_witnesses, strict_tape=strict_tape)
+    interp = Interp(program, tape=tape, budget=budget, strict_tape=strict_tape)
     try:
         outs = interp.exec_proc(program.procedures[entry], args or [])
         return Completed(state=interp.state, returns=tuple(outs))

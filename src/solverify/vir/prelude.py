@@ -1,21 +1,17 @@
 """Program-independent IR prelude.
 
 Declares the allocation bookkeeping (Alloc, Length, DType), the string
-interning function, and the allocation procedures: New returns a fresh
-unallocated reference, NewUnbounded models allocating an unbounded set of
-fresh references at once, and per-signature MapInit variants establish
-length-zeroing, freshness, and pairwise distinctness of nested map levels.
-
-MapInit in the source formalism is one procedure parameterized by nesting
-depth; the level-j facts mention the level-j lookup maps, whose names depend
-on the map's type signature, so one specialized variant is emitted per
-reachable signature with the depth loop unrolled.
+interning function, the per-level lookup maps of each reachable map
+signature, and the allocation procedures: New returns a fresh unallocated
+reference, and NewUnbounded models allocating an unbounded set of fresh
+references at once.  `chain_select` and `foralls` build the facts the
+translator assumes when it allocates a (nested) map.
 """
 
 from __future__ import annotations
 
 from solverify.vir.ast import (
-    BOOL, INT, REF, Assign, Assume, BConst, Call, Forall, Havoc, IConst,
+    BOOL, INT, REF, Assign, Assume, BConst, Forall, Havoc, IrExpr,
     IrProcedure, IrProgram, IrType, MapType, Store, Var, op, select, seq,
 )
 
@@ -39,11 +35,7 @@ def lookup_map_name(key: IrType, value: IrType) -> str:
     return f"M_{type_tag(key)}_{type_tag(value)}"
 
 
-def mapinit_name(chain: tuple[IrType, ...], leaf: IrType) -> str:
-    return "MapInit_" + "_".join(type_tag(t) for t in chain) + "_" + type_tag(leaf)
-
-
-def chain_select(base, chain: tuple[IrType, ...], leaf: IrType, idx_vars: list) -> Select:
+def chain_select(base, chain: tuple[IrType, ...], leaf: IrType, idx_vars: list) -> IrExpr:
     """The lookup of base[i1]...[ij] through the per-level maps: every level
     before the last reads a Ref, the last reads the leaf type."""
     cur = base
@@ -53,36 +45,12 @@ def chain_select(base, chain: tuple[IrType, ...], leaf: IrType, idx_vars: list) 
     return cur
 
 
-def _foralls(vars_tys: list[tuple[str, IrType]], body) -> Forall:
+def foralls(vars_tys: list[tuple[str, IrType]], body) -> Forall:
+    """`body` under one forall per (name, type), the first outermost."""
     out = body
     for name, ty in reversed(vars_tys):
         out = Forall(name, ty, out)
     return out
-
-
-def mapinit_proc(chain: tuple[IrType, ...], leaf: IrType) -> IrProcedure:
-    """Depth-specialized map initialization (the depth loop unrolled):
-    zeroes the top-level length, then per inner level asserts fresh,
-    allocated, and pairwise-distinct nested references."""
-    v = Var("v")
-    stmts = [Store(LENGTH, (v,), IConst(0))]
-    n = len(chain)
-    for j in range(1, n):  # level j in 1..n-1
-        idx = [(f"i{k}", chain[k - 1]) for k in range(1, j + 1)]
-        idx_vars = [Var(name) for name, _ in idx]
-        chi = chain_select(v, chain, leaf, idx_vars)
-        stmts.append(Assume(_foralls(idx, op("==", select(Var(LENGTH), chi), IConst(0)))))
-        stmts.append(Assume(_foralls(idx, op("!", select(Var(ALLOC), chi)))))
-        stmts.append(Call("NewUnbounded", ()))
-        stmts.append(Assume(_foralls(idx, select(Var(ALLOC), chi))))
-        primed = idx + [(f"i{j}_", chain[j - 1])]
-        chi2 = chain_select(v, chain, leaf, idx_vars[:-1] + [Var(f"i{j}_")])
-        stmts.append(Assume(_foralls(
-            primed,
-            op("||", op("==", Var(f"i{j}"), Var(f"i{j}_")), op("!=", chi, chi2)))))
-    return IrProcedure(name=mapinit_name(chain, leaf),
-                       params=[("v", REF)], returns=[], locals=[],
-                       body=seq(*stmts))
 
 
 def new_proc() -> IrProcedure:
@@ -108,9 +76,19 @@ def new_unbounded_proc() -> IrProcedure:
                        locals=[("oldAlloc", MapType(REF, BOOL))], body=body)
 
 
-def emit_prelude(map_sigs: list[tuple[tuple[IrType, ...], IrType]] | None = None) -> IrProgram:
-    """The prelude fragment; `map_sigs` lists the reachable map signatures
-    (key-type chain, leaf type) that need lookup maps and MapInit variants."""
+def declare_lookup_maps(program: IrProgram, map_sigs) -> None:
+    """Declare the lookup map of every level of each map signature (key-type
+    chain, leaf type), in the order given."""
+    for chain, leaf in map_sigs:
+        for j, key_ty in enumerate(chain):
+            value_ty = leaf if j == len(chain) - 1 else REF
+            program.globals.setdefault(lookup_map_name(key_ty, value_ty),
+                                       MapType(REF, MapType(key_ty, value_ty)))
+
+
+def emit_prelude(map_sigs=()) -> IrProgram:
+    """The prelude fragment; `map_sigs` holds the reachable map signatures
+    (key-type chain, leaf type) that need lookup maps."""
     program = IrProgram()
     program.globals[ALLOC] = MapType(REF, BOOL)
     program.globals[LENGTH] = MapType(REF, INT)
@@ -118,12 +96,6 @@ def emit_prelude(map_sigs: list[tuple[tuple[IrType, ...], IrType]] | None = None
     program.ufs[STR_TO_INT] = ((INT,), INT)
     program.add_proc(new_proc())
     program.add_proc(new_unbounded_proc())
-    for chain, leaf in sorted(map_sigs or [], key=lambda s: mapinit_name(*s)):
-        for j, key_ty in enumerate(chain):
-            value_ty = leaf if j == len(chain) - 1 else REF
-            name = lookup_map_name(key_ty, value_ty)
-            program.globals.setdefault(name, MapType(REF, MapType(key_ty, value_ty)))
-        proc = mapinit_proc(chain, leaf)
-        if proc.name not in program.procedures:
-            program.add_proc(proc)
+    declare_lookup_maps(program, sorted(  # by the signature's type tags
+        map_sigs, key=lambda s: "_".join(type_tag(t) for t in (*s[0], s[1]))))
     return program

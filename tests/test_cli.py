@@ -290,6 +290,19 @@ def test_deeply_nested_ifs(tmp_path, capsys, depth, code, verdict):
         assert err.startswith("error: 3:") and "nested" in err and "\n" not in err
 
 
+def test_recursive_contract_is_an_input_error(tmp_path, capsys):
+    src = tmp_path / "rec.sol"
+    src.write_text("contract R {\n    int x;\n"
+                   "    function F() public { G(); }\n"
+                   "    function G() public { F(); }\n}\n")
+    report = tmp_path / "r.json"
+    assert run_cli("verify", "--mode", "assertions", "--k", "1", "--sol", str(src),
+                   "--report-json", str(report)) == EXIT_INPUT_ERROR
+    assert json.loads(report.read_text())["verdict"] == "InputError"
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ") and "recursive" in err and "\n" not in err
+
+
 def _sum(n: int) -> str:
     return " + ".join(["a"] * n)
 

@@ -283,7 +283,7 @@ def test_recursion_depth_exceeded():
     """
     tr, hinfo, _ = build(src)
     with pytest.raises(RecursionDepthExceeded):
-        unroll_harness(tr.ir, tr.ir.procedures["main"], 1, depth_limit=6)
+        unroll_harness(tr.ir, tr.ir.procedures["main"], 1)
 
 
 # -- vc_gen ---------------------------------------------------------------------

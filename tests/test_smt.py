@@ -319,6 +319,118 @@ def test_difference_cycle_is_learnt_in_one_search(monkeypatch, escape):
         assert (p[i] or edge) and (not p[i] or edge or q)
 
 
+# -- difference logic with disequalities ----------------------------------------
+
+def _int_values(out: str) -> dict[str, int]:
+    """The integers of a `get-value` answer, by name."""
+    def num(v):
+        return -int(v[1]) if isinstance(v, list) else int(v)
+    return {name: num(v) for name, v in read_sexprs(out.splitlines()[1])[0]}
+
+
+def test_disequality_against_a_lower_bound_is_separated():
+    out = run("""
+    (declare-const x Int)
+    (assert (>= x 3))(assert (not (= x 3)))
+    (check-sat)(get-value (x))""")
+    assert out.splitlines()[0] == "sat"
+    assert _int_values(out)["x"] > 3
+
+
+def test_disequality_against_a_forced_value_is_unsat():
+    assert answer("""
+    (declare-const x Int)
+    (assert (>= x 3))(assert (<= x 3))(assert (not (= x 3)))
+    (check-sat)""") == "unsat"
+
+
+def test_forced_disequality_conflict_blames_both_bounds():
+    # with x <= 3 chosen, x = 3 is forced by both bounds; a conflict that
+    # dropped x <= 3 would rule out x >= 5 as well
+    out = run("""
+    (declare-const x Int)
+    (assert (>= x 3))(assert (or (>= x 5) (<= x 3)))(assert (not (= x 3)))
+    (check-sat)(get-value (x))""")
+    assert out.splitlines()[0] == "sat"
+    assert _int_values(out)["x"] >= 5
+
+
+@pytest.mark.parametrize("depth", [150, 250])
+def test_deep_congruence_is_explained(depth):
+    def apply(v):
+        for _ in range(depth):
+            v = f"(f {v})"
+        return v
+    assert answer(f"""
+    (declare-sort U 0)(declare-fun f (U) U)
+    (declare-const a U)(declare-const b U)
+    (assert (= a b))(assert (not (= {apply("a")} {apply("b")})))
+    (check-sat)""") == "unsat"
+
+
+_DL_VARS = ("x", "y", "z")
+
+
+@st.composite
+def _dl_cnfs(draw):
+    """(names, clauses of (SMT-LIB text, evaluator) atoms): x - y <= c,
+    x >= c, x <= c, x != y + c and x != c over two or three of x, y, z, with
+    c in [-3, 3].  Disjunctions matter: a conflict that blames too few
+    literals only prunes a model when the search can turn elsewhere."""
+    names = _DL_VARS[:draw(st.integers(2, 3))]
+    var = st.sampled_from(range(len(names)))
+    c = st.integers(-3, 3)
+
+    def num(k):
+        return str(k) if k >= 0 else f"(- {-k})"
+
+    def diff_le(i, j, k):
+        return (f"(<= (- {names[i]} {names[j]}) {num(k)})",
+                lambda v: v[i] - v[j] <= k)
+
+    def ge(i, k):
+        return f"(>= {names[i]} {num(k)})", lambda v: v[i] >= k
+
+    def le(i, k):
+        return f"(<= {names[i]} {num(k)})", lambda v: v[i] <= k
+
+    def ne_offset(i, j, k):
+        return (f"(not (= {names[i]} (+ {names[j]} {num(k)})))",
+                lambda v: v[i] != v[j] + k)
+
+    def ne_const(i, k):
+        return f"(not (= {names[i]} {num(k)}))", lambda v: v[i] != k
+
+    atom = st.one_of(st.builds(diff_le, var, var, c), st.builds(ge, var, c),
+                     st.builds(le, var, c), st.builds(ne_offset, var, var, c),
+                     st.builds(ne_const, var, c))
+    return names, draw(st.lists(st.lists(atom, min_size=1, max_size=2),
+                                min_size=1, max_size=7))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dl_cnfs())
+def test_difference_logic_agrees_with_enumeration(case):
+    names, clauses = case
+
+    def holds(clause, v):
+        return any(ev(v) for _, ev in clause)
+
+    script = "".join(f"(declare-const {n} Int)" for n in names)
+    for clause in clauses:
+        script += f"(assert (or {' '.join(text for text, _ in clause)}))"
+    out = run(script + f"(check-sat)(get-value ({' '.join(names)}))")
+    got = out.splitlines()[0]
+    if got == "sat":
+        values = _int_values(out)
+        assert all(holds(c, [values[n] for n in names]) for c in clauses)
+    elif got == "unsat":  # constants are within 3: a model, if any, lies in this box
+        models = list(itertools.product(range(-12, 13), repeat=len(names)))
+        for clause in clauses:
+            models = [v for v in models if holds(clause, v)]
+        assert not models, "unsat, but enumeration finds a model"
+
+
 # -- term depth ------------------------------------------------------------------
 
 def _store_chain(bank, keys, x):

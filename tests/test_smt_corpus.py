@@ -1,7 +1,8 @@
 """Frozen query corpus: every SMT query the fixtures produce.
 
 Each invocation runs `solverify verify --dump-smt` with the bundled solver
-(Houdini, then bounded checking up to k = 3 where the verdict needs it).
+(Houdini, then bounded checking up to k = 3 where the verdict needs it; up
+to k = 8 for the counter contract, whose queries are theory-bound).
 The corpus records the sha256 of every dumped file and the answer the
 bundled solver gives it, so a change to query text (traversal order,
 fresh-name numbering, rendering) or to an answer shows up here.
@@ -48,6 +49,7 @@ INVOCATIONS = {
                                         "assettransfer.json", "--k", "3"),
     "nested_maps": _assertions("nested_maps.sol", "C", "2"),
     "poa_validators": _assertions("poa_validators.sol", "Validators", "3"),
+    "counter": _assertions("counter.sol", "Counter", "8"),
 }
 
 

@@ -340,8 +340,7 @@ def test_sender_threading_scan():
         _all_calls(proc.body, calls)
         for call in calls:
             callee = tr.ir.procedures.get(call.proc)
-            if callee is None or call.proc in ("New", "NewUnbounded") \
-                    or call.proc.startswith("MapInit"):
+            if callee is None or call.proc in ("New", "NewUnbounded"):
                 continue
             sender = call.args[-1]
             assert sender in (I.Var("this"), I.Var("msg_sender")), (name, call)

@@ -11,13 +11,25 @@ from solverify.vir.interp import (
     AssertFailed, Blocked, BudgetExhausted, Completed, UnsupportedQuantifier,
     interpret,
 )
+from solverify.sol import parse_contract, typecheck
+from solverify.translate import translate_program
 from solverify.vir.parser import parse_ir
-from solverify.vir.prelude import ALLOC, LENGTH, emit_prelude, mapinit_name
+from solverify.vir.prelude import ALLOC, LENGTH, emit_prelude
 from solverify.vir.printer import print_ir
 
 
 def prelude_with(*sigs):
     return emit_prelude(list(sigs))
+
+
+def _nested_map_program():
+    """`F_C` allocates a two-level map and stores it in the state variable."""
+    return translate_program(typecheck(parse_contract("""
+    contract C {
+        mapping(int => mapping(int => int)) x;
+        function F() public { x = new (int => mapping(int => int))(); }
+    }
+    """)))
 
 
 # -- prelude shape -----------------------------------------------------------------
@@ -40,25 +52,12 @@ def test_prelude_globals_and_uf():
     assert "StrToInt" in program.ufs
 
 
-def test_mapinit_depth1_zeroes_length_only():
-    program = prelude_with(((INT,), INT))
-    proc = program.procedures[mapinit_name((INT,), INT)]
-    assert proc.body == Store(LENGTH, (Var("v"),), IConst(0))
-
-
-def test_mapinit_depth2_emits_one_round():
-    program = prelude_with(((INT, INT), INT))
-    proc = program.procedures[mapinit_name((INT, INT), INT)]
-    stmts = proc.body.stmts
-    # length zeroing + five statements per inner level:
-    # two assumes, the unbounded allocation, two more assumes
-    kinds = [type(s).__name__ for s in stmts]
-    assert kinds == ["Store", "Assume", "Assume", "Call", "Assume", "Assume"]
-    assert stmts[3].proc == "NewUnbounded"
-    # the last assume is the pairwise-distinctness fact
-    last = stmts[-1].cond
-    assert isinstance(last, Forall) and isinstance(last.body, Forall)
-    assert last.body.body.op == "||"
+def test_prelude_declares_a_lookup_map_per_level():
+    program = prelude_with(((INT, INT), BOOL), ((REF,), INT))
+    assert program.globals["M_int_Ref"] == MapType(REF, MapType(INT, REF))
+    assert program.globals["M_int_bool"] == MapType(REF, MapType(INT, BOOL))
+    assert program.globals["M_Ref_int"] == MapType(REF, MapType(REF, INT))
+    assert set(program.procedures) == {"New", "NewUnbounded"}
 
 
 # -- printer / parser ----------------------------------------------------------------
@@ -79,7 +78,7 @@ def test_print_parse_round_trip():
 
 
 def test_forall_prints_bound_type():
-    text = print_ir(prelude_with(((INT, INT), INT)))
+    text = print_ir(_nested_map_program().ir)
     assert "(forall i1: int ::" in text
 
 
@@ -197,12 +196,12 @@ def test_new_freshness_no_duplicates():
         assert alloc.entries.get(i, False) or i > out.state.alloc_counter
 
 
-def test_mapinit_depth2_distinct_inner_refs():
-    program = prelude_with(((INT, INT), INT))
-    name = mapinit_name((INT, INT), INT)
+def test_nested_map_allocation_gives_distinct_inner_refs():
+    tr = _nested_map_program()
     body = seq(
-        Call("New", (), ("v",)),
-        Call(name, (Var("v"),)),
+        Call("New", (), ("c",)),
+        Call("F_C", (Var("c"), Var("c"))),
+        Assign("v", select(Var("x_C"), Var("c"))),
         Assign("r0", select(Var("M_int_Ref"), Var("v"), IConst(0))),
         Assign("r1", select(Var("M_int_Ref"), Var("v"), IConst(1))),
         Assign("r2", select(Var("M_int_Ref"), Var("v"), IConst(2))),
@@ -212,10 +211,12 @@ def test_mapinit_depth2_distinct_inner_refs():
         Assert(op("!=", Var("r0"), Var("v")), "not the outer map"),
         Assert(select(Var(ALLOC), Var("r0")), "allocated"),
         Assert(op("==", select(Var(LENGTH), Var("r0")), IConst(0)), "len"),
+        Assert(op("==", select(Var("M_int_int"), Var("r1"), IConst(5)), IConst(0)),
+               "leaf zeroed"),
     )
-    program.add_proc(IrProcedure("t", [], [], [
-        ("v", REF), ("r0", REF), ("r1", REF), ("r2", REF)], body))
-    out = interpret(program, "t", tape=[0, 1, 2])
+    tr.ir.add_proc(IrProcedure("t", [], [], [
+        ("c", REF), ("v", REF), ("r0", REF), ("r1", REF), ("r2", REF)], body))
+    out = interpret(tr.ir, "t")
     assert isinstance(out, Completed)
 
 
