@@ -1,11 +1,14 @@
-"""Frozen query corpus: every SMT query the fixtures produce.
+"""Frozen corpus: every SMT query the fixtures produce, and what each run reports.
 
 Each invocation runs `solverify verify --dump-smt` with the bundled solver
 (Houdini, then bounded checking up to k = 3 where the verdict needs it; up
 to k = 8 for the counter contract, whose queries are theory-bound).
 The corpus records the sha256 of every dumped file and the answer the
 bundled solver gives it, so a change to query text (traversal order,
-fresh-name numbering, rendering) or to an answer shows up here.
+fresh-name numbering, rendering) or to an answer shows up here.  It also
+records the run's exit code, its `--report-json` without timings (verdict,
+invariant, and for a refutation the trace's senders and arguments), and the
+sha256 of its `--emit-ir` and `--emit-instrumented` output.
 
 After an intended change, regenerate it with
 
@@ -53,21 +56,38 @@ INVOCATIONS = {
 }
 
 
+def _sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 def dump_corpus(workdir: str) -> dict:
-    """{invocation: {dumped file: {"sha256", "answer"}}}"""
+    """{invocation: {"exit", "report", "ir_sha256", "instrumented_sha256",
+    "queries": {dumped file: {"sha256", "answer"}}}}"""
     corpus = {}
     for name, args in INVOCATIONS.items():
-        out = os.path.join(workdir, name)
-        main(["verify", *args, "--solver", BUNDLED, "--dump-smt", out])
-        entries = {}
+        base = os.path.join(workdir, name)
+        out, report_path = base + ".smt", base + ".report.json"
+        ir_path, inst_path = base + ".ir", base + ".instrumented.sol"
+        code = main(["verify", *args, "--solver", BUNDLED, "--dump-smt", out,
+                     "--report-json", report_path, "--emit-ir", ir_path,
+                     "--emit-instrumented", inst_path])
+        with open(report_path) as fh:
+            report = json.load(fh)
+        report.pop("timings", None)
+        report.pop("seconds", None)
+        queries = {}
         for fname in sorted(os.listdir(out)):
             with open(os.path.join(out, fname)) as fh:
                 text = fh.read()
-            entries[fname] = {
+            queries[fname] = {
                 "sha256": hashlib.sha256(text.encode()).hexdigest(),
                 "answer": smt_cli.run(text).splitlines()[0],
             }
-        corpus[name] = entries
+        corpus[name] = {"exit": code, "report": report,
+                        "ir_sha256": _sha256(ir_path),
+                        "instrumented_sha256": _sha256(inst_path),
+                        "queries": queries}
     return corpus
 
 
