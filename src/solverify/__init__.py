@@ -8,3 +8,8 @@ solver process.
 """
 
 __version__ = "0.1.0"
+
+
+class InputError(Exception):
+    """The input (a policy, a contract source, the command line) is at fault,
+    not the verifier: `solverify verify` reports it and exits 3."""

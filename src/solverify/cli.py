@@ -15,22 +15,18 @@ import json
 import sys
 import time
 
-from solverify import __version__
+from solverify import InputError, __version__
 from solverify.engine import verify as engine_verify
-from solverify.engine.smtio import SolverConfig, SolverCrashed, SolverUnavailable
+from solverify.engine.smtio import SolverConfig
 from solverify.engine.trace import CounterexampleTrace
-from solverify.engine.unroll import RecursionDepthExceeded
-from solverify.instrument import (
-    NotSyntacticallyConformant, instrument_for_conformance, make_runtime_checks,
-)
-from solverify.policy import PolicyError, parse_policy
+from solverify.instrument import instrument_for_conformance, make_runtime_checks
+from solverify.policy import parse_policy
 from solverify.record import field, record
 from solverify.sol import (
-    DeepCopyUnsupported, LexError, ParseError, TypeError_, UnsupportedFeature,
     check_syntactic_conformance, desugar_modifiers, parse_contract, typecheck,
 )
 from solverify.sol.conformance import functions_without_transitions
-from solverify.translate import TranslateError, generate_harness, translate_program
+from solverify.translate import generate_harness, translate_program
 
 EXIT_FULLY_VERIFIED = 0
 EXIT_REFUTED = 1
@@ -41,10 +37,6 @@ EXIT_INTERNAL_ERROR = 4
 REPORT_SCHEMA_VERSION = 1
 
 
-class InputError(Exception):
-    pass
-
-
 @record
 class RunConfig:
     mode: str = "conformance"  # conformance | assertions | instrument-only
@@ -53,7 +45,6 @@ class RunConfig:
     root: str | None = None
     k_max: int = 6
     solver: SolverConfig = SolverConfig()
-    loop_unroll: int = 8
     emit_instrumented: str | None = None
     runtime_checks: bool = False
     emit_ir: str | None = None
@@ -146,8 +137,7 @@ def run(cfg: RunConfig):
 
     result = engine_verify(tr, hinfo,
                            policy=policy if cfg.mode == "conformance" else None,
-                           k_max=cfg.k_max, solver=cfg.solver,
-                           loop_unroll=cfg.loop_unroll)
+                           k_max=cfg.k_max, solver=cfg.solver)
     report["verdict"] = result.verdict
     report["timings"] = {
         "invariant_seconds": round(result.timings.invariant_seconds, 3),
@@ -210,8 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
                                     "(default: SMT_SOLVER or bundled)")
     v.add_argument("--timeout", type=float, default=600.0,
                    help="per-query solver timeout in seconds")
-    v.add_argument("--loop-unroll", type=int, default=8,
-                   help="inner-loop unroll depth")
     v.add_argument("--emit-instrumented", metavar="PATH")
     v.add_argument("--runtime-checks", action="store_true",
                    help="emit the executable runtime-check variant")
@@ -235,16 +223,12 @@ def main(argv: list[str] | None = None) -> int:
                     solver=SolverConfig(solver_path=args.solver,
                                         timeout=args.timeout,
                                         dump_dir=args.dump_smt),
-                    loop_unroll=args.loop_unroll,
                     emit_instrumented=args.emit_instrumented,
                     runtime_checks=args.runtime_checks,
                     emit_ir=args.emit_ir, report_json=args.report_json)
     try:
         report, code = run(cfg)
-    except (InputError, PolicyError, LexError, ParseError, UnsupportedFeature,
-            TypeError_, DeepCopyUnsupported, NotSyntacticallyConformant,
-            TranslateError, RecursionDepthExceeded, SolverUnavailable,
-            OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         _write_error_report(args.report_json, "InputError", str(exc))
         return EXIT_INPUT_ERROR

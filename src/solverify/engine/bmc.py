@@ -70,20 +70,20 @@ class BmcOutcome:
 
 def bounded_check(tr: Translation, hinfo: HarnessInfo, k_max: int,
                   solver: SolverConfig = SolverConfig(),
-                  loop_unroll: int = 8, domains: Domains | None = None) -> BmcOutcome:
+                  domains: Domains | None = None) -> BmcOutcome:
     """Search for a failing transaction sequence of length up to k_max."""
     start = time.monotonic()
     harness = tr.ir.procedures[hinfo.proc]
     local_types = dict(harness.params + harness.returns + harness.locals)
     statuses = []
     for k in range(1, k_max + 1):
-        unrolled = unroll_harness(tr.ir, harness, k, loop_unroll=loop_unroll)
+        unrolled = unroll_harness(tr.ir, harness, k)
         if domains is not None:
             unrolled = I.IrProcedure(
                 name=unrolled.name, params=unrolled.params,
                 returns=unrolled.returns, locals=unrolled.locals,
                 body=_restrict(unrolled.body, hinfo, domains, local_types))
-        _, query = vc_gen(tr.ir, unrolled, initial_alloc=True)
+        _, query = vc_gen(tr.ir, unrolled)
         result = check_smt(query, solver, f"main_bmc_{k}")
         statuses.append(result.status)
         if result.status == "sat":

@@ -13,7 +13,6 @@ from solverify.policy import Policy
 from solverify.record import record
 from solverify.smt import terms as T
 from solverify.sol.conformance import STATE_VAR
-from solverify.sol.linearize import resolve_state_var
 from solverify.translate import Translation, state_map_name
 
 
@@ -44,12 +43,12 @@ class CandidatePredicate:
 
 def generate_candidates(tr: Translation, policy: Policy, root: str) -> list[CandidatePredicate]:
     """Deterministic pool: role-variable pairs, null comparisons, and state
-    constants, each with both polarities."""
+    constants, each with both polarities.  `tr` translates a program that
+    conforms to `policy` syntactically, so `State` is enum-typed."""
     workflow = policy.workflow(root)
-    order = tr.order
 
     def owner_of(var: str) -> str:
-        resolved = resolve_state_var(tr.source, order, root, var)
+        resolved = tr.source.resolve(root, "state_var", var)
         if resolved is None:
             raise ValueError(f"{root} lacks state variable {var}")
         return resolved[0]
@@ -71,14 +70,9 @@ def generate_candidates(tr: Translation, policy: Policy, root: str) -> list[Cand
 
     state_owner = owner_of(STATE_VAR)
     state_map = state_map_name(STATE_VAR, state_owner)
-    enum_name = tr.source.contract(state_owner).enum_vars.get(STATE_VAR)
-    members: list[str] | None = None
-    for cname in order[root]:
-        c = tr.source.contract(cname)
-        if c and enum_name in c.enums:
-            members = c.enums[enum_name]
-            break
-    for idx, member in enumerate(members or []):
+    enum_name = tr.source.contract(state_owner).enum_vars[STATE_VAR]
+    _, members = tr.source.resolve(root, "enum", enum_name)
+    for idx, member in enumerate(members):
         for op in ("==", "!="):
             out.append(CandidatePredicate(
                 lhs_map=state_map, op=op, rhs_kind="stateconst", rhs=idx,

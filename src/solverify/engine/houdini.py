@@ -55,8 +55,7 @@ class _ProcCheck:
     param_types: list[I.IrType]
 
 
-def _build_checks(tr: Translation, hinfo: HarnessInfo,
-                  loop_unroll: int = 8) -> list[_ProcCheck]:
+def _build_checks(tr: Translation, hinfo: HarnessInfo) -> list[_ProcCheck]:
     """One inlined call per procedure: the constructor on a freshly
     allocated instance, each public function on an existing one."""
     root = hinfo.root
@@ -72,7 +71,7 @@ def _build_checks(tr: Translation, hinfo: HarnessInfo,
         locals_ = [("inst", I.REF), ("snd", I.REF)] + \
             [(f"a{i}", ty) for i, ty in enumerate(ptypes)]
         call = I.Call(name, tuple([I.Var("inst")] + args + [I.Var("snd")]))
-        inliner = Inliner(tr.ir, loop_unroll=loop_unroll)
+        inliner = Inliner(tr.ir)
         body = inliner.inline(I.seq(pre, call))
         checks.append(_ProcCheck(name=name, is_ctor=is_ctor, body=body,
                                  locals=locals_ + inliner.new_locals,
@@ -105,10 +104,9 @@ def _proc_query(tr: Translation, check: _ProcCheck,
 
 def houdini_infer(tr: Translation, hinfo: HarnessInfo,
                   candidates: list[CandidatePredicate],
-                  solver: SolverConfig = SolverConfig(),
-                  loop_unroll: int = 8) -> HoudiniResult:
+                  solver: SolverConfig = SolverConfig()) -> HoudiniResult:
     start = time.monotonic()
-    checks = _build_checks(tr, hinfo, loop_unroll=loop_unroll)
+    checks = _build_checks(tr, hinfo)
     remaining = list(candidates)
     rounds = 0
     queries = 0

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 
-from solverify.record import field, record
+from solverify.record import record
 from solverify.smt import terms as T
 from solverify.vir import ast as I
 from solverify.vir.prelude import ALLOC, STR_TO_INT
@@ -47,8 +47,6 @@ class SmtQuery:
     text: str
     slots: dict[str, str]           # IR variable -> model symbol
     selectors: list[tuple[str, str]]  # (selector symbol, assert label)
-    get_values: list[str] = field(default_factory=list)
-    null_symbol: str = "null"
 
 
 class QueryBuilder:
@@ -264,7 +262,7 @@ class QueryBuilder:
             lines.append(f"(get-value ({' '.join(wanted)}))")
         lines.append("(exit)")
         return SmtQuery(text="\n".join(lines) + "\n", slots=dict(self.slots),
-                        selectors=list(selectors), get_values=wanted)
+                        selectors=list(selectors))
 
 
 def _render_shared(assertions: list[T.Term]) -> list[str]:
@@ -316,13 +314,12 @@ def _render_shared(assertions: list[T.Term]) -> list[str]:
     return defs + bodies
 
 
-def vc_gen(program: I.IrProgram, proc: I.IrProcedure,
-           initial_alloc: bool = False) -> tuple[QueryBuilder, SmtQuery]:
-    """Refutation query for a loop-free, call-free procedure: satisfiable iff
-    some execution violates an assert."""
+def vc_gen(program: I.IrProgram, proc: I.IrProcedure) -> tuple[QueryBuilder, SmtQuery]:
+    """Refutation query for a loop-free, call-free procedure, run from a
+    state where nothing is allocated: satisfiable iff some execution
+    violates an assert."""
     qb = QueryBuilder(program)
     qb.init_proc(proc)
-    if initial_alloc:
-        qb.initial_alloc_axiom()
+    qb.initial_alloc_axiom()
     qb.exec_stmt(proc.body, qb.bank.boolval(True))
     return qb, qb.refutation_query()

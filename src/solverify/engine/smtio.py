@@ -24,6 +24,7 @@ import signal
 import tempfile
 import time
 
+from solverify import InputError
 from solverify.engine.queries import SmtQuery
 from solverify.record import field, record
 from solverify.smt.terms import read_sexprs
@@ -35,7 +36,7 @@ class SolverCrashed(Exception):
     pass
 
 
-class SolverUnavailable(SolverCrashed):
+class SolverUnavailable(SolverCrashed, InputError):
     """The solver executable cannot be started (a configuration error)."""
 
 

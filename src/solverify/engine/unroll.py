@@ -10,13 +10,15 @@ from __future__ import annotations
 import itertools
 import re
 
+from solverify import InputError
 from solverify.vir import ast as I
 
 
 CALL_DEPTH_LIMIT = 16  # calls inline this many levels deep, no deeper
+LOOP_UNROLL = 8  # inner loops unroll this many iterations, then block
 
 
-class RecursionDepthExceeded(Exception):
+class RecursionDepthExceeded(InputError):
     def __init__(self, proc: str):
         super().__init__(f"calls nest more than {CALL_DEPTH_LIMIT} deep at {proc}; "
                          f"recursive contracts are not supported")
@@ -43,16 +45,15 @@ def rename_stmt(s: I.IrStmt, mapping: dict[str, str]) -> I.IrStmt:
 
 
 class Inliner:
-    def __init__(self, program: I.IrProgram, loop_unroll: int = 8):
+    def __init__(self, program: I.IrProgram):
         self.program = program
-        self.loop_unroll = loop_unroll
         self.counter = itertools.count()
         self.new_locals: list[tuple[str, I.IrType]] = []
 
     def inline(self, s: I.IrStmt, depth: int = 0) -> I.IrStmt:
         def expand(x: I.IrStmt) -> I.IrStmt | None:
             if isinstance(x, I.While):
-                return self._unroll_loop(x, depth, self.loop_unroll)
+                return self._unroll_loop(x, depth, LOOP_UNROLL)
             if isinstance(x, I.Call):
                 return self._inline_call(x, depth)
             return None
@@ -95,8 +96,8 @@ def assigned_vars(s: I.IrStmt, out: set[str]):
             out.update(x.results)
 
 
-def unroll_harness(program: I.IrProgram, harness: I.IrProcedure, k: int,
-                   loop_unroll: int = 8) -> I.IrProcedure:
+def unroll_harness(program: I.IrProgram, harness: I.IrProcedure,
+                   k: int) -> I.IrProcedure:
     """Loop-free, call-free copy of the harness with the top loop unrolled k
     times.  Per-iteration locals get a $i suffix so each iteration's
     nondeterministic inputs are distinct variables."""
@@ -124,7 +125,7 @@ def unroll_harness(program: I.IrProgram, harness: I.IrProcedure, k: int,
                 new_locals.append((mapping[v], local_types[v]))
             stmts.append(rename_stmt(loop.body, mapping))
 
-    inliner = Inliner(program, loop_unroll=loop_unroll)
+    inliner = Inliner(program)
     body = inliner.inline(I.seq(*stmts))
     return I.IrProcedure(name=f"{harness.name}$unrolled{k}", params=[],
                          returns=[], locals=new_locals + inliner.new_locals,

@@ -59,7 +59,6 @@ class PartiallyVerified:
 
 def verify(tr: Translation, hinfo: HarnessInfo, policy: Policy | None = None,
            k_max: int = 6, solver: SolverConfig = SolverConfig(),
-           loop_unroll: int = 8,
            candidates: list[CandidatePredicate] | None = None):
     """FullyVerified, Refuted (with replayed trace), or PartiallyVerified."""
     start = time.monotonic()
@@ -68,16 +67,14 @@ def verify(tr: Translation, hinfo: HarnessInfo, policy: Policy | None = None,
     pool = candidates
     if pool is None:
         pool = generate_candidates(tr, policy, hinfo.root) if policy else []
-    houdini = houdini_infer(tr, hinfo, pool, solver=solver,
-                            loop_unroll=loop_unroll)
+    houdini = houdini_infer(tr, hinfo, pool, solver=solver)
     timings.invariant_seconds = houdini.seconds
     if houdini.all_asserts_verified:
         timings.total_seconds = time.monotonic() - start
         return FullyVerified(invariant=houdini.invariant, houdini=houdini,
                              timings=timings)
 
-    outcome: BmcOutcome = bounded_check(tr, hinfo, k_max, solver=solver,
-                                        loop_unroll=loop_unroll)
+    outcome: BmcOutcome = bounded_check(tr, hinfo, k_max, solver=solver)
     timings.bmc_seconds = outcome.seconds
     timings.total_seconds = time.monotonic() - start
     if outcome.trace is not None:

@@ -13,25 +13,25 @@ eliminated.
 
 from __future__ import annotations
 
+from solverify import InputError
 from solverify.policy import AccessSet, Policy, Workflow, transitions_for_function
 from solverify.sol import ast
 from solverify.sol.conformance import STATE_VAR, check_syntactic_conformance
-from solverify.sol.linearize import linearize, resolve_state_var
 
 NONDET_FN = "nondet"
 
 
-class NotSyntacticallyConformant(Exception):
+class NotSyntacticallyConformant(InputError):
     def __init__(self, diagnostics):
         self.diagnostics = diagnostics
         super().__init__("; ".join(str(d) for d in diagnostics))
 
 
-class UnknownAccessEntry(Exception):
+class UnknownAccessEntry(InputError):
     pass
 
 
-class UnknownState(Exception):
+class UnknownState(InputError):
     pass
 
 
@@ -132,19 +132,13 @@ def _conj(a: ast.SolExpr, b: ast.SolExpr) -> ast.SolExpr:
 
 
 def _workflow_context(program: ast.SolProgram, workflow: Workflow):
-    order = linearize(program)
     contract = program.contract(workflow.name)
-    owner, _ = resolve_state_var(program, order, workflow.name, STATE_VAR)
+    owner, _ = program.resolve(workflow.name, "state_var", STATE_VAR)
     enum_name = program.contract(owner).enum_vars[STATE_VAR]
-    members = None
-    for cname in order[workflow.name]:
-        c = program.contract(cname)
-        if c and enum_name in c.enums:
-            members = c.enums[enum_name]
-            break
+    _, members = program.resolve(workflow.name, "enum", enum_name)
     role_var = {}
     for q, _r in workflow.instance_roles:
-        qowner, _ = resolve_state_var(program, order, workflow.name, q)
+        qowner, _ = program.resolve(workflow.name, "state_var", q)
         role_var[q] = (qowner, q)
     return contract, owner, enum_name, members, role_var
 

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import json
 
+from solverify import InputError
 from solverify.record import record
 
 
-class PolicyError(Exception):
+class PolicyError(InputError):
     pass
 
 

@@ -453,10 +453,12 @@ class Theory:
         """What `lit` asserts of `atom`: (terms to merge in CC, disequality
         (a, b, lit, items, const), difference terms, their edges, whether
         part of it is outside the fragment).  A disequality's `items` and
-        `const` are its linear difference over term ids, if it has one."""
+        `const` are its linear difference over term ids, if it has one; its
+        terms are difference terms too, so that they get potentials."""
         value = lit > 0
         merge = diseq = None
         bounds = []  # (const, coeffs): const + sum(coeffs) <= 0
+        terms: list[Term] = []
         outside = False
         if atom.op == "=":
             a, b = atom.args
@@ -469,6 +471,7 @@ class Theory:
                 diseq = (a, b, lit, None, 0)
             else:
                 diseq = (a, b, lit, _by_tid(lin[1]), lin[0])
+                terms.extend(lin[1])
         elif atom.op in COMPARISONS:
             lin = difference(*atom.args, self.linear)
             op = atom.op if value else COMPARISONS[atom.op]
@@ -480,7 +483,7 @@ class Theory:
         elif atom.op in ("select", "app"):  # boolean-sorted theory atoms
             merge = (atom, self.bank.boolval(value))
         # plain boolean symbols carry no theory content
-        terms, edges = [], []
+        edges = []
         for const, coeffs in bounds:
             terms.extend(coeffs)
             edge = _as_edge(_by_tid(coeffs), const)
@@ -494,7 +497,8 @@ class Theory:
                           diseqs: list):
         # Terms a congruence class proved equal get zero-weight edges whose
         # reasons carry the merge explanation, so conflicts blame every
-        # literal involved.
+        # literal involved.  Every term of a disequality is a node, with or
+        # without edges, so that the disequality is tested.
         by_tid: dict[int, Term] = {}
         for t in dl_terms:
             cc.add(t)
@@ -511,6 +515,8 @@ class Theory:
                 edges.append((b_tid, a_tid, 0, reasons))
 
         graph, nodes = _graph(edges)
+        for _, _, _, items, _ in diseqs:
+            nodes.update(items or ())
         dist, cycle = _bellman(graph, nodes)
         if cycle is not None:
             return cycle
@@ -529,7 +535,7 @@ class Theory:
                 dist, separated = new_dist, True
                 continue
             if forced is not None and separated:
-                _, forced = _separate(*_graph(edges), items, const)
+                _, forced = _separate(_graph(edges)[0], nodes, items, const)
             if forced is None:
                 self.incomplete = True
                 break

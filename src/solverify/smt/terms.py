@@ -156,17 +156,14 @@ def sexpr(t: Term) -> str:
 @record
 class Script:
     bank: TermBank
-    logic: str = "ALL"
     sorts: list[str] = None
     decls: dict[str, tuple[tuple, object]] = None  # name -> (arg sorts, sort)
     assertions: list[Term] = None
-    commands: list[tuple] = None  # trailing (check-sat / get-value ...) in order
 
     def __post_init__(self):
         self.sorts = self.sorts or []
         self.decls = self.decls or {}
         self.assertions = self.assertions or []
-        self.commands = self.commands or []
 
 
 # -- s-expression reader -----------------------------------------------------------
@@ -377,9 +374,7 @@ def _feed_command(parser: ScriptParser, sx):
     if not isinstance(sx, list) or not sx:
         raise ScriptError(f"bad command {sx}")
     cmd = sx[0]
-    if cmd == "set-logic":
-        script.logic = sx[1]
-    elif cmd in ("set-option", "set-info"):
+    if cmd in ("set-logic", "set-option", "set-info"):
         return
     elif cmd == "declare-sort":
         script.sorts.append(sx[1])
@@ -398,17 +393,6 @@ def _feed_command(parser: ScriptParser, sx):
         parser.defines[name] = (params, body)
     elif cmd == "assert":
         script.assertions.append(_script_term(parser, sx[1], {}))
-    elif cmd == "check-sat":
-        script.commands.append(("check-sat",))
-    elif cmd == "get-value":
-        script.commands.append(("get-value",
-                                tuple(_script_term(parser, a, {}) for a in sx[1])))
-    elif cmd == "get-model":
-        script.commands.append(("get-model",))
-    elif cmd == "exit":
-        script.commands.append(("exit",))
-    elif cmd == "reset":
-        raise ScriptError("reset handled by the session")
     else:
         raise ScriptError(f"unsupported command {cmd}")
 

@@ -17,6 +17,6 @@ from solverify.sol.ast import (  # noqa: F401
 from solverify.sol.lexer import LexError  # noqa: F401
 from solverify.sol.parser import ParseError, UnsupportedFeature, parse_contract  # noqa: F401
 from solverify.sol.typecheck import DeepCopyUnsupported, TypeError_, typecheck  # noqa: F401
-from solverify.sol.linearize import AmbiguousLinearization, InheritanceCycle, linearize  # noqa: F401
+from solverify.sol.linearize import AmbiguousLinearization, InheritanceCycle  # noqa: F401
 from solverify.sol.desugar import UnknownModifier, desugar_modifiers  # noqa: F401
 from solverify.sol.conformance import check_syntactic_conformance  # noqa: F401

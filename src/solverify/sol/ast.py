@@ -421,6 +421,10 @@ class SolContract:
                 return m
         return None
 
+    def enum(self, name: str) -> list[str] | None:
+        """The members of the enum `name` declared here."""
+        return self.enums.get(name)
+
     def all_functions(self) -> list[SolFunction]:
         """The functions, then the constructor."""
         return self.functions + ([self.constructor] if self.constructor else [])
@@ -433,11 +437,24 @@ class SolContract:
 @record(eq=False)
 class SolProgram:
     contracts: list[SolContract]
+    # contract name -> its C3 linearization, most-derived first; set once by
+    # `parse_contract`, after which no contract or base is added
+    order: dict[str, list[str]] = field(default_factory=dict)
 
     def contract(self, name: str) -> SolContract | None:
         for c in self.contracts:
             if c.name == name:
                 return c
+        return None
+
+    def resolve(self, contract: str, kind: str, name: str):
+        """`(owner, member)` for the first contract along `contract`'s
+        linearization that declares `name` as a `kind` ("function",
+        "state_var", "modifier" or "enum"); None when none does."""
+        for owner in self.order[contract]:
+            member = getattr(self.contract(owner), kind)(name)
+            if member is not None:
+                return owner, member
         return None
 
     STRUCT_FIELDS = ("contracts",)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from solverify.policy import Diagnostic, Policy
 from solverify.sol import ast
-from solverify.sol.linearize import linearize, resolve_function, resolve_state_var
 
 STATE_VAR = "State"
 
@@ -33,7 +32,6 @@ def _policy_type_matches(policy: Policy, workflow_names: set[str],
 
 def check_syntactic_conformance(program: ast.SolProgram, policy: Policy) -> list[Diagnostic]:
     out: list[Diagnostic] = []
-    order = linearize(program)
     workflow_names = {w.name for w in policy.workflows}
 
     for w in policy.workflows:
@@ -45,31 +43,26 @@ def check_syntactic_conformance(program: ast.SolProgram, policy: Policy) -> list
         loc = f"contract {w.name}"
 
         # State variable over the workflow's state set.
-        resolved = resolve_state_var(program, order, w.name, STATE_VAR)
+        resolved = program.resolve(w.name, "state_var", STATE_VAR)
         if resolved is None:
             out.append(Diagnostic("MissingStateVar", loc,
                                   f"no state variable named {STATE_VAR!r}"))
         else:
             owner, _ = resolved
             enum_name = program.contract(owner).enum_vars.get(STATE_VAR)
-            members = None
-            if enum_name is not None:
-                for cname in order[w.name]:
-                    c = program.contract(cname)
-                    if c and enum_name in c.enums:
-                        members = c.enums[enum_name]
-                        break
-            if members is None:
+            enum = (program.resolve(w.name, "enum", enum_name)
+                    if enum_name is not None else None)
+            if enum is None:
                 out.append(Diagnostic("StateSetMismatch", loc,
                                       f"{STATE_VAR} is not declared with an enum type"))
-            elif set(members) != set(w.states):
+            elif set(enum[1]) != set(w.states):
                 out.append(Diagnostic("StateSetMismatch", loc,
-                                      f"enum members {sorted(members)} do not match "
+                                      f"enum members {sorted(enum[1])} do not match "
                                       f"policy states {sorted(w.states)}"))
 
         # Instance roles must be address-typed state variables.
         for q, _role in w.instance_roles:
-            resolved = resolve_state_var(program, order, w.name, q)
+            resolved = program.resolve(w.name, "state_var", q)
             if resolved is None:
                 out.append(Diagnostic("MissingInstanceRole", loc,
                                       f"no state variable for instance role {q!r}"))
@@ -82,7 +75,7 @@ def check_syntactic_conformance(program: ast.SolProgram, policy: Policy) -> list
         for pname, ptype in w.properties:
             if pname in inst_names:
                 continue  # covered above
-            resolved = resolve_state_var(program, order, w.name, pname)
+            resolved = program.resolve(w.name, "state_var", pname)
             if pname == STATE_VAR:
                 continue
             if resolved is None:
@@ -103,7 +96,7 @@ def check_syntactic_conformance(program: ast.SolProgram, policy: Policy) -> list
 
         # Policy functions.
         for sig in w.functions:
-            resolved = resolve_function(program, order, w.name, sig.name)
+            resolved = program.resolve(w.name, "function", sig.name)
             if resolved is None:
                 out.append(Diagnostic("MissingFunction", loc,
                                       f"no function named {sig.name!r}"))

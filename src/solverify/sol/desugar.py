@@ -9,13 +9,13 @@ code around a returning body.
 
 from __future__ import annotations
 
+from solverify import InputError
 from solverify.sol import ast
-from solverify.sol.linearize import linearize, resolve_modifier
 
 RETURN_VAR = "__ret"
 
 
-class UnknownModifier(Exception):
+class UnknownModifier(InputError):
     pass
 
 
@@ -47,7 +47,6 @@ def _normalize_tail_return(fn: ast.SolFunction, body: list[ast.SolStmt]) -> list
 
 def desugar_modifiers(program: ast.SolProgram) -> ast.SolProgram:
     """Inline applied modifiers into function bodies, in place."""
-    order = linearize(program)
     for c in program.contracts:
         for fn in c.all_functions():
             if fn.body is None or not fn.applied_modifiers:
@@ -56,7 +55,7 @@ def desugar_modifiers(program: ast.SolProgram) -> ast.SolProgram:
             _collect_names(fn.body, taken)
             body = _normalize_tail_return(fn, fn.body)
             for mod_name in reversed(fn.applied_modifiers):
-                resolved = resolve_modifier(program, order, c.name, mod_name)
+                resolved = program.resolve(c.name, "modifier", mod_name)
                 if resolved is None:
                     raise UnknownModifier(f"{c.name}.{fn.name}: no modifier "
                                           f"named {mod_name!r}")

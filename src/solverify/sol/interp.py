@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from solverify.record import field, record
 from solverify.sol import ast
-from solverify.sol.linearize import linearize, resolve_function
 
 
 class SolRevert(Exception):
@@ -60,7 +59,6 @@ NULL = None  # the null address
 @record
 class World:
     program: ast.SolProgram
-    order: dict[str, list[str]]
     interner: dict[str, int]
     tape: list = field(default_factory=list)
     instances: list[Instance] = field(default_factory=list)
@@ -88,30 +86,23 @@ class World:
             raise SolRuntimeError(f"unknown contract {contract}")
         inst = Instance(contract=contract, index=len(self.instances))
         self.instances.append(inst)
-        for cname in self.order[contract]:
+        for cname in self.program.order[contract]:
             base = self.program.contract(cname)
             for n, t in base.state_vars:
                 inst.state[n] = self.default_value(t)
-        self.call_constructor(inst, args, sender)
+        self.call_constructor_of(inst, contract, args, sender)
         return inst
 
-    def call_constructor(self, inst: Instance, args: list, sender):
-        # Base constructors run base-most first, then own initialization.
-        lin = self.order[inst.contract]
-        c = self.program.contract(inst.contract)
-        for base in [b for b in reversed(lin) if b != inst.contract and b in c.bases]:
-            self.call_constructor_of(inst, base, [], sender)
-        self._run_fn(inst, c.constructor, args, sender)
-
     def call_constructor_of(self, inst: Instance, contract: str, args: list, sender):
+        # Base constructors run base-most first, then own initialization.
         c = self.program.contract(contract)
-        for base in [b for b in reversed(self.order[contract])
+        for base in [b for b in reversed(self.program.order[contract])
                      if b != contract and b in c.bases]:
             self.call_constructor_of(inst, base, [], sender)
         self._run_fn(inst, c.constructor, args, sender)
 
     def call_function(self, inst: Instance, fn: str, args: list, sender):
-        resolved = resolve_function(self.program, self.order, inst.contract, fn)
+        resolved = self.program.resolve(inst.contract, "function", fn)
         if resolved is None:
             raise SolRuntimeError(f"{inst.contract} has no function {fn}")
         _, f = resolved
@@ -322,6 +313,6 @@ def _exec(s: ast.SolStmt, frame: Frame, ret: list):
 
 def make_world(program: ast.SolProgram, interner: dict[str, int] | None = None,
                tape=()) -> World:
-    return World(program=program, order=linearize(program),
+    return World(program=program,
                  interner=interner if interner is not None else {},
                  tape=list(tape))

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+from solverify import InputError
 from solverify.record import record
 
 
-class LexError(Exception):
+class LexError(InputError):
     def __init__(self, line: int, col: int, message: str):
         self.line = line
         self.col = col

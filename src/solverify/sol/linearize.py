@@ -2,20 +2,22 @@
 
 The resolution order puts the contract itself first, respects each `is`
 list's declaration order (local precedence), and is consistent with every
-base's own linearization.  Member lookup walks the order and takes the first
-match.
+base's own linearization.  `parse_contract` computes it once per program
+(`SolProgram.order`); member lookup (`SolProgram.resolve`) walks it and
+takes the first match.
 """
 
 from __future__ import annotations
 
+from solverify import InputError
 from solverify.sol.ast import SolProgram
 
 
-class InheritanceCycle(Exception):
+class InheritanceCycle(InputError):
     pass
 
 
-class AmbiguousLinearization(Exception):
+class AmbiguousLinearization(InputError):
     pass
 
 
@@ -62,41 +64,8 @@ def linearize(program: SolProgram) -> dict[str, list[str]]:
     return order
 
 
-def resolve_function(program: SolProgram, order: dict[str, list[str]],
-                     contract: str, fn: str):
-    """First function named `fn` along `contract`'s linearization, together
-    with its defining contract name; None when absent."""
-    for cname in order[contract]:
-        c = program.contract(cname)
-        f = c.function(fn) if c else None
-        if f is not None:
-            return cname, f
-    return None
-
-
-def resolve_state_var(program: SolProgram, order: dict[str, str],
-                      contract: str, name: str):
-    for cname in order[contract]:
-        c = program.contract(cname)
-        if c is None:
-            continue
-        t = c.state_var(name)
-        if t is not None:
-            return cname, t
-    return None
-
-
-def resolve_modifier(program: SolProgram, order, contract: str, name: str):
-    for cname in order[contract]:
-        c = program.contract(cname)
-        m = c.modifier(name) if c else None
-        if m is not None:
-            return cname, m
-    return None
-
-
-def subtypes_of(program: SolProgram, order: dict[str, list[str]],
-                contract: str) -> list[str]:
+def subtypes_of(program: SolProgram, contract: str) -> list[str]:
     """All contracts whose linearization contains `contract`, in declaration
     order (the closed-program set of possible dynamic types)."""
-    return [c.name for c in program.contracts if contract in order[c.name]]
+    return [c.name for c in program.contracts
+            if contract in program.order[c.name]]

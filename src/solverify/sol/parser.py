@@ -9,11 +9,13 @@ outside the subset is rejected explicitly, never silently dropped.
 
 from __future__ import annotations
 
+from solverify import InputError
 from solverify.sol import ast
 from solverify.sol.lexer import Token, tokenize, UNSUPPORTED_KEYWORDS
+from solverify.sol.linearize import linearize
 
 
-class ParseError(Exception):
+class ParseError(InputError):
     def __init__(self, line: int, col: int, expected: str):
         self.line = line
         self.col = col
@@ -21,7 +23,7 @@ class ParseError(Exception):
         super().__init__(f"{line}:{col}: expected {expected}")
 
 
-class UnsupportedFeature(Exception):
+class UnsupportedFeature(InputError):
     def __init__(self, name: str, line: int = 0, col: int = 0):
         self.name = name
         self.line = line
@@ -605,9 +607,10 @@ def _reject_deep_expressions(program: ast.SolProgram):
 
 
 def parse_contract(source: str) -> ast.SolProgram:
-    """Parse a source file into a SolProgram.  Nesting deeper than the
-    recursive descent can follow, or an expression deeper than
-    MAX_EXPR_DEPTH, is a ParseError at the token it reached."""
+    """Parse a source file into a SolProgram, with its inheritance
+    linearized (`SolProgram.order`).  Nesting deeper than the recursive
+    descent can follow, or an expression deeper than MAX_EXPR_DEPTH, is a
+    ParseError at the token it reached."""
     parser = _Parser(tokenize(source))
     try:
         program = parser.parse_program()
@@ -616,4 +619,5 @@ def parse_contract(source: str) -> ast.SolProgram:
                          "less deeply nested code") from None
     _reject_expression_method_calls(program)
     _reject_deep_expressions(program)
+    program.order = linearize(program)
     return program

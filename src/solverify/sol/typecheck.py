@@ -8,15 +8,15 @@ assignments and duplicate state variables across the hierarchy.
 
 from __future__ import annotations
 
+from solverify import InputError
 from solverify.sol import ast
-from solverify.sol.linearize import linearize, resolve_function, resolve_state_var
 
 BOOLEAN_OPS = {"&&", "||", "!", "==>"}
 COMPARE_OPS = {"<", "<=", ">", ">="}
 ARITH_OPS = {"+", "-", "*", "/", "%", "neg"}
 
 
-class TypeError_(Exception):
+class TypeError_(InputError):
     def __init__(self, pos: tuple[int, int], message: str):
         self.pos = pos
         super().__init__(f"{pos[0]}:{pos[1]}: {message}")
@@ -28,43 +28,33 @@ class DeepCopyUnsupported(TypeError_):
 
 
 class _Scope:
-    def __init__(self, program: ast.SolProgram, order, contract: ast.SolContract,
+    def __init__(self, program: ast.SolProgram, contract: ast.SolContract,
                  fn: ast.SolFunction | None):
         self.program = program
-        self.order = order
         self.contract = contract
         self.fn = fn
         self.locals: dict[str, ast.SolType] = {}
         self.params: dict[str, ast.SolType] = dict(fn.params) if fn else {}
 
-    def enum_members(self, enum: str) -> list[str] | None:
-        for cname in self.order[self.contract.name]:
-            c = self.program.contract(cname)
-            if c and enum in c.enums:
-                return c.enums[enum]
-        return None
 
-
-def _resolve_type(program: ast.SolProgram, order, contract: ast.SolContract,
+def _resolve_type(program: ast.SolProgram, contract: ast.SolContract,
                   ty: ast.SolType, pos) -> ast.SolType:
     if isinstance(ty, ast.NamedType):
-        for cname in order[contract.name]:
-            c = program.contract(cname)
-            if c and ty.name in c.enums:
-                return ast.INT
+        if program.resolve(contract.name, "enum", ty.name) is not None:
+            return ast.INT
         if program.contract(ty.name) is not None:
             return ast.ContractType(ty.name)
         raise TypeError_(pos, f"unknown type {ty.name!r}")
     if isinstance(ty, ast.MappingType):
-        key = _resolve_type(program, order, contract, ty.key, pos)
-        value = _resolve_type(program, order, contract, ty.value, pos)
+        key = _resolve_type(program, contract, ty.key, pos)
+        value = _resolve_type(program, contract, ty.value, pos)
         if not ast.is_elementary(key):
             raise TypeError_(pos, "mapping keys must be elementary (int, string, address)")
         return ast.MappingType(key=key, value=value, is_array=ty.is_array)
     return ty
 
 
-def _assignable(lhs: ast.SolType, rhs: ast.SolType, program, order) -> bool:
+def _assignable(lhs: ast.SolType, rhs: ast.SolType, program) -> bool:
     if lhs == rhs:
         return True
     # Null address literal into contract-typed slots and vice versa.
@@ -74,18 +64,16 @@ def _assignable(lhs: ast.SolType, rhs: ast.SolType, program, order) -> bool:
         return True
     # Derived contract into a base-typed slot.
     if isinstance(lhs, ast.ContractType) and isinstance(rhs, ast.ContractType):
-        return lhs.name in order.get(rhs.name, [])
+        return lhs.name in program.order.get(rhs.name, [])
     return False
 
 
 def typecheck(program: ast.SolProgram) -> ast.SolProgram:
     """Annotate the program in place and return it."""
-    order = linearize(program)
-
     # No two state vars may share a name across the linearized hierarchy.
     for c in program.contracts:
         seen: dict[str, str] = {}
-        for cname in order[c.name]:
+        for cname in program.order[c.name]:
             base = program.contract(cname)
             for n, _ in base.state_vars:
                 if n in seen and seen[n] != cname:
@@ -95,17 +83,16 @@ def typecheck(program: ast.SolProgram) -> ast.SolProgram:
 
     # Resolve declared types first so lookups during body checking see them.
     for c in program.contracts:
-        enum_scope = _Scope(program, order, c, None)
         c.enum_vars = {n: t.name for n, t in c.state_vars
                        if isinstance(t, ast.NamedType)
-                       and enum_scope.enum_members(t.name) is not None}
-        c.state_vars = [(n, _resolve_type(program, order, c, t, c.pos))
+                       and program.resolve(c.name, "enum", t.name) is not None}
+        c.state_vars = [(n, _resolve_type(program, c, t, c.pos))
                         for n, t in c.state_vars]
         for fn in c.all_functions():
-            fn.params = [(n, _resolve_type(program, order, c, t, fn.pos))
+            fn.params = [(n, _resolve_type(program, c, t, fn.pos))
                          for n, t in fn.params]
             if fn.returns is not None:
-                fn.returns = _resolve_type(program, order, c, fn.returns, fn.pos)
+                fn.returns = _resolve_type(program, c, fn.returns, fn.pos)
 
     for c in program.contracts:
         for fn in c.all_functions():
@@ -114,10 +101,10 @@ def typecheck(program: ast.SolProgram) -> ast.SolProgram:
                     raise TypeError_(fn.pos, "definition-free functions must be "
                                              "parameterless and return bool")
                 continue
-            scope = _Scope(program, order, c, fn)
+            scope = _Scope(program, c, fn)
             _check_block(fn.body, scope, tail=True)
         for m in c.modifiers:
-            scope = _Scope(program, order, c, None)
+            scope = _Scope(program, c, None)
             _check_block(m.pre_stmts, scope, tail=False)
             _check_block(m.post_stmts, scope, tail=False)
     return program
@@ -132,21 +119,21 @@ def _check_block(stmts: list[ast.SolStmt], scope: _Scope, tail: bool):
 
 
 def _check_stmt(s: ast.SolStmt, scope: _Scope, tail: bool):
-    program, order = scope.program, scope.order
+    program = scope.program
     if isinstance(s, ast.DeclStmt):
-        s.ty = _resolve_type(program, order, scope.contract, s.ty, s.pos)
+        s.ty = _resolve_type(program, scope.contract, s.ty, s.pos)
         if s.name in scope.locals or s.name in scope.params:
             raise TypeError_(s.pos, f"redeclaration of {s.name!r}")
         scope.locals[s.name] = s.ty
         if s.init is not None:
             ity = _check_expr(s.init, scope)
-            if not _assignable(s.ty, ity, program, order):
+            if not _assignable(s.ty, ity, program):
                 raise TypeError_(s.pos, f"cannot initialize {s.ty} from {ity}")
         return
     if isinstance(s, ast.Assign):
         lty = _check_expr(s.lhs, scope)
         rty = _check_expr(s.rhs, scope)
-        if not _assignable(lty, rty, program, order):
+        if not _assignable(lty, rty, program):
             raise TypeError_(s.pos, f"cannot assign {rty} to {lty}")
         if isinstance(lty, ast.MappingType) and isinstance(s.lhs, ast.Var) \
                 and s.lhs.binding == "state":
@@ -177,7 +164,7 @@ def _check_stmt(s: ast.SolStmt, scope: _Scope, tail: bool):
         if not ast.is_array_type(bty):
             raise TypeError_(s.pos, "push applies to arrays only")
         vty = _check_expr(s.value, scope)
-        if not _assignable(bty.value, vty, program, order):
+        if not _assignable(bty.value, vty, program):
             raise TypeError_(s.pos, f"cannot push {vty} into {bty}")
         return
     if isinstance(s, ast.Return):
@@ -189,11 +176,11 @@ def _check_stmt(s: ast.SolStmt, scope: _Scope, tail: bool):
         if s.value is None:
             raise TypeError_(s.pos, "missing return value")
         got = _check_expr(s.value, scope)
-        if not _assignable(want, got, program, order):
+        if not _assignable(want, got, program):
             raise TypeError_(s.pos, f"cannot return {got} as {want}")
         return
     if isinstance(s, ast.InternalCall):
-        resolved = resolve_function(program, order, scope.contract.name, s.fn)
+        resolved = program.resolve(scope.contract.name, "function", s.fn)
         if resolved is None:
             raise TypeError_(s.pos, f"unknown function {s.fn!r}")
         _check_call(s, resolved[1], scope)
@@ -202,7 +189,7 @@ def _check_stmt(s: ast.SolStmt, scope: _Scope, tail: bool):
         rty = _check_expr(s.receiver, scope)
         if not isinstance(rty, ast.ContractType):
             raise TypeError_(s.pos, "external call receiver must be contract-typed")
-        resolved = resolve_function(program, order, rty.name, s.fn)
+        resolved = program.resolve(rty.name, "function", s.fn)
         if resolved is None:
             raise TypeError_(s.pos, f"{rty.name} has no function {s.fn!r}")
         _check_call(s, resolved[1], scope)
@@ -212,7 +199,7 @@ def _check_stmt(s: ast.SolStmt, scope: _Scope, tail: bool):
         callee = program.contract(s.contract)
         if callee is None:
             raise TypeError_(s.pos, f"unknown contract {s.contract!r}")
-        if not _assignable(target_ty, ast.ContractType(s.contract), program, order):
+        if not _assignable(target_ty, ast.ContractType(s.contract), program):
             raise TypeError_(s.pos, f"cannot store new {s.contract} into {target_ty}")
         ctor = callee.constructor
         if len(s.args) != len(ctor.params):
@@ -220,23 +207,23 @@ def _check_stmt(s: ast.SolStmt, scope: _Scope, tail: bool):
                                     f"{len(ctor.params)} arguments")
         for arg, (_, pty) in zip(s.args, ctor.params):
             aty = _check_expr(arg, scope)
-            if not _assignable(pty, aty, program, order):
+            if not _assignable(pty, aty, program):
                 raise TypeError_(s.pos, f"argument type {aty} does not match {pty}")
         return
     if isinstance(s, ast.NewArray):
-        s.elem_ty = _resolve_type(program, order, scope.contract, s.elem_ty, s.pos)
+        s.elem_ty = _resolve_type(program, scope.contract, s.elem_ty, s.pos)
         if not ast.is_elementary(s.elem_ty):
             raise TypeError_(s.pos, "array elements must be elementary")
         tty = _check_expr(s.target, scope)
-        if not _assignable(tty, ast.MappingType(ast.INT, s.elem_ty), program, order):
+        if not _assignable(tty, ast.MappingType(ast.INT, s.elem_ty), program):
             raise TypeError_(s.pos, f"cannot store {s.elem_ty}[] into {tty}")
         if _check_expr(s.size, scope) != ast.INT:
             raise TypeError_(s.pos, "array size must be an integer")
         return
     if isinstance(s, ast.NewMap):
-        s.map_ty = _resolve_type(program, order, scope.contract, s.map_ty, s.pos)
+        s.map_ty = _resolve_type(program, scope.contract, s.map_ty, s.pos)
         tty = _check_expr(s.target, scope)
-        if not _assignable(tty, s.map_ty, program, order):
+        if not _assignable(tty, s.map_ty, program):
             raise TypeError_(s.pos, f"cannot store {s.map_ty} into {tty}")
         return
     raise TypeError_(getattr(s, "pos", (0, 0)), f"unhandled statement {type(s).__name__}")
@@ -247,13 +234,13 @@ def _check_call(s, callee: ast.SolFunction, scope: _Scope):
         raise TypeError_(s.pos, f"{s.fn} takes {len(callee.params)} arguments")
     for arg, (_, pty) in zip(s.args, callee.params):
         aty = _check_expr(arg, scope)
-        if not _assignable(pty, aty, scope.program, scope.order):
+        if not _assignable(pty, aty, scope.program):
             raise TypeError_(s.pos, f"argument type {aty} does not match {pty}")
     if s.target is not None:
         tty = _check_expr(s.target, scope)
         if callee.returns is None:
             raise TypeError_(s.pos, f"{s.fn} returns nothing")
-        if not _assignable(tty, callee.returns, scope.program, scope.order):
+        if not _assignable(tty, callee.returns, scope.program):
             raise TypeError_(s.pos, f"cannot store {callee.returns} into {tty}")
         if not isinstance(s.target, (ast.Var, ast.Index)):
             raise TypeError_(s.pos, "call target is not assignable")
@@ -275,7 +262,7 @@ def _check_expr(e: ast.SolExpr, scope: _Scope) -> ast.SolType:
 
 
 def _infer_expr(e: ast.SolExpr, scope: _Scope) -> ast.SolType:
-    program, order = scope.program, scope.order
+    program = scope.program
     if isinstance(e, ast.IntLit):
         return ast.INT
     if isinstance(e, ast.BoolLit):
@@ -293,7 +280,7 @@ def _infer_expr(e: ast.SolExpr, scope: _Scope) -> ast.SolType:
         if e.name in scope.params:
             e.binding = "param"
             return scope.params[e.name]
-        resolved = resolve_state_var(program, order, scope.contract.name, e.name)
+        resolved = program.resolve(scope.contract.name, "state_var", e.name)
         if resolved is not None:
             owner, ty = resolved
             e.binding = "state"
@@ -301,9 +288,10 @@ def _infer_expr(e: ast.SolExpr, scope: _Scope) -> ast.SolType:
             return ty
         raise TypeError_(e.pos, f"unknown name {e.name!r}")
     if isinstance(e, ast.EnumMember):
-        members = scope.enum_members(e.enum)
-        if members is None:
+        resolved = program.resolve(scope.contract.name, "enum", e.enum)
+        if resolved is None:
             raise TypeError_(e.pos, f"unknown enum {e.enum!r}")
+        members = resolved[1]
         if e.member not in members:
             raise TypeError_(e.pos, f"{e.enum} has no member {e.member!r}")
         e.value = members.index(e.member)
@@ -320,7 +308,7 @@ def _infer_expr(e: ast.SolExpr, scope: _Scope) -> ast.SolType:
             return ast.BOOL
         if e.op in ("==", "!="):
             a, b = arg_tys
-            ok = a == b or _assignable(a, b, program, order) or _assignable(b, a, program, order)
+            ok = a == b or _assignable(a, b, program) or _assignable(b, a, program)
             if not ok or isinstance(a, ast.MappingType):
                 raise TypeError_(e.pos, f"cannot compare {a} with {b}")
             return ast.BOOL
@@ -334,7 +322,7 @@ def _infer_expr(e: ast.SolExpr, scope: _Scope) -> ast.SolType:
         if not isinstance(bty, ast.MappingType):
             raise TypeError_(e.pos, "indexing a non-mapping value")
         kty = _check_expr(e.key, scope)
-        if not _assignable(bty.key, kty, program, order):
+        if not _assignable(bty.key, kty, program):
             raise TypeError_(e.pos, f"key type {kty} does not match {bty.key}")
         return bty.value
     if isinstance(e, ast.LengthOf):
@@ -343,7 +331,7 @@ def _infer_expr(e: ast.SolExpr, scope: _Scope) -> ast.SolType:
             raise TypeError_(e.pos, ".length applies to arrays only")
         return ast.INT
     if isinstance(e, ast.ExprCall):
-        resolved = resolve_function(program, order, scope.contract.name, e.fn)
+        resolved = program.resolve(scope.contract.name, "function", e.fn)
         if resolved is None:
             raise TypeError_(e.pos, f"unknown function {e.fn!r}")
         _, callee = resolved

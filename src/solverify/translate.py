@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from solverify.record import field, record
 from solverify.sol import ast as S
-from solverify.sol.linearize import linearize, resolve_function, subtypes_of
+from solverify import InputError
+from solverify.sol.linearize import subtypes_of
 from solverify.vir import ast as I
 from solverify.vir.ast import BOOL, INT, REF, MapType
 from solverify.vir.prelude import (
@@ -26,7 +27,7 @@ MSG_SENDER = "msg_sender"
 RET = "__ret"
 
 
-class TranslateError(Exception):
+class TranslateError(InputError):
     pass
 
 
@@ -55,7 +56,6 @@ def map_signature(t: S.MappingType) -> tuple[tuple[I.IrType, ...], I.IrType]:
 @record
 class TransEnv:
     program: S.SolProgram
-    order: dict[str, list[str]]
     contract: str
     interner: dict[str, int]
     map_sigs: set
@@ -284,7 +284,7 @@ def _translate_call(env: TransEnv, s, receiver: S.SolExpr | None) -> I.IrStmt:
     """Dispatch on the receiver's dynamic type over all subtypes of its
     static type.  Internal calls keep msg_sender; external calls pass the
     current receiver as the callee's sender."""
-    program, order = env.program, env.order
+    program = env.program
     if receiver is None:
         static_ty = env.contract
         recv_expr: I.IrExpr = I.Var(THIS)
@@ -297,12 +297,12 @@ def _translate_call(env: TransEnv, s, receiver: S.SolExpr | None) -> I.IrStmt:
         sender_expr = I.Var(THIS)
 
     args = tuple(translate_expr(env, _hoist_nondets(env, a)) for a in s.args)
-    candidates = subtypes_of(program, order, static_ty)
+    candidates = subtypes_of(program, static_ty)
     if not candidates:
         raise TranslateError(f"no candidate implementation for {s.fn} on {static_ty}")
 
     def branch_call(subtype: str) -> I.IrStmt:
-        resolved = resolve_function(program, order, subtype, s.fn)
+        resolved = program.resolve(subtype, "function", s.fn)
         if resolved is None:
             raise TranslateError(f"{subtype} has no function {s.fn}")
         owner, fn = resolved
@@ -330,7 +330,6 @@ def _translate_call(env: TransEnv, s, receiver: S.SolExpr | None) -> I.IrStmt:
 @record
 class Translation:
     ir: I.IrProgram
-    order: dict[str, list[str]]
     contract_codes: dict[str, int]
     interner: dict[str, int]
     source: S.SolProgram
@@ -344,13 +343,13 @@ class Translation:
         types without this/sender), in declaration order."""
         out = []
         seen = set()
-        for cname in self.order[contract]:
+        for cname in self.source.order[contract]:
             c = self.source.contract(cname)
             for fn in c.functions:
                 if fn.name in seen or fn.body is None or fn.visibility != "public":
                     continue
                 seen.add(fn.name)
-                owner, resolved = resolve_function(self.source, self.order, contract, fn.name)
+                owner, resolved = self.source.resolve(contract, "function", fn.name)
                 out.append((fn.name, proc_name(owner, fn.name),
                             [map_type(t) for _, t in resolved.params]))
         return out
@@ -384,14 +383,13 @@ def _collect_map_sigs(program: S.SolProgram) -> set:
 
 def translate_program(program: S.SolProgram) -> Translation:
     """Translate a typed, desugared program (instrumented or plain)."""
-    order = linearize(program)
     contract_codes = {c.name: i + 1 for i, c in enumerate(program.contracts)}
     map_sigs = _collect_map_sigs(program)
     ir = emit_prelude(map_sigs)
     ir.constants.update(contract_codes)
     interner: dict[str, int] = {}
 
-    tr = Translation(ir=ir, order=order, contract_codes=contract_codes,
+    tr = Translation(ir=ir, contract_codes=contract_codes,
                      interner=interner, source=program, map_sigs=map_sigs)
 
     # One global map per state variable of its declaring contract.
@@ -409,7 +407,7 @@ def translate_program(program: S.SolProgram) -> Translation:
 
 
 def _make_env(tr: Translation, contract: str) -> TransEnv:
-    return TransEnv(program=tr.source, order=tr.order, contract=contract,
+    return TransEnv(program=tr.source, contract=contract,
                     interner=tr.interner, map_sigs=tr.map_sigs,
                     contract_codes=tr.contract_codes)
 
@@ -441,7 +439,7 @@ def _translate_constructor(tr: Translation, c: S.SolContract) -> I.IrProcedure:
     stmts: list[I.IrStmt] = []
 
     # Base constructors, reverse linearization order (base-most first).
-    bases_in_order = [b for b in reversed(tr.order[c.name]) if b != c.name and b in c.bases]
+    bases_in_order = [b for b in reversed(tr.source.order[c.name]) if b != c.name and b in c.bases]
     for base in bases_in_order:
         base_ctor = tr.source.contract(base).constructor
         if base_ctor.params:

@@ -151,7 +151,7 @@ def test_criterion_5_dual_interpreter_equivalence():
         body = inliner.inline(driver.body)
         flat = I.IrProcedure("flat", [], [], driver.locals + inliner.new_locals,
                              body)
-        _, query = vc_gen(tr.ir, flat, initial_alloc=True)
+        _, query = vc_gen(tr.ir, flat)
         assert check_smt(query, SolverConfig(timeout=300)).status == "unsat"
 
         # randomized source-versus-IR agreement is exercised in

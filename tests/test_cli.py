@@ -303,6 +303,30 @@ def test_recursive_contract_is_an_input_error(tmp_path, capsys):
     assert err.startswith("error: ") and "recursive" in err and "\n" not in err
 
 
+@pytest.mark.parametrize("src, message", [
+    ("contract A is B { int x; }\ncontract B is A { int y; }\n",
+     "inheritance cycle"),
+    ("contract A is Z { int x; }\n", "unknown base contract Z"),
+    ("contract X { int x; }\ncontract Y { int y; }\n"
+     "contract A is X, Y { }\ncontract B is Y, X { }\n"
+     "contract C is A, B { }\n", "no valid C3 linearization"),
+    ("contract A {\n    int x;\n"
+     "    function F() public onlyOwner() { x = 1; }\n}\n",
+     "no modifier named 'onlyOwner'"),
+], ids=["cycle", "unknown_base", "ambiguous_diamond", "unknown_modifier"])
+def test_inheritance_and_modifier_errors_are_input_errors(tmp_path, capsys,
+                                                          src, message):
+    path = tmp_path / "c.sol"
+    path.write_text(src)
+    report = tmp_path / "r.json"
+    assert run_cli("verify", "--mode", "assertions", "--k", "1", "--root", "A",
+                   "--sol", str(path), "--report-json", str(report)) \
+        == EXIT_INPUT_ERROR
+    assert json.loads(report.read_text())["verdict"] == "InputError"
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ") and message in err and "\n" not in err
+
+
 def _sum(n: int) -> str:
     return " + ".join(["a"] * n)
 

@@ -13,6 +13,7 @@ from solverify.sol import desugar_modifiers, parse_contract, typecheck
 from solverify.instrument import instrument_for_conformance
 from solverify.translate import generate_harness, translate_program
 from solverify.vir import ast as I
+from solverify.vir.prelude import emit_prelude
 
 SENDERS = [10001, 10002, 10003]
 
@@ -258,7 +259,7 @@ def test_unroll_inner_loop_blocking_assume():
     }
     """
     tr, hinfo, _ = build(src)
-    unrolled = unroll_harness(tr.ir, tr.ir.procedures["main"], 1, loop_unroll=2)
+    unrolled = unroll_harness(tr.ir, tr.ir.procedures["main"], 1)
     text = str(unrolled.body)
     assert "While" not in text
     assert text.count("Assume(cond=Op(op='!'") >= 1
@@ -289,7 +290,7 @@ def test_recursion_depth_exceeded():
 # -- vc_gen ---------------------------------------------------------------------
 
 def test_vcgen_assert_false_sat():
-    prog = I.IrProgram()
+    prog = emit_prelude()
     proc = I.IrProcedure("p", [], [], [], I.Assert(I.BConst(False), "x"))
     prog.procedures["p"] = proc
     _, query = vc_gen(prog, proc)
@@ -297,7 +298,7 @@ def test_vcgen_assert_false_sat():
 
 
 def test_vcgen_blocked_path_unsat():
-    prog = I.IrProgram()
+    prog = emit_prelude()
     proc = I.IrProcedure("p", [], [], [], I.seq(
         I.Assume(I.BConst(False)), I.Assert(I.BConst(False), "x")))
     prog.procedures["p"] = proc
@@ -308,7 +309,7 @@ def test_vcgen_blocked_path_unsat():
 def test_vcgen_instrumented_hb_k4_unsat(hb_source, hb_policy_text):
     tr, hinfo, _ = build(hb_source, hb_policy_text, "HelloBlockchain")
     unrolled = unroll_harness(tr.ir, tr.ir.procedures["main"], 4)
-    _, query = vc_gen(tr.ir, unrolled, initial_alloc=True)
+    _, query = vc_gen(tr.ir, unrolled)
     assert check_smt(query, SolverConfig(timeout=300)).status == "unsat"
 
 

@@ -6,9 +6,7 @@ from solverify.policy import parse_policy
 from solverify.sol import ast
 from solverify.sol.conformance import check_syntactic_conformance
 from solverify.sol.desugar import desugar_modifiers
-from solverify.sol.linearize import (
-    AmbiguousLinearization, InheritanceCycle, linearize, resolve_function,
-)
+from solverify.sol.linearize import AmbiguousLinearization, InheritanceCycle
 from solverify.sol.parser import ParseError, UnsupportedFeature, parse_contract
 from solverify.sol.printer import print_program
 from solverify.sol.typecheck import DeepCopyUnsupported, TypeError_, typecheck
@@ -248,8 +246,7 @@ def test_duplicate_state_var_across_bases_rejected():
 # -- linearization -----------------------------------------------------------------
 
 def test_single_inheritance():
-    program = parse_contract("contract A { } contract B is A { }")
-    order = linearize(program)
+    order = parse_contract("contract A { } contract B is A { }").order
     assert order["B"] == ["B", "A"]
     assert order["A"] == ["A"]
 
@@ -262,7 +259,7 @@ def test_diamond_linearization():
     contract D is B, C { }
     """
     # C3 merge by hand: D + merge([B,A],[C,A],[B,C]) = [D, B, C, A]
-    order = linearize(parse_contract(src))
+    order = parse_contract(src).order
     assert order["D"] == ["D", "B", "C", "A"]
 
 
@@ -272,8 +269,7 @@ def test_local_precedence():
     contract B { }
     contract C is A, B { }
     """
-    order = linearize(parse_contract(src))
-    c = order["C"]
+    c = parse_contract(src).order["C"]
     assert c[0] == "C"
     assert c.index("A") < c.index("B")
 
@@ -281,7 +277,7 @@ def test_local_precedence():
 def test_inheritance_cycle_detected():
     src = "contract A is B { } contract B is A { }"
     with pytest.raises(InheritanceCycle):
-        linearize(parse_contract(src))
+        parse_contract(src)
 
 
 def test_ambiguous_linearization_detected():
@@ -293,7 +289,7 @@ def test_ambiguous_linearization_detected():
     contract E is C, D { }
     """
     with pytest.raises(AmbiguousLinearization):
-        linearize(parse_contract(src))
+        parse_contract(src)
 
 
 def test_function_resolution_most_derived_first():
@@ -302,10 +298,37 @@ def test_function_resolution_most_derived_first():
     contract B is A { function F() public { } }
     contract C is B { }
     """
-    program = parse_contract(src)
-    order = linearize(program)
-    owner, _ = resolve_function(program, order, "C", "F")
+    owner, _ = parse_contract(src).resolve("C", "function", "F")
     assert owner == "B"
+
+
+def test_diamond_resolves_each_kind_on_the_most_derived_owner():
+    src = """
+    contract A {
+        enum E { A1 }
+        int a;
+        modifier M() { _; }
+        function F() public { }
+    }
+    contract B is A {
+        enum E { B1, B2 }
+        modifier M() { _; }
+    }
+    contract C is A {
+        int c;
+        function F() public { }
+    }
+    contract D is B, C { }
+    """
+    program = parse_contract(src)
+    assert program.order["D"] == ["D", "B", "C", "A"]
+    assert program.resolve("D", "function", "F") == ("C", program.contract("C").function("F"))
+    assert program.resolve("D", "state_var", "a") == ("A", ast.INT)
+    assert program.resolve("D", "state_var", "c") == ("C", ast.INT)
+    assert program.resolve("D", "modifier", "M") == ("B", program.contract("B").modifier("M"))
+    assert program.resolve("D", "enum", "E") == ("B", ["B1", "B2"])
+    assert program.resolve("C", "enum", "E") == ("A", ["A1"])
+    assert program.resolve("D", "function", "G") is None
 
 
 # -- modifier desugaring ----------------------------------------------------------

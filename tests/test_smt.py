@@ -344,6 +344,29 @@ def test_disequality_against_a_forced_value_is_unsat():
     (check-sat)""") == "unsat"
 
 
+def test_disequality_over_terms_without_edges_is_tested():
+    # y and z occur in no bound: without potentials of their own the
+    # disequality went untested and the model failed validation (unknown)
+    out = run("""
+    (declare-const x Int)(declare-const y Int)(declare-const z Int)
+    (assert (> x 0))(assert (or (<= x 0) (not (= z (+ y (- 1))))))
+    (check-sat)(get-value (x y z))""")
+    assert out.splitlines()[0] == "sat"
+    v = _int_values(out)
+    assert v["x"] > 0 and v["z"] != v["y"] - 1
+
+
+def test_disequality_term_shares_its_congruence_class_potential():
+    # f(b) occurs in no bound, but a = b makes it f(a), which the bounds
+    # force to z: a potential of its own would answer sat
+    assert answer("""
+    (declare-fun a () Int)(declare-fun b () Int)(declare-fun z () Int)
+    (declare-fun f (Int) Int)
+    (assert (= a b))(assert (<= (f a) z))(assert (>= (f a) z))
+    (assert (not (= (f b) z)))
+    (check-sat)""") == "unsat"
+
+
 def test_forced_disequality_conflict_blames_both_bounds():
     # with x <= 3 chosen, x = 3 is forced by both bounds; a conflict that
     # dropped x <= 3 would rule out x >= 5 as well
