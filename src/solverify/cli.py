@@ -63,6 +63,14 @@ def render_trace(trace: CounterexampleTrace) -> str:
     return "\n".join(lines)
 
 
+def _read(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
+
+
 def run(cfg: RunConfig):
     """Execute the pipeline; returns (report dict, exit code)."""
     started = time.monotonic()
@@ -71,23 +79,13 @@ def run(cfg: RunConfig):
 
     if not cfg.sol_paths:
         raise InputError("no contract sources given (--sol)")
-    sources = []
-    for path in cfg.sol_paths:
-        try:
-            with open(path) as fh:
-                sources.append(fh.read())
-        except OSError as exc:
-            raise InputError(f"cannot read {path}: {exc}") from None
+    sources = [_read(path) for path in cfg.sol_paths]
 
     policy = None
     if cfg.mode in ("conformance", "instrument-only") and not cfg.policy_path:
         raise InputError(f"{cfg.mode} mode needs --policy")
     if cfg.policy_path:
-        try:
-            with open(cfg.policy_path) as fh:
-                policy = parse_policy(fh.read())
-        except OSError as exc:
-            raise InputError(f"cannot read {cfg.policy_path}: {exc}") from None
+        policy = parse_policy(_read(cfg.policy_path))
 
     program = parse_contract("\n".join(sources))
     typecheck(program)
@@ -183,8 +181,31 @@ def _print_report(report: dict):
               f"bmc {t['bmc_seconds']}s, total {t['total_seconds']}s")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors, not argparse's exit 2 (a verdict)."""
+
+    def error(self, message: str):
+        raise InputError(f"{self.prog}: {message}")
+
+
+def natural(text: str) -> int:
+    """A transaction bound: an integer, at least 0."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
+def positive(text: str) -> float:
+    """A timeout in seconds: a finite number above 0."""
+    value = float(text)
+    if not 0 < value < float("inf"):
+        raise ValueError(text)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="solverify")
+    parser = _Parser(prog="solverify")
     sub = parser.add_subparsers(dest="command", required=True)
     v = sub.add_parser("verify", help="verify contracts against a policy or "
                                       "their own assertions")
@@ -195,10 +216,10 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--sol", action="append", default=[],
                    help="contract source file (repeatable)")
     v.add_argument("--root", help="root contract name")
-    v.add_argument("--k", type=int, default=6, help="transaction bound")
+    v.add_argument("--k", type=natural, default=6, help="transaction bound")
     v.add_argument("--solver", help="SMT solver executable "
                                     "(default: SMT_SOLVER or bundled)")
-    v.add_argument("--timeout", type=float, default=600.0,
+    v.add_argument("--timeout", type=positive, default=600.0,
                    help="per-query solver timeout in seconds")
     v.add_argument("--emit-instrumented", metavar="PATH")
     v.add_argument("--runtime-checks", action="store_true",
@@ -217,7 +238,11 @@ def _write_error_report(path: str | None, verdict: str, error: str):
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     cfg = RunConfig(mode=args.mode, sol_paths=args.sol,
                     policy_path=args.policy, root=args.root, k_max=args.k,
                     solver=SolverConfig(solver_path=args.solver,

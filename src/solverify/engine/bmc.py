@@ -77,16 +77,19 @@ def bounded_check(tr: Translation, hinfo: HarnessInfo, k_max: int,
     local_types = dict(harness.params + harness.returns + harness.locals)
     statuses = []
     for k in range(1, k_max + 1):
-        unrolled = unroll_harness(tr.ir, harness, k)
+        unrolled = checked = unroll_harness(tr.ir, harness, k)
         if domains is not None:
-            unrolled = I.IrProcedure(
+            checked = I.IrProcedure(
                 name=unrolled.name, params=unrolled.params,
                 returns=unrolled.returns, locals=unrolled.locals,
                 body=_restrict(unrolled.body, hinfo, domains, local_types))
-        _, query = vc_gen(tr.ir, unrolled)
+        _, query = vc_gen(tr.ir, checked)
         result = check_smt(query, solver, f"main_bmc_{k}")
         statuses.append(result.status)
         if result.status == "sat":
+            # extraction renames the model's references, which the domain
+            # pins (reference literals) would not survive; a model of the
+            # pinned query is one of the unpinned procedure
             trace = extract_trace(result, query, unrolled, hinfo, tr, k)
             return BmcOutcome(trace=trace, k_reached=k,
                               seconds=time.monotonic() - start,

@@ -10,8 +10,10 @@ round removes nothing, in at most one round per candidate.
 During inference, assertions inside bodies block the execution like
 assumptions (the fixpoint is over non-failing executions); a final pass
 re-checks every body assertion under the inferred conjunction and yields the
-all-asserts-verified flag.  A solver `unknown` refutes the candidate under
-check, which can only weaken the result, never unsoundly strengthen it.
+all-asserts-verified flag.  A solver `unknown`, or a `sat` whose model names
+no live candidate, sends the round to one query per candidate, and any
+answer but `unsat` there refutes that candidate: this can only weaken the
+result, never unsoundly strengthen it.
 """
 
 from __future__ import annotations
@@ -129,14 +131,14 @@ def houdini_infer(tr: Translation, hinfo: HarnessInfo,
             if result.status == "unsat":
                 continue
             if result.status == "sat":
-                for sel, label in query.selectors:
-                    if result.value(sel) is True:
-                        text = label.removeprefix("cand:")
-                        for c in live:
-                            if c.text == text:
-                                removed[text] = c
-                continue
-            # unknown: fall back to per-candidate checks, refuting on unknown
+                named = {label.removeprefix("cand:") for sel, label in query.selectors
+                         if result.value(sel) is True}
+                hit = [c for c in live if c.text in named]
+                if hit:
+                    removed.update((c.text, c) for c in hit)
+                    continue
+            # unknown, or sat with no model naming a live candidate: fall back
+            # to per-candidate checks, refuting on anything but unsat
             for i, cand in enumerate(live):
                 single = _proc_query(tr, check, live, [cand], asserts_live=False)
                 queries += 1

@@ -299,17 +299,17 @@ def check_smt(query: SmtQuery, config: SolverConfig = SolverConfig(),
         raise session.crashed(f"unexpected solver output: {out[:200]}")
     values: dict[str, object] = {}
     if status == "sat" and len(lines) > 1:
-        values = _parse_values("\n".join(lines[1:]))
+        try:
+            values = _parse_values("\n".join(lines[1:]))
+        except ValueError as exc:
+            raise session.crashed(f"unparsable get-value reply: {exc}") from None
     return CheckResult(status=status, values=values)
 
 
 def _parse_values(text: str) -> dict[str, object]:
     """Parse a get-value response; uninterpreted-sort values normalize to
     integers by first appearance."""
-    try:
-        sexprs = read_sexprs(text)
-    except Exception:
-        return {}
+    sexprs = read_sexprs(text)
     values: dict[str, object] = {}
     ref_codes: dict[str, int] = {}
 

@@ -57,9 +57,6 @@ class AccessSet:
     global_roles: frozenset[str] = frozenset()
     instance_roles: frozenset[str] = frozenset()
 
-    def is_empty(self) -> bool:
-        return not self.global_roles and not self.instance_roles
-
 
 @record(frozen=True)
 class FunctionSig:
@@ -234,6 +231,8 @@ def parse_policy(text: str) -> Policy:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise SchemaError("$", "JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise SchemaError("$", "expected top-level object")
 

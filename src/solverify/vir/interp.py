@@ -1,12 +1,18 @@
 """Reference interpreter for the IR; the testing oracle for translation and
 counterexample replay.
 
-Concrete semantics for a symbolic language needs two documented devices:
+Concrete semantics for a symbolic language needs three documented devices:
 
 * Havoc of int/bool variables consumes the next tape value (zero/false when
   the tape runs dry in lenient mode); havoc of a Ref variable draws a fresh
   reference from the allocator, which makes New() return fresh references
   without tape bookkeeping; havoc of a map leaves it unchanged.
+
+* Named inputs override both: a havoc of a variable named in `inputs` takes
+  that value, and the run records each such havoc, in execution order, in
+  `IrState.inputs_taken`.  Counterexample extraction feeds a model's values
+  to the unrolled harness this way and reads off which inputs the run
+  consumed.
 
 * Quantified assumptions are executed, not solved.  The allocation shapes
   emitted by the translator and prelude (zero-initialization, freshness,
@@ -73,6 +79,7 @@ class IrState:
     globals: dict = field(default_factory=dict)
     alloc_counter: int = 0
     steps: int = 0
+    inputs_taken: list = field(default_factory=list)  # (variable, value)
 
     def fresh_ref(self) -> int:
         self.alloc_counter += 1
@@ -122,9 +129,10 @@ class _BudgetSignal(Exception):
 
 class Interp:
     def __init__(self, program: ast.IrProgram, tape=(), budget: int = 10 ** 6,
-                 strict_tape: bool = False):
+                 strict_tape: bool = False, inputs: dict | None = None):
         self.program = program
         self.tape = list(tape)
+        self.inputs = inputs or {}
         self.tape_pos = 0
         self.budget = budget
         self.strict_tape = strict_tape
@@ -509,7 +517,10 @@ class Interp:
             ty = self._var_type(proc, s.var)
             if isinstance(ty, ast.MapType):
                 return  # least-change havoc; assumptions constrain it
-            if ty == ast.REF:
+            if s.var in self.inputs:
+                value = self.inputs[s.var]
+                self.state.inputs_taken.append((s.var, value))
+            elif ty == ast.REF:
                 value = self.state.fresh_ref()
             else:
                 value = self._pop_tape(want_bool=(ty == ast.BOOL))
@@ -592,15 +603,21 @@ def _free_vars(e: ast.IrExpr) -> set[str]:
     return set()
 
 
-def interpret(program: ast.IrProgram, entry: str, tape=(), budget: int = 10 ** 6,
-              args: list | None = None, strict_tape: bool = False):
-    """Run `entry` to an outcome: Completed, AssertFailed, Blocked, or
-    BudgetExhausted.  Deterministic given the tape."""
-    if entry not in program.procedures:
-        raise IrRuntimeError(f"no procedure named {entry}")
-    interp = Interp(program, tape=tape, budget=budget, strict_tape=strict_tape)
+def interpret(program: ast.IrProgram, entry: str | ast.IrProcedure, tape=(),
+              budget: int = 10 ** 6, strict_tape: bool = False,
+              inputs: dict | None = None):
+    """Run `entry` (a procedure of the program, by name, or a parameterless
+    procedure whose calls resolve in the program) to an outcome: Completed,
+    AssertFailed, Blocked, or BudgetExhausted.  Deterministic given the tape
+    and inputs."""
+    if isinstance(entry, str):
+        if entry not in program.procedures:
+            raise IrRuntimeError(f"no procedure named {entry}")
+        entry = program.procedures[entry]
+    interp = Interp(program, tape=tape, budget=budget, strict_tape=strict_tape,
+                    inputs=inputs)
     try:
-        outs = interp.exec_proc(program.procedures[entry], args or [])
+        outs = interp.exec_proc(entry, [])
         return Completed(state=interp.state, returns=tuple(outs))
     except _AssertSignal as sig:
         return AssertFailed(label=sig.label, proc=sig.proc, state=interp.state)

@@ -379,24 +379,136 @@ def test_internal_failure_exits_four(monkeypatch, capsys, tmp_path):
     assert "RuntimeError: invariant broken second line" in err
 
 
-def test_solver_error_exits_four(capsys, tmp_path):
+def _run_fake_solver(tmp_path, replies: dict) -> int:
+    """Verify nested_maps.sol with a solver that answers each command
+    containing a key of `replies` with that line."""
     from solverify.engine.smtio import close_sessions
     fake = tmp_path / "fake_solver.py"
     fake.write_text("import sys\n"
+                    f"replies = {replies!r}\n"
                     "for line in sys.stdin:\n"
                     "    if '(exit)' in line:\n"
                     "        break\n"
-                    "    if 'check-sat' in line:\n"
-                    "        print('(error \"maximum recursion depth exceeded\")', flush=True)\n"
+                    "    for key, reply in replies.items():\n"
+                    "        if key in line:\n"
+                    "            print(reply, flush=True)\n"
                     "    if 'echo' in line:\n"
                     "        print('<<query-done>>', flush=True)\n")
-    report = tmp_path / "r.json"
     try:
-        code = run_cli("verify", "--mode", "assertions",
+        return run_cli("verify", "--mode", "assertions",
                        "--sol", fixture_path("nested_maps.sol"), "--root", "C",
                        "--solver", f"{sys.executable} {fake}",
-                       "--report-json", str(report))
+                       "--report-json", str(tmp_path / "r.json"))
     finally:
         close_sessions()
-    err = _assert_internal_error(code, capsys, report)
+
+
+def test_solver_error_exits_four(capsys, tmp_path):
+    code = _run_fake_solver(
+        tmp_path, {"check-sat": '(error "maximum recursion depth exceeded")'})
+    err = _assert_internal_error(code, capsys, tmp_path / "r.json")
     assert "maximum recursion depth exceeded" in err
+
+
+def test_unparsable_model_exits_four(capsys, tmp_path):
+    """A get-value reply that does not parse is a solver failure, not an
+    empty model."""
+    code = _run_fake_solver(tmp_path, {"check-sat": "sat", "get-value": "((sel!0 true)"})
+    err = _assert_internal_error(code, capsys, tmp_path / "r.json")
+    assert "unparsable get-value reply" in err
+
+
+def _assert_input_error(code, capsys):
+    assert code == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ") and "\n" not in err
+    return err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--k", "abc"], ["verify", "--bogus"], [],
+    ["verify", "--mode", "nope"],
+], ids=["k_not_int", "unknown_flag", "no_subcommand", "bad_mode"])
+def test_usage_errors_exit_three(capsys, argv):
+    err = _assert_input_error(run_cli(*argv), capsys)
+    assert "usage:" not in err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("verify", "--help")
+    assert exc.value.code == 0
+    assert "--timeout" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", ["--sol", "--policy"])
+def test_undecodable_input_exits_three(tmp_path, capsys, flag):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe contract")
+    paths = {"--sol": fixture_path("helloblockchain.sol"),
+             "--policy": fixture_path("helloblockchain.json"), flag: str(bad)}
+    err = _assert_input_error(
+        run_cli("verify", "--sol", paths["--sol"], "--policy", paths["--policy"]),
+        capsys)
+    assert "bad.bin" in err and "decode" in err
+
+
+def test_policy_nested_too_deeply_exits_three(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    err = _assert_input_error(
+        run_cli("verify", "--policy", str(deep),
+                "--sol", fixture_path("helloblockchain.sol")), capsys)
+    assert "nested too deeply" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--k", "-1"], ["--timeout", "0"], ["--timeout", "-5"], ["--timeout", "inf"],
+], ids=["negative_k", "zero_timeout", "negative_timeout", "infinite_timeout"])
+def test_out_of_range_bounds_exit_three(capsys, argv):
+    err = _assert_input_error(
+        run_cli("verify", "--mode", "assertions",
+                "--sol", fixture_path("counter.sol"), *argv), capsys)
+    assert argv[0] in err
+
+
+W_POLICY = {
+    "ApplicationName": "W",
+    "ApplicationRoles": [{"Name": "Admin"}],
+    "Workflows": [{
+        "Name": "W", "Initiators": ["Admin"], "StartState": "S0",
+        "States": ["S0", "S1", "S2"], "Properties": [],
+        "Constructor": {"Parameters": []},
+        "Functions": [{"Name": f, "Parameters": []} for f in ("Bump", "Go", "Finish")],
+        "Transitions": [
+            {"StartState": start, "Function": fn, "AllowedRoles": ["Admin"],
+             "AllowedInstanceRoles": [], "NextStates": [end]}
+            for start, fn, end in (("S2", "Bump", "S1"), ("S0", "Go", "S1"),
+                                   ("S1", "Finish", "S2"))],
+    }],
+}
+
+
+@pytest.mark.parametrize("field, go", [
+    ("bool never;", "if (never) { Bump(); }"),
+    ("int n;", "int i = 0; while (i < n) { Bump(); i = i + 1; }"),
+], ids=["call_under_if", "call_in_loop"])
+def test_trace_skips_nondets_of_calls_not_made(tmp_path, capsys, field, go):
+    """`Go` calls the checked `Bump` only on a path the counterexample does
+    not take; the trace holds just the nondets that ran, so it replays."""
+    policy = tmp_path / "w.json"
+    policy.write_text(json.dumps(W_POLICY))
+    src = tmp_path / "w.sol"
+    src.write_text(
+        "contract W {\n    enum StateType {S0, S1, S2}\n    StateType public State;\n"
+        f"    {field}\n"
+        "    function W() public { State = StateType.S0; }\n"
+        "    function Bump() public { State = StateType.S1; }\n"
+        f"    function Go() public {{ {go} State = StateType.S1; }}\n"
+        "    function Finish() public { State = StateType.S0; }\n}\n")
+    report = tmp_path / "r.json"
+    assert run_cli("verify", "--policy", str(policy), "--sol", str(src), "--k", "3",
+                   "--report-json", str(report)) == EXIT_REFUTED
+    doc = json.loads(report.read_text())
+    assert [tx["fn"] for tx in doc["trace"]] == ["W", "Go", "Finish"]
+    assert doc["failing_assertion"] == "W.Finish: transition S1 -> {S2}"

@@ -389,6 +389,17 @@ def test_bmc_agrees_with_exhaustive_search(name, src, expected_k):
         assert len(outcome.trace.transactions) == expected_k + 1
 
 
+def test_pinned_domains_extract_with_any_sender_pool():
+    """Extraction renames the model's references, so it must not run the
+    domain pins (reference literals) that only narrowed the search."""
+    tr, hinfo, _ = build(SENDERDEP)
+    outcome = bounded_check(tr, hinfo, k_max=3,
+                            domains=Domains(int_args=[0, 1, 2], senders=[5, 7]),
+                            solver=SolverConfig(timeout=120))
+    assert outcome.k_reached == 2
+    assert [tx.fn for tx in outcome.trace.transactions] == ["S", "Poke", "Poke"]
+
+
 def test_counter_unreachable_at_k2():
     tr, hinfo, _ = build(COUNTER_K3)
     outcome = bounded_check(tr, hinfo, k_max=2, solver=SolverConfig(timeout=120))
@@ -547,3 +558,45 @@ def test_unknown_solver_answers_shrink_the_safety_claim(tmp_path, monkeypatch):
     dumped = sorted(p.name for p in dump.iterdir())
     assert len(dumped) == result.houdini.queries + 3
     assert "K_Ctor_houdini_1_cand0.smt2" in dumped and "main_bmc_3.smt2" in dumped
+
+
+def test_modelless_sat_answers_do_not_prove(tmp_path, hb_source, hb_policy_text):
+    """A solver that answers sat but withholds the model names no candidate
+    to remove.  Houdini then checks candidates one at a time instead of
+    keeping them all, so a contradictory conjunction never proves the
+    assertions: the invariant is the one the full solver infers."""
+    import os
+    import sys
+
+    import solverify
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(solverify.__file__)))
+    fake = tmp_path / "modelless_solver.py"
+    fake.write_text(
+        "import sys\n"
+        f"sys.path.insert(0, {src_dir!r})\n"
+        "from solverify.smt import cli\n"
+        "handle = cli.Session.handle\n"
+        "def withhold(self, sx):\n"
+        "    if isinstance(sx, list) and sx and sx[0] == 'get-value':\n"
+        "        self.emit('(error \"model withheld\")')\n"
+        "        return True\n"
+        "    return handle(self, sx)\n"
+        "cli.Session.handle = withhold\n"
+        "cli.serve(sys.stdin, sys.stdout)\n")
+    solver = SolverConfig(f"{sys.executable} {fake}", timeout=120)
+
+    buggy = hb_source.replace("State = StateType.Respond;", "State = StateType.Request;")
+    tr, hinfo, policy = build(buggy, hb_policy_text, "HelloBlockchain")
+    pool = generate_candidates(tr, policy, hinfo.root)
+    withheld = houdini_infer(tr, hinfo, pool, solver)
+    full = houdini_infer(tr, hinfo, pool, SolverConfig(timeout=120))
+    assert withheld.all_asserts_verified is False
+    assert sorted(c.text for c in withheld.invariant) == \
+        sorted(c.text for c in full.invariant)
+
+    tr, hinfo, policy = build(open("tests/fixtures/assettransfer_buggy.sol").read(),
+                              open("tests/fixtures/assettransfer.json").read(),
+                              "AssetTransfer")
+    result = verify(tr, hinfo, policy=policy, k_max=3, solver=solver)
+    assert result.verdict == "PartiallyVerified"
+    assert result.bound == 3

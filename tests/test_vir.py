@@ -276,6 +276,26 @@ def test_map_value_semantics_on_assign():
     assert isinstance(interpret(program, "t"), Completed)
 
 
+def test_named_inputs_take_their_values_in_execution_order():
+    """A havoc of a variable named in `inputs` takes that value; the run
+    records those havocs as they execute (a skipped branch's not at all, a
+    callee's where the call runs), and other havocs still read the tape.
+    The entry procedure need not belong to the program."""
+    program = emit_prelude()
+    program.add_proc(IrProcedure("u", [], [], [("c", INT)], Havoc("c")))
+    entry = IrProcedure("t", [], [], [("a", INT), ("b", BOOL), ("d", INT)], seq(
+        If(BConst(False), Havoc("b"), Skip()),
+        Havoc("a"),
+        Call("u", (), ()),
+        Havoc("d"),
+        Havoc("b"),
+        Assert(op("!=", op("+", Var("a"), Var("d")), IConst(12)), "a + d != 12")))
+    out = interpret(program, entry, tape=[5], inputs={"a": 7, "b": True, "c": 3})
+    assert isinstance(out, AssertFailed) and out.label == "a + d != 12"
+    assert out.state.inputs_taken == [("a", 7), ("c", 3), ("b", True)]
+    assert "t" not in program.procedures
+
+
 def test_strict_tape_exhaustion():
     from solverify.vir.interp import TapeExhausted
     program = emit_prelude()
