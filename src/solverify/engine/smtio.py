@@ -299,8 +299,11 @@ def check_smt(query: SmtQuery, config: SolverConfig = SolverConfig(),
         raise session.crashed(f"unexpected solver output: {out[:200]}")
     values: dict[str, object] = {}
     if status == "sat" and len(lines) > 1:
+        reply = "\n".join(lines[1:])
+        if reply.lstrip().startswith("(error"):
+            raise session.crashed(f"get-value failed: {reply[:400]}")
         try:
-            values = _parse_values("\n".join(lines[1:]))
+            values = _parse_values(reply)
         except ValueError as exc:
             raise session.crashed(f"unparsable get-value reply: {exc}") from None
     return CheckResult(status=status, values=values)

@@ -3,7 +3,7 @@
 Scope: boolean structure over equality with uninterpreted functions, arrays
 (reduced to reads over base arrays by read-over-write rewriting), integer
 difference arithmetic, and universally quantified allocation axioms handled
-by ground instantiation over terms occurring in the query.
+by instantiating them where their triggers match terms of the query.
 
 `unsat` answers are sound: instantiation only adds consequences, and any
 constraint outside the handled fragment is ignored rather than used, which
@@ -909,56 +909,92 @@ def _has_forall(t: Term, memo: dict) -> bool:
     return fold([t], lambda x, below: x.op == "forall" or any(below), memo)[0]
 
 
-def _collect_pools(roots: list[Term]) -> dict:
-    """Ground terms by sort: the instantiation candidates."""
-    pools: dict = {}
-
-    def add(t: Term):
-        if is_array_sort(t.sort) or t.sort is None:
-            return
-        pools.setdefault(t.sort, {})
-        pools[t.sort].setdefault(t.tid, t)
+def _collect_pools(bank: TermBank, roots: list[Term]) -> tuple[dict, CC]:
+    """The instantiation index, the ground `select`/`app` terms by (op,
+    value), and the may-equal closure that triggers match modulo: a CC in
+    which both sides of every ground non-Bool, non-Int equality (of either
+    polarity) and every such ite and its branches are merged."""
+    index: dict = {}
+    cc = CC(bank)
 
     def visit(t: Term, args_bound: list[bool]) -> bool:
-        bound = t.op == "boundvar" or any(args_bound)
-        if not bound:
-            if t.op == "select":
-                add(t.args[1])
-                add(t)
-            elif t.op in ("sym", "intval", "app"):
-                add(t)
-            elif t.op == "=":
-                for a in t.args:
-                    add(a)
-        return bound
+        if t.op == "boundvar" or any(args_bound):
+            return True
+        if t.op in ("select", "app"):
+            index.setdefault((t.op, t.value), []).append(t)
+        elif t.op in ("=", "ite") and t.args[-1].sort not in (BOOL_S, INT_S):
+            for other in t.args[1:]:
+                cc.merge(t if t.op == "ite" else t.args[0], other, 0)
+        return False
 
     fold(roots, visit)
-    return {sort: [terms[tid] for tid in sorted(terms)]
-            for sort, terms in pools.items()}
+    return index, cc
+
+
+def _match(cc: CC, free: dict, pat: Term, g: Term, binding: dict) -> list[dict]:
+    """The extensions of `binding` under which the pattern `pat` matches the
+    ground term `g`: a ground Int or Bool subterm of it matches any term of
+    its sort, any other ground subterm the terms of its class in `cc`."""
+    if pat.op == "boundvar":
+        if pat.value not in binding:
+            return [{**binding, pat.value: g}]
+        pat = binding[pat.value]
+    if not free.get(pat.tid):
+        same = pat.sort == g.sort and (pat.sort in (INT_S, BOOL_S) or cc.same(pat, g))
+        return [binding] if same else []
+    if (g.op, g.value, len(g.args)) != (pat.op, pat.value, len(pat.args)):
+        return []
+    found = [binding]
+    for p, a in zip(pat.args, g.args):
+        found = [b for part in found for b in _match(cc, free, p, a, part)]
+    return found
 
 
 def _instantiate(bank: TermBank, simp: Simplifier, proxies: list,
-                 pools: dict, seen_instances: set) -> list[Term]:
+                 pools: tuple[dict, CC], seen_instances: set) -> list[Term]:
+    """Instances of each axiom at the matches of its triggers: each
+    `select`/`app` pattern of its body that covers every bound variable,
+    else one multi-pattern joined from patterns until they cover them all."""
+    index, cc = pools
     out = []
     for proxy, forall in proxies:
-        bound = []
+        names = []
         body = forall
         while body.op == "forall":
-            bound.append(body.value)
+            names.append(body.value[0])
             body = body.args[0]
-        candidate_pools = []
-        for name, sort in bound:
-            pool = pools.get(sort, [])
-            if not pool and sort == INT_S:
-                pool = [bank.intval(0)]
-            candidate_pools.append(pool[:40])
-        for combo in itertools.product(*candidate_pools):
-            key = (proxy.tid, forall.tid, tuple(t.tid for t in combo))
+        patterns: list[Term] = []
+
+        def scope(t: Term, below: list[frozenset]) -> frozenset:
+            bound = (frozenset([t.value]) if t.op == "boundvar" and t.value in names
+                     else frozenset().union(*below))
+            if bound and t.op in ("select", "app"):
+                patterns.append(t)
+            return bound
+
+        free: dict = {}
+        need = fold([body], scope, free)[0]
+        multi, covered = [], frozenset()
+        for p in patterns:
+            if not free[p.tid] <= covered:
+                multi.append(p)
+                covered |= free[p.tid]
+        if covered != need:
+            raise SolverUnknown("a bound variable is under no trigger")
+        order = [name for name in names if name in need]
+        combos = set()
+        for trigger in [(p,) for p in patterns if free[p.tid] == need] or [multi]:
+            found = [{}]
+            for pat in trigger:
+                found = [b for part in found for g in index.get((pat.op, pat.value), ())
+                         for b in _match(cc, free, pat, g, part)]
+            combos.update(tuple(b[name] for name in order) for b in found)
+        for combo in sorted(combos, key=lambda c: [t.tid for t in c]):
+            key = (proxy.tid, forall.tid, combo)
             if key in seen_instances:
                 continue
             seen_instances.add(key)
-            sub = {name: t for (name, _), t in zip(bound, combo)}
-            inst = simp.run(substitute(bank, body, sub))
+            inst = simp.run(substitute(bank, body, dict(zip(order, combo))))
             if inst.op == "boolval" and inst.value:
                 continue
             out.append(bank.mk("=>", (proxy, inst), sort=BOOL_S))
@@ -1023,8 +1059,8 @@ def solve(script: Script) -> Solved:
         # proxy true exactly on the paths where its axiom was assumed.
 
         seen_instances: set = set()
-        for _round in range(3):
-            pools = _collect_pools(roots + [f for _, f in proxies])
+        for _round in range(3 if proxies else 0):
+            pools = _collect_pools(bank, roots + [f for _, f in proxies])
             insts = _instantiate(bank, simp, proxies, pools, seen_instances)
             if not insts:
                 break

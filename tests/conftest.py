@@ -14,6 +14,29 @@ def fixture_text(name: str) -> str:
         return fh.read()
 
 
+def get_value_replying_solver(tmp_path, reply: str) -> str:
+    """The command line of the bundled solver with every `get-value`
+    answered by `reply` (a solver that withholds its models)."""
+    import sys
+
+    import solverify
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(solverify.__file__)))
+    script = tmp_path / "get_value_solver.py"
+    script.write_text(
+        "import sys\n"
+        f"sys.path.insert(0, {src_dir!r})\n"
+        "from solverify.smt import cli\n"
+        "handle = cli.Session.handle\n"
+        "def withhold(self, sx):\n"
+        "    if isinstance(sx, list) and sx and sx[0] == 'get-value':\n"
+        f"        self.emit({reply!r})\n"
+        "        return True\n"
+        "    return handle(self, sx)\n"
+        "cli.Session.handle = withhold\n"
+        "cli.serve(sys.stdin, sys.stdout)\n")
+    return f"{sys.executable} {script}"
+
+
 @pytest.fixture(scope="session")
 def hb_policy_text():
     return fixture_text("helloblockchain.json")

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from conftest import fixture_path
+from conftest import fixture_path, fixture_text, get_value_replying_solver
 from solverify.cli import (
     EXIT_FULLY_VERIFIED, EXIT_INPUT_ERROR, EXIT_INTERNAL_ERROR, EXIT_PARTIAL,
     EXIT_REFUTED, main, render_trace,
@@ -416,6 +416,26 @@ def test_unparsable_model_exits_four(capsys, tmp_path):
     code = _run_fake_solver(tmp_path, {"check-sat": "sat", "get-value": "((sel!0 true)"})
     err = _assert_internal_error(code, capsys, tmp_path / "r.json")
     assert "unparsable get-value reply" in err
+
+
+def test_get_value_error_exits_four(capsys, tmp_path):
+    """A `sat` whose `get-value` reply is a solver error is a solver
+    failure, not an empty model that the trace then fails to replay."""
+    from solverify.engine.smtio import close_sessions
+    buggy = tmp_path / "hb_buggy.sol"
+    buggy.write_text(fixture_text("helloblockchain.sol").replace(
+        "State = StateType.Respond;", "State = StateType.Request;"))
+    try:
+        code = run_cli("verify", "--mode", "conformance",
+                       "--policy", fixture_path("helloblockchain.json"),
+                       "--sol", str(buggy), "--root", "HelloBlockchain", "--k", "3",
+                       "--solver", get_value_replying_solver(
+                           tmp_path, '(error "model withheld")'),
+                       "--report-json", str(tmp_path / "r.json"))
+    finally:
+        close_sessions()
+    err = _assert_internal_error(code, capsys, tmp_path / "r.json")
+    assert "model withheld" in err and "ReplayMismatch" not in err
 
 
 def _assert_input_error(code, capsys):

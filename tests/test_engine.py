@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import get_value_replying_solver
 from oracles import bfs_search, greatest_inductive_subset
 from solverify.engine import verify
 from solverify.engine.bmc import Domains, bounded_check
@@ -561,29 +562,12 @@ def test_unknown_solver_answers_shrink_the_safety_claim(tmp_path, monkeypatch):
 
 
 def test_modelless_sat_answers_do_not_prove(tmp_path, hb_source, hb_policy_text):
-    """A solver that answers sat but withholds the model names no candidate
-    to remove.  Houdini then checks candidates one at a time instead of
-    keeping them all, so a contradictory conjunction never proves the
-    assertions: the invariant is the one the full solver infers."""
-    import os
-    import sys
-
-    import solverify
-    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(solverify.__file__)))
-    fake = tmp_path / "modelless_solver.py"
-    fake.write_text(
-        "import sys\n"
-        f"sys.path.insert(0, {src_dir!r})\n"
-        "from solverify.smt import cli\n"
-        "handle = cli.Session.handle\n"
-        "def withhold(self, sx):\n"
-        "    if isinstance(sx, list) and sx and sx[0] == 'get-value':\n"
-        "        self.emit('(error \"model withheld\")')\n"
-        "        return True\n"
-        "    return handle(self, sx)\n"
-        "cli.Session.handle = withhold\n"
-        "cli.serve(sys.stdin, sys.stdout)\n")
-    solver = SolverConfig(f"{sys.executable} {fake}", timeout=120)
+    """A solver that answers sat but withholds the model (an empty value
+    list) names no candidate to remove.  Houdini then checks candidates one
+    at a time instead of keeping them all, so a contradictory conjunction
+    never proves the assertions: the invariant is the one the full solver
+    infers."""
+    solver = SolverConfig(get_value_replying_solver(tmp_path, "()"), timeout=120)
 
     buggy = hb_source.replace("State = StateType.Respond;", "State = StateType.Request;")
     tr, hinfo, policy = build(buggy, hb_policy_text, "HelloBlockchain")

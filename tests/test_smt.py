@@ -4,6 +4,7 @@ import io
 import itertools
 import math
 import operator
+import re
 import subprocess
 import sys
 
@@ -144,6 +145,106 @@ def test_negative_quantifier_is_unknown():
     (declare-const m (Array Int Int))
     (assert (not (forall ((i Int)) (= (select m i) 0))))
     (check-sat)""") == "unknown"
+
+
+_ALIASED_ROWS = """
+    (declare-sort Ref 0)
+    (declare-const u Ref)(declare-const v Ref)(declare-const b Bool)
+    (declare-const mref (Array Ref (Array Int Ref)))
+    (declare-const alloc (Array Ref Bool))
+    (assert (forall ((i Int)) (select alloc (select (select mref v) i))))
+    (assert (not (select alloc (select (select mref u) 1))))
+    """
+
+
+@pytest.mark.parametrize("alias", ["(assert (= u v))",
+                                   "(assert (or b (= u v)))(assert (not b))"])
+def test_triggers_match_modulo_may_equal_terms(alias):
+    # no ground term reads row v: the trigger matches row u because u and v
+    # may be equal, whatever the polarity of the equality
+    assert answer(_ALIASED_ROWS + alias + "(check-sat)") == "unsat"
+
+
+def test_every_covering_pattern_is_a_trigger():
+    # only new[r] is ground: the first axiom fires on its `new` side, and
+    # its instance's old[r] fires the second axiom in the next round
+    assert answer("""
+    (declare-sort Ref 0)(declare-const r Ref)
+    (declare-const old (Array Ref Bool))(declare-const new (Array Ref Bool))
+    (assert (forall ((i Ref)) (=> (select old i) (select new i))))
+    (assert (forall ((i Ref)) (select old i)))
+    (assert (not (select new r)))
+    (check-sat)""") == "unsat"
+
+
+def test_bound_variable_under_no_trigger_is_unknown():
+    assert answer("""
+    (declare-const x Int)
+    (assert (forall ((i Int)) (<= i x)))
+    (check-sat)""") == "unknown"
+
+
+def test_nested_maps_houdini_query_needs_few_instances(tmp_path, monkeypatch):
+    from conftest import fixture_path
+    from solverify.cli import main
+    main(["verify", "--mode", "assertions", "--sol", fixture_path("nested_maps.sol"),
+          "--root", "C", "--k", "0", "--dump-smt", str(tmp_path)])
+    instances = []
+    instantiate = solver._instantiate
+    monkeypatch.setattr(solver, "_instantiate",
+                        lambda *args: instances.extend(instantiate(*args)) or instances)
+    assert answer((tmp_path / "C_Ctor_houdini_final.smt2").read_text()) == "unsat"
+    assert 0 < len(instances) < 100
+
+
+@st.composite
+def _allocation_queries(draw):
+    """(quantified script, the same with every axiom replaced by its
+    instances at every ground term of its bound sort): 2-4 references,
+    disjunctions of (dis)equalities and reads over them, and one or two
+    axioms shaped like the heap encoding's.  The axioms have a common model
+    (`old` all false, `alloc` all true, injective rows), as the encoding's
+    do, so a contradiction always runs through a term of the query."""
+    refs = [f"r{n}" for n in range(draw(st.integers(2, 4)))]
+    ref = st.sampled_from(refs)
+    row_read = st.builds("(select (select mref {}) {})".format, ref, st.sampled_from("01"))
+    term = st.one_of(ref, row_read)
+    atom = st.one_of(st.builds("(= {} {})".format, term, term),
+                     st.builds("(select {} {})".format, st.sampled_from(["old", "alloc"]), term))
+    literal = st.builds(lambda a, neg: f"(not {a})" if neg else a, atom, st.booleans())
+    clauses = draw(st.lists(st.lists(literal, min_size=1, max_size=2), min_size=2, max_size=6))
+    ground = ("(declare-sort Ref 0)" + "".join(f"(declare-const {r} Ref)" for r in refs)
+              + "(declare-const mref (Array Ref (Array Int Ref)))"
+              + "(declare-const old (Array Ref Bool))(declare-const alloc (Array Ref Bool))"
+              + "".join(f"(assert (or {' '.join(c)}))" for c in clauses))
+    row = "(select (select mref {r}) {{{v}}})"
+    axiom = st.one_of(
+        st.builds(lambda r: ({"i": "Int"}, f"(not (select old {row.format(r=r, v='i')}))"), ref),
+        st.builds(lambda r: ({"i": "Int"}, f"(select alloc {row.format(r=r, v='i')})"), ref),
+        st.builds(lambda r: ({"i": "Int", "j": "Int"},
+                             f"(or (= {{i}} {{j}}) (not (= {row.format(r=r, v='i')} "
+                             f"{row.format(r=r, v='j')})))"), ref),
+        st.sampled_from([({"x": "Ref"}, "(=> (select old {x}) (select alloc {x}))"),
+                         ({"x": "Ref"}, "(not (select old {x}))"),
+                         ({"x": "Ref"}, "(select alloc {x})")]))
+    axioms = draw(st.lists(axiom, min_size=1, max_size=2))
+    universe = {"Int": sorted(set(re.findall(r"mref r\d\) (\d)", ground))),
+                "Ref": refs + sorted(set(re.findall(r"\(select \(select mref r\d\) \d\)", ground)))}
+    quantified, grounded = ground, ground
+    for bound, body in axioms:
+        binders = " ".join(f"({v} {sort})" for v, sort in bound.items())
+        quantified += f"(assert (forall ({binders}) {body.format(**{v: v for v in bound})}))"
+        for combo in itertools.product(*(universe[sort] for sort in bound.values())):
+            grounded += f"(assert {body.format(**dict(zip(bound, combo)))})"
+    return quantified, grounded
+
+
+@settings(max_examples=300, deadline=None)
+@given(_allocation_queries())
+def test_trigger_matching_refutes_what_full_grounding_refutes(case):
+    quantified, grounded = case
+    if answer(grounded + "(check-sat)") == "unsat":
+        assert answer(quantified + "(check-sat)") == "unsat"
 
 
 def test_session_reset():
