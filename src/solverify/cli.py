@@ -5,6 +5,9 @@ translation, and verification, then renders a human-readable report (plus an
 optional machine-readable JSON one).  Exit codes: 0 fully verified, 1
 refuted, 2 partially verified, 3 input error, 4 internal error (a crash of
 the verifier or of its solver, never a verdict).
+
+The policy, conformance and instrumentation modules are imported where a run
+first needs them, so an assertions-mode run never loads them.
 """
 
 from __future__ import annotations
@@ -18,14 +21,8 @@ import time
 from solverify import InputError, __version__
 from solverify.engine import verify as engine_verify
 from solverify.engine.smtio import SolverConfig
-from solverify.engine.trace import CounterexampleTrace
-from solverify.instrument import instrument_for_conformance, make_runtime_checks
-from solverify.policy import parse_policy
 from solverify.record import field, record
-from solverify.sol import (
-    check_syntactic_conformance, desugar_modifiers, parse_contract, typecheck,
-)
-from solverify.sol.conformance import functions_without_transitions
+from solverify.sol import desugar_modifiers, parse_contract, typecheck
 from solverify.translate import generate_harness, translate_program
 
 EXIT_FULLY_VERIFIED = 0
@@ -85,6 +82,7 @@ def run(cfg: RunConfig):
     if cfg.mode in ("conformance", "instrument-only") and not cfg.policy_path:
         raise InputError(f"{cfg.mode} mode needs --policy")
     if cfg.policy_path:
+        from solverify.policy import parse_policy
         policy = parse_policy(_read(cfg.policy_path))
 
     program = parse_contract("\n".join(sources))
@@ -104,6 +102,10 @@ def run(cfg: RunConfig):
     report["root"] = root
 
     if policy is not None and cfg.mode != "assertions":
+        from solverify.instrument import instrument_for_conformance
+        from solverify.sol.conformance import (
+            check_syntactic_conformance, functions_without_transitions,
+        )
         diags = check_syntactic_conformance(program, policy)
         report["syntactic_diagnostics"] = [str(d) for d in diags]
         if diags:
@@ -115,7 +117,10 @@ def run(cfg: RunConfig):
 
     if cfg.emit_instrumented:
         from solverify.sol.printer import print_program
-        artifact = make_runtime_checks(program) if cfg.runtime_checks else program
+        artifact = program
+        if cfg.runtime_checks:
+            from solverify.instrument import make_runtime_checks
+            artifact = make_runtime_checks(program)
         with open(cfg.emit_instrumented, "w") as fh:
             fh.write(print_program(artifact))
 

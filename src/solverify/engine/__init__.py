@@ -1,6 +1,6 @@
 """Assertion discharge: contract-invariant inference, bounded model checking
 over the unrolled harness, SMT process interface, and counterexample
-replay."""
+replay (`trace`, loaded when a bounded check first answers `sat`)."""
 
 from solverify.engine.verify import (  # noqa: F401
     FullyVerified, PartiallyVerified, Refuted, verify,
@@ -8,4 +8,3 @@ from solverify.engine.verify import (  # noqa: F401
 from solverify.engine.smtio import (  # noqa: F401
     CheckResult, SolverConfig, SolverCrashed, check_smt, solver_argv,
 )
-from solverify.engine.trace import CounterexampleTrace, ReplayMismatch, Transaction  # noqa: F401

@@ -6,7 +6,6 @@ import time
 
 from solverify.engine.queries import vc_gen
 from solverify.engine.smtio import SolverConfig, check_smt
-from solverify.engine.trace import CounterexampleTrace, extract_trace
 from solverify.engine.unroll import unroll_harness
 from solverify.record import field, record
 from solverify.translate import HarnessInfo, Translation
@@ -87,6 +86,7 @@ def bounded_check(tr: Translation, hinfo: HarnessInfo, k_max: int,
         result = check_smt(query, solver, f"main_bmc_{k}")
         statuses.append(result.status)
         if result.status == "sat":
+            from solverify.engine.trace import extract_trace
             # extraction renames the model's references, which the domain
             # pins (reference literals) would not survive; a model of the
             # pinned query is one of the unpinned procedure

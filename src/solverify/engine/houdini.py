@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import time
 
-from solverify.engine.candidates import CandidatePredicate
 from solverify.engine.queries import QueryBuilder
 from solverify.engine.smtio import SolverConfig, check_smt
 from solverify.engine.unroll import Inliner

@@ -20,12 +20,28 @@ from solverify.vir import ast as I
 from solverify.vir.prelude import ALLOC, STR_TO_INT
 
 BOOL_IR_OPS = {"&&": "and", "||": "or", "==>": "=>", "!": "not"}
-INT_IR_OPS = {"+": "+", "-": "-", "*": "*", "/": "div", "%": "mod", "neg": "neg"}
+INT_IR_OPS = {"+": "+", "-": "-", "*": "*", "neg": "neg"}
+# Solidity's `/` and `%` truncate toward zero; SMT-LIB's `div` and `mod`
+# are Euclidean (`(div -7 2)` is -4), which agrees only on a dividend >= 0.
+TRUNCATING_IR_OPS = {"/": "div", "%": "mod"}
 REL_IR_OPS = {"<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
 
 class VcError(Exception):
     pass
+
+
+def truncating(bank: T.TermBank, op: str, a: T.Term, b: T.Term) -> T.Term:
+    """`a / b` (op "div") or `a % b` (op "mod") rounded toward zero:
+    `(ite (>= a 0) (op a b) (- (op (- a) b)))`."""
+    def euclid(x: T.Term) -> T.Term:
+        return bank.mk(op, (x, b), sort=T.INT_S)
+
+    def neg(x: T.Term) -> T.Term:
+        return bank.mk("neg", (x,), sort=T.INT_S)
+
+    nonneg = bank.mk(">=", (a, bank.intval(0)), sort=T.BOOL_S)
+    return bank.mk("ite", (nonneg, euclid(a), neg(euclid(neg(a)))), sort=T.INT_S)
 
 
 def sort_of(ty: I.IrType):
@@ -106,6 +122,8 @@ class QueryBuilder:
                 return bank.mk(BOOL_IR_OPS[e.op], args, sort=T.BOOL_S)
             if e.op in INT_IR_OPS:
                 return bank.mk(INT_IR_OPS[e.op], args, sort=T.INT_S)
+            if e.op in TRUNCATING_IR_OPS:
+                return truncating(bank, TRUNCATING_IR_OPS[e.op], *args)
             if e.op in REL_IR_OPS:
                 return bank.mk(REL_IR_OPS[e.op], args, sort=T.BOOL_S)
             if e.op == "==":

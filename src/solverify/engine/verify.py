@@ -12,11 +12,8 @@ from __future__ import annotations
 import time
 
 from solverify.engine.bmc import BmcOutcome, bounded_check
-from solverify.engine.candidates import CandidatePredicate, generate_candidates
 from solverify.engine.houdini import HoudiniResult, houdini_infer
 from solverify.engine.smtio import SolverConfig
-from solverify.engine.trace import CounterexampleTrace
-from solverify.policy import Policy
 from solverify.record import field, record
 from solverify.translate import HarnessInfo, Translation
 
@@ -64,10 +61,10 @@ def verify(tr: Translation, hinfo: HarnessInfo, policy: Policy | None = None,
     start = time.monotonic()
     timings = Timings()
 
-    pool = candidates
-    if pool is None:
-        pool = generate_candidates(tr, policy, hinfo.root) if policy else []
-    houdini = houdini_infer(tr, hinfo, pool, solver=solver)
+    if candidates is None and policy:
+        from solverify.engine.candidates import generate_candidates
+        candidates = generate_candidates(tr, policy, hinfo.root)
+    houdini = houdini_infer(tr, hinfo, candidates or [], solver=solver)
     timings.invariant_seconds = houdini.seconds
     if houdini.all_asserts_verified:
         timings.total_seconds = time.monotonic() - start

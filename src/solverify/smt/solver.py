@@ -206,6 +206,13 @@ class Simplifier:
         return d[0] if d is not None and not d[1] else None
 
 
+def euclidean(op: str, a: int, b: int) -> int:
+    """SMT-LIB's `(div a b)` (op "div") or `(mod a b)`, b nonzero: the
+    remainder is in [0, |b|)."""
+    q = a // b if b > 0 else -(a // -b)
+    return q if op == "div" else a - b * q
+
+
 # ---------------------------------------------------------------------------
 # Linear view of integer terms
 
@@ -546,8 +553,10 @@ class Theory:
 
     # -- model ----------------------------------------------------------------
 
-    def model_value(self, t: Term, assignment: dict[int, bool], atom_vars: dict[int, int]):
-        """Evaluate a term under the theory model."""
+    def model_value(self, t: Term, assignment: dict[int, bool], atom_vars: dict[int, int],
+                    fixed: dict[int, int] | None = None):
+        """Evaluate a term under the theory model, with the integer terms in
+        `fixed` (by id) taking the value it gives them."""
         cc = self.cc
         if t.op == "intval":
             return t.value
@@ -558,7 +567,10 @@ class Theory:
             const, coeffs = lin
             total = const
             for sub, coeff in coeffs.items():
-                total += coeff * self._class_int(sub)
+                if fixed and sub.tid in fixed:
+                    total += coeff * fixed[sub.tid]
+                else:
+                    total += coeff * self._class_int(sub)
             return total
         if t.sort == BOOL_S:
             var = atom_vars.get(t.tid)
@@ -781,6 +793,7 @@ class GroundSolver:
         self.cnf = CNF(bank)
         self.theory: Theory | None = None
         self.assignment: dict[int, bool] | None = None
+        self.fixed: dict[int, int] = {}  # div/mod term id -> its value
 
     def solve(self, assertions: list[Term]) -> str:
         for a in assertions:
@@ -853,13 +866,27 @@ class GroundSolver:
 
     def _validate(self, theory: "Theory", model: dict[int, bool]) -> bool:
         """Evaluate arithmetic/equality atoms under the candidate model; a
-        mismatch downgrades the answer rather than shipping a bad model."""
+        mismatch downgrades the answer rather than shipping a bad model.
+        The theory leaves `div` and `mod` terms opaque, so each one with a
+        nonzero divisor is evaluated as SMT-LIB defines it instead, innermost
+        first: the model stands if the atoms still hold with those values."""
         atom_vars = {term.tid: var for var, term in self.cnf.atom_terms.items()}
+        fixed = self.fixed
+
+        def value(t: Term):
+            return theory.model_value(t, model, atom_vars, fixed)
+
+        divisions: list[Term] = []
+        fold(self.cnf.atom_terms.values(),
+             lambda t, _: t.op in ("div", "mod") and divisions.append(t))
+        for t in divisions:
+            b = value(t.args[1])
+            if b != 0:
+                fixed[t.tid] = euclidean(t.op, value(t.args[0]), b)
         for var, atom in self.cnf.atom_terms.items():
             if var not in model or atom.op not in ("=", "<", "<=", ">", ">="):
                 continue
-            a = theory.model_value(atom.args[0], model, atom_vars)
-            b = theory.model_value(atom.args[1], model, atom_vars)
+            a, b = value(atom.args[0]), value(atom.args[1])
             got = {"=": a == b, "<": a < b, "<=": a <= b,
                    ">": a > b, ">=": a >= b}[atom.op]
             if got != model[var]:
@@ -869,7 +896,8 @@ class GroundSolver:
     def value_of(self, t: Term):
         return self.theory.model_value(t, self.assignment or {},
                                        {term.tid: var for var, term
-                                        in self.cnf.atom_terms.items()})
+                                        in self.cnf.atom_terms.items()},
+                                       self.fixed)
 
 
 def _polarity_extract(bank: TermBank, t: Term, proxies: list, polarity: bool,

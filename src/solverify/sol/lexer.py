@@ -1,6 +1,10 @@
-"""Tokenizer for the Solidity subset."""
+"""Tokenizer for the Solidity subset: one master regular expression, matched
+once per token.  Identifiers and numbers are ASCII; any other character
+outside a string or a comment is a LexError."""
 
 from __future__ import annotations
+
+import re
 
 from solverify import InputError
 from solverify.record import record
@@ -27,11 +31,27 @@ UNSUPPORTED_KEYWORDS = {
     "storage", "calldata", "delegatecall", "send", "transfer", "throw",
 }
 
+# Longest first: the first alternative that matches wins.
 SYMBOLS = [
     "==>", "=>", "==", "!=", "<=", ">=", "&&", "||",
     "(", ")", "{", "}", "[", "]", ";", ",", ".", "=", "!",
-    "<", ">", "+", "-", "*", "/", "%", "_",
+    "<", ">", "+", "-", "*", "/", "%",
 ]
+
+# One group per token class, tried in this order; `open_comment` and
+# `open_string` match only what their terminated forms could not.
+_TOKEN = re.compile("|".join([
+    r"(?P<blank>[ \t\r\n]+)",
+    # a block comment ends at the first "*/" from its "*" on: "/*/" is one
+    r"(?P<comment>//[^\n]*|/(?=\*).*?\*/)",
+    r"(?P<open_comment>/\*)",
+    r'(?P<string>"[^"\n]*")',
+    r'(?P<open_string>")',
+    r"(?P<hex>0[xX][0-9A-Za-z]*)",
+    r"(?P<int>[0-9]+)",
+    r"(?P<word>[A-Za-z_][A-Za-z0-9_]*)",
+    "(?P<symbol>" + "|".join(map(re.escape, SYMBOLS)) + ")",
+]), re.DOTALL)
 
 
 @record(frozen=True)
@@ -47,93 +67,47 @@ class Token:
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    i = 0
-    line, col = 1, 1
-    n = len(source)
-
-    def advance(k: int):
-        nonlocal i, line, col
-        for _ in range(k):
-            if source[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
+    append = tokens.append
+    match = _TOKEN.match
+    i, n = 0, len(source)
+    line, line_start = 1, 0  # the offset where `line` begins
     while i < n:
-        c = source[i]
-        if c in " \t\r\n":
-            advance(1)
-            continue
-        if source.startswith("//", i):
-            j = source.find("\n", i)
-            advance((j - i) if j != -1 else (n - i))
-            continue
-        if source.startswith("/*", i):
-            j = source.find("*/", i)
-            if j == -1:
-                raise LexError(line, col, "unterminated block comment")
-            advance(j + 2 - i)
-            continue
-        if c == '"':
-            j = i + 1
-            while j < n and source[j] != '"':
-                if source[j] == "\n":
-                    raise LexError(line, col, "unterminated string literal")
-                j += 1
-            if j >= n:
-                raise LexError(line, col, "unterminated string literal")
-            tokens.append(Token("string", source[i + 1:j], line, col))
-            advance(j + 1 - i)
-            continue
-        if source.startswith("0x", i) or source.startswith("0X", i):
-            j = i + 2
-            while j < n and (source[j].isalnum()):
-                j += 1
-            text = source[i:j]
+        m = match(source, i)
+        col = i - line_start + 1
+        if m is None:
+            raise LexError(line, col, f"unexpected character {source[i]!r}")
+        kind, text, i = m.lastgroup, m.group(), m.end()
+        if kind == "blank" or kind == "comment":
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = m.start() + text.rindex("\n") + 1
+        elif kind == "word":
+            if text == "pragma":
+                # The pragma line is ignored wholesale.
+                j = source.find("\n", i)
+                i = n if j == -1 else j
+            elif text == "_":
+                append(Token("symbol", "_", line, col))
+            elif text in KEYWORDS:
+                append(Token("keyword", text, line, col))
+            else:
+                # Unsupported keywords are tokenized as identifiers; the
+                # parser reports them with position information.
+                append(Token("ident", text, line, col))
+        elif kind == "string":
+            append(Token("string", text[1:-1], line, col))
+        elif kind == "hex":
             try:
                 int(text, 16)
             except ValueError:
                 raise LexError(line, col, f"bad hex literal {text!r}") from None
-            tokens.append(Token("hex", text, line, col))
-            advance(j - i)
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            tokens.append(Token("int", source[i:j], line, col))
-            advance(j - i)
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            if text == "_":
-                tokens.append(Token("symbol", "_", line, col))
-            elif text == "pragma":
-                # The pragma line is ignored wholesale.
-                advance(j - i)
-                k = source.find("\n", i)
-                advance((k - i) if k != -1 else (n - i))
-                continue
-            elif text in KEYWORDS:
-                tokens.append(Token("keyword", text, line, col))
-            else:
-                # Unsupported keywords are tokenized as identifiers; the
-                # parser reports them with position information.
-                tokens.append(Token("ident", text, line, col))
-            advance(j - i)
-            continue
-        for sym in SYMBOLS:
-            if source.startswith(sym, i):
-                tokens.append(Token("symbol", sym, line, col))
-                advance(len(sym))
-                break
+            append(Token("hex", text, line, col))
+        elif kind == "open_comment":
+            raise LexError(line, col, "unterminated block comment")
+        elif kind == "open_string":
+            raise LexError(line, col, "unterminated string literal")
         else:
-            raise LexError(line, col, f"unexpected character {c!r}")
-
-    tokens.append(Token("eof", "", line, col))
+            append(Token(kind, text, line, col))
+    append(Token("eof", "", line, n - line_start + 1))
     return tokens

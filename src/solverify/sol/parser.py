@@ -5,6 +5,12 @@ expression forms plus contracts, `is` inheritance lists, enums, modifiers
 with the `_;` placeholder, visibility markers, and both constructor styles
 (`constructor(...)` and a function named after the contract).  Anything
 outside the subset is rejected explicitly, never silently dropped.
+
+Binary operators are parsed by precedence climbing over one table of
+binding powers (Pratt, "Top down operator precedence", POPL 1973).  Each
+expression node is checked as it is built: its height against
+MAX_EXPR_DEPTH, and its operands for a method call, which the subset
+allows only as a statement.
 """
 
 from __future__ import annotations
@@ -36,11 +42,24 @@ ELEM_TYPE_KEYWORDS = {
     "string": ast.STRING, "address": ast.ADDRESS, "bool": ast.BOOL,
 }
 
+# Binding power of each left-associative binary operator.  `==>` binds
+# looser than all of them and associates to the right.
+BINARY_POWER = {
+    "||": 1, "&&": 2, "==": 3, "!=": 3, "<": 4, "<=": 4, ">": 4, ">=": 4,
+    "+": 5, "-": 5, "*": 6, "/": 6, "%": 6,
+}
+UNARY_OPS = {"!": "!", "-": "neg"}
+
+# Translation and the IR passes recurse once per level of an expression.
+MAX_EXPR_DEPTH = 400
+
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
+        # id of each expression node built -> its height (a leaf has 1)
+        self.height: dict[int, int] = {}
 
     # -- token helpers ----------------------------------------------------
 
@@ -52,24 +71,28 @@ class _Parser:
         return self.tokens[min(self.i + k, len(self.tokens) - 1)]
 
     def at(self, kind: str, text: str | None = None) -> bool:
-        t = self.cur
+        t = self.tokens[self.i]
         return t.kind == kind and (text is None or t.text == text)
 
     def at_symbol(self, text: str) -> bool:
-        return self.at("symbol", text)
+        t = self.tokens[self.i]
+        return t.text == text and t.kind == "symbol"
 
     def at_keyword(self, text: str) -> bool:
-        return self.at("keyword", text)
+        t = self.tokens[self.i]
+        return t.text == text and t.kind == "keyword"
 
     def take(self) -> Token:
-        t = self.cur
+        t = self.tokens[self.i]
         self.i += 1
         return t
 
     def expect(self, kind: str, text: str | None = None) -> Token:
-        if not self.at(kind, text):
-            raise ParseError(self.cur.line, self.cur.col, text or kind)
-        return self.take()
+        t = self.tokens[self.i]
+        if t.kind != kind or (text is not None and t.text != text):
+            raise ParseError(t.line, t.col, text or kind)
+        self.i += 1
+        return t
 
     def pos(self) -> tuple[int, int]:
         return (self.cur.line, self.cur.col)
@@ -83,13 +106,6 @@ class _Parser:
     def parse_program(self) -> ast.SolProgram:
         contracts = []
         while not self.at("eof"):
-            if self.at_keyword("pragma"):
-                while not self.at_symbol(";"):
-                    if self.at("eof"):
-                        raise ParseError(self.cur.line, self.cur.col, "';' after pragma")
-                    self.take()
-                self.take()
-                continue
             self.check_supported(self.cur)
             contracts.append(self.parse_contract())
         return ast.SolProgram(contracts=contracts)
@@ -291,30 +307,26 @@ class _Parser:
     def parse_stmt(self) -> list[ast.SolStmt]:
         """One source statement.  It parses to one statement, except that
         `T x = new ...;` gives the declaration of x, then the allocation."""
-        self.check_supported(self.cur)
-        pos = self.pos()
-        if self.at_keyword("require"):
+        tok = self.cur
+        self.check_supported(tok)
+        pos = (tok.line, tok.col)
+        keyword = tok.text if tok.kind == "keyword" else None
+        if keyword == "require" or keyword == "assert":
             self.take()
             self.expect("symbol", "(")
             cond = self.parse_expr()
             self.expect("symbol", ")")
             self.expect("symbol", ";")
-            return [ast.Require(cond=cond, pos=pos)]
-        if self.at_keyword("assert"):
-            self.take()
-            self.expect("symbol", "(")
-            cond = self.parse_expr()
-            self.expect("symbol", ")")
-            self.expect("symbol", ";")
-            return [ast.Assert(cond=cond, pos=pos)]
-        if self.at_keyword("revert"):
+            stmt = ast.Require if keyword == "require" else ast.Assert
+            return [stmt(cond=cond, pos=pos)]
+        if keyword == "revert":
             self.take()
             self.expect("symbol", "(")
             self.expect("symbol", ")")
             self.expect("symbol", ";")
             # revert() aborts like a failed precondition.
             return [ast.Require(cond=ast.BoolLit(False, pos=pos), pos=pos)]
-        if self.at_keyword("if"):
+        if keyword == "if":
             self.take()
             self.expect("symbol", "(")
             cond = self.parse_expr()
@@ -325,13 +337,13 @@ class _Parser:
                 self.take()
                 els = self.parse_body()
             return [ast.If(cond=cond, then=then, els=els, pos=pos)]
-        if self.at_keyword("while"):
+        if keyword == "while":
             self.take()
             self.expect("symbol", "(")
             cond = self.parse_expr()
             self.expect("symbol", ")")
             return [ast.While(cond=cond, body=self.parse_body(), pos=pos)]
-        if self.at_keyword("return"):
+        if keyword == "return":
             self.take()
             value = None
             if not self.at_symbol(";"):
@@ -341,9 +353,8 @@ class _Parser:
 
         # Local declaration: starts with a type keyword, `mapping`, or an
         # identifier followed by another identifier.
-        if (self.cur.kind == "keyword" and self.cur.text in ELEM_TYPE_KEYWORDS) \
-                or self.at_keyword("mapping") \
-                or (self.cur.kind == "ident" and self._looks_like_decl()):
+        if keyword in ELEM_TYPE_KEYWORDS or keyword == "mapping" \
+                or (tok.kind == "ident" and self._looks_like_decl()):
             ty = self.parse_type()
             name = self.expect("ident").text
             init = None
@@ -357,14 +368,14 @@ class _Parser:
             return [ast.DeclStmt(name=name, ty=ty, init=init, pos=pos)]
 
         # Assignment, call, or push.
-        lhs = self.parse_expr()
+        lhs = self.parse_expr_or_call()
         if self.at_symbol(";"):
             self.take()
             return [self._statement_from_bare_expr(lhs, pos)]
         self.expect("symbol", "=")
         if self.at_keyword("new"):
             return [self._parse_new_into(lhs, pos)]
-        rhs = self.parse_expr()
+        rhs = self.parse_expr_or_call()
         self.expect("symbol", ";")
         return [self._statement_from_assignment(lhs, rhs, pos)]
 
@@ -428,8 +439,10 @@ class _Parser:
 
     def _statement_from_assignment(self, lhs, rhs, pos) -> ast.SolStmt:
         if isinstance(rhs, ast.ExprCall):
+            self._no_call(lhs)
             return ast.InternalCall(target=lhs, fn=rhs.fn, args=rhs.args, pos=pos)
         if isinstance(rhs, _MethodCall):
+            self._no_call(lhs)
             return ast.ExternalCall(target=lhs, receiver=rhs.receiver, fn=rhs.fn,
                                     args=rhs.args, pos=pos)
         if not isinstance(lhs, (ast.Var, ast.Index)):
@@ -448,110 +461,104 @@ class _Parser:
         self.take()
         return args
 
+    def _no_call(self, e: ast.SolExpr):
+        if isinstance(e, _MethodCall):
+            raise ParseError(e.pos[0], e.pos[1], "calls are statements in the subset")
+
+    def _built(self, node: ast.SolExpr, *operands: ast.SolExpr) -> ast.SolExpr:
+        """`node` over `operands`, its height recorded.  A method call among
+        the operands, or a height past MAX_EXPR_DEPTH, is a ParseError.  (An
+        operand met before the rest of its node is checked for a call as
+        soon as the node's next token shows it to be one.)"""
+        below = 0
+        for e in operands:
+            self._no_call(e)
+            below = max(below, self.height[id(e)])
+        if below >= MAX_EXPR_DEPTH:
+            raise ParseError(node.pos[0], node.pos[1], "less deeply nested code")
+        self.height[id(node)] = below + 1
+        return node
+
     def parse_expr(self) -> ast.SolExpr:
-        return self.parse_implies()
+        """An expression; a method call here is a ParseError."""
+        e = self.parse_expr_or_call()
+        self._no_call(e)
+        return e
 
-    def parse_implies(self) -> ast.SolExpr:
-        lhs = self.parse_or()
-        if self.at_symbol("==>"):
-            pos = self.pos()
-            self.take()
-            rhs = self.parse_implies()  # right-associative
-            return ast.Op(op="==>", args=[lhs, rhs], pos=pos)
-        return lhs
+    def parse_expr_or_call(self) -> ast.SolExpr:
+        """An expression, or a method call (a statement's expression)."""
+        lhs = self.parse_binary(1)
+        if not self.at_symbol("==>"):
+            return lhs
+        self._no_call(lhs)
+        tok = self.take()
+        rhs = self.parse_expr_or_call()  # right-associative
+        return self._built(ast.Op(op="==>", args=[lhs, rhs], pos=(tok.line, tok.col)),
+                           lhs, rhs)
 
-    def _binop_level(self, ops: tuple[str, ...], next_level) -> ast.SolExpr:
-        lhs = next_level()
-        while self.cur.kind == "symbol" and self.cur.text in ops:
-            tok = self.take()
-            rhs = next_level()
-            lhs = ast.Op(op=tok.text, args=[lhs, rhs], pos=(tok.line, tok.col))
-        return lhs
-
-    def parse_or(self):
-        return self._binop_level(("||",), self.parse_and)
-
-    def parse_and(self):
-        return self._binop_level(("&&",), self.parse_equality)
-
-    def parse_equality(self):
-        return self._binop_level(("==", "!="), self.parse_relational)
-
-    def parse_relational(self):
-        return self._binop_level(("<", "<=", ">", ">="), self.parse_additive)
-
-    def parse_additive(self):
-        return self._binop_level(("+", "-"), self.parse_multiplicative)
-
-    def parse_multiplicative(self):
-        return self._binop_level(("*", "/", "%"), self.parse_unary)
+    def parse_binary(self, min_power: int) -> ast.SolExpr:
+        """Operands joined by binary operators of binding power at least
+        `min_power`, grouped to the left."""
+        lhs = self.parse_unary()
+        while True:
+            tok = self.cur
+            power = BINARY_POWER.get(tok.text, 0) if tok.kind == "symbol" else 0
+            if power < min_power:
+                return lhs
+            self._no_call(lhs)
+            self.i += 1
+            rhs = self.parse_binary(power + 1)
+            lhs = self._built(ast.Op(op=tok.text, args=[lhs, rhs],
+                                     pos=(tok.line, tok.col)), lhs, rhs)
 
     def parse_unary(self) -> ast.SolExpr:
-        if self.at_symbol("!"):
-            tok = self.take()
-            return ast.Op(op="!", args=[self.parse_unary()], pos=(tok.line, tok.col))
-        if self.at_symbol("-"):
-            tok = self.take()
-            return ast.Op(op="neg", args=[self.parse_unary()], pos=(tok.line, tok.col))
-        return self.parse_postfix()
+        prefixes = []
+        while self.cur.text in UNARY_OPS and self.cur.kind == "symbol":
+            prefixes.append(self.take())
+        e = self.parse_postfix()
+        for tok in reversed(prefixes):
+            e = self._built(ast.Op(op=UNARY_OPS[tok.text], args=[e],
+                                   pos=(tok.line, tok.col)), e)
+        return e
 
     def parse_postfix(self) -> ast.SolExpr:
         e = self.parse_primary()
         while True:
             if self.at_symbol("["):
                 tok = self.take()
+                self._no_call(e)
                 key = self.parse_expr()
                 self.expect("symbol", "]")
-                e = ast.Index(base=e, key=key, pos=(tok.line, tok.col))
+                e = self._built(ast.Index(base=e, key=key, pos=(tok.line, tok.col)),
+                                e, key)
                 continue
-            if self.at_symbol(".") :
+            if self.at_symbol("."):
                 tok = self.take()
+                pos = (tok.line, tok.col)
                 member = self.expect("ident").text
                 if member == "length":
-                    e = ast.LengthOf(base=e, pos=(tok.line, tok.col))
+                    e = self._built(ast.LengthOf(base=e, pos=pos), e)
                     continue
                 if self.at_symbol("("):
+                    self._no_call(e)
                     args = self.parse_args()
-                    e = _MethodCall(receiver=e, fn=member, args=args,
-                                    pos=(tok.line, tok.col))
+                    e = self._built(_MethodCall(receiver=e, fn=member, args=args,
+                                                pos=pos), e, *args)
                     continue
                 # Ident.Ident without a call: enum member access.
                 if isinstance(e, ast.Var):
-                    e = ast.EnumMember(enum=e.name, member=member,
-                                       pos=(tok.line, tok.col))
+                    e = self._built(ast.EnumMember(enum=e.name, member=member,
+                                                   pos=pos))
                     continue
                 raise ParseError(tok.line, tok.col, "'length', a call, or an enum member")
-            break
-        return e
+            return e
 
     def parse_primary(self) -> ast.SolExpr:
         tok = self.cur
         pos = (tok.line, tok.col)
-        if tok.kind == "int":
-            self.take()
-            return ast.IntLit(value=int(tok.text), pos=pos)
-        if tok.kind == "hex":
-            self.take()
-            return ast.AddressLit(value=int(tok.text, 16), pos=pos)
-        if tok.kind == "string":
-            self.take()
-            return ast.StringLit(value=tok.text, pos=pos)
-        if self.at_keyword("true"):
-            self.take()
-            return ast.BoolLit(value=True, pos=pos)
-        if self.at_keyword("false"):
-            self.take()
-            return ast.BoolLit(value=False, pos=pos)
-        if self.at_keyword("msg"):
-            self.take()
-            self.expect("symbol", ".")
-            t = self.expect("ident")
-            if t.text != "sender":
-                raise UnsupportedFeature(f"msg.{t.text}", t.line, t.col)
-            return ast.MsgSender(pos=pos)
         if self.at_symbol("("):
             self.take()
-            e = self.parse_expr()
+            e = self.parse_expr_or_call()
             self.expect("symbol", ")")
             return e
         if tok.kind == "ident":
@@ -559,8 +566,27 @@ class _Parser:
             self.take()
             if self.at_symbol("("):
                 args = self.parse_args()
-                return ast.ExprCall(fn=tok.text, args=args, pos=pos)
-            return ast.Var(name=tok.text, pos=pos)
+                return self._built(ast.ExprCall(fn=tok.text, args=args, pos=pos), *args)
+            return self._built(ast.Var(name=tok.text, pos=pos))
+        return self._built(self.parse_literal())
+
+    def parse_literal(self) -> ast.SolExpr:
+        tok = self.take()
+        pos = (tok.line, tok.col)
+        if tok.kind == "int":
+            return ast.IntLit(value=int(tok.text), pos=pos)
+        if tok.kind == "hex":
+            return ast.AddressLit(value=int(tok.text, 16), pos=pos)
+        if tok.kind == "string":
+            return ast.StringLit(value=tok.text, pos=pos)
+        if tok.kind == "keyword" and tok.text in ("true", "false"):
+            return ast.BoolLit(value=tok.text == "true", pos=pos)
+        if tok.kind == "keyword" and tok.text == "msg":
+            self.expect("symbol", ".")
+            t = self.expect("ident")
+            if t.text != "sender":
+                raise UnsupportedFeature(f"msg.{t.text}", t.line, t.col)
+            return ast.MsgSender(pos=pos)
         raise ParseError(tok.line, tok.col, "an expression")
 
 
@@ -578,46 +604,17 @@ class _MethodCall(ast.SolExpr):
     STRUCT_FIELDS = ("receiver", "fn", "args")
 
 
-def _reject_expression_method_calls(program: ast.SolProgram):
-    # _MethodCall must only survive at statement level; anywhere else the
-    # subset does not allow calls in expressions.
-    for body in ast.bodies(program):
-        for node in ast.walk(body):
-            if isinstance(node, _MethodCall):
-                raise ParseError(node.pos[0], node.pos[1],
-                                 "calls are statements in the subset")
-
-
-# Translation and the IR passes recurse once per level of an expression.
-MAX_EXPR_DEPTH = 400
-
-
-def _reject_deep_expressions(program: ast.SolProgram):
-    """An expression nested more than MAX_EXPR_DEPTH deep is a ParseError at
-    the operator that goes past the limit."""
-    for body in ast.bodies(program):
-        height: dict[int, int] = {}
-        for node in reversed(list(ast.walk(body))):  # operands first
-            if isinstance(node, ast.SolExpr):
-                h = height[id(node)] = 1 + max(
-                    (height[id(c)] for c in ast.children(node)), default=0)
-                if h > MAX_EXPR_DEPTH:
-                    raise ParseError(node.pos[0], node.pos[1],
-                                     "less deeply nested code")
-
-
 def parse_contract(source: str) -> ast.SolProgram:
     """Parse a source file into a SolProgram, with its inheritance
     linearized (`SolProgram.order`).  Nesting deeper than the recursive
-    descent can follow, or an expression deeper than MAX_EXPR_DEPTH, is a
-    ParseError at the token it reached."""
+    descent can follow is a ParseError at the token it reached; an
+    expression deeper than MAX_EXPR_DEPTH, at the operator that goes past
+    the limit."""
     parser = _Parser(tokenize(source))
     try:
         program = parser.parse_program()
     except RecursionError:
         raise ParseError(parser.cur.line, parser.cur.col,
                          "less deeply nested code") from None
-    _reject_expression_method_calls(program)
-    _reject_deep_expressions(program)
     program.order = linearize(program)
     return program

@@ -280,6 +280,58 @@ def translate_stmt(env: TransEnv, s: S.SolStmt) -> list[I.IrStmt]:
     raise TranslateError(f"cannot translate {type(s).__name__}")
 
 
+def _nonzero_divisors(e: I.IrExpr, guard: I.IrExpr | None = None) -> list[I.IrStmt]:
+    """An assumption that the divisor of each `/` and `%` in `e` is nonzero,
+    innermost first, each under the condition (`guard` and the left
+    operands of `&&`, `||` and `==>` above it) on which it is evaluated."""
+    out: list[I.IrStmt] = []
+    if isinstance(e, I.Op) and e.op in ("&&", "||", "==>"):
+        left, right = e.args
+        taken = I.op("!", left) if e.op == "||" else left
+        out += _nonzero_divisors(left, guard)
+        out += _nonzero_divisors(right, taken if guard is None else I.op("&&", guard, taken))
+        return out
+    if isinstance(e, (I.Op, I.UFApply)):
+        parts = e.args
+    elif isinstance(e, I.Select):
+        parts = (e.base,) + e.keys
+    else:
+        parts = ()
+    for part in parts:
+        out += _nonzero_divisors(part, guard)
+    if isinstance(e, I.Op) and e.op in ("/", "%") \
+            and not (isinstance(e.args[1], I.IConst) and e.args[1].value != 0):
+        nonzero = I.op("!=", e.args[1], I.IConst(0))
+        out.append(I.Assume(nonzero if guard is None else I.op("==>", guard, nonzero)))
+    return out
+
+
+def _guard_divisors(s: I.IrStmt) -> I.IrStmt:
+    """`s` with `_nonzero_divisors` of what each statement evaluates assumed
+    before it: a zero divisor reverts the transaction in Solidity, while
+    SMT-LIB leaves `(div a 0)` unconstrained.  A loop condition's are
+    assumed before the loop and at the end of its body."""
+    if isinstance(s, I.Seq):
+        return I.seq(*map(_guard_divisors, s.stmts))
+    if isinstance(s, I.If):
+        return I.seq(*_nonzero_divisors(s.cond),
+                     I.If(s.cond, _guard_divisors(s.then), _guard_divisors(s.els)))
+    if isinstance(s, I.While):
+        checks = _nonzero_divisors(s.cond)
+        return I.seq(*checks, I.While(s.cond, I.seq(_guard_divisors(s.body), *checks)))
+    if isinstance(s, I.Assign):
+        evaluated: tuple = (s.expr,)
+    elif isinstance(s, I.Store):
+        evaluated = s.keys + (s.value,)
+    elif isinstance(s, (I.Assume, I.Assert)):
+        evaluated = (s.cond,)
+    elif isinstance(s, I.Call):
+        evaluated = s.args
+    else:
+        evaluated = ()
+    return I.seq(*[a for e in evaluated for a in _nonzero_divisors(e)], s)
+
+
 def _translate_call(env: TransEnv, s, receiver: S.SolExpr | None) -> I.IrStmt:
     """Dispatch on the receiver's dynamic type over all subtypes of its
     static type.  Internal calls keep msg_sender; external calls pass the
@@ -414,7 +466,7 @@ def _make_env(tr: Translation, contract: str) -> TransEnv:
 
 def _finish_proc(tr: Translation, env: TransEnv, name: str, params, returns,
                  stmts: list[I.IrStmt]) -> I.IrProcedure:
-    body = I.seq(*(env.prelude_hoists + stmts))
+    body = _guard_divisors(I.seq(*(env.prelude_hoists + stmts)))
     _ensure_maps_declared(tr)
     return I.IrProcedure(name=name, params=params, returns=returns,
                          locals=env.locals, body=body)
