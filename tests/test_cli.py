@@ -356,6 +356,64 @@ def test_deep_expressions(tmp_path, capsys, stmts, code):
         assert err.startswith("error: 3:") and "nested" in err and "\n" not in err
 
 
+@pytest.mark.parametrize("stmts", [
+    "int x = \u00b2;",  # a superscript digit: str.isdigit, but not int()
+    "int x = \u0661\u0662; assert(x == 12);",  # Arabic-Indic digits
+    "int \u00e9 = 1; assert(\u00e9 == 1);",  # a Latin-1 letter
+], ids=["superscript", "arabic_indic", "latin1_letter"])
+def test_non_ascii_outside_strings_is_a_lex_error(tmp_path, capsys, stmts):
+    src = tmp_path / "u.sol"
+    src.write_text(f"contract C {{\n    function f() public {{ {stmts} }}\n}}\n",
+                   encoding="utf-8")
+    assert run_cli("verify", "--mode", "assertions", "--k", "1",
+                   "--sol", str(src)) == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: 2:") and "unexpected character" in err
+
+
+def _verify_function(tmp_path, ctor: str, body: str, params: str = "int a"):
+    """Exit code and report of `contract C { int x; constructor() { ctor }
+    function f(params) { body } }` in assertions mode at k = 3."""
+    src = tmp_path / "c.sol"
+    src.write_text(f"contract C {{\n    int x;\n    constructor() public {{ {ctor} }}\n"
+                   f"    function f({params}) public {{ {body} }}\n}}\n")
+    report = tmp_path / "r.json"
+    code = run_cli("verify", "--mode", "assertions", "--k", "3",
+                   "--sol", str(src), "--report-json", str(report))
+    return code, json.loads(report.read_text())
+
+
+def test_division_truncates_toward_zero(tmp_path):
+    # -7 / 2 is -3 in Solidity; SMT-LIB's div gives -4, which would prove it
+    code, doc = _verify_function(
+        tmp_path, "", "require(a == -7); x = a / 2; assert(x != -3);")
+    assert code == EXIT_REFUTED
+    assert [tx["fn"] for tx in doc["trace"]] == ["C", "f"]
+    assert doc["trace"][1]["args"] == [-7]
+
+
+def test_model_with_a_wrong_quotient_is_not_a_counterexample(tmp_path):
+    # the solver leaves `div` opaque: a model with 7 / 2 = 4 is checked and
+    # answered `unknown`; it used to end in a ReplayMismatch (exit 4)
+    code, doc = _verify_function(
+        tmp_path, "", "require(a == 7); x = a / 2; assert(x != 4);")
+    assert code == EXIT_PARTIAL and doc["bound"] == 0
+
+
+def test_zero_divisor_reverts(tmp_path):
+    # every run reverts in the constructor, so no assertion can fail; it
+    # used to exit 4 with `IrRuntimeError: modulo by zero` on replay
+    code, doc = _verify_function(tmp_path, "x = 1 % 0;", "assert(x == 0);", params="")
+    assert code == EXIT_PARTIAL and doc["bound"] == 3
+
+
+def test_zero_divisor_assumed_only_where_the_division_runs(tmp_path):
+    code, doc = _verify_function(
+        tmp_path, "", "if (a == 0 || 10 / a == 10 / a + 1) { assert(false); }")
+    assert code == EXIT_REFUTED
+    assert [(tx["fn"], tx["args"]) for tx in doc["trace"]] == [("C", []), ("f", [0])]
+
+
 def _assert_internal_error(code, capsys, report):
     assert code == EXIT_INTERNAL_ERROR
     err = capsys.readouterr().err.strip()

@@ -4,9 +4,12 @@ import json
 
 from hypothesis import given, settings, strategies as st
 
+from solverify.engine.queries import QueryBuilder
 from solverify.instrument import NONDET_FN, runtime_check_condition
 from solverify.policy import parse_policy, serialize_policy
 from solverify.sol import ast
+from solverify.vir import ast as I
+from solverify.vir.interp import Interp
 from solverify.vir.parser import parse_ir
 from solverify.vir.printer import print_ir
 
@@ -138,3 +141,29 @@ def ir_programs(draw):
 def test_ir_print_parse_round_trip(program):
     text = print_ir(program)
     assert print_ir(parse_ir(text)) == text
+
+
+def _smtlib_value(t):
+    """A ground integer term's value as SMT-LIB defines it: `(div a b)` and
+    `(mod a b)` are q and r with a = b * q + r and 0 <= r < |b|."""
+    if t.op == "intval":
+        return t.value
+    args = [_smtlib_value(a) for a in t.args]
+    if t.op == "ite":
+        return args[1] if args[0] else args[2]
+    if t.op == ">=":
+        return args[0] >= args[1]
+    if t.op == "neg":
+        return -args[0]
+    a, b = args
+    r = next(r for r in range(abs(b)) if (a - r) % b == 0)
+    return {"div": (a - r) // b, "mod": r}[t.op]
+
+
+@given(st.integers(-10 ** 6, 10 ** 6), st.integers(-300, 300).filter(bool),
+       st.sampled_from(["/", "%"]))
+@settings(max_examples=300, deadline=None)
+def test_division_encoding_agrees_with_ir_interpreter(a, b, op):
+    e = I.op(op, I.IConst(a), I.IConst(b))
+    encoded = QueryBuilder(I.IrProgram()).term(e)
+    assert _smtlib_value(encoded) == Interp(I.IrProgram()).eval(e, {})

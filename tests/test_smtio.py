@@ -12,7 +12,7 @@ import time
 import pytest
 
 from conftest import fixture_path
-from solverify.cli import EXIT_INTERNAL_ERROR, main
+from solverify.cli import EXIT_FULLY_VERIFIED, EXIT_INTERNAL_ERROR, main
 from solverify.engine import smtio
 from solverify.engine.queries import SmtQuery
 from test_smt_corpus import BUNDLED, INVOCATIONS
@@ -169,6 +169,35 @@ def test_importing_the_cli_loads_no_solver_printer_or_interpreter():
     # subprocess (external solvers) and traceback (crashes) load when used
     assert not loaded & {"dataclasses", "inspect", "subprocess", "traceback"}
     assert not _modules_loaded_by("solverify.smt.cli") & {"dataclasses", "inspect"}
+
+
+RUN_AND_LIST_MODULES = """
+import sys
+import solverify.cli as cli
+code = cli.main(sys.argv[1:])
+print("exit", code, *sorted(sys.modules))
+"""
+
+
+def _modules_loaded_by_run(*argv: str) -> tuple[int, set[str]]:
+    proc = _run_python(RUN_AND_LIST_MODULES, *argv)
+    assert proc.returncode == 0, proc.stderr
+    _, code, *modules = proc.stdout.splitlines()[-1].split()
+    return int(code), set(modules)
+
+
+def test_a_run_loads_only_the_modules_its_mode_uses():
+    code, loaded = _modules_loaded_by_run(
+        "verify", "--mode", "assertions", "--sol", fixture_path("nested_maps.sol"),
+        "--root", "C", "--k", "2")
+    assert code == EXIT_FULLY_VERIFIED
+    assert not loaded & {"solverify.policy", "solverify.instrument",
+                         "solverify.engine.candidates", "solverify.engine.trace"}
+    # a conformance run that proves its contract never replays a trace
+    code, loaded = _modules_loaded_by_run(*HELLO)
+    assert code == EXIT_FULLY_VERIFIED
+    assert "solverify.engine.candidates" in loaded
+    assert "solverify.engine.trace" not in loaded
 
 
 @pytest.mark.parametrize("name", sorted(INVOCATIONS))

@@ -164,6 +164,27 @@ def test_while_translates_structurally():
     assert isinstance(body[-1], I.While)
 
 
+def test_divisors_are_assumed_nonzero_where_evaluated():
+    # a zero divisor reverts: assumed nonzero before the statement, under the
+    # left operand of `||`, before a loop and at the end of its body; a
+    # nonzero constant divisor needs no assumption
+    tr = tp("""
+    contract C {
+        function F(int a, int b) public {
+            int x = a % 2;
+            require(b == 0 || 10 / b > a);
+            while (a / b > x) { x = x + 1; }
+        }
+    }
+    """)
+    body = I.seq_list(tr.ir.procedures["F_C"].body)
+    assumes = [print_expr(s.cond) for s in body if isinstance(s, I.Assume)]
+    assert assumes == ["!(b == 0) ==> b != 0", "b == 0 || 10 / b > a", "b != 0"]
+    loop = body[-1]
+    assert isinstance(loop, I.While)
+    assert print_expr(I.seq_list(loop.body)[-1].cond) == "b != 0"
+
+
 # -- calls and dispatch ---------------------------------------------------------------
 
 DISPATCH_SRC = """
