@@ -64,6 +64,7 @@ class TransEnv:
     temp_counter: int = 0
     nondet_counter: int = 0
     prelude_hoists: list[I.IrStmt] = field(default_factory=list)
+    divides: bool = False  # whether the body has a `/` or `%`
 
     def fresh_temp(self, ty: I.IrType, prefix: str = "tmp") -> str:
         name = f"{prefix}{self.temp_counter}"
@@ -120,6 +121,7 @@ def translate_expr(env: TransEnv, e: S.SolExpr) -> I.IrExpr:
             return I.Var(RET)
         return I.Var(e.name)
     if isinstance(e, S.Op):
+        env.divides |= e.op in ("/", "%")
         return I.Op(e.op, tuple(translate_expr(env, a) for a in e.args))
     if isinstance(e, S.Index):
         base_ty = e.base.ty
@@ -466,7 +468,9 @@ def _make_env(tr: Translation, contract: str) -> TransEnv:
 
 def _finish_proc(tr: Translation, env: TransEnv, name: str, params, returns,
                  stmts: list[I.IrStmt]) -> I.IrProcedure:
-    body = _guard_divisors(I.seq(*(env.prelude_hoists + stmts)))
+    body = I.seq(*(env.prelude_hoists + stmts))
+    if env.divides:
+        body = _guard_divisors(body)
     _ensure_maps_declared(tr)
     return I.IrProcedure(name=name, params=params, returns=returns,
                          locals=env.locals, body=body)
