@@ -6,7 +6,7 @@ import time
 
 from solverify.engine.queries import vc_gen
 from solverify.engine.smtio import SolverConfig, check_smt
-from solverify.engine.unroll import unroll_harness
+from solverify.engine.unroll import harness_var, unroll_harness
 from solverify.record import field, record
 from solverify.translate import HarnessInfo, Translation
 from solverify.vir import ast as I
@@ -33,7 +33,7 @@ def _restrict(stmt: I.IrStmt, hinfo: HarnessInfo, domains: Domains,
     def pin(s: I.IrStmt) -> I.IrStmt | None:
         if not isinstance(s, I.Havoc):
             return None
-        base = s.var.split("$", 1)[0]
+        base = harness_var(s.var)
         ty = local_types.get(base)
         if base in sender_bases and domains.senders:
             values = [I.RConst(v) for v in domains.senders]
@@ -52,19 +52,8 @@ def _restrict(stmt: I.IrStmt, hinfo: HarnessInfo, domains: Domains,
 @record
 class BmcOutcome:
     trace: CounterexampleTrace | None
-    k_reached: int
+    bound: int  # transactions proven safe: the consecutive unsat prefix
     seconds: float
-    statuses: list[str] = field(default_factory=list)
-
-    def safe_bound(self) -> int:
-        """Transactions proven safe: the consecutive unsat prefix.  Unknown
-        answers end the provable range."""
-        bound = 0
-        for status in self.statuses:
-            if status != "unsat":
-                break
-            bound += 1
-        return bound
 
 
 def bounded_check(tr: Translation, hinfo: HarnessInfo, k_max: int,
@@ -74,7 +63,7 @@ def bounded_check(tr: Translation, hinfo: HarnessInfo, k_max: int,
     start = time.monotonic()
     harness = tr.ir.procedures[hinfo.proc]
     local_types = dict(harness.params + harness.returns + harness.locals)
-    statuses = []
+    bound = 0
     for k in range(1, k_max + 1):
         unrolled = checked = unroll_harness(tr.ir, harness, k)
         if domains is not None:
@@ -84,15 +73,14 @@ def bounded_check(tr: Translation, hinfo: HarnessInfo, k_max: int,
                 body=_restrict(unrolled.body, hinfo, domains, local_types))
         _, query = vc_gen(tr.ir, checked)
         result = check_smt(query, solver, f"main_bmc_{k}")
-        statuses.append(result.status)
+        if result.status == "unsat" and bound == k - 1:
+            bound = k  # an unknown answer ends the provable range
         if result.status == "sat":
             from solverify.engine.trace import extract_trace
             # extraction renames the model's references, which the domain
             # pins (reference literals) would not survive; a model of the
             # pinned query is one of the unpinned procedure
             trace = extract_trace(result, query, unrolled, hinfo, tr, k)
-            return BmcOutcome(trace=trace, k_reached=k,
-                              seconds=time.monotonic() - start,
-                              statuses=statuses)
-    return BmcOutcome(trace=None, k_reached=k_max,
-                      seconds=time.monotonic() - start, statuses=statuses)
+            return BmcOutcome(trace=trace, bound=bound,
+                              seconds=time.monotonic() - start)
+    return BmcOutcome(trace=None, bound=bound, seconds=time.monotonic() - start)

@@ -11,34 +11,15 @@ import itertools
 
 from solverify.policy import Policy
 from solverify.record import record
-from solverify.smt import terms as T
 from solverify.sol.conformance import STATE_VAR
 from solverify.translate import Translation, state_map_name
+from solverify.vir import ast as I
 
 
 @record(frozen=True)
 class CandidatePredicate:
-    lhs_map: str          # global map name of the left state variable
-    op: str               # "==" or "!="
-    rhs_kind: str         # "statevar" | "null" | "stateconst"
-    rhs: object           # map name | None | int
+    expr: I.IrExpr        # over the instance variable `inst`
     text: str             # human-readable form
-
-    def to_term(self, qb, global_env: dict, inst: "T.Term") -> "T.Term":
-        bank = qb.bank
-        lhs_map = global_env[self.lhs_map]
-        lhs = bank.mk("select", (lhs_map, inst), sort=lhs_map.sort[2])
-        if self.rhs_kind == "statevar":
-            rhs_map = global_env[self.rhs]
-            rhs = bank.mk("select", (rhs_map, inst), sort=rhs_map.sort[2])
-        elif self.rhs_kind == "null":
-            rhs = qb.null
-        else:
-            rhs = bank.intval(self.rhs)
-        eq = bank.mk("=", (lhs, rhs), sort=T.BOOL_S)
-        if self.op == "==":
-            return eq
-        return bank.mk("not", (eq,), sort=T.BOOL_S)
 
 
 def generate_candidates(tr: Translation, policy: Policy, root: str) -> list[CandidatePredicate]:
@@ -53,36 +34,22 @@ def generate_candidates(tr: Translation, policy: Policy, root: str) -> list[Cand
             raise ValueError(f"{root} lacks state variable {var}")
         return resolved[0]
 
-    role_vars = sorted(workflow.instance_role_names())
-    role_maps = {q: state_map_name(q, owner_of(q)) for q in role_vars}
-    out: list[CandidatePredicate] = []
+    def read(var: str) -> I.IrExpr:
+        return I.select(I.Var(state_map_name(var, owner_of(var))), I.Var("inst"))
 
+    role_vars = sorted(workflow.instance_role_names())
+    out: list[CandidatePredicate] = []
     for x, y in itertools.combinations(role_vars, 2):
         for op in ("==", "!="):
-            out.append(CandidatePredicate(
-                lhs_map=role_maps[x], op=op, rhs_kind="statevar",
-                rhs=role_maps[y], text=f"{x} {op} {y}"))
+            out.append(CandidatePredicate(I.op(op, read(x), read(y)), f"{x} {op} {y}"))
     for x in role_vars:
         for op in ("==", "!="):
-            out.append(CandidatePredicate(
-                lhs_map=role_maps[x], op=op, rhs_kind="null", rhs=None,
-                text=f"{x} {op} 0x0"))
+            out.append(CandidatePredicate(I.op(op, read(x), I.RConst(0)), f"{x} {op} 0x0"))
 
-    state_owner = owner_of(STATE_VAR)
-    state_map = state_map_name(STATE_VAR, state_owner)
-    enum_name = tr.source.contract(state_owner).enum_vars[STATE_VAR]
+    enum_name = tr.source.contract(owner_of(STATE_VAR)).enum_vars[STATE_VAR]
     _, members = tr.source.resolve(root, "enum", enum_name)
     for idx, member in enumerate(members):
         for op in ("==", "!="):
-            out.append(CandidatePredicate(
-                lhs_map=state_map, op=op, rhs_kind="stateconst", rhs=idx,
-                text=f"{STATE_VAR} {op} {enum_name}.{member}"))
-
-    seen = set()
-    unique = []
-    for c in out:
-        key = (c.lhs_map, c.op, c.rhs_kind, c.rhs)
-        if key not in seen:
-            seen.add(key)
-            unique.append(c)
-    return unique
+            out.append(CandidatePredicate(I.op(op, read(STATE_VAR), I.IConst(idx)),
+                                          f"{STATE_VAR} {op} {enum_name}.{member}"))
+    return out

@@ -23,10 +23,10 @@ import time
 from solverify.engine.queries import QueryBuilder
 from solverify.engine.smtio import SolverConfig, check_smt
 from solverify.engine.unroll import Inliner
-from solverify.record import field, record
+from solverify.record import record
 from solverify.translate import HarnessInfo, Translation
 from solverify.vir import ast as I
-from solverify.vir.prelude import DTYPE
+from solverify.vir.prelude import new_instance
 
 
 class SolverError(Exception):
@@ -40,7 +40,6 @@ class HoudiniResult:
     rounds: int
     queries: int
     seconds: float
-    removal_history: list[list[str]] = field(default_factory=list)
 
 
 def _asserts_to_assumes(s: I.IrStmt) -> I.IrStmt:
@@ -53,17 +52,15 @@ class _ProcCheck:
     is_ctor: bool
     body: I.IrStmt            # inlined, loop-free
     locals: list[tuple[str, I.IrType]]
-    param_types: list[I.IrType]
 
 
 def _build_checks(tr: Translation, hinfo: HarnessInfo) -> list[_ProcCheck]:
     """One inlined call per procedure: the constructor on a freshly
     allocated instance, each public function on an existing one."""
     root = hinfo.root
-    is_root = I.Assume(I.op("==", I.select(I.Var(DTYPE), I.Var("inst")),
-                            I.NamedConst(root)))
+    new, is_root = new_instance("inst", root)
     entries = [(tr.ctor_proc(root), True, tr.ctor_params(root),
-                I.seq(I.Call("New", (), ("inst",)), is_root))]
+                I.seq(new, is_root))]
     entries += [(pname, False, list(ptypes), is_root)
                 for _, pname, ptypes in tr.public_functions(root)]
     checks: list[_ProcCheck] = []
@@ -75,8 +72,7 @@ def _build_checks(tr: Translation, hinfo: HarnessInfo) -> list[_ProcCheck]:
         inliner = Inliner(tr.ir)
         body = inliner.inline(I.seq(pre, call))
         checks.append(_ProcCheck(name=name, is_ctor=is_ctor, body=body,
-                                 locals=locals_ + inliner.new_locals,
-                                 param_types=ptypes))
+                                 locals=locals_ + inliner.new_locals))
     return checks
 
 
@@ -85,21 +81,15 @@ def _proc_query(tr: Translation, check: _ProcCheck,
                 exit_candidates: list[CandidatePredicate],
                 asserts_live: bool):
     body = check.body if asserts_live else _asserts_to_assumes(check.body)
-    proc = I.IrProcedure(name=f"{check.name}$houdini", params=[], returns=[],
-                         locals=check.locals, body=I.Skip())
     qb = QueryBuilder(tr.ir)
-    qb.init_proc(proc)
-    entry_env = dict(qb.env)
+    qb.init_proc(check.locals)
     true_t = qb.bank.boolval(True)
     if not check.is_ctor:
-        for cand in entry:
-            qb.add_axiom(cand.to_term(qb, entry_env, entry_env["inst"]))
+        qb.hypotheses.extend(qb.term(cand.expr) for cand in entry)
     qb.exec_stmt(body, true_t)
-    exit_env = qb.env
     # the constructor check binds inst from the allocation it performs
     for cand in exit_candidates:
-        qb.obligations.append((true_t, cand.to_term(qb, exit_env, exit_env["inst"]),
-                               f"cand:{cand.text}"))
+        qb.obligations.append((true_t, qb.term(cand.expr), f"cand:{cand.text}"))
     return qb.refutation_query()
 
 
@@ -111,7 +101,6 @@ def houdini_infer(tr: Translation, hinfo: HarnessInfo,
     remaining = list(candidates)
     rounds = 0
     queries = 0
-    history: list[list[str]] = []
 
     while True:
         rounds += 1
@@ -146,7 +135,6 @@ def houdini_infer(tr: Translation, hinfo: HarnessInfo,
                     removed[cand.text] = cand
         if not removed:
             break
-        history.append(sorted(removed))
         remaining = [c for c in remaining if c.text not in removed]
 
     flag = True
@@ -160,5 +148,4 @@ def houdini_infer(tr: Translation, hinfo: HarnessInfo,
 
     return HoudiniResult(invariant=remaining, all_asserts_verified=flag,
                          rounds=rounds, queries=queries,
-                         seconds=time.monotonic() - start,
-                         removal_history=history)
+                         seconds=time.monotonic() - start)

@@ -17,7 +17,7 @@ import itertools
 from solverify.record import record
 from solverify.smt import terms as T
 from solverify.vir import ast as I
-from solverify.vir.prelude import ALLOC, STR_TO_INT
+from solverify.vir.prelude import NOTHING_ALLOCATED, STR_TO_INT
 
 BOOL_IR_OPS = {"&&": "and", "||": "or", "==>": "=>", "!": "not"}
 INT_IR_OPS = {"+": "+", "-": "-", "*": "*", "neg": "neg"}
@@ -87,12 +87,9 @@ class QueryBuilder:
     def fresh(self, base: str, sort) -> T.Term:
         return self._sym(f"{base}!{next(self.fresh_counter)}", sort)
 
-    def init_proc(self, proc: I.IrProcedure):
-        """Globals and locals start as fresh unconstrained symbols."""
-        for name, ty in self.program.globals.items():
-            self.types[name] = ty
-            self.env[name] = self.fresh(name, sort_of(ty))
-        for name, ty in proc.params + proc.returns + proc.locals:
+    def init_proc(self, variables: list[tuple[str, I.IrType]]):
+        """Globals and `variables` start as fresh unconstrained symbols."""
+        for name, ty in list(self.program.globals.items()) + variables:
             self.types[name] = ty
             self.env[name] = self.fresh(name, sort_of(ty))
 
@@ -232,19 +229,7 @@ class QueryBuilder:
 
     # -- assembly ------------------------------------------------------------------
 
-    def add_axiom(self, term: T.Term):
-        self.hypotheses.append(term)
-
-    def initial_alloc_axiom(self):
-        """Nothing is allocated at program start (matches the oracle)."""
-        bound = self.bank.mk("boundvar", value="r0", sort=T.REF_S)
-        alloc0 = self.env[ALLOC]
-        body = self.bank.mk("not", (self.bank.mk("select", (alloc0, bound),
-                                                 sort=T.BOOL_S),), sort=T.BOOL_S)
-        self.hypotheses.append(self.bank.mk("forall", (body,),
-                                            value=("r0", T.REF_S), sort=T.BOOL_S))
-
-    def refutation_query(self, extra_values: list[str] = ()) -> SmtQuery:
+    def refutation_query(self) -> SmtQuery:
         bank = self.bank
         selectors = []
         disjuncts = []
@@ -260,9 +245,9 @@ class QueryBuilder:
                 bank.mk("or", tuple(disjuncts), sort=T.BOOL_S)
         else:
             goal = bank.boolval(False)
-        return self._render(self.hypotheses + [goal], selectors, extra_values)
+        return self._render(self.hypotheses + [goal], selectors)
 
-    def _render(self, assertions: list[T.Term], selectors, extra_values) -> SmtQuery:
+    def _render(self, assertions: list[T.Term], selectors) -> SmtQuery:
         lines = ["(set-logic ALL)", "(declare-sort Ref 0)"]
         for name in sorted(self.decls):
             decl = self.decls[name]
@@ -274,10 +259,8 @@ class QueryBuilder:
         lines.extend(_render_shared(assertions))
         lines.append("(check-sat)")
         wanted = sorted(set(list(self.slots.values())
-                            + [s for s, _ in selectors]
-                            + list(extra_values) + ["null"]))
-        if wanted:
-            lines.append(f"(get-value ({' '.join(wanted)}))")
+                            + [s for s, _ in selectors] + ["null"]))
+        lines.append(f"(get-value ({' '.join(wanted)}))")
         lines.append("(exit)")
         return SmtQuery(text="\n".join(lines) + "\n", slots=dict(self.slots),
                         selectors=list(selectors))
@@ -337,7 +320,7 @@ def vc_gen(program: I.IrProgram, proc: I.IrProcedure) -> tuple[QueryBuilder, Smt
     state where nothing is allocated: satisfiable iff some execution
     violates an assert."""
     qb = QueryBuilder(program)
-    qb.init_proc(proc)
-    qb.initial_alloc_axiom()
+    qb.init_proc(proc.params + proc.returns + proc.locals)
+    qb.hypotheses.append(qb.term(NOTHING_ALLOCATED))
     qb.exec_stmt(proc.body, qb.bank.boolval(True))
     return qb, qb.refutation_query()

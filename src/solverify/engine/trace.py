@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from solverify.engine.queries import SmtQuery
 from solverify.engine.smtio import CheckResult
-from solverify.engine.unroll import is_nondet_var
+from solverify.engine.unroll import harness_var, is_nondet_var
 from solverify.record import field, record
 from solverify.translate import HarnessInfo, Translation
 from solverify.vir import ast as I
-from solverify.vir.prelude import DTYPE
+from solverify.vir.prelude import new_instance
 
 # Keeps model reference values clear of interpreter-allocated ids on replay.
 REF_SHIFT = 10_000
@@ -54,7 +54,7 @@ def _input_values(query: SmtQuery, values: dict, unrolled: I.IrProcedure,
     for var, sym in query.slots.items():
         ty, raw = program.var_type(unrolled, var), values.get(sym)
         if ty == I.REF:
-            if var.split("$", 1)[0] in harness_refs:
+            if harness_var(var) in harness_refs:
                 inputs[var] = 0 if raw is None or raw == null_value \
                     else int(raw) + REF_SHIFT
         elif ty == I.BOOL:
@@ -82,7 +82,7 @@ def extract_trace(result: CheckResult, query: SmtQuery, unrolled: I.IrProcedure,
     tx = Transaction(fn=hinfo.root, sender=0)
     transactions = [tx]
     for var, value in outcome.state.inputs_taken:
-        base = var.split("$", 1)[0]
+        base = harness_var(var)
         if base == hinfo.sender_var:  # a new iteration; its call is still unknown
             tx = Transaction(fn="", sender=value)
             transactions.append(tx)
@@ -114,11 +114,7 @@ def build_replay_driver(tr: Translation, root: str,
     """Driver procedure calling the trace's transactions with literal
     arguments; the tape is the concatenated nondet segments."""
     fn_procs = {f: (p, t) for f, p, t in tr.public_functions(root)}
-    stmts: list[I.IrStmt] = [
-        I.Call("New", (), ("inst",)),
-        I.Assume(I.op("==", I.select(I.Var(DTYPE), I.Var("inst")),
-                      I.NamedConst(root))),
-    ]
+    stmts = new_instance("inst", root)
     tape: list = []
     for tx in trace.transactions:
         if tx.fn == root:

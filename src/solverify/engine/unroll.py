@@ -96,6 +96,12 @@ def assigned_vars(s: I.IrStmt, out: set[str]):
             out.update(x.results)
 
 
+def harness_var(name: str) -> str:
+    """The harness local that `name` copies in one unrolled iteration (its
+    `$i` suffix removed); any other name unchanged."""
+    return name.split("$", 1)[0]
+
+
 def unroll_harness(program: I.IrProgram, harness: I.IrProcedure,
                    k: int) -> I.IrProcedure:
     """Loop-free, call-free copy of the harness with the top loop unrolled k

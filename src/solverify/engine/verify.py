@@ -75,8 +75,7 @@ def verify(tr: Translation, hinfo: HarnessInfo, policy: Policy | None = None,
     timings.bmc_seconds = outcome.seconds
     timings.total_seconds = time.monotonic() - start
     if outcome.trace is not None:
-        return Refuted(trace=outcome.trace, k=outcome.k_reached,
+        return Refuted(trace=outcome.trace, k=outcome.trace.k,
                        houdini=houdini, timings=timings)
-    # unknown answers end the provable range; claim only what was proven
-    return PartiallyVerified(bound=outcome.safe_bound(), houdini=houdini,
+    return PartiallyVerified(bound=outcome.bound, houdini=houdini,
                              invariant=houdini.invariant, timings=timings)

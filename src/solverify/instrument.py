@@ -312,7 +312,7 @@ def make_runtime_checks(program: ast.SolProgram) -> ast.SolProgram:
     valuation of the nondet atoms."""
     program = ast.copy_tree(program)
     for body in ast.bodies(program):
-        for s in ast.walk(body):
+        for s in ast.statements(body):
             if isinstance(s, (ast.Require, ast.Assert)):
                 s.cond = runtime_check_condition(s.cond)
     for c in program.contracts:

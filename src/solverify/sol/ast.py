@@ -499,6 +499,16 @@ def walk(root) -> Iterator:
         stack.extend(reversed(children(node)))
 
 
+def statements(root) -> Iterator:
+    """The statements of `walk(root)`, in its order, without descending
+    into expressions."""
+    stack = list(reversed(root)) if isinstance(root, list) else [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed([c for c in children(node) if isinstance(c, SolStmt)]))
+
+
 def bodies(program: SolProgram) -> Iterator[list[SolStmt]]:
     """Every top-level statement list, contract by contract: the function
     bodies, the constructor body, then each modifier's pre- and

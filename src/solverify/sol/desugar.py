@@ -20,7 +20,7 @@ class UnknownModifier(InputError):
 
 
 def _collect_names(stmts: list[ast.SolStmt], out: set[str]):
-    out.update(s.name for s in ast.walk(stmts) if isinstance(s, ast.DeclStmt))
+    out.update(s.name for s in ast.statements(stmts) if isinstance(s, ast.DeclStmt))
 
 
 def _rename(stmts: list[ast.SolStmt], mapping: dict[str, str]):

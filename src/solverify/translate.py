@@ -18,8 +18,8 @@ from solverify.sol.linearize import subtypes_of
 from solverify.vir import ast as I
 from solverify.vir.ast import BOOL, INT, REF, MapType
 from solverify.vir.prelude import (
-    ALLOC, DTYPE, LENGTH, STR_TO_INT, chain_select, declare_lookup_maps,
-    emit_prelude, foralls, lookup_map_name,
+    ALLOC, DTYPE, LENGTH, STR_TO_INT, chain_select, emit_prelude, foralls,
+    lookup_map_name, new_instance,
 )
 
 THIS = "this"
@@ -58,7 +58,6 @@ class TransEnv:
     program: S.SolProgram
     contract: str
     interner: dict[str, int]
-    map_sigs: set
     contract_codes: dict[str, int]
     locals: list[tuple[str, I.IrType]] = field(default_factory=list)
     temp_counter: int = 0
@@ -82,9 +81,6 @@ class TransEnv:
         if text not in self.interner:
             self.interner[text] = len(self.interner) + 1
         return self.interner[text]
-
-    def register_map(self, t: S.MappingType):
-        self.map_sigs.add(map_signature(t))
 
 
 def state_map_name(var: str, owner: str) -> str:
@@ -127,7 +123,6 @@ def translate_expr(env: TransEnv, e: S.SolExpr) -> I.IrExpr:
         base_ty = e.base.ty
         if not isinstance(base_ty, S.MappingType):
             raise TranslateError("index base is not a mapping")
-        env.register_map(base_ty)
         m = _lookup_map_for(base_ty)
         return I.select(I.Var(m), translate_expr(env, e.base),
                         translate_expr(env, e.key))
@@ -166,21 +161,18 @@ def _store_into(env: TransEnv, lhs: S.SolExpr, value: I.IrExpr) -> I.IrStmt:
             return I.Assign(RET, value)
         return I.Assign(lhs.name, value)
     if isinstance(lhs, S.Index):
-        base_ty = lhs.base.ty
-        env.register_map(base_ty)
-        m = _lookup_map_for(base_ty)
+        m = _lookup_map_for(lhs.base.ty)
         return I.Store(m, (translate_expr(env, lhs.base),
                            translate_expr(env, lhs.key)), value)
     raise TranslateError("left-hand side is not assignable")
 
 
-def _alloc_sequence(env: TransEnv, tmp: str, sig, array_len: I.IrExpr | None) -> list[I.IrStmt]:
+def _alloc_sequence(tmp: str, sig, array_len: I.IrExpr | None) -> list[I.IrStmt]:
     """Fresh reference plus the allocation facts for a (possibly nested) map:
     length zeroing, per-level freshness/allocatedness/distinctness, and leaf
     zero-initialization.  `array_len` switches the top-level length fact to a
     store of the requested size."""
     chain, leaf = sig
-    env.map_sigs.add(sig)
     ref = I.Var(tmp)
     stmts: list[I.IrStmt] = [I.Call("New", (), (tmp,))]
     if array_len is not None:
@@ -213,8 +205,6 @@ def translate_stmt(env: TransEnv, s: S.SolStmt) -> list[I.IrStmt]:
     if isinstance(s, S.DeclStmt):
         ty = map_type(s.ty)
         env.locals.append((s.name, ty))
-        if isinstance(s.ty, S.MappingType):
-            env.register_map(s.ty)
         if s.init is not None:
             return [I.Assign(s.name, translate_expr(env, s.init))]
         return []
@@ -236,9 +226,7 @@ def translate_stmt(env: TransEnv, s: S.SolStmt) -> list[I.IrStmt]:
         return [I.While(cond, body)]
     if isinstance(s, S.Push):
         # x.push(e) is x[x.length] := e with the length bumped.
-        base_ty = s.base.ty
-        env.register_map(base_ty)
-        m = _lookup_map_for(base_ty)
+        m = _lookup_map_for(s.base.ty)
         base = translate_expr(env, s.base)
         ln = env.fresh_temp(INT, "len")
         return [
@@ -258,9 +246,7 @@ def translate_stmt(env: TransEnv, s: S.SolStmt) -> list[I.IrStmt]:
         tmp = env.fresh_temp(REF)
         args = tuple(translate_expr(env, _hoist_nondets(env, a)) for a in s.args)
         return [
-            I.Call("New", (), (tmp,)),
-            I.Assume(I.op("==", I.select(I.Var(DTYPE), I.Var(tmp)),
-                          I.NamedConst(s.contract))),
+            *new_instance(tmp, s.contract),
             I.Call(proc_name(s.contract, None),
                    (I.Var(tmp),) + args + (I.Var(THIS),)),
             _store_into(env, s.target, I.Var(tmp)),
@@ -270,13 +256,13 @@ def translate_stmt(env: TransEnv, s: S.SolStmt) -> list[I.IrStmt]:
         sig = ((INT,), elem)
         tmp = env.fresh_temp(REF)
         size = translate_expr(env, _hoist_nondets(env, s.size))
-        stmts = _alloc_sequence(env, tmp, sig, array_len=size)
+        stmts = _alloc_sequence(tmp, sig, array_len=size)
         stmts.append(_store_into(env, s.target, I.Var(tmp)))
         return stmts
     if isinstance(s, S.NewMap):
         sig = map_signature(s.map_ty)
         tmp = env.fresh_temp(REF)
-        stmts = _alloc_sequence(env, tmp, sig, array_len=None)
+        stmts = _alloc_sequence(tmp, sig, array_len=None)
         stmts.append(_store_into(env, s.target, I.Var(tmp)))
         return stmts
     raise TranslateError(f"cannot translate {type(s).__name__}")
@@ -387,7 +373,6 @@ class Translation:
     contract_codes: dict[str, int]
     interner: dict[str, int]
     source: S.SolProgram
-    map_sigs: set = field(default_factory=set)
 
     def ctor_proc(self, contract: str) -> str:
         return proc_name(contract, None)
@@ -414,9 +399,13 @@ class Translation:
 
 
 def _collect_map_sigs(program: S.SolProgram) -> set:
+    """The signature of every mapping type a translated declaration can
+    give a value (state variables, parameters, returns, locals and
+    allocations), with the signatures of its nested levels: the lookup
+    maps the prelude declares."""
     sigs = set()
 
-    def add_type(t: S.SolType):
+    def add_type(t: S.SolType | None):
         while isinstance(t, S.MappingType):
             sigs.add(map_signature(t))
             t = t.value
@@ -425,7 +414,12 @@ def _collect_map_sigs(program: S.SolProgram) -> set:
         for _, t in c.state_vars:
             add_type(t)
         for fn in c.all_functions():
-            for s in S.walk(fn.body or []):
+            if fn.body is None:
+                continue  # untranslated
+            for _, t in fn.params:
+                add_type(t)
+            add_type(fn.returns)
+            for s in S.statements(fn.body):
                 if isinstance(s, S.DeclStmt):
                     add_type(s.ty)
                 elif isinstance(s, S.NewArray):
@@ -438,13 +432,10 @@ def _collect_map_sigs(program: S.SolProgram) -> set:
 def translate_program(program: S.SolProgram) -> Translation:
     """Translate a typed, desugared program (instrumented or plain)."""
     contract_codes = {c.name: i + 1 for i, c in enumerate(program.contracts)}
-    map_sigs = _collect_map_sigs(program)
-    ir = emit_prelude(map_sigs)
+    ir = emit_prelude(_collect_map_sigs(program))
     ir.constants.update(contract_codes)
-    interner: dict[str, int] = {}
-
-    tr = Translation(ir=ir, contract_codes=contract_codes,
-                     interner=interner, source=program, map_sigs=map_sigs)
+    tr = Translation(ir=ir, contract_codes=contract_codes, interner={},
+                     source=program)
 
     # One global map per state variable of its declaring contract.
     for c in program.contracts:
@@ -462,22 +453,16 @@ def translate_program(program: S.SolProgram) -> Translation:
 
 def _make_env(tr: Translation, contract: str) -> TransEnv:
     return TransEnv(program=tr.source, contract=contract,
-                    interner=tr.interner, map_sigs=tr.map_sigs,
-                    contract_codes=tr.contract_codes)
+                    interner=tr.interner, contract_codes=tr.contract_codes)
 
 
-def _finish_proc(tr: Translation, env: TransEnv, name: str, params, returns,
+def _finish_proc(env: TransEnv, name: str, params, returns,
                  stmts: list[I.IrStmt]) -> I.IrProcedure:
     body = I.seq(*(env.prelude_hoists + stmts))
     if env.divides:
         body = _guard_divisors(body)
-    _ensure_maps_declared(tr)
     return I.IrProcedure(name=name, params=params, returns=returns,
                          locals=env.locals, body=body)
-
-
-def _ensure_maps_declared(tr: Translation):
-    declare_lookup_maps(tr.ir, sorted(tr.map_sigs, key=str))
 
 
 def _translate_function(tr: Translation, c: S.SolContract, fn: S.SolFunction) -> I.IrProcedure:
@@ -485,7 +470,7 @@ def _translate_function(tr: Translation, c: S.SolContract, fn: S.SolFunction) ->
     params = [(THIS, REF)] + [(n, map_type(t)) for n, t in fn.params] + [(MSG_SENDER, REF)]
     returns = [(RET, map_type(fn.returns))] if fn.returns is not None else []
     stmts = [t for s in fn.body for t in translate_stmt(env, s)]
-    return _finish_proc(tr, env, proc_name(c.name, fn.name), params, returns, stmts)
+    return _finish_proc(env, proc_name(c.name, fn.name), params, returns, stmts)
 
 
 def _translate_constructor(tr: Translation, c: S.SolContract) -> I.IrProcedure:
@@ -509,9 +494,9 @@ def _translate_constructor(tr: Translation, c: S.SolContract) -> I.IrProcedure:
         if isinstance(t, S.MappingType):
             tmp = env.fresh_temp(REF)
             if t.is_array and not isinstance(t.value, S.MappingType):
-                alloc = _alloc_sequence(env, tmp, map_signature(t), array_len=I.IConst(0))
+                alloc = _alloc_sequence(tmp, map_signature(t), array_len=I.IConst(0))
             else:
-                alloc = _alloc_sequence(env, tmp, map_signature(t), array_len=None)
+                alloc = _alloc_sequence(tmp, map_signature(t), array_len=None)
             stmts.extend(alloc)
             stmts.append(I.Store(target, (I.Var(THIS),), I.Var(tmp)))
         elif isinstance(t, S.BoolType):
@@ -522,7 +507,7 @@ def _translate_constructor(tr: Translation, c: S.SolContract) -> I.IrProcedure:
             stmts.append(I.Store(target, (I.Var(THIS),), I.IConst(0)))
 
     stmts += [t for s in ctor.body for t in translate_stmt(env, s)]
-    return _finish_proc(tr, env, proc_name(c.name, None), params, [], stmts)
+    return _finish_proc(env, proc_name(c.name, None), params, [], stmts)
 
 
 # -- harness -----------------------------------------------------------------
@@ -544,11 +529,7 @@ def generate_harness(tr: Translation, root: str) -> HarnessInfo:
     if tr.source.contract(root) is None:
         raise TranslateError(f"unknown root contract {root!r}")
     locals_: list[tuple[str, I.IrType]] = [("inst", REF), ("ctor_sender", REF)]
-    stmts: list[I.IrStmt] = [
-        I.Call("New", (), ("inst",)),
-        I.Assume(I.op("==", I.select(I.Var(DTYPE), I.Var("inst")), I.NamedConst(root))),
-        I.Havoc("ctor_sender"),
-    ]
+    stmts: list[I.IrStmt] = [*new_instance("inst", root), I.Havoc("ctor_sender")]
     ctor_args = []
     for i, ty in enumerate(tr.ctor_params(root)):
         name = f"ctor_arg{i}"

@@ -5,20 +5,25 @@ interning function, the per-level lookup maps of each reachable map
 signature, and the allocation procedures: New returns a fresh unallocated
 reference, and NewUnbounded models allocating an unbounded set of fresh
 references at once.  `chain_select` and `foralls` build the facts the
-translator assumes when it allocates a (nested) map.
+translator assumes when it allocates a (nested) map; `new_instance`
+allocates a contract instance, and `NOTHING_ALLOCATED` is the start state.
 """
 
 from __future__ import annotations
 
 from solverify.vir.ast import (
-    BOOL, INT, REF, Assign, Assume, BConst, Forall, Havoc, IrExpr,
-    IrProcedure, IrProgram, IrType, MapType, Store, Var, op, select, seq,
+    BOOL, INT, REF, Assign, Assume, BConst, Call, Forall, Havoc, IrExpr,
+    IrProcedure, IrProgram, IrStmt, IrType, MapType, NamedConst, Store, Var,
+    op, select, seq,
 )
 
 ALLOC = "Alloc"
 LENGTH = "Length"
 DTYPE = "DType"
 STR_TO_INT = "StrToInt"
+
+# The state every run starts from: no reference is allocated.
+NOTHING_ALLOCATED = Forall("r0", REF, op("!", select(Var(ALLOC), Var("r0"))))
 
 
 def type_tag(ty: IrType) -> str:
@@ -64,6 +69,13 @@ def new_proc() -> IrProcedure:
                        locals=[], body=body)
 
 
+def new_instance(var: str, contract: str) -> list[IrStmt]:
+    """Allocate a fresh reference into `var`, then assume its dynamic type
+    is `contract`."""
+    return [Call("New", (), (var,)),
+            Assume(op("==", select(Var(DTYPE), Var(var)), NamedConst(contract)))]
+
+
 def new_unbounded_proc() -> IrProcedure:
     i = Var("i")
     body = seq(
@@ -76,16 +88,6 @@ def new_unbounded_proc() -> IrProcedure:
                        locals=[("oldAlloc", MapType(REF, BOOL))], body=body)
 
 
-def declare_lookup_maps(program: IrProgram, map_sigs) -> None:
-    """Declare the lookup map of every level of each map signature (key-type
-    chain, leaf type), in the order given."""
-    for chain, leaf in map_sigs:
-        for j, key_ty in enumerate(chain):
-            value_ty = leaf if j == len(chain) - 1 else REF
-            program.globals.setdefault(lookup_map_name(key_ty, value_ty),
-                                       MapType(REF, MapType(key_ty, value_ty)))
-
-
 def emit_prelude(map_sigs=()) -> IrProgram:
     """The prelude fragment; `map_sigs` holds the reachable map signatures
     (key-type chain, leaf type) that need lookup maps."""
@@ -96,6 +98,11 @@ def emit_prelude(map_sigs=()) -> IrProgram:
     program.ufs[STR_TO_INT] = ((INT,), INT)
     program.add_proc(new_proc())
     program.add_proc(new_unbounded_proc())
-    declare_lookup_maps(program, sorted(  # by the signature's type tags
-        map_sigs, key=lambda s: "_".join(type_tag(t) for t in (*s[0], s[1]))))
+    # the order of globals numbers their fresh symbols in a query
+    for chain, leaf in sorted(map_sigs, key=lambda s: "_".join(
+            type_tag(t) for t in (*s[0], s[1]))):
+        for j, key_ty in enumerate(chain):
+            value_ty = leaf if j == len(chain) - 1 else REF
+            program.globals[lookup_map_name(key_ty, value_ty)] = \
+                MapType(REF, MapType(key_ty, value_ty))
     return program

@@ -177,7 +177,7 @@ def test_criterion_6_bounded_completeness_against_bfs():
                 assert outcome.trace is None, name
             else:
                 assert outcome.trace is not None, name
-                assert outcome.k_reached == found[0], name
+                assert outcome.trace.k == found[0], name
 
 
 def test_criterion_7_houdini_maximality():

@@ -213,6 +213,19 @@ def test_assertions_mode_proves_nested_mapping_program():
     assert code == EXIT_FULLY_VERIFIED
 
 
+@pytest.mark.parametrize("fn", [
+    "function g(mapping(int => bool) m, int i) public returns (bool) { return m[i]; }",
+    "function g(mapping(int => int[]) m, int i) public { m[i].push(1); }",
+])
+def test_map_signature_only_in_a_parameter(tmp_path, fn):
+    # no state variable, local or allocation has the mapping type, so only
+    # the parameter's type makes its lookup maps reachable
+    src = tmp_path / "c.sol"
+    src.write_text(f"contract C {{\n    constructor() public {{ }}\n    {fn}\n}}\n")
+    code = run_cli("verify", "--mode", "assertions", "--k", "2", "--sol", str(src))
+    assert code == EXIT_FULLY_VERIFIED
+
+
 def test_multiple_source_files(tmp_path):
     part1 = tmp_path / "a.sol"
     part2 = tmp_path / "b.sol"

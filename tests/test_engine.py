@@ -88,14 +88,18 @@ def test_helloblockchain_candidates_include_requestor_nonnull(
 
 # -- custom candidate pools over plain contracts ----------------------------------------
 
-def int_candidates(tr, contract, var, values):
+def state_read(contract, var):
     from solverify.translate import state_map_name
+    return I.select(I.Var(state_map_name(var, contract)), I.Var("inst"))
+
+
+def int_candidates(tr, contract, var, values):
     out = []
     for v in values:
         for op in ("==", "!="):
             out.append(CandidatePredicate(
-                lhs_map=state_map_name(var, contract), op=op,
-                rhs_kind="stateconst", rhs=v, text=f"{var} {op} {v}"))
+                I.op(op, state_read(contract, var), I.IConst(v)),
+                text=f"{var} {op} {v}"))
     return out
 
 
@@ -111,7 +115,7 @@ contract K {
 def test_houdini_keeps_established_candidate():
     tr, hinfo, _ = build(COUNTER_KEEPS_ONE)
     pool = int_candidates(tr, "K", "x", [1, 2])
-    pool = [c for c in pool if c.op == "=="]  # {x == 1, x == 2}
+    pool = [c for c in pool if c.expr.op == "=="]  # {x == 1, x == 2}
     result = houdini_infer(tr, hinfo, pool)
     assert [c.text for c in result.invariant] == ["x == 1"]
     assert result.all_asserts_verified
@@ -188,18 +192,12 @@ contract O {
 
 
 def ref_candidates(tr, contract, pairs):
-    from solverify.translate import state_map_name
     out = []
     for lhs, op, rhs in pairs:
-        if rhs == "0x0":
-            out.append(CandidatePredicate(
-                lhs_map=state_map_name(lhs, contract), op=op, rhs_kind="null",
-                rhs=None, text=f"{lhs} {op} 0x0"))
-        else:
-            out.append(CandidatePredicate(
-                lhs_map=state_map_name(lhs, contract), op=op,
-                rhs_kind="statevar", rhs=state_map_name(rhs, contract),
-                text=f"{lhs} {op} {rhs}"))
+        rhs_expr = I.RConst(0) if rhs == "0x0" else state_read(contract, rhs)
+        out.append(CandidatePredicate(
+            I.op(op, state_read(contract, lhs), rhs_expr),
+            text=f"{lhs} {op} {rhs}"))
     return out
 
 
@@ -208,9 +206,9 @@ def ref_candidates(tr, contract, pairs):
 def test_houdini_matches_brute_force(case):
     if case == "mutual":
         tr, hinfo, _ = build(MUTUAL)
-        pool = [c for c in int_candidates(tr, "M", "x", [0]) if c.op == "=="]
-        pool += [CandidatePredicate(lhs_map="y_M", op="==", rhs_kind="stateconst",
-                                    rhs=0, text="y == 0")]
+        pool = [c for c in int_candidates(tr, "M", "x", [0]) if c.expr.op == "=="]
+        pool += [CandidatePredicate(I.op("==", state_read("M", "y"), I.IConst(0)),
+                                    text="y == 0")]
     elif case == "drift":
         tr, hinfo, _ = build(DRIFT)
         pool = int_candidates(tr, "D", "x", [0, 5])  # none survives
@@ -314,6 +312,29 @@ def test_vcgen_instrumented_hb_k4_unsat(hb_source, hb_policy_text):
     assert check_smt(query, SolverConfig(timeout=300)).status == "unsat"
 
 
+def test_only_the_encoder_and_solver_io_import_smt_terms():
+    """IR is the encoder's only input: no other engine module builds (or
+    reads) SMT terms itself."""
+    import ast
+    import pathlib
+
+    import solverify.engine
+
+    importers = set()
+    for path in pathlib.Path(solverify.engine.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            if any(n == "solverify.smt.terms" or n.startswith("solverify.smt.terms.")
+                   for n in names):
+                importers.add(path.name)
+    assert importers == {"queries.py", "smtio.py"}
+
+
 # -- bounded checking versus exhaustive search -----------------------------------------
 
 COUNTER_K3 = """
@@ -385,7 +406,7 @@ def test_bmc_agrees_with_exhaustive_search(name, src, expected_k):
     else:
         assert found is not None and found[0] == expected_k
         assert outcome.trace is not None
-        assert outcome.k_reached == expected_k
+        assert outcome.trace.k == expected_k
         # transactions: constructor + k calls
         assert len(outcome.trace.transactions) == expected_k + 1
 
@@ -397,7 +418,7 @@ def test_pinned_domains_extract_with_any_sender_pool():
     outcome = bounded_check(tr, hinfo, k_max=3,
                             domains=Domains(int_args=[0, 1, 2], senders=[5, 7]),
                             solver=SolverConfig(timeout=120))
-    assert outcome.k_reached == 2
+    assert outcome.trace.k == 2
     assert [tx.fn for tx in outcome.trace.transactions] == ["S", "Poke", "Poke"]
 
 
@@ -431,7 +452,7 @@ def test_initial_state_bug_trace_length_one(hb_source, hb_policy_text):
         "RequestMessage = message;\n        State = StateType.Respond;")
     tr, hinfo, _ = build(src, hb_policy_text, "HelloBlockchain")
     outcome = bounded_check(tr, hinfo, k_max=2, solver=SolverConfig(timeout=120))
-    assert outcome.k_reached == 1
+    assert outcome.trace.k == 1
     assert len(outcome.trace.transactions) == 1
     assert "initial state" in outcome.trace.failing_label
 
