@@ -13,3 +13,14 @@ __version__ = "0.1.0"
 class InputError(Exception):
     """The input (a policy, a contract source, the command line) is at fault,
     not the verifier: `solverify verify` reports it and exits 3."""
+
+
+def claim(spelling: str, taken: set[str]) -> str:
+    """The one way a name is invented: `spelling`, else `<spelling>_<n>`
+    for the least n >= 1 free in the namespace `taken`, which gains it."""
+    name, n = spelling, 0
+    while name in taken:
+        n += 1
+        name = f"{spelling}_{n}"
+    taken.add(name)
+    return name

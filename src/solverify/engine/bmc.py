@@ -8,7 +8,7 @@ from solverify.engine.queries import vc_gen
 from solverify.engine.smtio import SolverConfig, check_smt
 from solverify.engine.unroll import harness_var, unroll_harness
 from solverify.record import field, record
-from solverify.translate import HarnessInfo, Translation
+from solverify.translate import CTOR_SENDER, HARNESS, SENDER, HarnessInfo, Translation
 from solverify.vir import ast as I
 
 
@@ -28,7 +28,7 @@ def _restrict(stmt: I.IrStmt, hinfo: HarnessInfo, domains: Domains,
     arg_bases = {a for a in hinfo.ctor_args}
     for _, _, _, arg_vars in hinfo.branches:
         arg_bases.update(arg_vars)
-    sender_bases = {hinfo.ctor_sender, hinfo.sender_var}
+    sender_bases = {CTOR_SENDER, SENDER}
 
     def pin(s: I.IrStmt) -> I.IrStmt | None:
         if not isinstance(s, I.Havoc):
@@ -61,7 +61,7 @@ def bounded_check(tr: Translation, hinfo: HarnessInfo, k_max: int,
                   domains: Domains | None = None) -> BmcOutcome:
     """Search for a failing transaction sequence of length up to k_max."""
     start = time.monotonic()
-    harness = tr.ir.procedures[hinfo.proc]
+    harness = tr.ir.procedures[HARNESS]
     local_types = dict(harness.params + harness.returns + harness.locals)
     bound = 0
     for k in range(1, k_max + 1):

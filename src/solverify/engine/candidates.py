@@ -12,7 +12,7 @@ import itertools
 from solverify.policy import Policy
 from solverify.record import record
 from solverify.sol.conformance import STATE_VAR
-from solverify.translate import Translation, state_map_name
+from solverify.translate import Translation
 from solverify.vir import ast as I
 
 
@@ -35,7 +35,7 @@ def generate_candidates(tr: Translation, policy: Policy, root: str) -> list[Cand
         return resolved[0]
 
     def read(var: str) -> I.IrExpr:
-        return I.select(I.Var(state_map_name(var, owner_of(var))), I.Var("inst"))
+        return I.select(I.Var(tr.state_maps[owner_of(var), var]), I.Var("inst"))
 
     role_vars = sorted(workflow.instance_role_names())
     out: list[CandidatePredicate] = []

@@ -59,7 +59,7 @@ def _build_checks(tr: Translation, hinfo: HarnessInfo) -> list[_ProcCheck]:
     allocated instance, each public function on an existing one."""
     root = hinfo.root
     new, is_root = new_instance("inst", root)
-    entries = [(tr.ctor_proc(root), True, tr.ctor_params(root),
+    entries = [(tr.procs[root, None], True, tr.ctor_params(root),
                 I.seq(new, is_root))]
     entries += [(pname, False, list(ptypes), is_root)
                 for _, pname, ptypes in tr.public_functions(root)]

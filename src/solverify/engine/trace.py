@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from solverify.engine.queries import SmtQuery
 from solverify.engine.smtio import CheckResult
-from solverify.engine.unroll import harness_var, is_nondet_var
+from solverify.engine.unroll import harness_var
 from solverify.record import field, record
-from solverify.translate import HarnessInfo, Translation
+from solverify.translate import CTOR_SENDER, SENDER, HarnessInfo, Translation
 from solverify.vir import ast as I
 from solverify.vir.prelude import new_instance
 
@@ -74,7 +74,7 @@ def extract_trace(result: CheckResult, query: SmtQuery, unrolled: I.IrProcedure,
     choices = {choice: fname for choice, fname, _, _ in hinfo.branches}
     arg_vars = {a for _, _, _, vs in hinfo.branches for a in vs} | set(hinfo.ctor_args)
     inputs = _input_values(query, result.values, unrolled, tr.ir,
-                           arg_vars | {hinfo.ctor_sender, hinfo.sender_var})
+                           arg_vars | {CTOR_SENDER, SENDER})
     outcome = interpret(tr.ir, unrolled, inputs=inputs)
     if not isinstance(outcome, AssertFailed):
         raise ReplayMismatch(f"model did not fail any assertion of {unrolled.name} "
@@ -83,17 +83,17 @@ def extract_trace(result: CheckResult, query: SmtQuery, unrolled: I.IrProcedure,
     transactions = [tx]
     for var, value in outcome.state.inputs_taken:
         base = harness_var(var)
-        if base == hinfo.sender_var:  # a new iteration; its call is still unknown
+        if base == SENDER:  # a new iteration; its call is still unknown
             tx = Transaction(fn="", sender=value)
             transactions.append(tx)
-        elif base == hinfo.ctor_sender:
+        elif base == CTOR_SENDER:
             tx.sender = value
         elif base in choices:
             if value and not tx.fn:
                 tx.fn = choices[base]
         elif base in arg_vars:
             tx.args.append(value)
-        elif is_nondet_var(var):
+        else:  # a nondet choice of a checker
             tx.nondets.append(value)
     trace = CounterexampleTrace(transactions=[t for t in transactions if t.fn],
                                 failing_label=outcome.label, k=k)
@@ -118,7 +118,7 @@ def build_replay_driver(tr: Translation, root: str,
     tape: list = []
     for tx in trace.transactions:
         if tx.fn == root:
-            proc, tys = tr.ctor_proc(root), tr.ctor_params(root)
+            proc, tys = tr.procs[root, None], tr.ctor_params(root)
         else:
             proc, tys = fn_procs[tx.fn]
         args = [_const_for(v, ty) for v, ty in zip(tx.args, tys)]

@@ -8,7 +8,6 @@ assumption on the guard, and calls inline with callee locals renamed."""
 from __future__ import annotations
 
 import itertools
-import re
 
 from solverify import InputError
 from solverify.vir import ast as I
@@ -22,9 +21,6 @@ class RecursionDepthExceeded(InputError):
     def __init__(self, proc: str):
         super().__init__(f"calls nest more than {CALL_DEPTH_LIMIT} deep at {proc}; "
                          f"recursive contracts are not supported")
-
-
-NONDET_RE = re.compile(r"^nd\d+(@\d+)?(\$\d+)?$")
 
 
 def rename_expr(e: I.IrExpr, mapping: dict[str, str]) -> I.IrExpr:
@@ -136,7 +132,3 @@ def unroll_harness(program: I.IrProgram, harness: I.IrProcedure,
     return I.IrProcedure(name=f"{harness.name}$unrolled{k}", params=[],
                          returns=[], locals=new_locals + inliner.new_locals,
                          body=body)
-
-
-def is_nondet_var(name: str) -> bool:
-    return NONDET_RE.match(name) is not None

@@ -13,7 +13,7 @@ eliminated.
 
 from __future__ import annotations
 
-from solverify import InputError
+from solverify import InputError, claim
 from solverify.policy import AccessSet, Policy, Workflow, transitions_for_function
 from solverify.sol import ast
 from solverify.sol.conformance import STATE_VAR, check_syntactic_conformance
@@ -170,9 +170,13 @@ def instrument_for_conformance(program: ast.SolProgram, policy: Policy) -> ast.S
                           spred({workflow.initial_state})),
             label=f"{workflow.name}.{workflow.name}: initial state must be "
                   f"{workflow.initial_state}")
+        # Checkers are named apart from every modifier the contract can see.
+        taken = {m.name for c in program.order[workflow.name]
+                 for m in program.contract(c).modifiers}
+        checker = claim("constructor_checker", taken)
         contract.modifiers.append(ast.ModifierDef(
-            name="constructor_checker", pre_stmts=[], post_stmts=[ctor_assert]))
-        contract.constructor.applied_modifiers.insert(0, "constructor_checker")
+            name=checker, pre_stmts=[], post_stmts=[ctor_assert]))
+        contract.constructor.applied_modifiers.insert(0, checker)
 
         # Transition functions: snapshot entry state, assert per transition.
         old_names = {STATE_VAR: "oldState"}
@@ -200,10 +204,10 @@ def instrument_for_conformance(program: ast.SolProgram, policy: Policy) -> ast.S
                     cond=_implies(ante, cons),
                     label=f"{workflow.name}.{sig.name}: transition "
                           f"{tau.start} -> {{{', '.join(sorted(tau.successors))}}}"))
+            checker = claim(f"{sig.name}_checker", taken)
             contract.modifiers.append(ast.ModifierDef(
-                name=f"{sig.name}_checker", pre_stmts=pre, post_stmts=post))
-            fn = contract.function(sig.name)
-            fn.applied_modifiers.insert(0, f"{sig.name}_checker")
+                name=checker, pre_stmts=pre, post_stmts=post))
+            contract.function(sig.name).applied_modifiers.insert(0, checker)
     return program
 
 

@@ -9,7 +9,7 @@ code around a returning body.
 
 from __future__ import annotations
 
-from solverify import InputError
+from solverify import InputError, claim
 from solverify.sol import ast
 
 RETURN_VAR = "__ret"
@@ -65,13 +65,8 @@ def desugar_modifiers(program: ast.SolProgram) -> ast.SolProgram:
                 declared: set[str] = set()
                 _collect_names(pre, declared)
                 _collect_names(post, declared)
-                mapping = {}
-                for n in sorted(declared):
-                    if n in taken:
-                        k = 1
-                        while f"{n}_{k}" in taken or f"{n}_{k}" in declared:
-                            k += 1
-                        mapping[n] = f"{n}_{k}"
+                fresh = taken | declared
+                mapping = {n: claim(n, fresh) for n in sorted(declared) if n in taken}
                 if mapping:
                     _rename(pre, mapping)
                     _rename(post, mapping)

@@ -7,7 +7,6 @@ from __future__ import annotations
 import re
 
 from solverify import InputError
-from solverify.record import record
 
 
 class LexError(InputError):
@@ -54,12 +53,17 @@ _TOKEN = re.compile("|".join([
 ]), re.DOTALL)
 
 
-@record(frozen=True)
 class Token:
-    kind: str  # ident | keyword | int | hex | string | symbol | eof
-    text: str
-    line: int
-    col: int
+    """A plain slotted class: building a record costs twice as much, and
+    building tokens is most of what `tokenize` does."""
+
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind  # ident | keyword | int | hex | string | symbol | eof
+        self.text = text
+        self.line = line
+        self.col = col
 
     def __repr__(self) -> str:
         return f"Token({self.kind}, {self.text!r}, {self.line}:{self.col})"

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from solverify.record import field, record
 from solverify.sol import ast as S
-from solverify import InputError
+from solverify import InputError, claim
 from solverify.sol.linearize import subtypes_of
 from solverify.vir import ast as I
 from solverify.vir.ast import BOOL, INT, REF, MapType
@@ -25,6 +25,11 @@ from solverify.vir.prelude import (
 THIS = "this"
 MSG_SENDER = "msg_sender"
 RET = "__ret"
+# The harness procedure and the locals of it that every root shares.
+HARNESS = "main"
+INST = "inst"
+CTOR_SENDER = "ctor_sender"
+SENDER = "sender"
 
 
 class TranslateError(InputError):
@@ -55,10 +60,10 @@ def map_signature(t: S.MappingType) -> tuple[tuple[I.IrType, ...], I.IrType]:
 
 @record
 class TransEnv:
-    program: S.SolProgram
+    tr: Translation
     contract: str
-    interner: dict[str, int]
-    contract_codes: dict[str, int]
+    taken: set[str]  # the procedure's local namespace
+    names: dict[str, str]  # source parameter or local -> IR local
     locals: list[tuple[str, I.IrType]] = field(default_factory=list)
     temp_counter: int = 0
     nondet_counter: int = 0
@@ -66,29 +71,22 @@ class TransEnv:
     divides: bool = False  # whether the body has a `/` or `%`
 
     def fresh_temp(self, ty: I.IrType, prefix: str = "tmp") -> str:
-        name = f"{prefix}{self.temp_counter}"
+        name = claim(f"{prefix}{self.temp_counter}", self.taken)
         self.temp_counter += 1
         self.locals.append((name, ty))
         return name
 
     def fresh_nondet(self) -> str:
-        name = f"nd{self.nondet_counter}"
+        name = claim(f"nd{self.nondet_counter}", self.taken)
         self.nondet_counter += 1
         self.locals.append((name, BOOL))
         return name
 
     def intern(self, text: str) -> int:
-        if text not in self.interner:
-            self.interner[text] = len(self.interner) + 1
-        return self.interner[text]
-
-
-def state_map_name(var: str, owner: str) -> str:
-    return f"{var}_{owner}"
-
-
-def proc_name(contract: str, fn: str | None) -> str:
-    return f"{contract}_Ctor" if fn is None else f"{fn}_{contract}"
+        interner = self.tr.interner
+        if text not in interner:
+            interner[text] = len(interner) + 1
+        return interner[text]
 
 
 def _lookup_map_for(base_ty: S.MappingType) -> str:
@@ -112,10 +110,10 @@ def translate_expr(env: TransEnv, e: S.SolExpr) -> I.IrExpr:
         return I.Var(MSG_SENDER)
     if isinstance(e, S.Var):
         if e.binding == "state":
-            return I.select(I.Var(state_map_name(e.name, e.owner)), I.Var(THIS))
+            return I.select(I.Var(env.tr.state_maps[e.owner, e.name]), I.Var(THIS))
         if e.binding == "return":
             return I.Var(RET)
-        return I.Var(e.name)
+        return I.Var(env.names.get(e.name, e.name))
     if isinstance(e, S.Op):
         env.divides |= e.op in ("/", "%")
         return I.Op(e.op, tuple(translate_expr(env, a) for a in e.args))
@@ -156,10 +154,10 @@ def _hoist_nondets(env: TransEnv, e: S.SolExpr) -> S.SolExpr:
 def _store_into(env: TransEnv, lhs: S.SolExpr, value: I.IrExpr) -> I.IrStmt:
     if isinstance(lhs, S.Var):
         if lhs.binding == "state":
-            return I.Store(state_map_name(lhs.name, lhs.owner), (I.Var(THIS),), value)
+            return I.Store(env.tr.state_maps[lhs.owner, lhs.name], (I.Var(THIS),), value)
         if lhs.binding == "return":
             return I.Assign(RET, value)
-        return I.Assign(lhs.name, value)
+        return I.Assign(env.names.get(lhs.name, lhs.name), value)
     if isinstance(lhs, S.Index):
         m = _lookup_map_for(lhs.base.ty)
         return I.Store(m, (translate_expr(env, lhs.base),
@@ -203,10 +201,10 @@ def _alloc_sequence(tmp: str, sig, array_len: I.IrExpr | None) -> list[I.IrStmt]
 
 def translate_stmt(env: TransEnv, s: S.SolStmt) -> list[I.IrStmt]:
     if isinstance(s, S.DeclStmt):
-        ty = map_type(s.ty)
-        env.locals.append((s.name, ty))
+        name = env.names[s.name]
+        env.locals.append((name, map_type(s.ty)))
         if s.init is not None:
-            return [I.Assign(s.name, translate_expr(env, s.init))]
+            return [I.Assign(name, translate_expr(env, s.init))]
         return []
     if isinstance(s, S.Assign):
         return [_store_into(env, s.lhs, translate_expr(env, _hoist_nondets(env, s.rhs)))]
@@ -247,7 +245,7 @@ def translate_stmt(env: TransEnv, s: S.SolStmt) -> list[I.IrStmt]:
         args = tuple(translate_expr(env, _hoist_nondets(env, a)) for a in s.args)
         return [
             *new_instance(tmp, s.contract),
-            I.Call(proc_name(s.contract, None),
+            I.Call(env.tr.procs[s.contract, None],
                    (I.Var(tmp),) + args + (I.Var(THIS),)),
             _store_into(env, s.target, I.Var(tmp)),
         ]
@@ -324,7 +322,7 @@ def _translate_call(env: TransEnv, s, receiver: S.SolExpr | None) -> I.IrStmt:
     """Dispatch on the receiver's dynamic type over all subtypes of its
     static type.  Internal calls keep msg_sender; external calls pass the
     current receiver as the callee's sender."""
-    program = env.program
+    program = env.tr.source
     if receiver is None:
         static_ty = env.contract
         recv_expr: I.IrExpr = I.Var(THIS)
@@ -351,7 +349,7 @@ def _translate_call(env: TransEnv, s, receiver: S.SolExpr | None) -> I.IrStmt:
         if s.target is not None:
             tmp = env.fresh_temp(map_type(fn.returns))
             results = (tmp,)
-        stmts.append(I.Call(proc_name(owner, s.fn), (recv_expr,) + args + (sender_expr,), results))
+        stmts.append(I.Call(env.tr.procs[owner, s.fn], (recv_expr,) + args + (sender_expr,), results))
         if s.target is not None:
             stmts.append(_store_into(env, s.target, I.Var(results[0])))
         return I.seq(*stmts)
@@ -370,12 +368,10 @@ def _translate_call(env: TransEnv, s, receiver: S.SolExpr | None) -> I.IrStmt:
 @record
 class Translation:
     ir: I.IrProgram
-    contract_codes: dict[str, int]
     interner: dict[str, int]
     source: S.SolProgram
-
-    def ctor_proc(self, contract: str) -> str:
-        return proc_name(contract, None)
+    state_maps: dict[tuple[str, str], str]  # (owner, var) -> IR global
+    procs: dict[tuple[str, str | None], str]  # (contract, fn or None) -> procedure
 
     def public_functions(self, contract: str) -> list[tuple[str, str, list[I.IrType]]]:
         """Callable surface of a contract: (name, resolved proc, IR param
@@ -389,7 +385,7 @@ class Translation:
                     continue
                 seen.add(fn.name)
                 owner, resolved = self.source.resolve(contract, "function", fn.name)
-                out.append((fn.name, proc_name(owner, fn.name),
+                out.append((fn.name, self.procs[owner, fn.name],
                             [map_type(t) for _, t in resolved.params]))
         return out
 
@@ -430,30 +426,42 @@ def _collect_map_sigs(program: S.SolProgram) -> set:
 
 
 def translate_program(program: S.SolProgram) -> Translation:
-    """Translate a typed, desugared program (instrumented or plain)."""
-    contract_codes = {c.name: i + 1 for i, c in enumerate(program.contracts)}
+    """Translate a typed, desugared program (instrumented or plain).  Each
+    invented name is claimed, first owner first: the globals after the
+    prelude's and the harness locals every root shares, the procedures
+    after the prelude's and the harness."""
     ir = emit_prelude(_collect_map_sigs(program))
-    ir.constants.update(contract_codes)
-    tr = Translation(ir=ir, contract_codes=contract_codes, interner={},
-                     source=program)
-
-    # One global map per state variable of its declaring contract.
+    ir.constants.update({c.name: i + 1 for i, c in enumerate(program.contracts)})
+    tr = Translation(ir=ir, interner={}, source=program, state_maps={}, procs={})
+    globals_taken = {*ir.globals, INST, CTOR_SENDER, SENDER}
+    procs_taken = {*ir.procedures, HARNESS}
     for c in program.contracts:
+        # One global map per state variable of its declaring contract.
         for n, t in c.state_vars:
-            ir.globals[state_map_name(n, c.name)] = MapType(REF, map_type(t))
+            tr.state_maps[c.name, n] = name = claim(f"{n}_{c.name}", globals_taken)
+            ir.globals[name] = MapType(REF, map_type(t))
+        for fn in c.functions:
+            if fn.body is not None:  # definition-free declarations have none
+                tr.procs[c.name, fn.name] = claim(f"{fn.name}_{c.name}", procs_taken)
+        tr.procs[c.name, None] = claim(f"{c.name}_Ctor", procs_taken)
 
     for c in program.contracts:
         for fn in c.functions:
-            if fn.body is None:
-                continue  # definition-free declarations have no procedure
-            ir.add_proc(_translate_function(tr, c, fn))
+            if fn.body is not None:
+                ir.add_proc(_translate_function(tr, c, fn))
         ir.add_proc(_translate_constructor(tr, c))
     return tr
 
 
-def _make_env(tr: Translation, contract: str) -> TransEnv:
-    return TransEnv(program=tr.source, contract=contract,
-                    interner=tr.interner, contract_codes=tr.contract_codes)
+def _make_env(tr: Translation, contract: str, fn: S.SolFunction) -> TransEnv:
+    """The environment of one procedure: its parameters and locals keep their
+    source spelling unless it is a global's or `this`, `msg_sender` or
+    `__ret`; temporaries then skip every name the body declares."""
+    taken = {*tr.ir.globals, THIS, MSG_SENDER, RET}
+    declared = [n for n, _ in fn.params] + [
+        s.name for s in S.statements(fn.body) if isinstance(s, S.DeclStmt)]
+    return TransEnv(tr=tr, contract=contract, taken=taken,
+                    names={n: claim(n, taken) for n in declared})
 
 
 def _finish_proc(env: TransEnv, name: str, params, returns,
@@ -466,17 +474,19 @@ def _finish_proc(env: TransEnv, name: str, params, returns,
 
 
 def _translate_function(tr: Translation, c: S.SolContract, fn: S.SolFunction) -> I.IrProcedure:
-    env = _make_env(tr, c.name)
-    params = [(THIS, REF)] + [(n, map_type(t)) for n, t in fn.params] + [(MSG_SENDER, REF)]
+    env = _make_env(tr, c.name, fn)
+    params = [(THIS, REF)] + [(env.names[n], map_type(t)) for n, t in fn.params] \
+        + [(MSG_SENDER, REF)]
     returns = [(RET, map_type(fn.returns))] if fn.returns is not None else []
     stmts = [t for s in fn.body for t in translate_stmt(env, s)]
-    return _finish_proc(env, proc_name(c.name, fn.name), params, returns, stmts)
+    return _finish_proc(env, tr.procs[c.name, fn.name], params, returns, stmts)
 
 
 def _translate_constructor(tr: Translation, c: S.SolContract) -> I.IrProcedure:
-    env = _make_env(tr, c.name)
     ctor = c.constructor
-    params = [(THIS, REF)] + [(n, map_type(t)) for n, t in ctor.params] + [(MSG_SENDER, REF)]
+    env = _make_env(tr, c.name, ctor)
+    params = [(THIS, REF)] + [(env.names[n], map_type(t)) for n, t in ctor.params] \
+        + [(MSG_SENDER, REF)]
     stmts: list[I.IrStmt] = []
 
     # Base constructors, reverse linearization order (base-most first).
@@ -486,11 +496,11 @@ def _translate_constructor(tr: Translation, c: S.SolContract) -> I.IrProcedure:
         if base_ctor.params:
             raise TranslateError(f"base constructor {base} takes arguments; "
                                  f"explicit base-constructor arguments are not supported")
-        stmts.append(I.Call(proc_name(base, None), (I.Var(THIS), I.Var(MSG_SENDER))))
+        stmts.append(I.Call(tr.procs[base, None], (I.Var(THIS), I.Var(MSG_SENDER))))
 
     # Zero / fresh initialization of the contract's own state variables.
     for n, t in c.state_vars:
-        target = state_map_name(n, c.name)
+        target = tr.state_maps[c.name, n]
         if isinstance(t, S.MappingType):
             tmp = env.fresh_temp(REF)
             if t.is_array and not isinstance(t.value, S.MappingType):
@@ -507,65 +517,57 @@ def _translate_constructor(tr: Translation, c: S.SolContract) -> I.IrProcedure:
             stmts.append(I.Store(target, (I.Var(THIS),), I.IConst(0)))
 
     stmts += [t for s in ctor.body for t in translate_stmt(env, s)]
-    return _finish_proc(env, proc_name(c.name, None), params, [], stmts)
+    return _finish_proc(env, tr.procs[c.name, None], params, [], stmts)
 
 
 # -- harness -----------------------------------------------------------------
 
 @record
 class HarnessInfo:
-    proc: str
     root: str
     ctor_args: list[str]
-    ctor_sender: str
     branches: list[tuple[str, str, str, list[str]]]  # (choice var, fn, proc, arg vars)
-    sender_var: str
 
 
 def generate_harness(tr: Translation, root: str) -> HarnessInfo:
     """Entry procedure: allocate the instance, call the constructor with
     arbitrary arguments and sender, then loop forever nondeterministically
-    invoking one public function per iteration with fresh arguments."""
+    invoking one public function per iteration with fresh arguments.  Its
+    locals are named apart from the globals that the calls it inlines read."""
     if tr.source.contract(root) is None:
         raise TranslateError(f"unknown root contract {root!r}")
-    locals_: list[tuple[str, I.IrType]] = [("inst", REF), ("ctor_sender", REF)]
-    stmts: list[I.IrStmt] = [*new_instance("inst", root), I.Havoc("ctor_sender")]
-    ctor_args = []
-    for i, ty in enumerate(tr.ctor_params(root)):
-        name = f"ctor_arg{i}"
-        locals_.append((name, ty))
-        stmts.append(I.Havoc(name))
-        ctor_args.append(name)
-    stmts.append(I.Call(tr.ctor_proc(root),
-                        tuple([I.Var("inst")] + [I.Var(a) for a in ctor_args]
-                              + [I.Var("ctor_sender")])))
+    taken = {*tr.ir.globals, INST, CTOR_SENDER, SENDER}
+    locals_: list[tuple[str, I.IrType]] = [(INST, REF), (CTOR_SENDER, REF)]
 
-    locals_.append(("sender", REF))
+    def local(spelling: str, ty: I.IrType) -> str:
+        name = claim(spelling, taken)
+        locals_.append((name, ty))
+        return name
+
+    ctor_args = [local(f"ctor_arg{i}", ty) for i, ty in enumerate(tr.ctor_params(root))]
+    stmts: list[I.IrStmt] = [*new_instance(INST, root), I.Havoc(CTOR_SENDER),
+                             *map(I.Havoc, ctor_args)]
+    stmts.append(I.Call(tr.procs[root, None],
+                        tuple([I.Var(INST)] + [I.Var(a) for a in ctor_args]
+                              + [I.Var(CTOR_SENDER)])))
+
+    locals_.append((SENDER, REF))
     branches = []
-    body: list[I.IrStmt] = [I.Havoc("sender")]
+    body: list[I.IrStmt] = [I.Havoc(SENDER)]
     dispatch: I.IrStmt = I.Skip()
-    fns = tr.public_functions(root)
-    for idx, (fname, pname, ptypes) in enumerate(fns):
-        choice = f"choice{idx}"
-        locals_.append((choice, BOOL))
-        arg_vars = []
-        for j, ty in enumerate(ptypes):
-            av = f"arg_{fname}_{j}"
-            locals_.append((av, ty))
-            arg_vars.append(av)
-        branches.append((choice, fname, pname, arg_vars))
+    for idx, (fname, pname, ptypes) in enumerate(tr.public_functions(root)):
+        choice = local(f"choice{idx}", BOOL)
+        branches.append((choice, fname, pname,
+                         [local(f"arg_{fname}_{j}", ty) for j, ty in enumerate(ptypes)]))
     for choice, fname, pname, arg_vars in reversed(branches):
         call = I.seq(*([I.Havoc(a) for a in arg_vars]
-                       + [I.Call(pname, tuple([I.Var("inst")] + [I.Var(a) for a in arg_vars]
-                                              + [I.Var("sender")]))]))
+                       + [I.Call(pname, tuple([I.Var(INST)] + [I.Var(a) for a in arg_vars]
+                                              + [I.Var(SENDER)]))]))
         dispatch = I.If(I.Var(choice), call, dispatch)
     body += [I.Havoc(b[0]) for b in branches]
     body.append(dispatch)
     stmts.append(I.While(I.BConst(True), I.seq(*body)))
 
-    proc = I.IrProcedure(name="main", params=[], returns=[], locals=locals_,
-                         body=I.seq(*stmts))
-    tr.ir.add_proc(proc)
-    return HarnessInfo(proc="main", root=root, ctor_args=ctor_args,
-                       ctor_sender="ctor_sender",
-                       branches=branches, sender_var="sender")
+    tr.ir.add_proc(I.IrProcedure(name=HARNESS, params=[], returns=[], locals=locals_,
+                                 body=I.seq(*stmts)))
+    return HarnessInfo(root=root, ctor_args=ctor_args, branches=branches)

@@ -80,7 +80,7 @@ def bfs_search(tr: Translation, hinfo: HarnessInfo, k_max: int,
 
     fns = [(f, p, t) for f, p, t in tr.public_functions(root)]
     ctor_tys = tr.ctor_params(root)
-    ctor_proc = tr.ctor_proc(root)
+    ctor_proc = tr.procs[root, None]
 
     frontier = []
     seen = set()
@@ -92,7 +92,7 @@ def bfs_search(tr: Translation, hinfo: HarnessInfo, k_max: int,
                 inst = interp.state.fresh_ref()
                 interp.state.globals["Alloc"].entries[inst] = True
                 interp.state.globals[DTYPE].entries[inst] = \
-                    tr.contract_codes[root]
+                    tr.ir.constants[root]
                 status, label = _run_call(interp, tr, ctor_proc, inst,
                                           list(args), sender, nds)
                 trace = [(root, sender, list(args), list(nds))]

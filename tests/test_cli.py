@@ -603,3 +603,96 @@ def test_trace_skips_nondets_of_calls_not_made(tmp_path, capsys, field, go):
     doc = json.loads(report.read_text())
     assert [tx["fn"] for tx in doc["trace"]] == ["W", "Go", "Finish"]
     assert doc["failing_assertion"] == "W.Finish: transition S1 -> {S2}"
+
+
+# -- invented names never share a spelling with a source name ----------------
+
+def _source_replay_fails(src: str, trace: list):
+    """The reported calls fail an assertion in the source-level semantics."""
+    from solverify.sol import desugar_modifiers, parse_contract, typecheck
+    from solverify.sol.interp import SolAssertFail, make_world
+
+    def sender(value):
+        return None if value == 0 else ("addr", value)
+
+    world = make_world(desugar_modifiers(typecheck(parse_contract(src))))
+    ctor, *calls = trace
+    with pytest.raises(SolAssertFail):
+        inst = world.new_instance(ctor["fn"], ctor["args"], sender(ctor["sender"]))
+        for tx in calls:
+            world.call_function(inst, tx["fn"], tx["args"], sender(tx["sender"]))
+
+
+@pytest.mark.parametrize("src, root, code, key, value, fns", [
+    # two state variables, one global map: x_B of A and x of B_A
+    ("contract A { int x_B; constructor() { x_B = 1; } }\n"
+     "contract B_A is A { int x; constructor() { x = 2; }\n"
+     "    function F() public { assert(x_B == 2); } }",
+     "B_A", EXIT_REFUTED, "k", 1, ["B_A", "F"]),
+    # two procedures F_B_A: F_B of A and F of B_A
+    ("contract A { int y; constructor() { y = 1; } function F_B() public { y = 3; } }\n"
+     "contract B_A is A { constructor() { } function F() public { assert(y == 1); } }",
+     "B_A", EXIT_REFUTED, "k", 2, ["B_A", "F_B", "F"]),
+    # two procedures F_Ctor: the constructor of F and F of Ctor
+    ("contract F { int s; constructor() { s = 1; } }\n"
+     "contract Ctor { int t; constructor() { t = 0; } function F() public { t = 1; } }",
+     "Ctor", EXIT_FULLY_VERIFIED, None, None, None),
+    # the state map of M is the lookup map M_int_bool
+    ("contract int_bool { int M; mapping(int => bool) m; constructor() { M = 1; }\n"
+     "    function F(int i) public { m[i] = true; assert(M == 1); } }",
+     None, EXIT_PARTIAL, "bound", 2, None),
+    # a local msg_sender is the sender parameter
+    ("contract C { int s; constructor() { s = 0; } function F() public {\n"
+     "    address msg_sender = 0x0; assert(msg.sender == msg_sender); } }",
+     None, EXIT_REFUTED, "k", 1, ["C", "F"]),
+    # a local tmp0 is the temporary that receives G's result
+    ("contract C { int s; constructor() { s = 0; }\n"
+     "    function G() public returns (int) { return 5; }\n"
+     "    function F() public { int tmp0 = 1; s = G(); assert(tmp0 == 1); } }",
+     None, EXIT_FULLY_VERIFIED, None, None, None),
+    # a local x_C is the state map of x, which the same procedure reads
+    ("contract C { int x; constructor() { x = 1; }\n"
+     "    function F() public { int x_C = 5; assert(x == 1); } }",
+     None, EXIT_PARTIAL, "bound", 2, None),
+    # the state map of ctor in contract sender is the harness's ctor_sender
+    ("contract sender { address ctor; constructor() { ctor = msg.sender; } }\n"
+     "contract R is sender { constructor() { } function F() public { assert(ctor != 0x0); } }",
+     "R", EXIT_REFUTED, "k", 1, ["R", "F"]),
+], ids=["state_map", "procedure", "constructor_procedure", "lookup_map",
+        "sender_local", "temporary_local", "global_local", "harness_local"])
+def test_source_names_keep_apart_from_invented_names(tmp_path, src, root, code,
+                                                      key, value, fns):
+    path = tmp_path / "c.sol"
+    path.write_text(src)
+    report = tmp_path / "r.json"
+    argv = ["verify", "--mode", "assertions", "--k", "2", "--sol", str(path),
+            "--report-json", str(report)]
+    assert run_cli(*argv, *(["--root", root] if root else [])) == code
+    doc = json.loads(report.read_text())
+    assert doc["verdict"] == {EXIT_FULLY_VERIFIED: "FullyVerified",
+                              EXIT_REFUTED: "Refuted",
+                              EXIT_PARTIAL: "PartiallyVerified"}[code]
+    if key is not None:
+        assert doc[key] == value
+    if fns is not None:
+        assert [tx["fn"] for tx in doc["trace"]] == fns
+        _source_replay_fails(src, doc["trace"])
+
+
+def test_user_modifier_named_like_a_checker_keeps_the_check(tmp_path):
+    """An unused `SendResponse_checker` of the contract's own must not stand in
+    for the instrumentation's checker of `SendResponse`, whose transition
+    the source now breaks."""
+    src = fixture_text("helloblockchain.sol") \
+        .replace("State = StateType.Respond;", "State = StateType.Request;") \
+        .replace("    function SendResponse(",
+                 "    modifier SendResponse_checker() { _; }\n\n    function SendResponse(")
+    path = tmp_path / "hb.sol"
+    path.write_text(src)
+    report = tmp_path / "r.json"
+    assert run_cli("verify", "--policy", fixture_path("helloblockchain.json"),
+                   "--sol", str(path), "--k", "3",
+                   "--report-json", str(report)) == EXIT_REFUTED
+    doc = json.loads(report.read_text())
+    assert doc["verdict"] == "Refuted" and doc["k"] == 1
+    assert [tx["fn"] for tx in doc["trace"]] == ["HelloBlockchain", "SendResponse"]

@@ -88,9 +88,8 @@ def test_helloblockchain_candidates_include_requestor_nonnull(
 
 # -- custom candidate pools over plain contracts ----------------------------------------
 
-def state_read(contract, var):
-    from solverify.translate import state_map_name
-    return I.select(I.Var(state_map_name(var, contract)), I.Var("inst"))
+def state_read(tr, contract, var):
+    return I.select(I.Var(tr.state_maps[contract, var]), I.Var("inst"))
 
 
 def int_candidates(tr, contract, var, values):
@@ -98,7 +97,7 @@ def int_candidates(tr, contract, var, values):
     for v in values:
         for op in ("==", "!="):
             out.append(CandidatePredicate(
-                I.op(op, state_read(contract, var), I.IConst(v)),
+                I.op(op, state_read(tr, contract, var), I.IConst(v)),
                 text=f"{var} {op} {v}"))
     return out
 
@@ -194,9 +193,9 @@ contract O {
 def ref_candidates(tr, contract, pairs):
     out = []
     for lhs, op, rhs in pairs:
-        rhs_expr = I.RConst(0) if rhs == "0x0" else state_read(contract, rhs)
+        rhs_expr = I.RConst(0) if rhs == "0x0" else state_read(tr, contract, rhs)
         out.append(CandidatePredicate(
-            I.op(op, state_read(contract, lhs), rhs_expr),
+            I.op(op, state_read(tr, contract, lhs), rhs_expr),
             text=f"{lhs} {op} {rhs}"))
     return out
 
@@ -207,7 +206,7 @@ def test_houdini_matches_brute_force(case):
     if case == "mutual":
         tr, hinfo, _ = build(MUTUAL)
         pool = [c for c in int_candidates(tr, "M", "x", [0]) if c.expr.op == "=="]
-        pool += [CandidatePredicate(I.op("==", state_read("M", "y"), I.IConst(0)),
+        pool += [CandidatePredicate(I.op("==", state_read(tr, "M", "y"), I.IConst(0)),
                                     text="y == 0")]
     elif case == "drift":
         tr, hinfo, _ = build(DRIFT)

@@ -167,3 +167,91 @@ def test_division_encoding_agrees_with_ir_interpreter(a, b, op):
     e = I.op(op, I.IConst(a), I.IConst(b))
     encoded = QueryBuilder(I.IrProgram()).term(e)
     assert _smtlib_value(encoded) == Interp(I.IrProgram()).eval(e, {})
+
+
+# -- invented names --------------------------------------------------------------
+
+# Underscore-joined pieces, and spellings the translation invents itself.
+NAME_PIECES = ["A", "B_A", "x", "x_B", "F", "F_B", "Ctor", "int_bool", "M",
+               "tmp0", "len0", "msg_sender", "__ret"]
+
+
+@st.composite
+def name_clash_programs(draw):
+    """2-3 contracts, each maybe derived from the one before, whose contract,
+    state-variable, function, parameter and local names are drawn from
+    NAME_PIECES; function bodies read and write state, call a function
+    (a temporary takes the result) and push to arrays."""
+    n = draw(st.integers(2, 3))
+    contracts = draw(st.lists(st.sampled_from(NAME_PIECES), min_size=n,
+                              max_size=n, unique=True))
+    others = [p for p in NAME_PIECES if p not in contracts]
+    state = iter(draw(st.permutations(NAME_PIECES)))  # unique program-wide
+    sources, visible_fns = [], []
+    for i, c in enumerate(contracts):
+        derived = i > 0 and draw(st.booleans())
+        scalar = next(state)
+        arrays = [next(state) for _ in range(draw(st.integers(0, 1)))]
+        fns = draw(st.lists(st.sampled_from(others), min_size=1, max_size=2, unique=True))
+        visible_fns = (visible_fns if derived else []) + fns
+        members = [f"int {scalar};"] + [f"int[] {a};" for a in arrays]
+        members.append(f"constructor() public {{ int {draw(st.sampled_from(others))} = 1; }}")
+        for fn in fns:
+            locals_pool = [p for p in others if p not in arrays]  # push needs them
+            param, *locals_ = draw(st.lists(st.sampled_from(locals_pool), min_size=2,
+                                            max_size=3, unique=True))
+            body = [f"int {loc} = {param};" for loc in locals_]
+            body.append(f"{scalar} = {locals_[-1]};")
+            body.append(f"{scalar} = {draw(st.sampled_from(visible_fns))}({locals_[0]});")
+            body += [f"{a}.push({locals_[0]});" for a in arrays]
+            body.append(f"return {locals_[-1]};")
+            members.append(f"function {fn}(int {param}) public returns (int) "
+                           f"{{ {' '.join(body)} }}")
+        head = f"contract {c} is {contracts[i - 1]}" if derived else f"contract {c}"
+        sources.append(head + " {\n    " + "\n    ".join(members) + "\n}")
+    return "\n".join(sources), contracts[-1]
+
+
+@given(name_clash_programs())
+@settings(max_examples=60, deadline=None)
+def test_invented_names_are_distinct(case):
+    from solverify.sol import desugar_modifiers, parse_contract, typecheck
+    from solverify.translate import generate_harness, translate_program
+    src, root = case
+    program = desugar_modifiers(typecheck(parse_contract(src)))
+    tr = translate_program(program)
+    generate_harness(tr, root)
+    for proc in tr.ir.procedures.values():
+        names = [n for n, _ in proc.params + proc.returns + proc.locals]
+        assert len(names) == len(set(names)), (proc.name, names)
+        assert not set(names) & set(tr.ir.globals), proc.name  # no shadowing
+    declared = [(c.name, n) for c in program.contracts for n, _ in c.state_vars]
+    assert sorted(tr.state_maps) == sorted(declared)
+    assert len(set(tr.state_maps.values())) == len(declared)
+    assert set(tr.state_maps.values()) <= set(tr.ir.globals)
+    assert len(set(tr.procs.values())) == len(tr.procs)
+    assert set(tr.procs.values()) <= set(tr.ir.procedures)
+
+
+@given(st.sets(st.sampled_from(["constructor_checker", "constructor_checker_1",
+                                "SendRequest_checker", "SendRequest_checker_1",
+                                "SendResponse_checker"])))
+@settings(max_examples=30, deadline=None)
+def test_checker_modifiers_keep_apart_from_user_modifiers(user_modifiers):
+    """Each checker is a modifier of its own, and the one each function (and
+    the constructor) applies first."""
+    from conftest import fixture_text
+    from solverify.instrument import instrument_for_conformance
+    from solverify.sol import desugar_modifiers, parse_contract, typecheck
+    decls = "".join(f"    modifier {m}() {{ _; }}\n" for m in sorted(user_modifiers))
+    src = fixture_text("helloblockchain.sol").replace(
+        "    function SendRequest(", decls + "    function SendRequest(")
+    program = desugar_modifiers(typecheck(parse_contract(src)))
+    out = instrument_for_conformance(program, parse_policy(fixture_text("helloblockchain.json")))
+    c = out.contract("HelloBlockchain")
+    names = [m.name for m in c.modifiers]
+    assert len(names) == len(set(names))
+    for fn in (c.constructor, c.function("SendRequest"), c.function("SendResponse")):
+        checker = c.modifier(fn.applied_modifiers[0])
+        assert checker.name not in user_modifiers
+        assert any(isinstance(s, ast.Assert) for s in checker.post_stmts)

@@ -336,7 +336,7 @@ def test_state_scalar_zero_init_order():
 
 def test_contract_codes_start_at_one():
     tr = tp("contract A { } contract B { }")
-    assert tr.contract_codes == {"A": 1, "B": 2}
+    assert tr.ir.constants == {"A": 1, "B": 2}
 
 
 # -- IR scans: sender threading and map registry ----------------------------------------
