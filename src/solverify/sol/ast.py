@@ -101,29 +101,6 @@ class SolExpr:
     pass
 
 
-def _expr_eq(a, b) -> bool:
-    """Structural equality ignoring positions and annotations."""
-    if type(a) is not type(b):
-        return False
-    for name in a.STRUCT_FIELDS:
-        va, vb = getattr(a, name), getattr(b, name)
-        if isinstance(va, SolExpr):
-            if not _expr_eq(va, vb):
-                return False
-        elif isinstance(va, (list, tuple)):
-            if len(va) != len(vb):
-                return False
-            for xa, xb in zip(va, vb):
-                if isinstance(xa, SolExpr):
-                    if not _expr_eq(xa, xb):
-                        return False
-                elif xa != xb:
-                    return False
-        elif va != vb:
-            return False
-    return True
-
-
 @record(eq=False)
 class IntLit(SolExpr):
     value: int
@@ -223,9 +200,6 @@ class ExprCall(SolExpr):
     STRUCT_FIELDS = ("fn", "args")
 
 
-SolExpr.__eq__ = _expr_eq  # type: ignore[method-assign]
-
-
 # ---------------------------------------------------------------------------
 # Statements
 
@@ -235,22 +209,14 @@ class SolStmt:
 
 
 def _stmt_eq(a, b) -> bool:
-    if type(a) is not type(b):
-        return False
-    for name in a.STRUCT_FIELDS:
-        va, vb = getattr(a, name), getattr(b, name)
-        if isinstance(va, (SolExpr, SolStmt)):
-            if va != vb:
-                return False
-        elif isinstance(va, (list, tuple)):
-            if len(va) != len(vb) or any(xa != xb for xa, xb in zip(va, vb)):
-                return False
-        elif va != vb:
-            return False
-    return True
+    """Structural equality ignoring positions and annotations: the fields in
+    STRUCT_FIELDS are compared with `==`, which for child nodes, and for the
+    nodes in a list, is this function again."""
+    return type(a) is type(b) and all(
+        getattr(a, name) == getattr(b, name) for name in a.STRUCT_FIELDS)
 
 
-SolStmt.__eq__ = _stmt_eq  # type: ignore[method-assign]
+SolExpr.__eq__ = SolStmt.__eq__ = _stmt_eq  # type: ignore[method-assign]
 
 
 @record(eq=False)

@@ -277,13 +277,7 @@ def _nonzero_divisors(e: I.IrExpr, guard: I.IrExpr | None = None) -> list[I.IrSt
         out += _nonzero_divisors(left, guard)
         out += _nonzero_divisors(right, taken if guard is None else I.op("&&", guard, taken))
         return out
-    if isinstance(e, (I.Op, I.UFApply)):
-        parts = e.args
-    elif isinstance(e, I.Select):
-        parts = (e.base,) + e.keys
-    else:
-        parts = ()
-    for part in parts:
+    for part in I.children(e):
         out += _nonzero_divisors(part, guard)
     if isinstance(e, I.Op) and e.op in ("/", "%") \
             and not (isinstance(e.args[1], I.IConst) and e.args[1].value != 0):

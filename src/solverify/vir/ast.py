@@ -217,6 +217,18 @@ def seq_list(s: IrStmt) -> list[IrStmt]:
 
 # -- traversal -----------------------------------------------------------------
 
+def children(e: IrExpr) -> tuple[IrExpr, ...]:
+    """The direct subexpressions of `e`: operator and function arguments, a
+    select's base then keys, a forall's body."""
+    if isinstance(e, (Op, UFApply)):
+        return e.args
+    if isinstance(e, Select):
+        return (e.base,) + e.keys
+    if isinstance(e, Forall):
+        return (e.body,)
+    return ()
+
+
 def map_expr(e: IrExpr, f: Callable[[IrExpr], IrExpr | None]) -> IrExpr:
     """Rebuild `e` top-down: where `f` returns an expression it replaces the
     node outright, elsewhere the node is rebuilt from its mapped children."""

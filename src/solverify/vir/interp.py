@@ -14,21 +14,32 @@ Concrete semantics for a symbolic language needs three documented devices:
   to the unrolled harness this way and reads off which inputs the run
   consumed.
 
-* Quantified assumptions are executed, not solved.  The allocation shapes
-  emitted by the translator and prelude (zero-initialization, freshness,
-  pairwise distinctness, allocation monotonicity) are recognized and applied
-  exactly: a row constrained to hold fresh distinct allocated references
-  mints such a reference on each first read.  Any other forall in an assume
-  is checked over a finite witness set (allocated references, the integers
-  in INT_WITNESSES, and materialized keys); a forall in an assert raises
-  UnsupportedQuantifier.
+* Quantified assumptions are executed, not solved.  The translator states
+  each map allocation as facts about lookup chains
+  c(i1..ij) = M_j[...M_1[base][i1]...][ij] through the per-level lookup
+  maps, over a base that nothing has been read below:
+  1. `forall ī :: Alloc[c(ī)]` gives the row M_1[base] a policy naming
+     M_2..M_j: a missing read there mints a fresh allocated reference, whose
+     own row in M_2 mints with the rest of the names, down to level j.
+  2. `forall ī, i' :: i == i' || c(.., i) != c(.., i')` holds if and only
+     if first reads at the end of c mint.
+  3. Any other body whose bound variables sit in one chain (zero length,
+     `!Alloc`, a zero leaf of any type) is evaluated once, with the chain
+     replaced by the default a first read gives (0, false or null); no cell
+     is materialized.
+  4. A chain fact about a row that already has something read below it, or
+     (rule 3) about references the row mints, raises UnsupportedQuantifier.
+  5. Any other forall (allocation monotonicity) is checked over a finite
+     witness set: null and the allocated references, the integers in
+     INT_WITNESSES, false and true.
+  A forall in an assert raises UnsupportedQuantifier.
 """
 
 from __future__ import annotations
 
 from solverify.record import field, record
 from solverify.vir import ast
-from solverify.vir.prelude import ALLOC, DTYPE, LENGTH
+from solverify.vir.prelude import ALLOC, DTYPE
 
 INT_WITNESSES = (0, 1, 2)  # the integers a non-allocation forall is checked at
 
@@ -46,20 +57,23 @@ class IrRuntimeError(Exception):
 
 
 class MapValue:
-    __slots__ = ("key_ty", "value_ty", "entries", "fresh_policy", "unconstrained")
+    __slots__ = ("key_ty", "value_ty", "entries", "mints", "unconstrained")
 
     def __init__(self, ty: ast.MapType):
         self.key_ty = ty.key
         self.value_ty = ty.value
         self.entries: dict = {}
-        self.fresh_policy = False  # missing reads mint fresh allocated refs
+        # None: a missing read gives the default.  Else it mints a fresh
+        # allocated reference, whose row in the first lookup map named here
+        # mints in turn, with the rest of the names.
+        self.mints: tuple[str, ...] | None = None
         # Cells carry no default commitment; an assumed equality on a cell
         # never touched before fixes its value (dynamic-type bookkeeping).
         self.unconstrained = False
 
     def copy(self) -> "MapValue":
         out = MapValue(ast.MapType(self.key_ty, self.value_ty))
-        out.fresh_policy = self.fresh_policy
+        out.mints = self.mints
         out.unconstrained = self.unconstrained
         out.entries = {k: (v.copy() if isinstance(v, MapValue) else v)
                        for k, v in self.entries.items()}
@@ -188,11 +202,12 @@ class Interp:
             child = MapValue(m.value_ty)
             m.entries[key] = child
             return child
-        if m.fresh_policy and m.value_ty == ast.REF:
+        if m.mints is not None:
             ref = self.state.fresh_ref()
-            alloc: MapValue = self.state.globals[ALLOC]
-            alloc.entries[ref] = True
+            self.state.globals[ALLOC].entries[ref] = True
             m.entries[key] = ref
+            if m.mints:
+                self.map_get(self.state.globals[m.mints[0]], ref).mints = m.mints[1:]
             return ref
         value = default_value(m.value_ty)
         m.entries[key] = value  # reads materialize so later constraints agree
@@ -313,159 +328,69 @@ class Interp:
         while isinstance(body, ast.Forall):
             bound.append((body.var, body.var_ty))
             body = body.body
-        names = {n for n, _ in bound}
-        if self._try_alloc_shape(body, names, env):
+        names = tuple(n for n, _ in bound)
+        if isinstance(body, ast.Op) and body.op == "||" \
+                and isinstance(body.args[1], ast.Op) and body.args[1].op == "!=":
+            pair = [self._chain(c, names) for c in body.args[1].args]
+            if None not in pair and _is_distinctness(body, names, *pair):
+                base, maps, _ = pair[0]
+                if not _mints(self._fresh_row(maps, self.eval(base, env)), maps):
+                    raise _BlockSignal(proc_name)
+                return
+        found: list = []
+        if self._outer_chains(body, names, found) \
+                and len({c for c, _ in found}) == 1 and found[0][1][2] == names:
+            chain, (base, maps, _) = found[0]
+            base_value = self.eval(base, env)
+            row = self._fresh_row(maps, base_value)
+            if body == ast.select(ast.Var(ALLOC), chain):
+                self.map_get(self.state.globals[maps[0]], base_value).mints = maps[1:]
+                return
+            if _mints(row, maps):
+                raise UnsupportedQuantifier("chain fact about minted references")
+            first_read = ast.Var("$chain")
+            leaf_ty = self.state.globals[maps[-1]].value_ty.value
+            holds = self.eval(ast.map_expr(body, lambda x: first_read if x == chain else None),
+                              {**env, first_read.name: default_value(leaf_ty)})
+            if not holds:
+                raise _BlockSignal(proc_name)
             return
         self._finite_check(body, bound, env, proc_name)
 
-    def _chain(self, e: ast.IrExpr, bound: set[str], env: dict):
-        """Match nested lookups base[i1]..[ij] through map globals where each
-        level is Select(M, (inner, boundvar)); returns (base value, levels)
-        with levels = [(MapValue of the per-level map, bound var name)]."""
-        if not isinstance(e, ast.Select) or len(e.keys) != 2:
+    def _chain(self, e: ast.IrExpr, bound: tuple[str, ...]):
+        """`e` as a lookup chain M_j[...M_1[base][i1]...][ij] through map
+        globals, with bound variables i1..ij and a base free of them:
+        (base, (M_1, .., M_j), (i1, .., ij)); else None."""
+        maps: list[str] = []
+        idx: list[str] = []
+        while isinstance(e, ast.Select) and len(e.keys) == 2 \
+                and isinstance(e.base, ast.Var) and e.base.name in self.state.globals \
+                and isinstance(e.keys[1], ast.Var) and e.keys[1].name in bound:
+            maps.append(e.base.name)
+            idx.append(e.keys[1].name)
+            e = e.keys[0]
+        if not maps or _free_vars(e) & set(bound):
             return None
-        if not (isinstance(e.base, ast.Var) and e.base.name in self.state.globals):
-            return None
-        last = e.keys[1]
-        if not (isinstance(last, ast.Var) and last.name in bound):
-            return None
-        inner = e.keys[0]
-        if not (_free_vars(inner) & bound):
-            return self.eval(inner, env), [(self.state.globals[e.base.name], last.name)]
-        sub = self._chain(inner, bound, env)
-        if sub is None:
-            return None
-        base, levels = sub
-        return base, levels + [(self.state.globals[e.base.name], last.name)]
+        return e, tuple(reversed(maps)), tuple(reversed(idx))
 
-    def _chain_rows(self, base, levels):
-        """Materialized (prefix) rows reached by walking the chain."""
-        rows = [(base, levels[0][0])]
-        frontier = [base]
-        for (mapval, _), nxt in zip(levels, levels[1:]):
-            new_frontier = []
-            for b in frontier:
-                row = mapval.entries.get(b)
-                if row is None:
-                    continue
-                for v in row.entries.values():
-                    new_frontier.append(v)
-                    rows.append((v, nxt[0]))
-            frontier = new_frontier
-        return rows
+    def _outer_chains(self, e: ast.IrExpr, bound: tuple[str, ...], out: list) -> bool:
+        """Collect the outermost lookup chains of `e` in `out` as (chain,
+        parsed); False if a bound variable occurs outside them."""
+        parsed = self._chain(e, bound)
+        if parsed is not None:
+            out.append((e, parsed))
+            return True
+        if isinstance(e, ast.Var):
+            return e.name not in bound
+        return all(self._outer_chains(c, bound, out) for c in ast.children(e))
 
-    def _chain_leaf_values(self, base, levels, env):
-        """All materialized leaf values of the chain."""
-        values = []
-        for b, mapval in self._chain_rows(base, levels):
-            row = mapval.entries.get(b)
-            if row is None:
-                continue
-            values.extend(row.entries.values())
-        return values
-
-    def _try_alloc_shape(self, body, bound: set[str], env: dict) -> bool:
-        alloc: MapValue = self.state.globals.get(ALLOC)
-
-        # forall i :: old[i] ==> new[i]  (allocation monotonicity)
-        if isinstance(body, ast.Op) and body.op == "==>" and len(bound) == 1:
-            lhs, rhs = body.args
-            if (isinstance(lhs, ast.Select) and isinstance(rhs, ast.Select)
-                    and len(lhs.keys) == 1 and len(rhs.keys) == 1
-                    and isinstance(lhs.keys[0], ast.Var)
-                    and isinstance(rhs.keys[0], ast.Var)
-                    and lhs.keys[0].name in bound
-                    and lhs.keys[0].name == rhs.keys[0].name):
-                old = self.eval(lhs.base, env)
-                new = self.eval(rhs.base, env)
-                if isinstance(old, MapValue) and isinstance(new, MapValue):
-                    for k, v in old.entries.items():
-                        if v and not self.map_get(new, k):
-                            raise _BlockSignal("allocation monotonicity")
-                    return True
-
-        # forall i.. :: chain == 0  /  Length[chain] == 0  (zero slices)
-        if isinstance(body, ast.Op) and body.op == "==" \
-                and isinstance(body.args[1], ast.IConst) and body.args[1].value == 0:
-            lhs = body.args[0]
-            if isinstance(lhs, ast.Select) and isinstance(lhs.base, ast.Var) \
-                    and lhs.base.name == LENGTH and len(lhs.keys) == 1:
-                match = self._chain(lhs.keys[0], bound, env)
-                if match is not None:
-                    base, levels = match
-                    length: MapValue = self.state.globals[LENGTH]
-                    for ref in self._chain_leaf_values(base, levels, env):
-                        if length.entries.get(ref, 0) != 0:
-                            raise _BlockSignal("length slice")
-                    return True
-            match = self._chain(lhs, bound, env)
-            if match is not None:
-                base, levels = match
-                for v in self._chain_leaf_values(base, levels, env):
-                    if v != 0:
-                        raise _BlockSignal("zero slice")
-                return True
-
-        # forall i.. :: !Alloc[chain]   (pre-allocation freshness)
-        if isinstance(body, ast.Op) and body.op == "!" \
-                and isinstance(body.args[0], ast.Select) \
-                and isinstance(body.args[0].base, ast.Var) \
-                and body.args[0].base.name == ALLOC \
-                and len(body.args[0].keys) == 1:
-            match = self._chain(body.args[0].keys[0], bound, env)
-            if match is not None:
-                base, levels = match
-                for ref in self._chain_leaf_values(base, levels, env):
-                    if alloc.entries.get(ref, False):
-                        raise _BlockSignal("freshness")
-                return True
-
-        # forall i.. :: Alloc[chain]   (post-allocation: install fresh policy)
-        if isinstance(body, ast.Select) and isinstance(body.base, ast.Var) \
-                and body.base.name == ALLOC and len(body.keys) == 1:
-            match = self._chain(body.keys[0], bound, env)
-            if match is not None:
-                base, levels = match
-                self._install_fresh(base, levels)
-                for ref in self._chain_leaf_values(base, levels, env):
-                    if not alloc.entries.get(ref, False):
-                        raise _BlockSignal("allocatedness")
-                return True
-
-        # forall i.., i' :: i == i' || chain(i..) != chain(i..[j := i'])
-        if isinstance(body, ast.Op) and body.op == "||":
-            eq, ne = body.args
-            if (isinstance(eq, ast.Op) and eq.op == "==" and
-                    isinstance(ne, ast.Op) and ne.op == "!="):
-                match = self._chain(ne.args[0], bound, env)
-                if match is not None:
-                    base, levels = match
-                    self._install_fresh(base, levels)
-                    for b, mapval in self._chain_rows(base, levels):
-                        row = mapval.entries.get(b)
-                        if row is None:
-                            continue
-                        vals = list(row.entries.values())
-                        if len(vals) != len(set(vals)):
-                            raise _BlockSignal("distinctness")
-                    return True
-        return False
-
-    def _install_fresh(self, base, levels):
-        # The policy lands on the row holding the final bound-var level;
-        # materialized prefixes only (nesting beyond depth 2 falls back to
-        # witness checking for unmaterialized prefixes).
-        targets = self._chain_rows(base, levels)
-        final_map = levels[-1][0]
-        for b, mapval in targets:
-            if mapval is final_map:
-                row = mapval.entries.get(b)
-                if row is None:
-                    if isinstance(mapval.value_ty, ast.MapType):
-                        row = MapValue(mapval.value_ty)
-                        mapval.entries[b] = row
-                if isinstance(row, MapValue):
-                    row.fresh_policy = True
+    def _fresh_row(self, maps: tuple[str, ...], base):
+        """The row M_1[base] a chain fact is about, None if never read; no
+        fact may speak of a row after something has been read below it."""
+        row = self.state.globals[maps[0]].entries.get(base)
+        if row is not None and row.entries:
+            raise UnsupportedQuantifier("chain fact about a row already read")
+        return row
 
     def _finite_check(self, body, bound, env, proc_name: str):
         witnesses: list[list] = []
@@ -583,24 +508,25 @@ class Interp:
 def _free_vars(e: ast.IrExpr) -> set[str]:
     if isinstance(e, ast.Var):
         return {e.name}
-    if isinstance(e, ast.Op):
-        out: set[str] = set()
-        for a in e.args:
-            out |= _free_vars(a)
-        return out
-    if isinstance(e, ast.UFApply):
-        out = set()
-        for a in e.args:
-            out |= _free_vars(a)
-        return out
-    if isinstance(e, ast.Select):
-        out = _free_vars(e.base)
-        for k in e.keys:
-            out |= _free_vars(k)
-        return out
-    if isinstance(e, ast.Forall):
-        return _free_vars(e.body) - {e.var}
-    return set()
+    out = set().union(*map(_free_vars, ast.children(e)))
+    return out - {e.var} if isinstance(e, ast.Forall) else out
+
+
+def _is_distinctness(body: ast.Op, bound: tuple[str, ...], first, second) -> bool:
+    """Whether `body` is `i == i' || c(..., i) != c(..., i')` over all of
+    `bound`, for the lookup chains parsed as `first` and `second`."""
+    (base, maps, idx), (base2, maps2, idx2) = first, second
+    i, i2 = idx[-1], idx2[-1]
+    return (base == base2 and maps == maps2 and idx[:-1] == idx2[:-1] and i != i2
+            and idx + (i2,) == bound
+            and body.args[0] == ast.op("==", ast.Var(i), ast.Var(i2)))
+
+
+def _mints(row: MapValue | None, maps: tuple[str, ...]) -> bool:
+    """Whether a first read at the end of the chain through `maps`, from
+    the row `row` of M_1, mints a fresh reference."""
+    return row is not None and row.mints is not None \
+        and row.mints[:len(maps) - 1] == maps[1:]
 
 
 def interpret(program: ast.IrProgram, entry: str | ast.IrProcedure, tape=(),

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -607,8 +608,9 @@ def test_trace_skips_nondets_of_calls_not_made(tmp_path, capsys, field, go):
 
 # -- invented names never share a spelling with a source name ----------------
 
-def _source_replay_fails(src: str, trace: list):
-    """The reported calls fail an assertion in the source-level semantics."""
+def _fails_in_source(src: str, trace: list) -> bool:
+    """Whether the calls of `trace` fail an assertion in the source-level
+    semantics."""
     from solverify.sol import desugar_modifiers, parse_contract, typecheck
     from solverify.sol.interp import SolAssertFail, make_world
 
@@ -617,10 +619,13 @@ def _source_replay_fails(src: str, trace: list):
 
     world = make_world(desugar_modifiers(typecheck(parse_contract(src))))
     ctor, *calls = trace
-    with pytest.raises(SolAssertFail):
+    try:
         inst = world.new_instance(ctor["fn"], ctor["args"], sender(ctor["sender"]))
         for tx in calls:
             world.call_function(inst, tx["fn"], tx["args"], sender(tx["sender"]))
+    except SolAssertFail:
+        return True
+    return False
 
 
 @pytest.mark.parametrize("src, root, code, key, value, fns", [
@@ -676,7 +681,7 @@ def test_source_names_keep_apart_from_invented_names(tmp_path, src, root, code,
         assert doc[key] == value
     if fns is not None:
         assert [tx["fn"] for tx in doc["trace"]] == fns
-        _source_replay_fails(src, doc["trace"])
+        assert _fails_in_source(src, doc["trace"])
 
 
 def test_user_modifier_named_like_a_checker_keeps_the_check(tmp_path):
@@ -696,3 +701,84 @@ def test_user_modifier_named_like_a_checker_keeps_the_check(tmp_path):
     doc = json.loads(report.read_text())
     assert doc["verdict"] == "Refuted" and doc["k"] == 1
     assert [tx["fn"] for tx in doc["trace"]] == ["HelloBlockchain", "SendResponse"]
+
+
+# -- inner maps are fresh at every depth --------------------------------------
+
+def _map_contract(state: str, body: str) -> str:
+    return ("contract C {\n    %s m;\n    constructor() public { }\n"
+            "    function F(int a, int b) public {\n        %s\n    }\n}\n" % (state, body))
+
+
+def _verify_map_contract(tmp_path, src: str) -> tuple[int, dict]:
+    path = tmp_path / "c.sol"
+    path.write_text(src)
+    report = tmp_path / "r.json"
+    code = run_cli("verify", "--mode", "assertions", "--root", "C", "--k", "2",
+                   "--sol", str(path), "--report-json", str(report))
+    return code, json.loads(report.read_text())
+
+
+def test_depth_three_maps_under_distinct_keys_are_distinct(tmp_path):
+    """m[a][0] and m[b][0] are different maps, so the write through m[a] is
+    not seen through m[b].  The replay used to read both as null, and
+    rejected this real counterexample (exit 4)."""
+    src = _map_contract("mapping(int => mapping(int => mapping(int => int)))",
+                        "require(a != b); m[a][0][0] = 1; int v = m[b][0][0]; "
+                        "assert(v == 1);")
+    code, doc = _verify_map_contract(tmp_path, src)
+    assert code == EXIT_REFUTED and doc["verdict"] == "Refuted" and doc["k"] == 1
+    assert [tx["fn"] for tx in doc["trace"]] == ["C", "F"]
+    assert _fails_in_source(src, doc["trace"])
+
+
+def test_depth_three_aliased_model_is_not_confirmed(tmp_path):
+    """No call F(a, b) fails this assertion in Solidity.  The encoding lets
+    level-2 maps under different level-1 keys alias (CHANGES.md, the FOUND
+    on `translate._alloc_sequence`), so bounded checking finds a model with
+    m[0][1] and m[1][1] one map; the replay used to confirm it as
+    `Refuted` with F(1, 1)."""
+    src = _map_contract("mapping(int => mapping(int => mapping(int => bool)))",
+                        "m[b][a][b] = false; m[b][b][a] = true; "
+                        "assert(m[0][b][a] == false || b == 0);")
+    _, doc = _verify_map_contract(tmp_path, src)
+    assert doc["verdict"] != "Refuted"
+
+
+def _random_map_contract(seed: int) -> str:
+    """A map of depth 1-3 with an int or bool leaf, written 1-3 times and
+    then asserted on once, at keys drawn from a, b, 0, 1 and 2."""
+    rng = random.Random(seed)
+    depth = rng.randint(1, 3)
+    leaf = rng.choice(("int", "bool"))
+    values = ("0", "1") if leaf == "int" else ("false", "true")
+    state = leaf
+    for _ in range(depth):
+        state = f"mapping(int => {state})"
+
+    def cell() -> str:
+        return "m" + "".join(f"[{rng.choice(('a', 'b', '0', '1', '2'))}]"
+                             for _ in range(depth))
+
+    writes = [f"{cell()} = {rng.choice(values)};" for _ in range(rng.randint(1, 3))]
+    return _map_contract(state, " ".join(writes + [f"assert({cell()} == {rng.choice(values)});"]))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_map_verdicts_agree_with_source_semantics(tmp_path, seed):
+    """Differential testing against the Solidity reference semantics, in the
+    style of Csmith (Yang et al., PLDI 2011): a refutation fails there, and
+    after a safe verdict no call F(a, b) with a, b in -2..2 does.  Exit 4 is
+    allowed: the encoding may alias inner maps, and the replay then rejects
+    the model (CHANGES.md, the FOUND on `translate._alloc_sequence`)."""
+    src = _random_map_contract(seed)
+    code, doc = _verify_map_contract(tmp_path, src)
+    assert code in (EXIT_FULLY_VERIFIED, EXIT_REFUTED, EXIT_PARTIAL, EXIT_INTERNAL_ERROR)
+    if code == EXIT_REFUTED:
+        assert _fails_in_source(src, doc["trace"]), src
+    elif code != EXIT_INTERNAL_ERROR:
+        ctor = {"fn": "C", "args": [], "sender": 1}
+        for a in range(-2, 3):
+            for b in range(-2, 3):
+                call = {"fn": "F", "args": [a, b], "sender": 1}
+                assert not _fails_in_source(src, [ctor, call]), (src, a, b)

@@ -22,13 +22,16 @@ def prelude_with(*sigs):
     return emit_prelude(list(sigs))
 
 
-def _nested_map_program():
-    """`F_C` allocates a two-level map and stores it in the state variable."""
-    return translate_program(typecheck(parse_contract("""
-    contract C {
-        mapping(int => mapping(int => int)) x;
-        function F() public { x = new (int => mapping(int => int))(); }
-    }
+def _nested_map_program(depth: int = 2):
+    """`F_C` allocates a `depth`-level map and stores it in the state variable."""
+    ty = "int"
+    for _ in range(depth):
+        ty = f"mapping(int => {ty})"
+    return translate_program(typecheck(parse_contract(f"""
+    contract C {{
+        {ty} x;
+        function F() public {{ x = new {ty[len("mapping"):]}(); }}
+    }}
     """)))
 
 
@@ -218,6 +221,30 @@ def test_nested_map_allocation_gives_distinct_inner_refs():
         ("c", REF), ("v", REF), ("r0", REF), ("r1", REF), ("r2", REF)], body))
     out = interpret(tr.ir, "t")
     assert isinstance(out, Completed)
+
+
+def test_depth_three_allocation_gives_distinct_inner_refs_at_every_level():
+    """The level-2 maps under two level-1 maps are distinct, allocated and
+    empty; they used to read null, so every m[i][j] aliased."""
+    tr = _nested_map_program(depth=3)
+    level1 = [select(Var("M_int_Ref"), Var("v"), IConst(k)) for k in (0, 1)]
+    body = seq(
+        Call("New", (), ("c",)),
+        Call("F_C", (Var("c"), Var("c"))),
+        Assign("v", select(Var("x_C"), Var("c"))),
+        Assign("p", select(Var("M_int_Ref"), level1[0], IConst(0))),
+        Assign("q", select(Var("M_int_Ref"), level1[1], IConst(0))),
+        Assert(op("!=", Var("p"), Var("q")), "distinct"),
+        Assert(op("!=", Var("p"), level1[0]), "not the level-1 map"),
+        *[stmt for r in ("p", "q") for stmt in (
+            Assert(select(Var(ALLOC), Var(r)), f"{r} allocated"),
+            Assert(op("==", select(Var(LENGTH), Var(r)), IConst(0)), f"{r} length"),
+            Assert(op("==", select(Var("M_int_int"), Var(r), IConst(5)), IConst(0)),
+                   f"{r} leaf zeroed"))],
+    )
+    tr.ir.add_proc(IrProcedure("t", [], [], [("c", REF), ("v", REF), ("p", REF),
+                                             ("q", REF)], body))
+    assert isinstance(interpret(tr.ir, "t"), Completed)
 
 
 def test_budget_exhausted():
