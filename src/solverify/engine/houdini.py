@@ -58,7 +58,7 @@ def _build_checks(tr: Translation, hinfo: HarnessInfo) -> list[_ProcCheck]:
     """One inlined call per procedure: the constructor on a freshly
     allocated instance, each public function on an existing one."""
     root = hinfo.root
-    new, is_root = new_instance("inst", root)
+    new, is_root = new_instance("inst", tr.consts[root])
     entries = [(tr.procs[root, None], True, tr.ctor_params(root),
                 I.seq(new, is_root))]
     entries += [(pname, False, list(ptypes), is_root)

@@ -3,8 +3,9 @@
 A loop-free, call-free procedure is symbolically executed into a single-
 assignment constraint system: assignments bind terms, havocs mint fresh
 symbols, branches merge through guarded join symbols, assumes become guarded
-hypotheses, and asserts become guarded obligations with one selector symbol
-each.  The refutation query (hypotheses plus the disjunction of violated
+hypotheses, asserts become guarded obligations with one selector symbol
+each, and a map allocation becomes the facts `prelude.alloc_facts` states.
+The refutation query (hypotheses plus the disjunction of violated
 obligations) is satisfiable exactly when some execution fails an assert, and
 a model fixes every havoc'd input, so a transaction trace can be read off
 the selector and slot symbols.
@@ -17,7 +18,9 @@ import itertools
 from solverify.record import record
 from solverify.smt import terms as T
 from solverify.vir import ast as I
-from solverify.vir.prelude import NOTHING_ALLOCATED, STR_TO_INT
+from solverify.vir.prelude import (
+    ALLOC_SNAPSHOT, NOTHING_ALLOCATED, STR_TO_INT, alloc_facts,
+)
 
 BOOL_IR_OPS = {"&&": "and", "||": "or", "==>": "=>", "!": "not"}
 INT_IR_OPS = {"+": "+", "-": "-", "*": "*", "neg": "neg"}
@@ -189,6 +192,11 @@ class QueryBuilder:
             return
         if isinstance(s, I.Assert):
             self.obligations.append((guard, self.term(s.cond), s.label))
+            return
+        if isinstance(s, I.AllocMap):
+            for fact in alloc_facts(s):
+                self.exec_stmt(fact, guard)
+            self.env.pop(ALLOC_SNAPSHOT, None)  # no branch join may see it
             return
         if isinstance(s, I.If):
             cond = self.term(s.cond)

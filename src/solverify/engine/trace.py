@@ -114,7 +114,7 @@ def build_replay_driver(tr: Translation, root: str,
     """Driver procedure calling the trace's transactions with literal
     arguments; the tape is the concatenated nondet segments."""
     fn_procs = {f: (p, t) for f, p, t in tr.public_functions(root)}
-    stmts = new_instance("inst", root)
+    stmts = new_instance("inst", tr.consts[root])
     tape: list = []
     for tx in trace.transactions:
         if tx.fn == root:

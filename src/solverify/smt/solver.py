@@ -802,7 +802,6 @@ class GroundSolver:
                     return "unsat"
                 continue
             self.cnf.assert_root(a)
-        self._add_equality_lemmas()
         theory = Theory(self.bank, self.cnf.atom_terms, self.linear)
         self.theory = theory
         model = _sat_solve(self.cnf.clauses, self.cnf.nvars, theory)
@@ -812,57 +811,6 @@ class GroundSolver:
         if theory.incomplete or not self._validate(theory, model):
             return "unknown"
         return "sat"
-
-    def _add_equality_lemmas(self):
-        """Eager equality reasoning in the boolean layer: transitivity
-        triangles over existing equality atoms and exclusion between
-        equalities of one term with distinct constants.  The theory check
-        remains the backstop; these just keep conflicts out of the loop."""
-        eq_var: dict[tuple[int, int], int] = {}
-        by_term: dict[int, list[tuple[int, int]]] = {}
-        const_eqs: dict[int, list[tuple[int, int]]] = {}
-        for var, atom in self.cnf.atom_terms.items():
-            if atom.op != "=" or len(atom.args) != 2:
-                continue
-            a, b = atom.args
-            if a.sort == BOOL_S:
-                continue
-            key = (min(a.tid, b.tid), max(a.tid, b.tid))
-            eq_var[key] = var
-            by_term.setdefault(a.tid, []).append((b.tid, var))
-            by_term.setdefault(b.tid, []).append((a.tid, var))
-            if a.op == "intval" and b.op != "intval":
-                const_eqs.setdefault(b.tid, []).append((a.value, var))
-            elif b.op == "intval" and a.op != "intval":
-                const_eqs.setdefault(a.tid, []).append((b.value, var))
-
-        for partners in const_eqs.values():
-            for i in range(len(partners)):
-                for j in range(i + 1, len(partners)):
-                    (c1, v1), (c2, v2) = partners[i], partners[j]
-                    if c1 != c2:
-                        self.cnf.clauses.append([-v1, -v2])
-
-        budget = 20000
-        for b_tid, partners in by_term.items():
-            if len(partners) < 2:
-                continue
-            for i in range(len(partners)):
-                for j in range(i + 1, len(partners)):
-                    a_tid, v_ab = partners[i]
-                    c_tid, v_bc = partners[j]
-                    if a_tid == c_tid:
-                        continue
-                    key = (min(a_tid, c_tid), max(a_tid, c_tid))
-                    v_ac = eq_var.get(key)
-                    if v_ac is None:
-                        continue
-                    self.cnf.clauses.append([-v_ab, -v_bc, v_ac])
-                    self.cnf.clauses.append([-v_ab, -v_ac, v_bc])
-                    self.cnf.clauses.append([-v_bc, -v_ac, v_ab])
-                    budget -= 3
-                    if budget <= 0:
-                        return
 
     def _validate(self, theory: "Theory", model: dict[int, bool]) -> bool:
         """Evaluate arithmetic/equality atoms under the candidate model; a

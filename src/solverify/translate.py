@@ -18,8 +18,7 @@ from solverify.sol.linearize import subtypes_of
 from solverify.vir import ast as I
 from solverify.vir.ast import BOOL, INT, REF, MapType
 from solverify.vir.prelude import (
-    ALLOC, DTYPE, LENGTH, STR_TO_INT, chain_select, emit_prelude, foralls,
-    lookup_map_name, new_instance,
+    DTYPE, LENGTH, STR_TO_INT, emit_prelude, lookup_map_name, new_instance,
 )
 
 THIS = "this"
@@ -165,40 +164,6 @@ def _store_into(env: TransEnv, lhs: S.SolExpr, value: I.IrExpr) -> I.IrStmt:
     raise TranslateError("left-hand side is not assignable")
 
 
-def _alloc_sequence(tmp: str, sig, array_len: I.IrExpr | None) -> list[I.IrStmt]:
-    """Fresh reference plus the allocation facts for a (possibly nested) map:
-    length zeroing, per-level freshness/allocatedness/distinctness, and leaf
-    zero-initialization.  `array_len` switches the top-level length fact to a
-    store of the requested size."""
-    chain, leaf = sig
-    ref = I.Var(tmp)
-    stmts: list[I.IrStmt] = [I.Call("New", (), (tmp,))]
-    if array_len is not None:
-        stmts.append(I.Store(LENGTH, (ref,), array_len))
-    else:
-        stmts.append(I.Assume(I.op("==", I.select(I.Var(LENGTH), ref), I.IConst(0))))
-    n = len(chain)
-    for j in range(1, n):
-        idx = [(f"i{k}", chain[k - 1]) for k in range(1, j + 1)]
-        idx_vars = [I.Var(name) for name, _ in idx]
-        level = chain_select(ref, chain, leaf, idx_vars)
-        stmts.append(I.Assume(foralls(idx, I.op("==", I.select(I.Var(LENGTH), level), I.IConst(0)))))
-        stmts.append(I.Assume(foralls(idx, I.op("!", I.select(I.Var(ALLOC), level)))))
-        stmts.append(I.Call("NewUnbounded", ()))
-        stmts.append(I.Assume(foralls(idx, I.select(I.Var(ALLOC), level))))
-        primed = idx + [(f"i{j}_", chain[j - 1])]
-        level2 = chain_select(ref, chain, leaf, idx_vars[:-1] + [I.Var(f"i{j}_")])
-        stmts.append(I.Assume(foralls(
-            primed, I.op("||", I.op("==", I.Var(f"i{j}"), I.Var(f"i{j}_")),
-                         I.op("!=", level, level2)))))
-    idx = [(f"i{k}", chain[k - 1]) for k in range(1, n + 1)]
-    leaf_sel = chain_select(ref, chain, leaf, [I.Var(name) for name, _ in idx])
-    zero: I.IrExpr = I.BConst(False) if leaf == BOOL else \
-        (I.RConst(0) if leaf == REF else I.IConst(0))
-    stmts.append(I.Assume(foralls(idx, I.op("==", leaf_sel, zero))))
-    return stmts
-
-
 def translate_stmt(env: TransEnv, s: S.SolStmt) -> list[I.IrStmt]:
     if isinstance(s, S.DeclStmt):
         name = env.names[s.name]
@@ -244,25 +209,20 @@ def translate_stmt(env: TransEnv, s: S.SolStmt) -> list[I.IrStmt]:
         tmp = env.fresh_temp(REF)
         args = tuple(translate_expr(env, _hoist_nondets(env, a)) for a in s.args)
         return [
-            *new_instance(tmp, s.contract),
+            *new_instance(tmp, env.tr.consts[s.contract]),
             I.Call(env.tr.procs[s.contract, None],
                    (I.Var(tmp),) + args + (I.Var(THIS),)),
             _store_into(env, s.target, I.Var(tmp)),
         ]
     if isinstance(s, S.NewArray):
-        elem = map_type(s.elem_ty)
-        sig = ((INT,), elem)
         tmp = env.fresh_temp(REF)
         size = translate_expr(env, _hoist_nondets(env, s.size))
-        stmts = _alloc_sequence(tmp, sig, array_len=size)
-        stmts.append(_store_into(env, s.target, I.Var(tmp)))
-        return stmts
+        return [I.AllocMap(tmp, (INT,), map_type(s.elem_ty), size),
+                _store_into(env, s.target, I.Var(tmp))]
     if isinstance(s, S.NewMap):
-        sig = map_signature(s.map_ty)
         tmp = env.fresh_temp(REF)
-        stmts = _alloc_sequence(tmp, sig, array_len=None)
-        stmts.append(_store_into(env, s.target, I.Var(tmp)))
-        return stmts
+        return [I.AllocMap(tmp, *map_signature(s.map_ty)),
+                _store_into(env, s.target, I.Var(tmp))]
     raise TranslateError(f"cannot translate {type(s).__name__}")
 
 
@@ -307,6 +267,8 @@ def _guard_divisors(s: I.IrStmt) -> I.IrStmt:
         evaluated = (s.cond,)
     elif isinstance(s, I.Call):
         evaluated = s.args
+    elif isinstance(s, I.AllocMap) and s.length is not None:
+        evaluated = (s.length,)
     else:
         evaluated = ()
     return I.seq(*[a for e in evaluated for a in _nonzero_divisors(e)], s)
@@ -352,7 +314,8 @@ def _translate_call(env: TransEnv, s, receiver: S.SolExpr | None) -> I.IrStmt:
         return branch_call(candidates[0])
     out: I.IrStmt = I.Assume(I.BConst(False))  # closed program: no other type
     for subtype in reversed(candidates):
-        out = I.If(I.op("==", I.select(I.Var(DTYPE), recv_expr), I.NamedConst(subtype)),
+        out = I.If(I.op("==", I.select(I.Var(DTYPE), recv_expr),
+                        I.NamedConst(env.tr.consts[subtype])),
                    branch_call(subtype), out)
     return out
 
@@ -366,6 +329,7 @@ class Translation:
     source: S.SolProgram
     state_maps: dict[tuple[str, str], str]  # (owner, var) -> IR global
     procs: dict[tuple[str, str | None], str]  # (contract, fn or None) -> procedure
+    consts: dict[str, str]  # contract -> IR constant (its code)
 
     def public_functions(self, contract: str) -> list[tuple[str, str, list[I.IrType]]]:
         """Callable surface of a contract: (name, resolved proc, IR param
@@ -422,12 +386,13 @@ def _collect_map_sigs(program: S.SolProgram) -> set:
 def translate_program(program: S.SolProgram) -> Translation:
     """Translate a typed, desugared program (instrumented or plain).  Each
     invented name is claimed, first owner first: the globals after the
-    prelude's and the harness locals every root shares, the procedures
-    after the prelude's and the harness."""
+    prelude's and the locals every procedure or the harness has, the state
+    maps and then the contract constants; the procedures after the
+    prelude's and the harness."""
     ir = emit_prelude(_collect_map_sigs(program))
-    ir.constants.update({c.name: i + 1 for i, c in enumerate(program.contracts)})
-    tr = Translation(ir=ir, interner={}, source=program, state_maps={}, procs={})
-    globals_taken = {*ir.globals, INST, CTOR_SENDER, SENDER}
+    tr = Translation(ir=ir, interner={}, source=program, state_maps={}, procs={},
+                     consts={})
+    globals_taken = {*ir.globals, INST, CTOR_SENDER, SENDER, THIS, MSG_SENDER, RET}
     procs_taken = {*ir.procedures, HARNESS}
     for c in program.contracts:
         # One global map per state variable of its declaring contract.
@@ -438,6 +403,9 @@ def translate_program(program: S.SolProgram) -> Translation:
             if fn.body is not None:  # definition-free declarations have none
                 tr.procs[c.name, fn.name] = claim(f"{fn.name}_{c.name}", procs_taken)
         tr.procs[c.name, None] = claim(f"{c.name}_Ctor", procs_taken)
+    for code, c in enumerate(program.contracts, 1):
+        tr.consts[c.name] = name = claim(c.name, globals_taken)
+        ir.constants[name] = code
 
     for c in program.contracts:
         for fn in c.functions:
@@ -449,9 +417,10 @@ def translate_program(program: S.SolProgram) -> Translation:
 
 def _make_env(tr: Translation, contract: str, fn: S.SolFunction) -> TransEnv:
     """The environment of one procedure: its parameters and locals keep their
-    source spelling unless it is a global's or `this`, `msg_sender` or
-    `__ret`; temporaries then skip every name the body declares."""
-    taken = {*tr.ir.globals, THIS, MSG_SENDER, RET}
+    source spelling unless it is a global's, a contract constant's or `this`,
+    `msg_sender` or `__ret`; temporaries then skip every name the body
+    declares."""
+    taken = {*tr.ir.globals, *tr.ir.constants, THIS, MSG_SENDER, RET}
     declared = [n for n, _ in fn.params] + [
         s.name for s in S.statements(fn.body) if isinstance(s, S.DeclStmt)]
     return TransEnv(tr=tr, contract=contract, taken=taken,
@@ -497,11 +466,9 @@ def _translate_constructor(tr: Translation, c: S.SolContract) -> I.IrProcedure:
         target = tr.state_maps[c.name, n]
         if isinstance(t, S.MappingType):
             tmp = env.fresh_temp(REF)
-            if t.is_array and not isinstance(t.value, S.MappingType):
-                alloc = _alloc_sequence(tmp, map_signature(t), array_len=I.IConst(0))
-            else:
-                alloc = _alloc_sequence(tmp, map_signature(t), array_len=None)
-            stmts.extend(alloc)
+            length = I.IConst(0) if t.is_array and not isinstance(t.value, S.MappingType) \
+                else None
+            stmts.append(I.AllocMap(tmp, *map_signature(t), length))
             stmts.append(I.Store(target, (I.Var(THIS),), I.Var(tmp)))
         elif isinstance(t, S.BoolType):
             stmts.append(I.Store(target, (I.Var(THIS),), I.BConst(False)))
@@ -527,10 +494,11 @@ def generate_harness(tr: Translation, root: str) -> HarnessInfo:
     """Entry procedure: allocate the instance, call the constructor with
     arbitrary arguments and sender, then loop forever nondeterministically
     invoking one public function per iteration with fresh arguments.  Its
-    locals are named apart from the globals that the calls it inlines read."""
+    locals are named apart from the globals that the calls it inlines read
+    and from the contract constants."""
     if tr.source.contract(root) is None:
         raise TranslateError(f"unknown root contract {root!r}")
-    taken = {*tr.ir.globals, INST, CTOR_SENDER, SENDER}
+    taken = {*tr.ir.globals, *tr.ir.constants, INST, CTOR_SENDER, SENDER}
     locals_: list[tuple[str, I.IrType]] = [(INST, REF), (CTOR_SENDER, REF)]
 
     def local(spelling: str, ty: I.IrType) -> str:
@@ -539,8 +507,8 @@ def generate_harness(tr: Translation, root: str) -> HarnessInfo:
         return name
 
     ctor_args = [local(f"ctor_arg{i}", ty) for i, ty in enumerate(tr.ctor_params(root))]
-    stmts: list[I.IrStmt] = [*new_instance(INST, root), I.Havoc(CTOR_SENDER),
-                             *map(I.Havoc, ctor_args)]
+    stmts: list[I.IrStmt] = [*new_instance(INST, tr.consts[root]),
+                             I.Havoc(CTOR_SENDER), *map(I.Havoc, ctor_args)]
     stmts.append(I.Call(tr.procs[root, None],
                         tuple([I.Var(INST)] + [I.Var(a) for a in ctor_args]
                               + [I.Var(CTOR_SENDER)])))

@@ -14,34 +14,22 @@ Concrete semantics for a symbolic language needs three documented devices:
   to the unrolled harness this way and reads off which inputs the run
   consumed.
 
-* Quantified assumptions are executed, not solved.  The translator states
-  each map allocation as facts about lookup chains
-  c(i1..ij) = M_j[...M_1[base][i1]...][ij] through the per-level lookup
-  maps, over a base that nothing has been read below:
-  1. `forall ī :: Alloc[c(ī)]` gives the row M_1[base] a policy naming
-     M_2..M_j: a missing read there mints a fresh allocated reference, whose
-     own row in M_2 mints with the rest of the names, down to level j.
-  2. `forall ī, i' :: i == i' || c(.., i) != c(.., i')` holds if and only
-     if first reads at the end of c mint.
-  3. Any other body whose bound variables sit in one chain (zero length,
-     `!Alloc`, a zero leaf of any type) is evaluated once, with the chain
-     replaced by the default a first read gives (0, false or null); no cell
-     is materialized.
-  4. A chain fact about a row that already has something read below it, or
-     (rule 3) about references the row mints, raises UnsupportedQuantifier.
-  5. Any other forall (allocation monotonicity) is checked over a finite
-     witness set: null and the allocated references, the integers in
-     INT_WITNESSES, false and true.
-  A forall in an assert raises UnsupportedQuantifier.
+* Map allocation is executed, not solved: `alloc x` takes a fresh
+  allocated reference, sets its `Length` when a length is given, and, when
+  the map is nested, gives the row M_1[x] of the first lookup map a policy
+  naming M_2..M_{n-1}: a missing read there mints a fresh allocated
+  reference, whose own row in M_2 mints with the rest of the names, down
+  to the last inner level.  Everything else a fresh reference reads is the
+  default (0, false or null), as `prelude.alloc_facts` states for the
+  encoder.  No quantifier is executed: a forall raises
+  UnsupportedQuantifier.
 """
 
 from __future__ import annotations
 
 from solverify.record import field, record
 from solverify.vir import ast
-from solverify.vir.prelude import ALLOC, DTYPE
-
-INT_WITNESSES = (0, 1, 2)  # the integers a non-allocation forall is checked at
+from solverify.vir.prelude import ALLOC, DTYPE, LENGTH, lookup_map_name
 
 
 class TapeExhausted(Exception):
@@ -98,9 +86,6 @@ class IrState:
     def fresh_ref(self) -> int:
         self.alloc_counter += 1
         return self.alloc_counter
-
-    def allocated_refs(self) -> list[int]:
-        return list(range(1, self.alloc_counter + 1))
 
 
 @record
@@ -241,7 +226,7 @@ class Interp:
         if isinstance(e, ast.Op):
             return self._eval_op(e, env)
         if isinstance(e, ast.Forall):
-            raise UnsupportedQuantifier("forall outside assume/assert")
+            raise UnsupportedQuantifier("the interpreter executes no quantifier")
         raise IrRuntimeError(f"cannot evaluate {type(e).__name__}")
 
     def _eval_op(self, e: ast.Op, env: dict):
@@ -320,103 +305,6 @@ class Interp:
                 return True
         return False
 
-    # -- quantified assumptions ----------------------------------------------
-
-    def _assume_forall(self, e: ast.Forall, env: dict, proc_name: str):
-        bound: list[tuple[str, ast.IrType]] = []
-        body = e
-        while isinstance(body, ast.Forall):
-            bound.append((body.var, body.var_ty))
-            body = body.body
-        names = tuple(n for n, _ in bound)
-        if isinstance(body, ast.Op) and body.op == "||" \
-                and isinstance(body.args[1], ast.Op) and body.args[1].op == "!=":
-            pair = [self._chain(c, names) for c in body.args[1].args]
-            if None not in pair and _is_distinctness(body, names, *pair):
-                base, maps, _ = pair[0]
-                if not _mints(self._fresh_row(maps, self.eval(base, env)), maps):
-                    raise _BlockSignal(proc_name)
-                return
-        found: list = []
-        if self._outer_chains(body, names, found) \
-                and len({c for c, _ in found}) == 1 and found[0][1][2] == names:
-            chain, (base, maps, _) = found[0]
-            base_value = self.eval(base, env)
-            row = self._fresh_row(maps, base_value)
-            if body == ast.select(ast.Var(ALLOC), chain):
-                self.map_get(self.state.globals[maps[0]], base_value).mints = maps[1:]
-                return
-            if _mints(row, maps):
-                raise UnsupportedQuantifier("chain fact about minted references")
-            first_read = ast.Var("$chain")
-            leaf_ty = self.state.globals[maps[-1]].value_ty.value
-            holds = self.eval(ast.map_expr(body, lambda x: first_read if x == chain else None),
-                              {**env, first_read.name: default_value(leaf_ty)})
-            if not holds:
-                raise _BlockSignal(proc_name)
-            return
-        self._finite_check(body, bound, env, proc_name)
-
-    def _chain(self, e: ast.IrExpr, bound: tuple[str, ...]):
-        """`e` as a lookup chain M_j[...M_1[base][i1]...][ij] through map
-        globals, with bound variables i1..ij and a base free of them:
-        (base, (M_1, .., M_j), (i1, .., ij)); else None."""
-        maps: list[str] = []
-        idx: list[str] = []
-        while isinstance(e, ast.Select) and len(e.keys) == 2 \
-                and isinstance(e.base, ast.Var) and e.base.name in self.state.globals \
-                and isinstance(e.keys[1], ast.Var) and e.keys[1].name in bound:
-            maps.append(e.base.name)
-            idx.append(e.keys[1].name)
-            e = e.keys[0]
-        if not maps or _free_vars(e) & set(bound):
-            return None
-        return e, tuple(reversed(maps)), tuple(reversed(idx))
-
-    def _outer_chains(self, e: ast.IrExpr, bound: tuple[str, ...], out: list) -> bool:
-        """Collect the outermost lookup chains of `e` in `out` as (chain,
-        parsed); False if a bound variable occurs outside them."""
-        parsed = self._chain(e, bound)
-        if parsed is not None:
-            out.append((e, parsed))
-            return True
-        if isinstance(e, ast.Var):
-            return e.name not in bound
-        return all(self._outer_chains(c, bound, out) for c in ast.children(e))
-
-    def _fresh_row(self, maps: tuple[str, ...], base):
-        """The row M_1[base] a chain fact is about, None if never read; no
-        fact may speak of a row after something has been read below it."""
-        row = self.state.globals[maps[0]].entries.get(base)
-        if row is not None and row.entries:
-            raise UnsupportedQuantifier("chain fact about a row already read")
-        return row
-
-    def _finite_check(self, body, bound, env, proc_name: str):
-        witnesses: list[list] = []
-        for _, ty in bound:
-            if ty == ast.REF:
-                witnesses.append([0] + self.state.allocated_refs())
-            elif ty == ast.INT:
-                witnesses.append(INT_WITNESSES)
-            elif ty == ast.BOOL:
-                witnesses.append([False, True])
-            else:
-                raise UnsupportedQuantifier(f"forall over {ty}")
-
-        def rec(i: int, sub: dict):
-            if i == len(bound):
-                if not self.eval(body, {**env, **sub}):
-                    raise _BlockSignal(proc_name)
-                return
-            name = bound[i][0]
-            for w in witnesses[i]:
-                sub[name] = w
-                rec(i + 1, sub)
-            del sub[name]
-
-        rec(0, {})
-
     # -- statements ---------------------------------------------------------
 
     def exec_proc(self, proc: ast.IrProcedure, args: list) -> list:
@@ -467,19 +355,24 @@ class Interp:
             target.entries[keys[-1]] = self.eval(s.value, env)
             return
         if isinstance(s, ast.Assume):
-            if isinstance(s.cond, ast.Forall):
-                self._assume_forall(s.cond, env, proc.name)
-                return
             if self._assume_fixes_cell(s.cond, env):
                 return
             if not self.eval(s.cond, env):
                 raise _BlockSignal(proc.name)
             return
         if isinstance(s, ast.Assert):
-            if isinstance(s.cond, ast.Forall):
-                raise UnsupportedQuantifier("forall under assert")
             if not self.eval(s.cond, env):
                 raise _AssertSignal(s.label or f"assert in {proc.name}", proc.name)
+            return
+        if isinstance(s, ast.AllocMap):
+            ref = self.state.fresh_ref()
+            self.state.globals[ALLOC].entries[ref] = True
+            if s.length is not None:
+                self.state.globals[LENGTH].entries[ref] = self.eval(s.length, env)
+            if len(s.keys) > 1:
+                inner = [lookup_map_name(key_ty, ast.REF) for key_ty in s.keys[:-1]]
+                self.map_get(self.state.globals[inner[0]], ref).mints = tuple(inner[1:])
+            self._set_var(env, proc, s.var, ref)
             return
         if isinstance(s, ast.Call):
             callee = self.program.procedures.get(s.proc)
@@ -503,30 +396,6 @@ class Interp:
                 self.exec_stmt(s.body, env, proc)
             return
         raise IrRuntimeError(f"cannot execute {type(s).__name__}")
-
-
-def _free_vars(e: ast.IrExpr) -> set[str]:
-    if isinstance(e, ast.Var):
-        return {e.name}
-    out = set().union(*map(_free_vars, ast.children(e)))
-    return out - {e.var} if isinstance(e, ast.Forall) else out
-
-
-def _is_distinctness(body: ast.Op, bound: tuple[str, ...], first, second) -> bool:
-    """Whether `body` is `i == i' || c(..., i) != c(..., i')` over all of
-    `bound`, for the lookup chains parsed as `first` and `second`."""
-    (base, maps, idx), (base2, maps2, idx2) = first, second
-    i, i2 = idx[-1], idx2[-1]
-    return (base == base2 and maps == maps2 and idx[:-1] == idx2[:-1] and i != i2
-            and idx + (i2,) == bound
-            and body.args[0] == ast.op("==", ast.Var(i), ast.Var(i2)))
-
-
-def _mints(row: MapValue | None, maps: tuple[str, ...]) -> bool:
-    """Whether a first read at the end of the chain through `maps`, from
-    the row `row` of M_1, mints a fresh reference."""
-    return row is not None and row.mints is not None \
-        and row.mints[:len(maps) - 1] == maps[1:]
 
 
 def interpret(program: ast.IrProgram, entry: str | ast.IrProcedure, tape=(),

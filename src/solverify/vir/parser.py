@@ -191,6 +191,8 @@ class _P:
         return ast.seq(*stmts)
 
     def parse_stmt(self) -> ast.IrStmt:
+        if self.toks[self.i + 1] in (":=", "["):  # a local may be named `alloc`
+            return self.parse_assignment()
         if self.at("skip"):
             self.take()
             self.expect(";")
@@ -213,6 +215,21 @@ class _P:
             cond = self.parse_expr()
             self.expect(";")
             return ast.Assert(cond, label)
+        if self.at("alloc"):
+            self.take()
+            var = self.take()
+            self.expect(":")
+            ty = self.parse_type()
+            keys = []
+            while isinstance(ty, ast.MapType):
+                keys.append(ty.key)
+                ty = ty.value
+            length = None
+            if self.at("length"):
+                self.take()
+                length = self.parse_expr()
+            self.expect(";")
+            return ast.AllocMap(var, tuple(keys), ty, length)
         if self.at("call"):
             self.take()
             first = self.take()
@@ -250,7 +267,9 @@ class _P:
             cond = self.parse_expr()
             self.expect(")")
             return ast.While(cond, self.parse_block())
-        # assignment or store
+        return self.parse_assignment()
+
+    def parse_assignment(self) -> ast.IrStmt:
         name = self.take()
         keys = []
         while self.at("["):

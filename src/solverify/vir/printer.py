@@ -64,6 +64,10 @@ def print_stmt(s: ast.IrStmt, indent: int) -> list[str]:
     if isinstance(s, ast.Assert):
         label = f" {_quote(s.label)}" if s.label else ""
         return [f"{pad}assert{label} {print_expr(s.cond)};"]
+    if isinstance(s, ast.AllocMap):
+        keys = "".join(f"[{k}]" for k in s.keys)
+        length = "" if s.length is None else f" length {print_expr(s.length)}"
+        return [f"{pad}alloc {s.var}: {keys}{s.leaf}{length};"]
     if isinstance(s, ast.Call):
         call = f"{s.proc}({', '.join(print_expr(a) for a in s.args)})"
         if s.results:

@@ -92,7 +92,7 @@ def bfs_search(tr: Translation, hinfo: HarnessInfo, k_max: int,
                 inst = interp.state.fresh_ref()
                 interp.state.globals["Alloc"].entries[inst] = True
                 interp.state.globals[DTYPE].entries[inst] = \
-                    tr.ir.constants[root]
+                    tr.ir.constants[tr.consts[root]]
                 status, label = _run_call(interp, tr, ctor_proc, inst,
                                           list(args), sender, nds)
                 trace = [(root, sender, list(args), list(nds))]

@@ -14,6 +14,7 @@ from solverify.engine.bmc import Domains, bounded_check
 from solverify.engine.queries import vc_gen
 from solverify.engine.smtio import SolverConfig, check_smt
 from solverify.engine.trace import replay_trace
+from solverify.engine.unroll import rename_stmt
 from solverify.instrument import (
     count_nondet_calls, instrument_for_conformance, make_runtime_checks,
 )
@@ -22,7 +23,7 @@ from solverify.sol import desugar_modifiers, parse_contract, typecheck
 from solverify.translate import generate_harness, translate_program
 from solverify.vir import ast as I
 from solverify.vir.interp import Completed, interpret
-from solverify.vir.prelude import DTYPE
+from solverify.vir.prelude import ALLOC_SNAPSHOT, DTYPE, alloc_facts, new_proc
 
 
 @contextlib.contextmanager
@@ -124,11 +125,16 @@ def test_criterion_4_translation_goldens():
         }
         """)
         stmts = I.seq_list(tr2.ir.procedures["F_C"].body)
-        kinds = [type(s).__name__ for s in stmts]
-        assert kinds == ["Call", "Assume", "Assume", "Assume", "Call",
-                         "Assume", "Assume", "Assume", "Store"]
-        assert stmts[0].proc == "New"
-        assert stmts[4].proc == "NewUnbounded"
+        assert [type(s).__name__ for s in stmts] == ["AllocMap", "Store"]
+        assert stmts[0] == I.AllocMap("tmp0", (I.INT, I.INT), I.INT)
+        facts = list(alloc_facts(stmts[0]))
+        kinds = [type(s).__name__ for s in facts]
+        assert kinds == ["Havoc", "Assume", "Store", "Assume", "Assume", "Assume",
+                         "Assign", "Havoc", "Assume", "Assume", "Assume", "Assume",
+                         "Assume"]
+        assert facts[:3] == I.seq_list(rename_stmt(new_proc().body, {"ret": "tmp0"}))
+        assert facts[6:8] == [I.Assign(ALLOC_SNAPSHOT, I.Var("Alloc")),
+                              I.Havoc("Alloc")]
 
 
 def test_criterion_5_dual_interpreter_equivalence():

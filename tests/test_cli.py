@@ -735,7 +735,7 @@ def test_depth_three_maps_under_distinct_keys_are_distinct(tmp_path):
 def test_depth_three_aliased_model_is_not_confirmed(tmp_path):
     """No call F(a, b) fails this assertion in Solidity.  The encoding lets
     level-2 maps under different level-1 keys alias (CHANGES.md, the FOUND
-    on `translate._alloc_sequence`), so bounded checking finds a model with
+    on `prelude.alloc_facts`), so bounded checking finds a model with
     m[0][1] and m[1][1] one map; the replay used to confirm it as
     `Refuted` with F(1, 1)."""
     src = _map_contract("mapping(int => mapping(int => mapping(int => bool)))",
@@ -770,7 +770,7 @@ def test_map_verdicts_agree_with_source_semantics(tmp_path, seed):
     style of Csmith (Yang et al., PLDI 2011): a refutation fails there, and
     after a safe verdict no call F(a, b) with a, b in -2..2 does.  Exit 4 is
     allowed: the encoding may alias inner maps, and the replay then rejects
-    the model (CHANGES.md, the FOUND on `translate._alloc_sequence`)."""
+    the model (CHANGES.md, the FOUND on `prelude.alloc_facts`)."""
     src = _random_map_contract(seed)
     code, doc = _verify_map_contract(tmp_path, src)
     assert code in (EXIT_FULLY_VERIFIED, EXIT_REFUTED, EXIT_PARTIAL, EXIT_INTERNAL_ERROR)

@@ -13,6 +13,8 @@ sha256 of its `--emit-ir` and `--emit-instrumented` output.
 After an intended change, regenerate it with
 
     PYTHONPATH=src python tests/test_smt_corpus.py --write
+
+which first prints each recorded field that changed, per invocation.
 """
 
 import hashlib
@@ -100,11 +102,34 @@ def test_dumped_queries_match_frozen_corpus(tmp_path):
         assert got[name] == expected[name], name
 
 
+def changed_fields(old: dict, new: dict) -> list[str]:
+    """`<invocation> <field>` for each recorded field that differs between
+    two corpora, a query's `sha256` and `answer` each on their own."""
+    out = []
+    for name in sorted(set(old) | set(new)):
+        was, now = old.get(name, {}), new.get(name, {})
+        for key in ("exit", "report", "ir_sha256", "instrumented_sha256"):
+            if was.get(key) != now.get(key):
+                out.append(f"{name} {key}")
+        queries_was, queries_now = was.get("queries", {}), now.get("queries", {})
+        for fname in sorted(set(queries_was) | set(queries_now)):
+            for key in ("sha256", "answer"):
+                if queries_was.get(fname, {}).get(key) != queries_now.get(fname, {}).get(key):
+                    out.append(f"{name} {fname} {key}")
+    return out
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(__doc__)
     with tempfile.TemporaryDirectory() as tmp:
         corpus = dump_corpus(tmp)
+    previous = {}
+    if os.path.exists(CORPUS):
+        with open(CORPUS) as fh:
+            previous = json.load(fh)
+    for line in changed_fields(previous, corpus) or ["nothing changed"]:
+        print(line)
     os.makedirs(os.path.dirname(CORPUS), exist_ok=True)
     with open(CORPUS, "w") as fh:
         json.dump(corpus, fh, indent=1, sort_keys=True)

@@ -1,11 +1,13 @@
 import pytest
 
+from solverify.engine.unroll import rename_stmt
 from solverify.sol import ast as S
 from solverify.sol import desugar_modifiers, parse_contract, typecheck
 from solverify.translate import (
     TranslateError, Translation, generate_harness, map_type, translate_program,
 )
 from solverify.vir import ast as I
+from solverify.vir.prelude import ALLOC_SNAPSHOT, alloc_facts, new_proc
 from solverify.vir.printer import print_expr
 
 
@@ -89,9 +91,10 @@ def test_require_becomes_assume_assert_stays():
 
 
 def test_nested_map_allocation_golden():
-    """new (int => int => int)() lowers to the allocation sequence: fresh
+    """new (int => int => int)() lowers to one allocation statement, then the
+    store; the encoder expands it to the allocation sequence: fresh
     reference, length zeroing, inner-level freshness and distinctness around
-    the unbounded allocation, leaf zero-init, then the store."""
+    the unbounded allocation, leaf zero-init."""
     tr = tp("""
     contract C {
         mapping(int => mapping(int => int)) x;
@@ -99,26 +102,32 @@ def test_nested_map_allocation_golden():
     }
     """)
     body = I.seq_list(tr.ir.procedures["F_C"].body)
-    kinds = [type(s).__name__ for s in body]
-    assert kinds == ["Call", "Assume", "Assume", "Assume", "Call",
-                     "Assume", "Assume", "Assume", "Store"]
-    assert body[0].proc == "New"
-    assert body[4].proc == "NewUnbounded"
+    assert body == [I.AllocMap("tmp0", (I.INT, I.INT), I.INT),
+                    I.Store("x_C", (I.Var("this"),), I.Var("tmp0"))]
+    facts = list(alloc_facts(body[0]))
+    kinds = [type(s).__name__ for s in facts]
+    assert kinds == ["Havoc", "Assume", "Store", "Assume", "Assume", "Assume",
+                     "Assign", "Havoc", "Assume", "Assume", "Assume", "Assume",
+                     "Assume"]
+    assert facts[:3] == I.seq_list(rename_stmt(new_proc().body, {"ret": "tmp0"}))
+    assert facts[6:8] == [I.Assign(ALLOC_SNAPSHOT, I.Var("Alloc")), I.Havoc("Alloc")]
     # line-for-line shapes of the quantified facts
-    assert print_expr(body[1].cond) == "Length[tmp0] == 0"
-    assert print_expr(body[2].cond) == \
+    assert print_expr(facts[3].cond) == "Length[tmp0] == 0"
+    assert print_expr(facts[4].cond) == \
         "(forall i1: int :: Length[M_int_Ref[tmp0][i1]] == 0)"
-    assert print_expr(body[3].cond) == \
+    assert print_expr(facts[5].cond) == \
         "(forall i1: int :: !Alloc[M_int_Ref[tmp0][i1]])"
-    assert print_expr(body[5].cond) == \
+    assert print_expr(facts[8].cond) == \
+        "(forall i: Ref :: Alloc$old[i] ==> Alloc[i])"
+    assert print_expr(facts[9].cond) == "!Alloc[null]"
+    assert print_expr(facts[10].cond) == \
         "(forall i1: int :: Alloc[M_int_Ref[tmp0][i1]])"
-    assert print_expr(body[6].cond) == \
+    assert print_expr(facts[11].cond) == \
         ("(forall i1: int :: (forall i1_: int :: i1 == i1_ || "
          "M_int_Ref[tmp0][i1] != M_int_Ref[tmp0][i1_]))")
-    assert print_expr(body[7].cond) == \
+    assert print_expr(facts[12].cond) == \
         ("(forall i1: int :: (forall i2: int :: "
          "M_int_int[M_int_Ref[tmp0][i1]][i2] == 0))")
-    assert body[8] == I.Store("x_C", (I.Var("this"),), I.Var("tmp0"))
 
 
 def test_new_array_sets_length_and_zeroes():
@@ -129,10 +138,12 @@ def test_new_array_sets_length_and_zeroes():
     }
     """)
     body = I.seq_list(tr.ir.procedures["F_C"].body)
-    assert isinstance(body[0], I.Call) and body[0].proc == "New"
-    assert body[1] == I.Store("Length", (I.Var("tmp0"),), I.Var("n"))
-    assert isinstance(body[2], I.Assume)  # elements zeroed
-    assert isinstance(body[3], I.Store)
+    assert body[0] == I.AllocMap("tmp0", (I.INT,), I.INT, I.Var("n"))
+    facts = list(alloc_facts(body[0]))
+    assert facts[:3] == I.seq_list(rename_stmt(new_proc().body, {"ret": "tmp0"}))
+    assert facts[3] == I.Store("Length", (I.Var("tmp0"),), I.Var("n"))
+    assert isinstance(facts[4], I.Assume) and len(facts) == 5  # elements zeroed
+    assert isinstance(body[1], I.Store)
 
 
 def test_push_desugars_to_length_indexed_store():
@@ -299,7 +310,7 @@ def test_helloblockchain_program_shape(hb_source):
     tr = tp(hb_source)
     procs = set(tr.ir.procedures)
     assert {"HelloBlockchain_Ctor", "SendRequest_HelloBlockchain",
-            "SendResponse_HelloBlockchain", "New", "NewUnbounded"} <= procs
+            "SendResponse_HelloBlockchain", "New"} <= procs
     for var in ("State", "Requestor", "Responder", "RequestMessage",
                 "ResponseMessage"):
         assert f"{var}_HelloBlockchain" in tr.ir.globals
@@ -361,7 +372,7 @@ def test_sender_threading_scan():
         _all_calls(proc.body, calls)
         for call in calls:
             callee = tr.ir.procedures.get(call.proc)
-            if callee is None or call.proc in ("New", "NewUnbounded"):
+            if callee is None or call.proc == "New":
                 continue
             sender = call.args[-1]
             assert sender in (I.Var("this"), I.Var("msg_sender")), (name, call)
@@ -466,3 +477,53 @@ def test_unknown_root_rejected(hb_source):
     tr = tp(hb_source)
     with pytest.raises(TranslateError):
         generate_harness(tr, "Nope")
+
+
+# -- contract constants are named apart from globals and locals ------------------------
+
+_CONST_CLASHES = {
+    # a contract named like the state map of another contract's variable
+    "contract x_A": ("""
+    contract A { int x; constructor() public { x = 1; } function F() public { assert(x == 1); } }
+    contract x_A is A { constructor() public { } function G() public { x = 2; } }
+    """, "x_A", "B"),
+    # a contract named like a local of the harness
+    "contract sender": ("""
+    contract sender {
+        int n;
+        constructor() public { }
+        function F(int v) public { n = v; assert(n != 3); }
+    }
+    """, "sender", "S"),
+    # a local spelled like a contract, in a procedure that reads its code
+    "local A": ("""
+    contract A { constructor() public { } }
+    contract C {
+        A a;
+        constructor() public { }
+        function G(int A) public { a = new A(); assert(A != 4); }
+    }
+    """, "C", None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CONST_CLASHES))
+def test_contract_constants_reparse_and_keep_their_verdict(case):
+    """`--emit-ir` text re-parses to the same program when a contract shares
+    its spelling with a global or a local, and the verdict is the one the
+    program gets with the contract renamed apart."""
+    from solverify.engine import verify
+    from solverify.vir.parser import parse_ir
+    from solverify.vir.printer import print_ir
+
+    def run(src: str, root: str):
+        tr = tp(src)
+        hinfo = generate_harness(tr, root)
+        assert parse_ir(print_ir(tr.ir)) == tr.ir
+        return verify(tr, hinfo, k_max=2).verdict
+
+    src, root, renamed = _CONST_CLASHES[case]
+    verdict = run(src, root)
+    assert verdict == "Refuted"
+    if renamed is not None:
+        assert run(src.replace(root, renamed), renamed) == verdict

@@ -3,9 +3,9 @@ import copy
 import pytest
 
 from solverify.vir.ast import (
-    BOOL, INT, REF, Assert, Assign, Assume, BConst, Call, Forall, Havoc,
+    BOOL, INT, REF, AllocMap, Assert, Assign, Assume, BConst, Call, Forall, Havoc,
     IConst, If, IrProcedure, IrProgram, MapType, RConst, Skip, Store, Var,
-    While, iter_stmt, op, select, seq,
+    While, children, iter_stmt, map_stmt, op, select, seq,
 )
 from solverify.vir.interp import (
     AssertFailed, Blocked, BudgetExhausted, Completed, UnsupportedQuantifier,
@@ -14,7 +14,7 @@ from solverify.vir.interp import (
 from solverify.sol import parse_contract, typecheck
 from solverify.translate import translate_program
 from solverify.vir.parser import parse_ir
-from solverify.vir.prelude import ALLOC, LENGTH, emit_prelude
+from solverify.vir.prelude import ALLOC, LENGTH, emit_prelude, lookup_map_name
 from solverify.vir.printer import print_ir
 
 
@@ -60,7 +60,7 @@ def test_prelude_declares_a_lookup_map_per_level():
     assert program.globals["M_int_Ref"] == MapType(REF, MapType(INT, REF))
     assert program.globals["M_int_bool"] == MapType(REF, MapType(INT, BOOL))
     assert program.globals["M_Ref_int"] == MapType(REF, MapType(REF, INT))
-    assert set(program.procedures) == {"New", "NewUnbounded"}
+    assert set(program.procedures) == {"New"}
 
 
 # -- printer / parser ----------------------------------------------------------------
@@ -81,8 +81,12 @@ def test_print_parse_round_trip():
 
 
 def test_forall_prints_bound_type():
-    text = print_ir(_nested_map_program().ir)
+    program = emit_prelude()
+    program.add_proc(IrProcedure("t", [], [], [], Assume(
+        Forall("i1", INT, op("==", select(Var(LENGTH), Var("r")), Var("i1"))))))
+    text = print_ir(program)
     assert "(forall i1: int ::" in text
+    assert parse_ir(text) == program
 
 
 def test_round_trip_with_all_statement_kinds():
@@ -97,11 +101,16 @@ def test_round_trip_with_all_statement_kinds():
         Call("New", (), ("r",)),
         If(op("==", Var("x"), IConst(1)), Assign("x", IConst(2)), Skip()),
         While(op("<", Var("x"), IConst(5)), Assign("x", op("+", Var("x"), IConst(1)))),
+        AllocMap("r", (INT, REF), BOOL),
+        AllocMap("r", (INT,), INT, op("+", Var("x"), IConst(1))),
+        Assign("alloc", Var("x")),  # a variable spelled like the keyword
     )
     program.globals["m"] = MapType(INT, INT)
-    program.add_proc(IrProcedure("t", [], [], [("x", INT), ("r", REF)], body))
+    program.add_proc(IrProcedure("t", [], [], [("x", INT), ("r", REF), ("alloc", INT)],
+                                 body))
     text = print_ir(program)
-    assert print_ir(parse_ir(text)) == text
+    assert "alloc r: [int][Ref]bool;" in text and "alloc r: [int]int length x + 1;" in text
+    assert print_ir(parse_ir(text)) == text and parse_ir(text) == program
 
 
 def test_iter_stmt_visits_nested_bodies_in_source_order():
@@ -329,3 +338,122 @@ def test_strict_tape_exhaustion():
     program.add_proc(IrProcedure("t", [], [], [("b", BOOL)], Havoc("b")))
     with pytest.raises(TapeExhausted):
         interpret(program, "t", tape=[], strict_tape=True)
+
+
+# -- allocation: the interpreter executes what the encoder states ------------------
+
+# Two distinct values of each key type, fed to the havocs of the keys.
+_KEY_VALUES = {INT: (0, 1), BOOL: (False, True), REF: (101, 102)}
+_ZERO = {INT: IConst(0), BOOL: BConst(False), REF: RConst(0)}
+
+
+def _alloc_guarantees(keys, leaf, length):
+    """(label, condition) for each guarantee of `alloc x`, over the key
+    variables a<j> and b<j> of level j: x allocated with its length, each
+    inner reference along the a-keys allocated, non-null and distinct from
+    its b-key sibling in the row, and the leaf along the a-keys zero."""
+    x = Var("x")
+    out = [("allocated", select(Var(ALLOC), x)),
+           ("length", op("==", select(Var(LENGTH), x), length or IConst(0)))]
+    cur = x
+    for j, key_ty in enumerate(keys, 1):
+        value_ty = leaf if j == len(keys) else REF
+        lookup = Var(lookup_map_name(key_ty, value_ty))
+        sibling = select(lookup, cur, Var(f"b{j}"))
+        cur = select(lookup, cur, Var(f"a{j}"))
+        if j < len(keys):
+            out += [(f"level {j} allocated", select(Var(ALLOC), cur)),
+                    (f"level {j} non-null", op("!=", cur, RConst(0))),
+                    (f"level {j} distinct in its row", op("!=", cur, sibling))]
+    return out + [("leaf zero", op("==", cur, _ZERO[leaf]))]
+
+
+@pytest.mark.parametrize("keys,leaf,length", [
+    ((INT,), INT, None), ((REF,), BOOL, None), ((BOOL,), REF, None),
+    ((INT,), INT, IConst(7)),
+    ((INT, REF), BOOL, None), ((REF, BOOL), INT, None), ((BOOL, INT), REF, IConst(2)),
+    ((INT, INT, INT), INT, None), ((REF, BOOL, INT), BOOL, None),
+    ((BOOL, REF, REF), REF, None),
+])
+def test_encoder_and_interpreter_agree_on_allocation(keys, leaf, length):
+    """Each guarantee of the interpreter's minting, asserted on its own after
+    `alloc x`, passes in `interpret` and is unsat to violate under `vc_gen`."""
+    from solverify.engine.queries import vc_gen
+    from solverify.engine.smtio import SolverConfig, check_smt
+    program = emit_prelude([(keys, leaf)])
+    key_vars = [(f"{side}{j}", ty) for j, ty in enumerate(keys, 1) for side in "ab"]
+    inputs = {f"{side}{j}": _KEY_VALUES[ty][side == "b"]
+              for j, ty in enumerate(keys, 1) for side in "ab"}
+    setup = [Havoc(name) for name, _ in key_vars] + [
+        Assume(op("!=", Var(f"a{j}"), Var(f"b{j}"))) for j in range(1, len(keys) + 1)]
+    for label, cond in _alloc_guarantees(keys, leaf, length):
+        proc = IrProcedure("t", [], [], [("x", REF)] + key_vars, seq(
+            *setup, AllocMap("x", keys, leaf, length), Assert(cond, label)))
+        assert isinstance(interpret(program, proc, inputs=inputs), Completed), label
+        _, query = vc_gen(program, proc)
+        assert check_smt(query, SolverConfig(timeout=60)).status == "unsat", label
+
+
+def _fixture_programs():
+    """(name, translation, root) of every fixture, instrumented where it has
+    a policy, else checked for its assertions."""
+    from conftest import fixture_text
+    from solverify.instrument import instrument_for_conformance
+    from solverify.policy import parse_policy
+    from solverify.sol import desugar_modifiers
+    for sol, policy, root in [
+            ("helloblockchain", "helloblockchain", "HelloBlockchain"),
+            ("digitallocker_buggy", "digitallocker", "DigitalLocker"),
+            ("bazaar_buggy", "bazaar", "Bazaar"),
+            ("assettransfer_fixed", "assettransfer", "AssetTransfer"),
+            ("assettransfer_buggy", "assettransfer", "AssetTransfer"),
+            ("nested_maps", None, "C"), ("poa_validators", None, "Validators"),
+            ("counter", None, "Counter")]:
+        program = desugar_modifiers(typecheck(parse_contract(fixture_text(f"{sol}.sol"))))
+        if policy is not None:
+            program = desugar_modifiers(instrument_for_conformance(
+                program, parse_policy(fixture_text(f"{policy}.json"))))
+        yield sol, translate_program(program), root
+
+
+def _foralls_in(stmt) -> list:
+    found = []
+
+    def visit(e):
+        stack = [e]
+        while stack:
+            x = stack.pop()
+            if isinstance(x, Forall):
+                found.append(x)
+            stack.extend(children(x))
+        return e
+
+    map_stmt(stmt, expr=visit)
+    return found
+
+
+def test_no_quantifier_reaches_the_interpreter():
+    """The translated procedures of every fixture, and their harness unrolled
+    to k = 2, hold no forall: allocation is one statement."""
+    from solverify.engine.unroll import unroll_harness
+    from solverify.translate import generate_harness
+    for name, tr, root in _fixture_programs():
+        generate_harness(tr, root)
+        unrolled = unroll_harness(tr.ir, tr.ir.procedures["main"], 2)
+        for proc in [*tr.ir.procedures.values(), unrolled]:
+            assert _foralls_in(proc.body) == [], (name, proc.name)
+
+
+def test_forall_under_assume_unsupported():
+    program = emit_prelude()
+    program.add_proc(IrProcedure("t", [], [], [], Assume(
+        Forall("r", REF, op("!", select(Var(ALLOC), Var("r")))))))
+    with pytest.raises(UnsupportedQuantifier):
+        interpret(program, "t")
+
+
+def test_fixture_ir_reparses():
+    from solverify.translate import generate_harness
+    for name, tr, root in _fixture_programs():
+        generate_harness(tr, root)
+        assert parse_ir(print_ir(tr.ir)) == tr.ir, name
