@@ -26,11 +26,7 @@ from solverify.engine.unroll import Inliner
 from solverify.record import record
 from solverify.translate import HarnessInfo, Translation
 from solverify.vir import ast as I
-from solverify.vir.prelude import new_instance
-
-
-class SolverError(Exception):
-    pass
+from solverify.vir.prelude import dtype_is
 
 
 @record
@@ -58,9 +54,9 @@ def _build_checks(tr: Translation, hinfo: HarnessInfo) -> list[_ProcCheck]:
     """One inlined call per procedure: the constructor on a freshly
     allocated instance, each public function on an existing one."""
     root = hinfo.root
-    new, is_root = new_instance("inst", tr.consts[root])
+    is_root = I.Assume(dtype_is(I.Var("inst"), tr.consts[root]))
     entries = [(tr.procs[root, None], True, tr.ctor_params(root),
-                I.seq(new, is_root))]
+                I.Alloc("inst", contract=tr.consts[root]))]
     entries += [(pname, False, list(ptypes), is_root)
                 for _, pname, ptypes in tr.public_functions(root)]
     checks: list[_ProcCheck] = []
@@ -104,8 +100,6 @@ def houdini_infer(tr: Translation, hinfo: HarnessInfo,
 
     while True:
         rounds += 1
-        if rounds > len(candidates) + 2:
-            raise SolverError("candidate removal failed to converge")
         removed: dict[str, CandidatePredicate] = {}
         for check in checks:
             if not remaining:

@@ -4,7 +4,7 @@ A loop-free, call-free procedure is symbolically executed into a single-
 assignment constraint system: assignments bind terms, havocs mint fresh
 symbols, branches merge through guarded join symbols, assumes become guarded
 hypotheses, asserts become guarded obligations with one selector symbol
-each, and a map allocation becomes the facts `prelude.alloc_facts` states.
+each, and an allocation becomes the facts `prelude.alloc_facts` states.
 The refutation query (hypotheses plus the disjunction of violated
 obligations) is satisfiable exactly when some execution fails an assert, and
 a model fixes every havoc'd input, so a transaction trace can be read off
@@ -193,7 +193,7 @@ class QueryBuilder:
         if isinstance(s, I.Assert):
             self.obligations.append((guard, self.term(s.cond), s.label))
             return
-        if isinstance(s, I.AllocMap):
+        if isinstance(s, I.Alloc):
             for fact in alloc_facts(s):
                 self.exec_stmt(fact, guard)
             self.env.pop(ALLOC_SNAPSHOT, None)  # no branch join may see it

@@ -19,7 +19,6 @@ from solverify.engine.unroll import harness_var
 from solverify.record import field, record
 from solverify.translate import CTOR_SENDER, SENDER, HarnessInfo, Translation
 from solverify.vir import ast as I
-from solverify.vir.prelude import new_instance
 
 # Keeps model reference values clear of interpreter-allocated ids on replay.
 REF_SHIFT = 10_000
@@ -45,18 +44,15 @@ class CounterexampleTrace:
 
 
 def _input_values(query: SmtQuery, values: dict, unrolled: I.IrProcedure,
-                  program: I.IrProgram, harness_refs: set[str]) -> dict:
-    """The model's value for each havoc'd int and bool slot, and for the
-    Ref slots named (up to the iteration suffix) in `harness_refs`; other
-    references, New's, stay fresh."""
+                  program: I.IrProgram) -> dict:
+    """The model's value for each havoc'd int, bool and Ref slot; a non-null
+    reference is shifted by `REF_SHIFT`."""
     null_value = values.get("null", 0)
     inputs = {}
     for var, sym in query.slots.items():
         ty, raw = program.var_type(unrolled, var), values.get(sym)
         if ty == I.REF:
-            if harness_var(var) in harness_refs:
-                inputs[var] = 0 if raw is None or raw == null_value \
-                    else int(raw) + REF_SHIFT
+            inputs[var] = 0 if raw is None or raw == null_value else int(raw) + REF_SHIFT
         elif ty == I.BOOL:
             inputs[var] = raw is True
         elif ty == I.INT:
@@ -73,8 +69,7 @@ def extract_trace(result: CheckResult, query: SmtQuery, unrolled: I.IrProcedure,
     from solverify.vir.interp import AssertFailed, interpret
     choices = {choice: fname for choice, fname, _, _ in hinfo.branches}
     arg_vars = {a for _, _, _, vs in hinfo.branches for a in vs} | set(hinfo.ctor_args)
-    inputs = _input_values(query, result.values, unrolled, tr.ir,
-                           arg_vars | {CTOR_SENDER, SENDER})
+    inputs = _input_values(query, result.values, unrolled, tr.ir)
     outcome = interpret(tr.ir, unrolled, inputs=inputs)
     if not isinstance(outcome, AssertFailed):
         raise ReplayMismatch(f"model did not fail any assertion of {unrolled.name} "
@@ -114,7 +109,7 @@ def build_replay_driver(tr: Translation, root: str,
     """Driver procedure calling the trace's transactions with literal
     arguments; the tape is the concatenated nondet segments."""
     fn_procs = {f: (p, t) for f, p, t in tr.public_functions(root)}
-    stmts = new_instance("inst", tr.consts[root])
+    stmts: list[I.IrStmt] = [I.Alloc("inst", contract=tr.consts[root])]
     tape: list = []
     for tx in trace.transactions:
         if tx.fn == root:

@@ -18,7 +18,7 @@ from solverify.sol.linearize import subtypes_of
 from solverify.vir import ast as I
 from solverify.vir.ast import BOOL, INT, REF, MapType
 from solverify.vir.prelude import (
-    DTYPE, LENGTH, STR_TO_INT, emit_prelude, lookup_map_name, new_instance,
+    LENGTH, STR_TO_INT, dtype_is, emit_prelude, lookup_map_name,
 )
 
 THIS = "this"
@@ -209,7 +209,7 @@ def translate_stmt(env: TransEnv, s: S.SolStmt) -> list[I.IrStmt]:
         tmp = env.fresh_temp(REF)
         args = tuple(translate_expr(env, _hoist_nondets(env, a)) for a in s.args)
         return [
-            *new_instance(tmp, env.tr.consts[s.contract]),
+            I.Alloc(tmp, contract=env.tr.consts[s.contract]),
             I.Call(env.tr.procs[s.contract, None],
                    (I.Var(tmp),) + args + (I.Var(THIS),)),
             _store_into(env, s.target, I.Var(tmp)),
@@ -217,11 +217,11 @@ def translate_stmt(env: TransEnv, s: S.SolStmt) -> list[I.IrStmt]:
     if isinstance(s, S.NewArray):
         tmp = env.fresh_temp(REF)
         size = translate_expr(env, _hoist_nondets(env, s.size))
-        return [I.AllocMap(tmp, (INT,), map_type(s.elem_ty), size),
+        return [I.Alloc(tmp, (INT,), map_type(s.elem_ty), size),
                 _store_into(env, s.target, I.Var(tmp))]
     if isinstance(s, S.NewMap):
         tmp = env.fresh_temp(REF)
-        return [I.AllocMap(tmp, *map_signature(s.map_ty)),
+        return [I.Alloc(tmp, *map_signature(s.map_ty)),
                 _store_into(env, s.target, I.Var(tmp))]
     raise TranslateError(f"cannot translate {type(s).__name__}")
 
@@ -267,7 +267,7 @@ def _guard_divisors(s: I.IrStmt) -> I.IrStmt:
         evaluated = (s.cond,)
     elif isinstance(s, I.Call):
         evaluated = s.args
-    elif isinstance(s, I.AllocMap) and s.length is not None:
+    elif isinstance(s, I.Alloc) and s.length is not None:
         evaluated = (s.length,)
     else:
         evaluated = ()
@@ -314,9 +314,7 @@ def _translate_call(env: TransEnv, s, receiver: S.SolExpr | None) -> I.IrStmt:
         return branch_call(candidates[0])
     out: I.IrStmt = I.Assume(I.BConst(False))  # closed program: no other type
     for subtype in reversed(candidates):
-        out = I.If(I.op("==", I.select(I.Var(DTYPE), recv_expr),
-                        I.NamedConst(env.tr.consts[subtype])),
-                   branch_call(subtype), out)
+        out = I.If(dtype_is(recv_expr, env.tr.consts[subtype]), branch_call(subtype), out)
     return out
 
 
@@ -468,7 +466,7 @@ def _translate_constructor(tr: Translation, c: S.SolContract) -> I.IrProcedure:
             tmp = env.fresh_temp(REF)
             length = I.IConst(0) if t.is_array and not isinstance(t.value, S.MappingType) \
                 else None
-            stmts.append(I.AllocMap(tmp, *map_signature(t), length))
+            stmts.append(I.Alloc(tmp, *map_signature(t), length))
             stmts.append(I.Store(target, (I.Var(THIS),), I.Var(tmp)))
         elif isinstance(t, S.BoolType):
             stmts.append(I.Store(target, (I.Var(THIS),), I.BConst(False)))
@@ -507,7 +505,7 @@ def generate_harness(tr: Translation, root: str) -> HarnessInfo:
         return name
 
     ctor_args = [local(f"ctor_arg{i}", ty) for i, ty in enumerate(tr.ctor_params(root))]
-    stmts: list[I.IrStmt] = [*new_instance(INST, tr.consts[root]),
+    stmts: list[I.IrStmt] = [I.Alloc(INST, contract=tr.consts[root]),
                              I.Havoc(CTOR_SENDER), *map(I.Havoc, ctor_args)]
     stmts.append(I.Call(tr.procs[root, None],
                         tuple([I.Var(INST)] + [I.Var(a) for a in ctor_args]

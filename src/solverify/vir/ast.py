@@ -3,7 +3,7 @@
 Contract names are program-level integer constants; booleans are kept as a
 distinct type for clarity but carry no arithmetic.  Statements are standard:
 havoc, assignment, map store, assume/assert, calls, structured control flow,
-and the allocation of a (nested) map.
+and the allocation of a contract instance or of a (nested) map.
 """
 
 from __future__ import annotations
@@ -177,15 +177,18 @@ class Call(IrStmt):
 
 
 @record(frozen=True)
-class AllocMap(IrStmt):
-    """`var` := a fresh allocated reference to a map with key types `keys`
-    and leaf type `leaf`, every inner map fresh and every leaf zero; its
-    `Length` is `length`, or 0 when that is None."""
+class Alloc(IrStmt):
+    """`var` := a fresh allocated reference.  With `contract`, the name of a
+    contract constant, it is an instance whose `DType` is that contract;
+    else it is a map with key types `keys` and leaf type `leaf`, every inner
+    map fresh and every leaf zero, whose `Length` is `length`, or 0 when
+    that is None."""
 
     var: str
-    keys: tuple[IrType, ...]
-    leaf: IrType
+    keys: tuple[IrType, ...] = ()
+    leaf: IrType | None = None
     length: IrExpr | None = None
+    contract: str | None = None
 
 
 @record(frozen=True)
@@ -296,9 +299,9 @@ def map_stmt(s: IrStmt, f: Callable[[IrStmt], IrStmt | None] = lambda s: None,
     if isinstance(s, Call):
         return Call(s.proc, tuple(expr(a) for a in s.args),
                     tuple(var(r) for r in s.results))
-    if isinstance(s, AllocMap):
-        return AllocMap(var(s.var), s.keys, s.leaf,
-                        None if s.length is None else expr(s.length))
+    if isinstance(s, Alloc):
+        return Alloc(var(s.var), s.keys, s.leaf,
+                     None if s.length is None else expr(s.length), s.contract)
     return s
 
 

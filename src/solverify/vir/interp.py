@@ -3,21 +3,21 @@ counterexample replay.
 
 Concrete semantics for a symbolic language needs three documented devices:
 
-* Havoc of int/bool variables consumes the next tape value (zero/false when
-  the tape runs dry in lenient mode); havoc of a Ref variable draws a fresh
-  reference from the allocator, which makes New() return fresh references
-  without tape bookkeeping; havoc of a map leaves it unchanged.
+* Havoc of an int, bool or Ref variable consumes the next tape value
+  (zero, false or null when the tape runs dry in lenient mode); havoc of a
+  map leaves it unchanged.
 
-* Named inputs override both: a havoc of a variable named in `inputs` takes
-  that value, and the run records each such havoc, in execution order, in
-  `IrState.inputs_taken`.  Counterexample extraction feeds a model's values
-  to the unrolled harness this way and reads off which inputs the run
-  consumed.
+* Named inputs override the tape: a havoc of a variable named in `inputs`
+  takes that value, and the run records each such havoc, in execution
+  order, in `IrState.inputs_taken`.  Counterexample extraction feeds a
+  model's values to the unrolled harness this way and reads off which
+  inputs the run consumed.
 
-* Map allocation is executed, not solved: `alloc x` takes a fresh
-  allocated reference, sets its `Length` when a length is given, and, when
-  the map is nested, gives the row M_1[x] of the first lookup map a policy
-  naming M_2..M_{n-1}: a missing read there mints a fresh allocated
+* Allocation is executed, not solved: `alloc x` takes a fresh, non-null
+  reference from the allocator and marks it allocated.  An instance gets
+  its contract as `DType`.  A map gets its `Length` when a length is given,
+  and, when it is nested, the row M_1[x] of the first lookup map gets a
+  policy naming M_2..M_{n-1}: a missing read there mints a fresh allocated
   reference, whose own row in M_2 mints with the rest of the names, down
   to the last inner level.  Everything else a fresh reference reads is the
   default (0, false or null), as `prelude.alloc_facts` states for the
@@ -45,7 +45,7 @@ class IrRuntimeError(Exception):
 
 
 class MapValue:
-    __slots__ = ("key_ty", "value_ty", "entries", "mints", "unconstrained")
+    __slots__ = ("key_ty", "value_ty", "entries", "mints")
 
     def __init__(self, ty: ast.MapType):
         self.key_ty = ty.key
@@ -55,14 +55,10 @@ class MapValue:
         # allocated reference, whose row in the first lookup map named here
         # mints in turn, with the rest of the names.
         self.mints: tuple[str, ...] | None = None
-        # Cells carry no default commitment; an assumed equality on a cell
-        # never touched before fixes its value (dynamic-type bookkeeping).
-        self.unconstrained = False
 
     def copy(self) -> "MapValue":
         out = MapValue(ast.MapType(self.key_ty, self.value_ty))
         out.mints = self.mints
-        out.unconstrained = self.unconstrained
         out.entries = {k: (v.copy() if isinstance(v, MapValue) else v)
                        for k, v in self.entries.items()}
         return out
@@ -138,8 +134,6 @@ class Interp:
         self.state = IrState()
         for name, ty in program.globals.items():
             self.state.globals[name] = default_value(ty)
-        if DTYPE in self.state.globals:
-            self.state.globals[DTYPE].unconstrained = True
 
     # -- plumbing -----------------------------------------------------------
 
@@ -273,38 +267,6 @@ class Interp:
             return a >= b
         raise IrRuntimeError(f"unknown operator {op}")
 
-    def _resolve_cell(self, e: ast.IrExpr, env: dict):
-        """(map value, final key) addressed by a select expression."""
-        if not isinstance(e, ast.Select):
-            return None
-        cur = self.eval(e.base, env)
-        keys = [self.eval(k, env) for k in e.keys]
-        for k in keys[:-1]:
-            if not isinstance(cur, MapValue):
-                return None
-            cur = self.map_get(cur, k)
-        if not isinstance(cur, MapValue):
-            return None
-        return cur, keys[-1]
-
-    def _assume_fixes_cell(self, cond: ast.IrExpr, env: dict) -> bool:
-        """assume m[k] == e on a never-touched cell of an unconstrained-default
-        map fixes the cell instead of testing it."""
-        if not (isinstance(cond, ast.Op) and cond.op == "=="):
-            return False
-        for sel_side, other in ((0, 1), (1, 0)):
-            sel = cond.args[sel_side]
-            if not isinstance(sel, ast.Select):
-                continue
-            resolved = self._resolve_cell(sel, env)
-            if resolved is None:
-                continue
-            mapval, key = resolved
-            if mapval.unconstrained and key not in mapval.entries:
-                mapval.entries[key] = self.eval(cond.args[other], env)
-                return True
-        return False
-
     # -- statements ---------------------------------------------------------
 
     def exec_proc(self, proc: ast.IrProcedure, args: list) -> list:
@@ -333,8 +295,6 @@ class Interp:
             if s.var in self.inputs:
                 value = self.inputs[s.var]
                 self.state.inputs_taken.append((s.var, value))
-            elif ty == ast.REF:
-                value = self.state.fresh_ref()
             else:
                 value = self._pop_tape(want_bool=(ty == ast.BOOL))
             self._set_var(env, proc, s.var, value)
@@ -355,8 +315,6 @@ class Interp:
             target.entries[keys[-1]] = self.eval(s.value, env)
             return
         if isinstance(s, ast.Assume):
-            if self._assume_fixes_cell(s.cond, env):
-                return
             if not self.eval(s.cond, env):
                 raise _BlockSignal(proc.name)
             return
@@ -364,9 +322,11 @@ class Interp:
             if not self.eval(s.cond, env):
                 raise _AssertSignal(s.label or f"assert in {proc.name}", proc.name)
             return
-        if isinstance(s, ast.AllocMap):
+        if isinstance(s, ast.Alloc):
             ref = self.state.fresh_ref()
             self.state.globals[ALLOC].entries[ref] = True
+            if s.contract is not None:
+                self.state.globals[DTYPE].entries[ref] = self.program.constants[s.contract]
             if s.length is not None:
                 self.state.globals[LENGTH].entries[ref] = self.eval(s.length, env)
             if len(s.keys) > 1:

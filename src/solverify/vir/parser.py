@@ -219,6 +219,10 @@ class _P:
             self.take()
             var = self.take()
             self.expect(":")
+            if not self.at("["):  # a map type starts with a key
+                contract = self.take()
+                self.expect(";")
+                return ast.Alloc(var, contract=contract)
             ty = self.parse_type()
             keys = []
             while isinstance(ty, ast.MapType):
@@ -229,7 +233,7 @@ class _P:
                 self.take()
                 length = self.parse_expr()
             self.expect(";")
-            return ast.AllocMap(var, tuple(keys), ty, length)
+            return ast.Alloc(var, tuple(keys), ty, length)
         if self.at("call"):
             self.take()
             first = self.take()

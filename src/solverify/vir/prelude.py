@@ -1,11 +1,10 @@
 """Program-independent IR prelude.
 
 Declares the allocation bookkeeping (Alloc, Length, DType), the string
-interning function, the per-level lookup maps of each reachable map
-signature, and `New`, which returns a fresh unallocated reference.
-`alloc_facts` states what an `alloc` statement guarantees, for the encoder;
-`new_instance` allocates a contract instance, and `NOTHING_ALLOCATED` is the
-start state.
+interning function and the per-level lookup maps of each reachable map
+signature.  `alloc_facts` states what an `alloc` statement guarantees, for
+the encoder; `dtype_is` is the dynamic-type test, and `NOTHING_ALLOCATED`
+is the start state.
 """
 
 from __future__ import annotations
@@ -13,9 +12,9 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from solverify.vir.ast import (
-    BOOL, INT, REF, AllocMap, Assign, Assume, BConst, Call, Forall, Havoc,
-    IConst, IrExpr, IrProcedure, IrProgram, IrStmt, IrType, MapType,
-    NamedConst, RConst, Store, Var, op, select, seq,
+    BOOL, INT, REF, Alloc, Assign, Assume, BConst, Forall, Havoc, IConst,
+    IrExpr, IrProgram, IrStmt, IrType, MapType, NamedConst, RConst, Store,
+    Var, op, select,
 )
 
 ALLOC = "Alloc"
@@ -62,6 +61,11 @@ def _foralls(vars_tys: list[tuple[str, IrType]], body) -> Forall:
     return out
 
 
+def dtype_is(ref: IrExpr, contract: str) -> IrExpr:
+    """The dynamic type of `ref` is the contract whose constant is `contract`."""
+    return op("==", select(Var(DTYPE), ref), NamedConst(contract))
+
+
 def _fresh(var: str) -> list[IrStmt]:
     """`var` := a reference not yet allocated, which is then allocated."""
     ref = Var(var)
@@ -69,27 +73,19 @@ def _fresh(var: str) -> list[IrStmt]:
             Store(ALLOC, (ref,), BConst(True))]
 
 
-def new_proc() -> IrProcedure:
-    return IrProcedure(name="New", params=[], returns=[("ret", REF)],
-                       locals=[], body=seq(*_fresh("ret")))
-
-
-def new_instance(var: str, const: str) -> list[IrStmt]:
-    """Allocate a fresh reference into `var`, then assume its dynamic type
-    is the contract whose IR constant is `const`."""
-    return [Call("New", (), (var,)),
-            Assume(op("==", select(Var(DTYPE), Var(var)), NamedConst(const)))]
-
-
-def alloc_facts(s: AllocMap) -> Iterator[IrStmt]:
+def alloc_facts(s: Alloc) -> Iterator[IrStmt]:
     """What `s` guarantees, as statements the encoder executes in its place:
-    `New`'s facts for `s.var`; its length; for each inner level j, over the
-    lookup chains c(i1..ij) from `s.var`, zero length and no allocation, an
-    unbounded allocation (Alloc havocked, only growing, the old one in
+    a fresh reference in `s.var`; for an instance, its dynamic type.  For a
+    map, its length; for each inner level j, over the lookup chains
+    c(i1..ij) from `s.var`, zero length and no allocation, an unbounded
+    allocation (Alloc havocked, only growing, the old one in
     `ALLOC_SNAPSHOT`, null still unallocated) that allocates every
     c(i1..ij), and distinctness of c within a row; then zero leaves."""
     chain, leaf, ref = s.keys, s.leaf, Var(s.var)
     yield from _fresh(s.var)
+    if s.contract is not None:
+        yield Assume(dtype_is(ref, s.contract))
+        return
     if s.length is not None:
         yield Store(LENGTH, (ref,), s.length)
     else:
@@ -123,7 +119,6 @@ def emit_prelude(map_sigs=()) -> IrProgram:
     program.globals[LENGTH] = MapType(REF, INT)
     program.globals[DTYPE] = MapType(REF, INT)
     program.ufs[STR_TO_INT] = ((INT,), INT)
-    program.add_proc(new_proc())
     # the order of globals numbers their fresh symbols in a query
     for chain, leaf in sorted(map_sigs, key=lambda s: "_".join(
             type_tag(t) for t in (*s[0], s[1]))):

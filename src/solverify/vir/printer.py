@@ -64,7 +64,9 @@ def print_stmt(s: ast.IrStmt, indent: int) -> list[str]:
     if isinstance(s, ast.Assert):
         label = f" {_quote(s.label)}" if s.label else ""
         return [f"{pad}assert{label} {print_expr(s.cond)};"]
-    if isinstance(s, ast.AllocMap):
+    if isinstance(s, ast.Alloc):
+        if s.contract is not None:
+            return [f"{pad}alloc {s.var}: {s.contract};"]
         keys = "".join(f"[{k}]" for k in s.keys)
         length = "" if s.length is None else f" length {print_expr(s.length)}"
         return [f"{pad}alloc {s.var}: {keys}{s.leaf}{length};"]

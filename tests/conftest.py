@@ -14,6 +14,15 @@ def fixture_text(name: str) -> str:
         return fh.read()
 
 
+def fresh_facts(var: str) -> list:
+    """The facts every allocation into `var` states first: a reference not
+    yet allocated, which is then allocated."""
+    from solverify.vir import ast as I
+    ref = I.Var(var)
+    return [I.Havoc(var), I.Assume(I.op("!", I.select(I.Var("Alloc"), ref))),
+            I.Store("Alloc", (ref,), I.BConst(True))]
+
+
 def get_value_replying_solver(tmp_path, reply: str) -> str:
     """The command line of the bundled solver with every `get-value`
     answered by `reply` (a solver that withholds its models)."""

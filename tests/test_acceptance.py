@@ -7,14 +7,13 @@ lines as they complete.
 import contextlib
 import time
 
-from conftest import fixture_text
+from conftest import fixture_text, fresh_facts
 from oracles import bfs_search
 from solverify.engine import verify
 from solverify.engine.bmc import Domains, bounded_check
 from solverify.engine.queries import vc_gen
 from solverify.engine.smtio import SolverConfig, check_smt
 from solverify.engine.trace import replay_trace
-from solverify.engine.unroll import rename_stmt
 from solverify.instrument import (
     count_nondet_calls, instrument_for_conformance, make_runtime_checks,
 )
@@ -23,7 +22,7 @@ from solverify.sol import desugar_modifiers, parse_contract, typecheck
 from solverify.translate import generate_harness, translate_program
 from solverify.vir import ast as I
 from solverify.vir.interp import Completed, interpret
-from solverify.vir.prelude import ALLOC_SNAPSHOT, DTYPE, alloc_facts, new_proc
+from solverify.vir.prelude import ALLOC_SNAPSHOT, alloc_facts
 
 
 @contextlib.contextmanager
@@ -125,14 +124,14 @@ def test_criterion_4_translation_goldens():
         }
         """)
         stmts = I.seq_list(tr2.ir.procedures["F_C"].body)
-        assert [type(s).__name__ for s in stmts] == ["AllocMap", "Store"]
-        assert stmts[0] == I.AllocMap("tmp0", (I.INT, I.INT), I.INT)
+        assert [type(s).__name__ for s in stmts] == ["Alloc", "Store"]
+        assert stmts[0] == I.Alloc("tmp0", (I.INT, I.INT), I.INT)
         facts = list(alloc_facts(stmts[0]))
         kinds = [type(s).__name__ for s in facts]
         assert kinds == ["Havoc", "Assume", "Store", "Assume", "Assume", "Assume",
                          "Assign", "Havoc", "Assume", "Assume", "Assume", "Assume",
                          "Assume"]
-        assert facts[:3] == I.seq_list(rename_stmt(new_proc().body, {"ret": "tmp0"}))
+        assert facts[:3] == fresh_facts("tmp0")
         assert facts[6:8] == [I.Assign(ALLOC_SNAPSHOT, I.Var("Alloc")),
                               I.Havoc("Alloc")]
 
@@ -144,9 +143,7 @@ def test_criterion_5_dual_interpreter_equivalence():
         src = fixture_text("nested_maps.sol")
         tr, _, _ = build(src)
         driver = I.IrProcedure("driver", [], [], [("r", I.REF)], I.seq(
-            I.Call("New", (), ("r",)),
-            I.Assume(I.op("==", I.select(I.Var(DTYPE), I.Var("r")),
-                          I.NamedConst("C"))),
+            I.Alloc("r", contract="C"),
             I.Call("C_Ctor", (I.Var("r"), I.RConst(9001)))))
         tr.ir.add_proc(driver)
         assert isinstance(interpret(tr.ir, "driver"), Completed)

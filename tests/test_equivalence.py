@@ -15,7 +15,7 @@ from solverify.sol.interp import SolArr, make_world
 from solverify.translate import translate_program
 from solverify.vir import ast as I
 from solverify.vir.interp import Completed, MapValue, interpret
-from solverify.vir.prelude import DTYPE, LENGTH
+from solverify.vir.prelude import LENGTH
 
 
 # -- random program generation ---------------------------------------------------
@@ -107,9 +107,7 @@ class Gen:
 
 def _ir_driver(tr, calls):
     stmts = [
-        I.Call("New", (), ("inst",)),
-        I.Assume(I.op("==", I.select(I.Var(DTYPE), I.Var("inst")),
-                      I.NamedConst("R"))),
+        I.Alloc("inst", contract="R"),
         I.Call("R_Ctor", (I.Var("inst"), I.RConst(9001))),
     ]
     for fn, args in calls:
@@ -170,9 +168,7 @@ def test_companion_nested_mapping_asserts_hold_in_ir():
     program = desugar_modifiers(typecheck(parse_contract(src)))
     tr = translate_program(program)
     driver = I.IrProcedure("driver", [], [], [("r", I.REF)], I.seq(
-        I.Call("New", (), ("r",)),
-        I.Assume(I.op("==", I.select(I.Var(DTYPE), I.Var("r")),
-                      I.NamedConst("C"))),
+        I.Alloc("r", contract="C"),
         I.Call("C_Ctor", (I.Var("r"), I.RConst(9001)))))
     tr.ir.add_proc(driver)
     outcome = interpret(tr.ir, "driver")

@@ -1,13 +1,13 @@
 import pytest
 
-from solverify.engine.unroll import rename_stmt
+from conftest import fresh_facts
 from solverify.sol import ast as S
 from solverify.sol import desugar_modifiers, parse_contract, typecheck
 from solverify.translate import (
     TranslateError, Translation, generate_harness, map_type, translate_program,
 )
 from solverify.vir import ast as I
-from solverify.vir.prelude import ALLOC_SNAPSHOT, alloc_facts, new_proc
+from solverify.vir.prelude import ALLOC_SNAPSHOT, alloc_facts
 from solverify.vir.printer import print_expr
 
 
@@ -102,14 +102,14 @@ def test_nested_map_allocation_golden():
     }
     """)
     body = I.seq_list(tr.ir.procedures["F_C"].body)
-    assert body == [I.AllocMap("tmp0", (I.INT, I.INT), I.INT),
+    assert body == [I.Alloc("tmp0", (I.INT, I.INT), I.INT),
                     I.Store("x_C", (I.Var("this"),), I.Var("tmp0"))]
     facts = list(alloc_facts(body[0]))
     kinds = [type(s).__name__ for s in facts]
     assert kinds == ["Havoc", "Assume", "Store", "Assume", "Assume", "Assume",
                      "Assign", "Havoc", "Assume", "Assume", "Assume", "Assume",
                      "Assume"]
-    assert facts[:3] == I.seq_list(rename_stmt(new_proc().body, {"ret": "tmp0"}))
+    assert facts[:3] == fresh_facts("tmp0")
     assert facts[6:8] == [I.Assign(ALLOC_SNAPSHOT, I.Var("Alloc")), I.Havoc("Alloc")]
     # line-for-line shapes of the quantified facts
     assert print_expr(facts[3].cond) == "Length[tmp0] == 0"
@@ -138,9 +138,9 @@ def test_new_array_sets_length_and_zeroes():
     }
     """)
     body = I.seq_list(tr.ir.procedures["F_C"].body)
-    assert body[0] == I.AllocMap("tmp0", (I.INT,), I.INT, I.Var("n"))
+    assert body[0] == I.Alloc("tmp0", (I.INT,), I.INT, I.Var("n"))
     facts = list(alloc_facts(body[0]))
-    assert facts[:3] == I.seq_list(rename_stmt(new_proc().body, {"ret": "tmp0"}))
+    assert facts[:3] == fresh_facts("tmp0")
     assert facts[3] == I.Store("Length", (I.Var("tmp0"),), I.Var("n"))
     assert isinstance(facts[4], I.Assume) and len(facts) == 5  # elements zeroed
     assert isinstance(body[1], I.Store)
@@ -297,11 +297,11 @@ def test_new_contract_allocates_types_and_calls_ctor():
     }
     """)
     body = I.seq_list(tr.ir.procedures["F_C"].body)
-    assert body[0] == I.Call("New", (), ("tmp0",))
-    assert body[1] == I.Assume(I.op("==", I.select(I.Var("DType"), I.Var("tmp0")),
-                                    I.NamedConst("A")))
-    assert body[2] == I.Call("A_Ctor", (I.Var("tmp0"), I.Var("this")))
-    assert body[3] == I.Store("a_C", (I.Var("this"),), I.Var("tmp0"))
+    assert body[0] == I.Alloc("tmp0", contract="A")
+    assert list(alloc_facts(body[0])) == fresh_facts("tmp0") + [I.Assume(
+        I.op("==", I.select(I.Var("DType"), I.Var("tmp0")), I.NamedConst("A")))]
+    assert body[1] == I.Call("A_Ctor", (I.Var("tmp0"), I.Var("this")))
+    assert body[2] == I.Store("a_C", (I.Var("this"),), I.Var("tmp0"))
 
 
 # -- program assembly --------------------------------------------------------------
@@ -310,7 +310,8 @@ def test_helloblockchain_program_shape(hb_source):
     tr = tp(hb_source)
     procs = set(tr.ir.procedures)
     assert {"HelloBlockchain_Ctor", "SendRequest_HelloBlockchain",
-            "SendResponse_HelloBlockchain", "New"} <= procs
+            "SendResponse_HelloBlockchain"} <= procs
+    assert "New" not in procs  # an instance is allocated by `alloc`
     for var in ("State", "Requestor", "Responder", "RequestMessage",
                 "ResponseMessage"):
         assert f"{var}_HelloBlockchain" in tr.ir.globals
@@ -372,7 +373,7 @@ def test_sender_threading_scan():
         _all_calls(proc.body, calls)
         for call in calls:
             callee = tr.ir.procedures.get(call.proc)
-            if callee is None or call.proc == "New":
+            if callee is None:
                 continue
             sender = call.args[-1]
             assert sender in (I.Var("this"), I.Var("msg_sender")), (name, call)

@@ -3,9 +3,9 @@ import copy
 import pytest
 
 from solverify.vir.ast import (
-    BOOL, INT, REF, AllocMap, Assert, Assign, Assume, BConst, Call, Forall, Havoc,
-    IConst, If, IrProcedure, IrProgram, MapType, RConst, Skip, Store, Var,
-    While, children, iter_stmt, map_stmt, op, select, seq,
+    BOOL, INT, REF, Alloc, Assert, Assign, Assume, BConst, Call, Forall, Havoc,
+    IConst, If, IrProcedure, IrProgram, MapType, NamedConst, RConst, Skip, Store,
+    Var, While, children, iter_stmt, map_stmt, op, select, seq,
 )
 from solverify.vir.interp import (
     AssertFailed, Blocked, BudgetExhausted, Completed, UnsupportedQuantifier,
@@ -14,7 +14,9 @@ from solverify.vir.interp import (
 from solverify.sol import parse_contract, typecheck
 from solverify.translate import translate_program
 from solverify.vir.parser import parse_ir
-from solverify.vir.prelude import ALLOC, LENGTH, emit_prelude, lookup_map_name
+from solverify.vir.prelude import (
+    ALLOC, LENGTH, alloc_facts, emit_prelude, lookup_map_name,
+)
 from solverify.vir.printer import print_ir
 
 
@@ -37,14 +39,14 @@ def _nested_map_program(depth: int = 2):
 
 # -- prelude shape -----------------------------------------------------------------
 
-def test_prelude_new_body():
-    program = emit_prelude()
-    new = program.procedures["New"]
-    stmts = new.body.stmts
+def test_instance_alloc_facts():
+    stmts = list(alloc_facts(Alloc("x", contract="C")))
     assert isinstance(stmts[0], Havoc)
     assert isinstance(stmts[1], Assume)
-    assert stmts[1].cond == op("!", select(Var(ALLOC), Var("ret")))
-    assert stmts[2] == Store(ALLOC, (Var("ret"),), BConst(True))
+    assert stmts[1].cond == op("!", select(Var(ALLOC), Var("x")))
+    assert stmts[2] == Store(ALLOC, (Var("x"),), BConst(True))
+    assert stmts[3] == Assume(op("==", select(Var("DType"), Var("x")), NamedConst("C")))
+    assert len(stmts) == 4
 
 
 def test_prelude_globals_and_uf():
@@ -60,7 +62,7 @@ def test_prelude_declares_a_lookup_map_per_level():
     assert program.globals["M_int_Ref"] == MapType(REF, MapType(INT, REF))
     assert program.globals["M_int_bool"] == MapType(REF, MapType(INT, BOOL))
     assert program.globals["M_Ref_int"] == MapType(REF, MapType(REF, INT))
-    assert set(program.procedures) == {"New"}
+    assert program.procedures == {}  # an `alloc` statement allocates
 
 
 # -- printer / parser ----------------------------------------------------------------
@@ -98,17 +100,20 @@ def test_round_trip_with_all_statement_kinds():
         Store("m", (Var("x"),), IConst(3)),
         Assume(op("<", Var("x"), IConst(10))),
         Assert(op(">=", Var("x"), IConst(0)), "label with \"quotes\""),
-        Call("New", (), ("r",)),
+        Call("g", (Var("x"),), ("r",)),
+        Alloc("r", contract="C"),
         If(op("==", Var("x"), IConst(1)), Assign("x", IConst(2)), Skip()),
         While(op("<", Var("x"), IConst(5)), Assign("x", op("+", Var("x"), IConst(1)))),
-        AllocMap("r", (INT, REF), BOOL),
-        AllocMap("r", (INT,), INT, op("+", Var("x"), IConst(1))),
+        Alloc("r", (INT, REF), BOOL),
+        Alloc("r", (INT,), INT, op("+", Var("x"), IConst(1))),
         Assign("alloc", Var("x")),  # a variable spelled like the keyword
     )
     program.globals["m"] = MapType(INT, INT)
+    program.constants["C"] = 1
     program.add_proc(IrProcedure("t", [], [], [("x", INT), ("r", REF), ("alloc", INT)],
                                  body))
     text = print_ir(program)
+    assert "alloc r: C;" in text
     assert "alloc r: [int][Ref]bool;" in text and "alloc r: [int]int length x + 1;" in text
     assert print_ir(parse_ir(text)) == text and parse_ir(text) == program
 
@@ -181,12 +186,14 @@ def test_assume_false_blocks():
 
 def test_new_twice_distinct_and_allocated():
     program = emit_prelude()
+    program.constants["C"] = 1
     body = seq(
-        Call("New", (), ("a",)),
-        Call("New", (), ("b",)),
+        Alloc("a", contract="C"),
+        Alloc("b", contract="C"),
         Assert(op("!=", Var("a"), Var("b")), "distinct"),
         Assert(select(Var(ALLOC), Var("a")), "a allocated"),
         Assert(select(Var(ALLOC), Var("b")), "b allocated"),
+        Assert(op("==", select(Var("DType"), Var("a")), NamedConst("C")), "a typed"),
     )
     program.add_proc(IrProcedure("t", [], [], [("a", REF), ("b", REF)], body))
     assert isinstance(interpret(program, "t"), Completed)
@@ -194,8 +201,9 @@ def test_new_twice_distinct_and_allocated():
 
 def test_new_freshness_no_duplicates():
     program = emit_prelude()
+    program.constants["C"] = 1
     locals_ = [(f"r{i}", REF) for i in range(6)]
-    body = [Call("New", (), (f"r{i}",)) for i in range(6)]
+    body = [Alloc(f"r{i}", contract="C") for i in range(6)]
     program.add_proc(IrProcedure("t", [], [], locals_, seq(*body)))
     out = interpret(program, "t")
     assert isinstance(out, Completed)
@@ -211,7 +219,7 @@ def test_new_freshness_no_duplicates():
 def test_nested_map_allocation_gives_distinct_inner_refs():
     tr = _nested_map_program()
     body = seq(
-        Call("New", (), ("c",)),
+        Alloc("c", contract="C"),
         Call("F_C", (Var("c"), Var("c"))),
         Assign("v", select(Var("x_C"), Var("c"))),
         Assign("r0", select(Var("M_int_Ref"), Var("v"), IConst(0))),
@@ -238,7 +246,7 @@ def test_depth_three_allocation_gives_distinct_inner_refs_at_every_level():
     tr = _nested_map_program(depth=3)
     level1 = [select(Var("M_int_Ref"), Var("v"), IConst(k)) for k in (0, 1)]
     body = seq(
-        Call("New", (), ("c",)),
+        Alloc("c", contract="C"),
         Call("F_C", (Var("c"), Var("c"))),
         Assign("v", select(Var("x_C"), Var("c"))),
         Assign("p", select(Var("M_int_Ref"), level1[0], IConst(0))),
@@ -315,20 +323,27 @@ def test_map_value_semantics_on_assign():
 def test_named_inputs_take_their_values_in_execution_order():
     """A havoc of a variable named in `inputs` takes that value; the run
     records those havocs as they execute (a skipped branch's not at all, a
-    callee's where the call runs), and other havocs still read the tape.
-    The entry procedure need not belong to the program."""
+    callee's where the call runs), and other havocs still read the tape, a
+    Ref havoc among them.  The entry procedure need not belong to the
+    program."""
     program = emit_prelude()
     program.add_proc(IrProcedure("u", [], [], [("c", INT)], Havoc("c")))
-    entry = IrProcedure("t", [], [], [("a", INT), ("b", BOOL), ("d", INT)], seq(
+    entry = IrProcedure("t", [], [], [("a", INT), ("b", BOOL), ("d", INT),
+                                      ("r", REF), ("s", REF)], seq(
         If(BConst(False), Havoc("b"), Skip()),
         Havoc("a"),
         Call("u", (), ()),
         Havoc("d"),
         Havoc("b"),
+        Havoc("r"),
+        Havoc("s"),
+        Assume(op("==", Var("r"), RConst(10005))),
+        Assume(op("==", Var("s"), RConst(6))),
         Assert(op("!=", op("+", Var("a"), Var("d")), IConst(12)), "a + d != 12")))
-    out = interpret(program, entry, tape=[5], inputs={"a": 7, "b": True, "c": 3})
+    out = interpret(program, entry, tape=[5, 6],
+                    inputs={"a": 7, "b": True, "c": 3, "r": 10005})
     assert isinstance(out, AssertFailed) and out.label == "a + d != 12"
-    assert out.state.inputs_taken == [("a", 7), ("c", 3), ("b", True)]
+    assert out.state.inputs_taken == [("a", 7), ("c", 3), ("b", True), ("r", 10005)]
     assert "t" not in program.procedures
 
 
@@ -349,12 +364,17 @@ _ZERO = {INT: IConst(0), BOOL: BConst(False), REF: RConst(0)}
 
 def _alloc_guarantees(keys, leaf, length):
     """(label, condition) for each guarantee of `alloc x`, over the key
-    variables a<j> and b<j> of level j: x allocated with its length, each
+    variables a<j> and b<j> of level j: x allocated and distinct from the
+    earlier allocation e.  An instance (no keys; `leaf` names its
+    contract) has its contract as dynamic type.  A map has its length, each
     inner reference along the a-keys allocated, non-null and distinct from
     its b-key sibling in the row, and the leaf along the a-keys zero."""
     x = Var("x")
     out = [("allocated", select(Var(ALLOC), x)),
-           ("length", op("==", select(Var(LENGTH), x), length or IConst(0)))]
+           ("distinct from an earlier allocation", op("!=", x, Var("e")))]
+    if not keys:
+        return out + [("dynamic type", op("==", select(Var("DType"), x), NamedConst(leaf)))]
+    out.append(("length", op("==", select(Var(LENGTH), x), length or IConst(0))))
     cur = x
     for j, key_ty in enumerate(keys, 1):
         value_ty = leaf if j == len(keys) else REF
@@ -374,21 +394,25 @@ def _alloc_guarantees(keys, leaf, length):
     ((INT, REF), BOOL, None), ((REF, BOOL), INT, None), ((BOOL, INT), REF, IConst(2)),
     ((INT, INT, INT), INT, None), ((REF, BOOL, INT), BOOL, None),
     ((BOOL, REF, REF), REF, None),
+    ((), "C", None), ((), "D", None),
 ])
 def test_encoder_and_interpreter_agree_on_allocation(keys, leaf, length):
-    """Each guarantee of the interpreter's minting, asserted on its own after
-    `alloc x`, passes in `interpret` and is unsat to violate under `vc_gen`."""
+    """Each guarantee of `alloc x` (an instance of a contract, or a map that
+    the interpreter mints), asserted on its own after an earlier `alloc e:
+    C`, passes in `interpret` and is unsat to violate under `vc_gen`."""
     from solverify.engine.queries import vc_gen
     from solverify.engine.smtio import SolverConfig, check_smt
-    program = emit_prelude([(keys, leaf)])
+    program = emit_prelude([(keys, leaf)] if keys else [])
+    program.constants.update(C=1, D=2)
+    alloc = Alloc("x", keys, leaf, length) if keys else Alloc("x", contract=leaf)
     key_vars = [(f"{side}{j}", ty) for j, ty in enumerate(keys, 1) for side in "ab"]
     inputs = {f"{side}{j}": _KEY_VALUES[ty][side == "b"]
               for j, ty in enumerate(keys, 1) for side in "ab"}
-    setup = [Havoc(name) for name, _ in key_vars] + [
+    setup = [Alloc("e", contract="C")] + [Havoc(name) for name, _ in key_vars] + [
         Assume(op("!=", Var(f"a{j}"), Var(f"b{j}"))) for j in range(1, len(keys) + 1)]
     for label, cond in _alloc_guarantees(keys, leaf, length):
-        proc = IrProcedure("t", [], [], [("x", REF)] + key_vars, seq(
-            *setup, AllocMap("x", keys, leaf, length), Assert(cond, label)))
+        proc = IrProcedure("t", [], [], [("x", REF), ("e", REF)] + key_vars, seq(
+            *setup, alloc, Assert(cond, label)))
         assert isinstance(interpret(program, proc, inputs=inputs), Completed), label
         _, query = vc_gen(program, proc)
         assert check_smt(query, SolverConfig(timeout=60)).status == "unsat", label
