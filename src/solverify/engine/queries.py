@@ -297,22 +297,8 @@ def _render_shared(assertions: list[T.Term]) -> list[str]:
         for a in t.args:
             if counts[a.tid] == 1:
                 texts[a.tid] = None  # its only reader has it; keep memory linear
-        if t.op == "intval":
-            return str(t.value) if t.value >= 0 else f"(- {-t.value})"
-        if t.op == "boolval":
-            return "true" if t.value else "false"
-        if t.op in ("sym", "boundvar"):
-            return t.value
-        if t.op == "forall":
-            var, var_sort = t.value
-            text = f"(forall (({var} {T.sort_to_sexpr(var_sort)})) {args[0]})"
-        elif t.op == "app":
-            text = f"({t.value} {' '.join(args)})"
-        elif t.op == "neg":
-            text = f"(- {args[0]})"
-        else:
-            text = f"({t.op} {' '.join(args)})"
-        if counts[t.tid] > 1 and len(text) > 24 and not has_bound[t.tid] \
+        text = T.node_text(t, args)
+        if t.args and counts[t.tid] > 1 and len(text) > 24 and not has_bound[t.tid] \
                 and t.sort is not None:
             name = f"aux!{len(defs)}"
             defs.append(f"(define-fun {name} () {T.sort_to_sexpr(t.sort)} {text})")

@@ -11,16 +11,12 @@ import sys
 
 from solverify.smt.solver import Solved, solve
 from solverify.smt.terms import (
-    ScriptParser, is_array_sort, iter_sexprs, sexpr, sort_to_sexpr,
+    ScriptParser, is_array_sort, iter_sexprs, literal, sexpr, sort_to_sexpr,
 )
 
 
 def format_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v) if v >= 0 else f"(- {-v})"
-    return str(v)
+    return literal(v) if isinstance(v, (bool, int)) else str(v)
 
 
 class Session:

@@ -127,28 +127,28 @@ INT_OPS = {"+", "-", "*", "div", "mod", "neg"}
 REL_OPS = {"=", "distinct", "<", "<=", ">", ">="}
 
 
-def sexpr(t: Term) -> str:
-    if t.op == "intval":
-        return str(t.value) if t.value >= 0 else f"(- {-t.value})"
-    if t.op == "boolval":
-        return "true" if t.value else "false"
+def literal(value: bool | int) -> str:
+    """SMT-LIB text of a boolean or integer value: `true`, `7`, `(- 7)`."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value) if value >= 0 else f"(- {-value})"
+
+
+def node_text(t: Term, args: list[str]) -> str:
+    """SMT-LIB text of `t`, given the texts of its arguments."""
+    if t.op in ("intval", "boolval"):
+        return literal(t.value)
     if t.op in ("sym", "boundvar"):
         return t.value
-    if t.op == "app":
-        inner = " ".join(sexpr(a) for a in t.args)
-        return f"({t.value} {inner})"
     if t.op == "forall":
         var, var_sort = t.value
-        return f"(forall (({var} {sort_to_sexpr(var_sort)})) {sexpr(t.args[0])})"
-    if t.op == "select":
-        return f"(select {sexpr(t.args[0])} {sexpr(t.args[1])})"
-    if t.op == "store":
-        return (f"(store {sexpr(t.args[0])} {sexpr(t.args[1])} "
-                f"{sexpr(t.args[2])})")
-    if t.op == "neg":
-        return f"(- {sexpr(t.args[0])})"
-    inner = " ".join(sexpr(a) for a in t.args)
-    return f"({t.op} {inner})"
+        return f"(forall (({var} {sort_to_sexpr(var_sort)})) {args[0]})"
+    head = t.value if t.op == "app" else "-" if t.op == "neg" else t.op
+    return f"({head} {' '.join(args)})"
+
+
+def sexpr(t: Term) -> str:
+    return fold([t], node_text)[0]
 
 
 # -- script model ----------------------------------------------------------------
