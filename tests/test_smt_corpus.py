@@ -14,7 +14,8 @@ After an intended change, regenerate it with
 
     PYTHONPATH=src python tests/test_smt_corpus.py --write
 
-which first prints each recorded field that changed, per invocation.
+which first prints each recorded field that changed, per invocation, and
+each changed report key with its old and new value.
 """
 
 import hashlib
@@ -104,19 +105,33 @@ def test_dumped_queries_match_frozen_corpus(tmp_path):
 
 def changed_fields(old: dict, new: dict) -> list[str]:
     """`<invocation> <field>` for each recorded field that differs between
-    two corpora, a query's `sha256` and `answer` each on their own."""
+    two corpora, a query's `sha256` and `answer` each on their own, and
+    `<invocation> report.<key>: <old> -> <new>` for each report key."""
     out = []
     for name in sorted(set(old) | set(new)):
         was, now = old.get(name, {}), new.get(name, {})
-        for key in ("exit", "report", "ir_sha256", "instrumented_sha256"):
+        for key in ("exit", "ir_sha256", "instrumented_sha256"):
             if was.get(key) != now.get(key):
                 out.append(f"{name} {key}")
+        report_was, report_now = was.get("report", {}), now.get("report", {})
+        for key in sorted(set(report_was) | set(report_now)):
+            if report_was.get(key) != report_now.get(key):
+                out.append(f"{name} report.{key}: {json.dumps(report_was.get(key))}"
+                           f" -> {json.dumps(report_now.get(key))}")
         queries_was, queries_now = was.get("queries", {}), now.get("queries", {})
         for fname in sorted(set(queries_was) | set(queries_now)):
             for key in ("sha256", "answer"):
                 if queries_was.get(fname, {}).get(key) != queries_now.get(fname, {}).get(key):
                     out.append(f"{name} {fname} {key}")
     return out
+
+
+def test_changed_fields_names_each_changed_report_key():
+    old = {"c": {"exit": 1, "report": {"k": 1, "trace_text": "tx1: C() sender=0x2711"}}}
+    new = {"c": {"exit": 1, "report": {"k": 1, "trace_text": "tx1: C() sender=0x2713"}}}
+    assert changed_fields(old, new) == [
+        'c report.trace_text: "tx1: C() sender=0x2711" -> "tx1: C() sender=0x2713"']
+    assert changed_fields(old, old) == []
 
 
 if __name__ == "__main__":
