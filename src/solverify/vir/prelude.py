@@ -67,15 +67,16 @@ def dtype_is(ref: IrExpr, contract: str) -> IrExpr:
 
 
 def _fresh(var: str) -> list[IrStmt]:
-    """`var` := a reference not yet allocated, which is then allocated."""
+    """`var` := a non-null reference not yet allocated, which is then
+    allocated."""
     ref = Var(var)
     return [Havoc(var), Assume(op("!", select(Var(ALLOC), ref))),
-            Store(ALLOC, (ref,), BConst(True))]
+            Assume(op("!=", ref, RConst(0))), Store(ALLOC, (ref,), BConst(True))]
 
 
 def alloc_facts(s: Alloc) -> Iterator[IrStmt]:
     """What `s` guarantees, as statements the encoder executes in its place:
-    a fresh reference in `s.var`; for an instance, its dynamic type.  For a
+    a fresh non-null reference in `s.var`; for an instance, its dynamic type.  For a
     map, its length; for each inner level j, over the lookup chains
     c(i1..ij) from `s.var`, zero length and no allocation, an unbounded
     allocation (Alloc havocked, only growing, the old one in

@@ -15,12 +15,12 @@ def fixture_text(name: str) -> str:
 
 
 def fresh_facts(var: str) -> list:
-    """The facts every allocation into `var` states first: a reference not
-    yet allocated, which is then allocated."""
+    """The facts every allocation into `var` states first: a non-null
+    reference not yet allocated, which is then allocated."""
     from solverify.vir import ast as I
     ref = I.Var(var)
     return [I.Havoc(var), I.Assume(I.op("!", I.select(I.Var("Alloc"), ref))),
-            I.Store("Alloc", (ref,), I.BConst(True))]
+            I.Assume(I.op("!=", ref, I.RConst(0))), I.Store("Alloc", (ref,), I.BConst(True))]
 
 
 def get_value_replying_solver(tmp_path, reply: str) -> str:

@@ -128,11 +128,11 @@ def test_criterion_4_translation_goldens():
         assert stmts[0] == I.Alloc("tmp0", (I.INT, I.INT), I.INT)
         facts = list(alloc_facts(stmts[0]))
         kinds = [type(s).__name__ for s in facts]
-        assert kinds == ["Havoc", "Assume", "Store", "Assume", "Assume", "Assume",
-                         "Assign", "Havoc", "Assume", "Assume", "Assume", "Assume",
-                         "Assume"]
-        assert facts[:3] == fresh_facts("tmp0")
-        assert facts[6:8] == [I.Assign(ALLOC_SNAPSHOT, I.Var("Alloc")),
+        assert kinds == ["Havoc", "Assume", "Assume", "Store", "Assume", "Assume",
+                         "Assume", "Assign", "Havoc", "Assume", "Assume", "Assume",
+                         "Assume", "Assume"]
+        assert facts[:4] == fresh_facts("tmp0")
+        assert facts[7:9] == [I.Assign(ALLOC_SNAPSHOT, I.Var("Alloc")),
                               I.Havoc("Alloc")]
 
 

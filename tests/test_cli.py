@@ -703,6 +703,20 @@ def test_user_modifier_named_like_a_checker_keeps_the_check(tmp_path):
     assert [tx["fn"] for tx in doc["trace"]] == ["HelloBlockchain", "SendResponse"]
 
 
+def test_new_instance_is_never_null(tmp_path, capsys):
+    """A contract created by `new` is a non-null reference in the encoding
+    as in the replay; the encoding used to let it be null, and the replay
+    rejected that model (exit 4)."""
+    path = tmp_path / "c.sol"
+    path.write_text("contract A { constructor() public { } }\n"
+                    "contract C { A a; constructor() public { a = new A(); }\n"
+                    "    function F() public { assert(a != 0x0); } }\n")
+    code = run_cli("verify", "--mode", "assertions", "--root", "C", "--k", "2",
+                   "--sol", str(path))
+    assert code == EXIT_PARTIAL
+    assert "safe up to 2 transactions" in capsys.readouterr().out
+
+
 # -- inner maps are fresh at every depth --------------------------------------
 
 def _map_contract(state: str, body: str) -> str:

@@ -106,26 +106,26 @@ def test_nested_map_allocation_golden():
                     I.Store("x_C", (I.Var("this"),), I.Var("tmp0"))]
     facts = list(alloc_facts(body[0]))
     kinds = [type(s).__name__ for s in facts]
-    assert kinds == ["Havoc", "Assume", "Store", "Assume", "Assume", "Assume",
-                     "Assign", "Havoc", "Assume", "Assume", "Assume", "Assume",
-                     "Assume"]
-    assert facts[:3] == fresh_facts("tmp0")
-    assert facts[6:8] == [I.Assign(ALLOC_SNAPSHOT, I.Var("Alloc")), I.Havoc("Alloc")]
+    assert kinds == ["Havoc", "Assume", "Assume", "Store", "Assume", "Assume",
+                     "Assume", "Assign", "Havoc", "Assume", "Assume", "Assume",
+                     "Assume", "Assume"]
+    assert facts[:4] == fresh_facts("tmp0")
+    assert facts[7:9] == [I.Assign(ALLOC_SNAPSHOT, I.Var("Alloc")), I.Havoc("Alloc")]
     # line-for-line shapes of the quantified facts
-    assert print_expr(facts[3].cond) == "Length[tmp0] == 0"
-    assert print_expr(facts[4].cond) == \
-        "(forall i1: int :: Length[M_int_Ref[tmp0][i1]] == 0)"
+    assert print_expr(facts[4].cond) == "Length[tmp0] == 0"
     assert print_expr(facts[5].cond) == \
+        "(forall i1: int :: Length[M_int_Ref[tmp0][i1]] == 0)"
+    assert print_expr(facts[6].cond) == \
         "(forall i1: int :: !Alloc[M_int_Ref[tmp0][i1]])"
-    assert print_expr(facts[8].cond) == \
+    assert print_expr(facts[9].cond) == \
         "(forall i: Ref :: Alloc$old[i] ==> Alloc[i])"
-    assert print_expr(facts[9].cond) == "!Alloc[null]"
-    assert print_expr(facts[10].cond) == \
-        "(forall i1: int :: Alloc[M_int_Ref[tmp0][i1]])"
+    assert print_expr(facts[10].cond) == "!Alloc[null]"
     assert print_expr(facts[11].cond) == \
+        "(forall i1: int :: Alloc[M_int_Ref[tmp0][i1]])"
+    assert print_expr(facts[12].cond) == \
         ("(forall i1: int :: (forall i1_: int :: i1 == i1_ || "
          "M_int_Ref[tmp0][i1] != M_int_Ref[tmp0][i1_]))")
-    assert print_expr(facts[12].cond) == \
+    assert print_expr(facts[13].cond) == \
         ("(forall i1: int :: (forall i2: int :: "
          "M_int_int[M_int_Ref[tmp0][i1]][i2] == 0))")
 
@@ -140,9 +140,9 @@ def test_new_array_sets_length_and_zeroes():
     body = I.seq_list(tr.ir.procedures["F_C"].body)
     assert body[0] == I.Alloc("tmp0", (I.INT,), I.INT, I.Var("n"))
     facts = list(alloc_facts(body[0]))
-    assert facts[:3] == fresh_facts("tmp0")
-    assert facts[3] == I.Store("Length", (I.Var("tmp0"),), I.Var("n"))
-    assert isinstance(facts[4], I.Assume) and len(facts) == 5  # elements zeroed
+    assert facts[:4] == fresh_facts("tmp0")
+    assert facts[4] == I.Store("Length", (I.Var("tmp0"),), I.Var("n"))
+    assert isinstance(facts[5], I.Assume) and len(facts) == 6  # elements zeroed
     assert isinstance(body[1], I.Store)
 
 

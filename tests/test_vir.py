@@ -44,9 +44,10 @@ def test_instance_alloc_facts():
     assert isinstance(stmts[0], Havoc)
     assert isinstance(stmts[1], Assume)
     assert stmts[1].cond == op("!", select(Var(ALLOC), Var("x")))
-    assert stmts[2] == Store(ALLOC, (Var("x"),), BConst(True))
-    assert stmts[3] == Assume(op("==", select(Var("DType"), Var("x")), NamedConst("C")))
-    assert len(stmts) == 4
+    assert stmts[2] == Assume(op("!=", Var("x"), RConst(0)))
+    assert stmts[3] == Store(ALLOC, (Var("x"),), BConst(True))
+    assert stmts[4] == Assume(op("==", select(Var("DType"), Var("x")), NamedConst("C")))
+    assert len(stmts) == 5
 
 
 def test_prelude_globals_and_uf():
@@ -364,13 +365,14 @@ _ZERO = {INT: IConst(0), BOOL: BConst(False), REF: RConst(0)}
 
 def _alloc_guarantees(keys, leaf, length):
     """(label, condition) for each guarantee of `alloc x`, over the key
-    variables a<j> and b<j> of level j: x allocated and distinct from the
-    earlier allocation e.  An instance (no keys; `leaf` names its
+    variables a<j> and b<j> of level j: x allocated, non-null and distinct
+    from the earlier allocation e.  An instance (no keys; `leaf` names its
     contract) has its contract as dynamic type.  A map has its length, each
     inner reference along the a-keys allocated, non-null and distinct from
     its b-key sibling in the row, and the leaf along the a-keys zero."""
     x = Var("x")
     out = [("allocated", select(Var(ALLOC), x)),
+           ("non-null", op("!=", x, RConst(0))),
            ("distinct from an earlier allocation", op("!=", x, Var("e")))]
     if not keys:
         return out + [("dynamic type", op("==", select(Var("DType"), x), NamedConst(leaf)))]
