@@ -86,7 +86,7 @@ class Inliner:
 
 def assigned_vars(s: I.IrStmt, out: set[str]):
     for x in I.iter_stmt(s):
-        if isinstance(x, (I.Havoc, I.Assign, I.Alloc)):
+        if isinstance(x, (I.Havoc, I.Assign)):
             out.add(x.var)
         elif isinstance(x, I.Call):
             out.update(x.results)
