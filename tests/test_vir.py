@@ -40,14 +40,11 @@ def _nested_map_program(depth: int = 2):
 # -- prelude shape -----------------------------------------------------------------
 
 def test_instance_alloc_facts():
-    stmts = list(alloc_facts(Alloc("x", contract="C")))
-    assert isinstance(stmts[0], Havoc)
-    assert isinstance(stmts[1], Assume)
-    assert stmts[1].cond == op("!", select(Var(ALLOC), Var("x")))
-    assert stmts[2] == Assume(op("!=", Var("x"), RConst(0)))
-    assert stmts[3] == Store(ALLOC, (Var("x"),), BConst(True))
-    assert stmts[4] == Assume(op("==", select(Var("DType"), Var("x")), NamedConst("C")))
-    assert len(stmts) == 5
+    x = Var("x")
+    assert list(alloc_facts(Alloc("x", contract="C"))) == [
+        Havoc("x"), Assume(op("!", select(Var(ALLOC), x))), Assume(op("!=", x, RConst(0))),
+        Store(ALLOC, (x,), BConst(True)),
+        Assume(op("==", select(Var("DType"), x), NamedConst("C")))]
 
 
 def test_prelude_globals_and_uf():
