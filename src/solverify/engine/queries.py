@@ -4,7 +4,7 @@ A loop-free, call-free procedure is symbolically executed into a single-
 assignment constraint system: assignments bind terms, havocs mint fresh
 symbols, branches merge through guarded join symbols, assumes become guarded
 hypotheses, asserts become guarded obligations with one selector symbol
-each, and an allocation becomes the facts `prelude.alloc_facts` states.
+each, and an allocation becomes the facts `QueryBuilder._alloc` states.
 The refutation query (hypotheses plus the disjunction of violated
 obligations) is satisfiable exactly when some execution fails an assert, and
 a model fixes every havoc'd input, so a transaction trace can be read off
@@ -18,9 +18,7 @@ import itertools
 from solverify.record import record
 from solverify.smt import terms as T
 from solverify.vir import ast as I
-from solverify.vir.prelude import (
-    ALLOC_SNAPSHOT, NOTHING_ALLOCATED, STR_TO_INT, alloc_facts,
-)
+from solverify.vir.prelude import ALLOC, LENGTH, STR_TO_INT, dtype_is, lookup_map_name
 
 BOOL_IR_OPS = {"&&": "and", "||": "or", "==>": "=>", "!": "not"}
 INT_IR_OPS = {"+": "+", "-": "-", "*": "*", "neg": "neg"}
@@ -150,13 +148,6 @@ class QueryBuilder:
                     raise VcError("select on non-array term")
                 cur = bank.mk("select", (cur, self.term(k, env)), sort=cur.sort[2])
             return cur
-        if isinstance(e, I.Forall):
-            bound = self.bank.mk("boundvar", value=e.var, sort=sort_of(e.var_ty))
-            inner = dict(env)
-            inner[e.var] = bound
-            body = self.term(e.body, inner)
-            return bank.mk("forall", (body,), value=(e.var, sort_of(e.var_ty)),
-                           sort=T.BOOL_S)
         raise VcError(f"cannot encode {type(e).__name__}")
 
     # -- statements ---------------------------------------------------------------
@@ -194,9 +185,7 @@ class QueryBuilder:
             self.obligations.append((guard, self.term(s.cond), s.label))
             return
         if isinstance(s, I.Alloc):
-            for fact in alloc_facts(s):
-                self.exec_stmt(fact, guard)
-            self.env.pop(ALLOC_SNAPSHOT, None)  # no branch join may see it
+            self._alloc(s, guard)
             return
         if isinstance(s, I.If):
             cond = self.term(s.cond)
@@ -226,6 +215,75 @@ class QueryBuilder:
         if isinstance(s, I.Call):
             raise VcError("calls must be inlined before VC generation")
         raise VcError(f"cannot encode {type(s).__name__}")
+
+    def forall(self, bound: list[tuple[str, I.IrType]], body: I.IrExpr,
+               env: dict[str, T.Term] | None = None) -> T.Term:
+        """`body` under one forall per (name, type) of `bound`, the first
+        outermost: each name reads as its bound variable, any other as in
+        `env` (default: the current state)."""
+        inner = dict(self.env if env is None else env)
+        for name, ty in bound:
+            inner[name] = self.bank.mk("boundvar", value=name, sort=sort_of(ty))
+        out = self.term(body, inner)
+        for name, ty in reversed(bound):
+            out = self.bank.mk("forall", (out,), value=(name, sort_of(ty)), sort=T.BOOL_S)
+        return out
+
+    def _alloc(self, s: I.Alloc, guard: T.Term):
+        """What `s` guarantees: a fresh non-null reference in `s.var`, then
+        allocated; for an instance, its dynamic type.  For a map, its length;
+        for each inner level j, over the lookup chains c(i1..ij) from `s.var`,
+        zero length and no allocation, an unbounded allocation (Alloc
+        havocked, only growing, null still unallocated) that allocates every
+        c(i1..ij), and distinctness of c within a row; then zero leaves."""
+        ref, alloc, length = I.Var(s.var), I.Var(ALLOC), I.Var(LENGTH)
+        ground = [I.Havoc(s.var), I.Assume(I.op("!", I.select(alloc, ref))),
+                  I.Assume(I.op("!=", ref, I.RConst(0))),
+                  I.Store(ALLOC, (ref,), I.BConst(True))]
+        if s.contract is not None:
+            ground.append(I.Assume(dtype_is(ref, s.contract)))
+        elif s.length is not None:
+            ground.append(I.Store(LENGTH, (ref,), s.length))
+        else:
+            ground.append(I.Assume(I.op("==", I.select(length, ref), I.IConst(0))))
+        for fact in ground:
+            self.exec_stmt(fact, guard)
+        if s.contract is not None:
+            return
+
+        def assume(bound, body: I.IrExpr, env=None):
+            self.hypotheses.append(self.bank.mk(
+                "=>", (guard, self.forall(bound, body, env)), sort=T.BOOL_S))
+
+        def chain(idx: list[I.IrExpr]) -> I.IrExpr:
+            """ref[i1]...[ij] through the per-level maps: every level before
+            the last reads a Ref, the last reads the leaf type."""
+            cur: I.IrExpr = ref
+            for j, key_ty in enumerate(s.keys[:len(idx)]):
+                value_ty = s.leaf if j == len(s.keys) - 1 else I.REF
+                cur = I.select(I.Var(lookup_map_name(key_ty, value_ty)), cur, idx[j])
+            return cur
+
+        bound = [(f"i{k}", key_ty) for k, key_ty in enumerate(s.keys, 1)]
+        idx = [I.Var(name) for name, _ in bound]
+        for j in range(1, len(s.keys)):
+            level = chain(idx[:j])
+            assume(bound[:j], I.op("==", I.select(length, level), I.IConst(0)))
+            assume(bound[:j], I.op("!", I.select(alloc, level)))
+            old = self.env[ALLOC]  # read as `old` by the growth fact
+            self.exec_stmt(I.Havoc(ALLOC), guard)
+            i = I.Var("i")
+            assume([("i", I.REF)], I.op("==>", I.select(I.Var("old"), i), I.select(alloc, i)),
+                   {"old": old, ALLOC: self.env[ALLOC]})
+            self.exec_stmt(I.Assume(I.op("!", I.select(alloc, I.RConst(0)))), guard)
+            assume(bound[:j], I.select(alloc, level))
+            primed = I.Var(f"i{j}_")
+            assume(bound[:j] + [(primed.name, s.keys[j - 1])], I.op(
+                "||", I.op("==", idx[j - 1], primed),
+                I.op("!=", level, chain(idx[:j - 1] + [primed]))))
+        zero = I.BConst(False) if s.leaf == I.BOOL else \
+            (I.RConst(0) if s.leaf == I.REF else I.IConst(0))
+        assume(bound, I.op("==", chain(idx), zero))
 
     def _store(self, base: T.Term, keys: list[T.Term], value: T.Term) -> T.Term:
         bank = self.bank
@@ -315,6 +373,7 @@ def vc_gen(program: I.IrProgram, proc: I.IrProcedure) -> tuple[QueryBuilder, Smt
     violates an assert."""
     qb = QueryBuilder(program)
     qb.init_proc(proc.params + proc.returns + proc.locals)
-    qb.hypotheses.append(qb.term(NOTHING_ALLOCATED))
+    qb.hypotheses.append(qb.forall([("r0", I.REF)],
+                                   I.op("!", I.select(I.Var(ALLOC), I.Var("r0")))))
     qb.exec_stmt(proc.body, qb.bank.boolval(True))
     return qb, qb.refutation_query()

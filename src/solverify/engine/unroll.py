@@ -27,9 +27,6 @@ def rename_expr(e: I.IrExpr, mapping: dict[str, str]) -> I.IrExpr:
     def rename(x: I.IrExpr) -> I.IrExpr | None:
         if isinstance(x, I.Var):
             return I.Var(mapping.get(x.name, x.name))
-        if isinstance(x, I.Forall):  # the bound variable shadows the mapping
-            inner = {k: v for k, v in mapping.items() if k != x.var}
-            return I.Forall(x.var, x.var_ty, rename_expr(x.body, inner))
         return None
 
     return I.map_expr(e, rename)

@@ -5,7 +5,7 @@ oracle (`interp`), imported from their modules where they are used."""
 
 from solverify.vir.ast import (  # noqa: F401
     INT, BOOL, REF, MapType,
-    BConst, Forall, IConst, NamedConst, Op, RConst, Select, UFApply, Var,
+    BConst, IConst, NamedConst, Op, RConst, Select, UFApply, Var,
     Alloc, Assert, Assign, Assume, Call, Havoc, If, IrProcedure, IrProgram,
     Seq, Skip, Store, While,
 )

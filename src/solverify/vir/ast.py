@@ -105,13 +105,6 @@ class Select(IrExpr):
     keys: tuple[IrExpr, ...]
 
 
-@record(frozen=True)
-class Forall(IrExpr):
-    var: str
-    var_ty: IrType
-    body: IrExpr
-
-
 def op(name: str, *args: IrExpr) -> Op:
     return Op(name, tuple(args))
 
@@ -235,13 +228,11 @@ def seq_list(s: IrStmt) -> list[IrStmt]:
 
 def children(e: IrExpr) -> tuple[IrExpr, ...]:
     """The direct subexpressions of `e`: operator and function arguments, a
-    select's base then keys, a forall's body."""
+    select's base then keys."""
     if isinstance(e, (Op, UFApply)):
         return e.args
     if isinstance(e, Select):
         return (e.base,) + e.keys
-    if isinstance(e, Forall):
-        return (e.body,)
     return ()
 
 
@@ -257,8 +248,6 @@ def map_expr(e: IrExpr, f: Callable[[IrExpr], IrExpr | None]) -> IrExpr:
         return UFApply(e.name, tuple(map_expr(a, f) for a in e.args))
     if isinstance(e, Select):
         return Select(map_expr(e.base, f), tuple(map_expr(k, f) for k in e.keys))
-    if isinstance(e, Forall):
-        return Forall(e.var, e.var_ty, map_expr(e.body, f))
     return e
 
 

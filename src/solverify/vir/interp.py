@@ -20,9 +20,8 @@ Concrete semantics for a symbolic language needs three documented devices:
   policy naming M_2..M_{n-1}: a missing read there mints a fresh allocated
   reference, whose own row in M_2 mints with the rest of the names, down
   to the last inner level.  Everything else a fresh reference reads is the
-  default (0, false or null), as `prelude.alloc_facts` states for the
-  encoder.  No quantifier is executed: a forall raises
-  UnsupportedQuantifier.
+  default (0, false or null), as `engine.queries` states for the
+  encoder.
 """
 
 from __future__ import annotations
@@ -33,10 +32,6 @@ from solverify.vir.prelude import ALLOC, DTYPE, LENGTH, lookup_map_name
 
 
 class TapeExhausted(Exception):
-    pass
-
-
-class UnsupportedQuantifier(Exception):
     pass
 
 
@@ -219,8 +214,6 @@ class Interp:
             return args[0] if args else 0
         if isinstance(e, ast.Op):
             return self._eval_op(e, env)
-        if isinstance(e, ast.Forall):
-            raise UnsupportedQuantifier("the interpreter executes no quantifier")
         raise IrRuntimeError(f"cannot evaluate {type(e).__name__}")
 
     def _eval_op(self, e: ast.Op, env: dict):

@@ -17,7 +17,7 @@ _TOKEN_RE = re.compile(r"""
   | (?P<refc>ref!\d+)
   | (?P<int>\d+)
   | (?P<name>[A-Za-z_][A-Za-z0-9_!]*)
-  | (?P<sym>::|==>|:=|==|!=|<=|>=|&&|\|\||[()\[\]{};:,+\-*/%<>!=])
+  | (?P<sym>==>|:=|==|!=|<=|>=|&&|\|\||[()\[\]{};:,+\-*/%<>!=])
 """, re.VERBOSE)
 
 
@@ -137,15 +137,6 @@ class _P:
         t = self.cur
         if t == "(":
             self.take()
-            if self.at("forall"):
-                self.take()
-                var = self.take()
-                self.expect(":")
-                ty = self.parse_type()
-                self.expect("::")
-                body = self.parse_expr()
-                self.expect(")")
-                return ast.Forall(var, ty, body)
             e = self.parse_expr()
             self.expect(")")
             return e

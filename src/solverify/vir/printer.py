@@ -32,9 +32,6 @@ def print_expr(e: ast.IrExpr, parent_prec: int = 0) -> str:
     if isinstance(e, ast.Select):
         keys = "".join(f"[{print_expr(k)}]" for k in e.keys)
         return f"{print_expr(e.base, 9)}{keys}"
-    if isinstance(e, ast.Forall):
-        body = print_expr(e.body)
-        return f"(forall {e.var}: {e.var_ty} :: {body})"
     if isinstance(e, ast.Op):
         prec = _PREC[e.op]
         if e.op == "!":

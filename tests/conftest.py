@@ -14,13 +14,24 @@ def fixture_text(name: str) -> str:
         return fh.read()
 
 
-def fresh_facts(var: str) -> list:
-    """The facts every allocation into `var` states first: a non-null
-    reference not yet allocated, which is then allocated."""
+def alloc_smt(program, alloc, *after, params=()) -> list[str]:
+    """The define-fun and assert lines `vc_gen` renders for a procedure
+    taking `params` and holding the allocation `alloc`, then `after`: the
+    start state, the allocation's facts in order, then what `after` states."""
+    from solverify.engine.queries import vc_gen
     from solverify.vir import ast as I
-    ref = I.Var(var)
-    return [I.Havoc(var), I.Assume(I.op("!", I.select(I.Var("Alloc"), ref))),
-            I.Assume(I.op("!=", ref, I.RConst(0))), I.Store("Alloc", (ref,), I.BConst(True))]
+    proc = I.IrProcedure("alloc", list(params), [], [(alloc.var, I.REF)],
+                         I.seq(alloc, *after))
+    return [line for line in vc_gen(program, proc)[1].text.splitlines()
+            if line.startswith(("(define-fun", "(assert"))]
+
+
+def fresh_facts(ref: str, alloc: str = "Alloc!0") -> list[str]:
+    """The facts every allocation of the reference `ref` states first, under
+    no guard: it is non-null and not yet allocated in `alloc`, the array that
+    afterwards reads as `(store alloc ref true)`."""
+    return [f"(assert (=> true (not (select {alloc} {ref}))))",
+            f"(assert (=> true (not (= {ref} null))))"]
 
 
 def get_value_replying_solver(tmp_path, reply: str) -> str:

@@ -7,7 +7,7 @@ lines as they complete.
 import contextlib
 import time
 
-from conftest import fixture_text, fresh_facts
+from conftest import alloc_smt, fixture_text, fresh_facts
 from oracles import bfs_search
 from solverify.engine import verify
 from solverify.engine.bmc import Domains, bounded_check
@@ -22,7 +22,6 @@ from solverify.sol import desugar_modifiers, parse_contract, typecheck
 from solverify.translate import generate_harness, translate_program
 from solverify.vir import ast as I
 from solverify.vir.interp import Completed, interpret
-from solverify.vir.prelude import ALLOC_SNAPSHOT, alloc_facts
 
 
 @contextlib.contextmanager
@@ -126,14 +125,16 @@ def test_criterion_4_translation_goldens():
         stmts = I.seq_list(tr2.ir.procedures["F_C"].body)
         assert [type(s).__name__ for s in stmts] == ["Alloc", "Store"]
         assert stmts[0] == I.Alloc("tmp0", (I.INT, I.INT), I.INT)
-        facts = list(alloc_facts(stmts[0]))
-        kinds = [type(s).__name__ for s in facts]
-        assert kinds == ["Havoc", "Assume", "Assume", "Store", "Assume", "Assume",
-                         "Assume", "Assign", "Havoc", "Assume", "Assume", "Assume",
-                         "Assume", "Assume"]
-        assert facts[:4] == fresh_facts("tmp0")
-        assert facts[7:9] == [I.Assign(ALLOC_SNAPSHOT, I.Var("Alloc")),
-                              I.Havoc("Alloc")]
+        # the start state, ten facts, the (empty) goal; aux!1 is the Alloc
+        # that allocates tmp0, Alloc!8 the one after the unbounded allocation
+        lines = alloc_smt(tr2.ir, stmts[0])
+        assert len(lines) == 2 + 1 + 10 + 1
+        assert lines[1] == \
+            "(define-fun aux!1 () (Array Ref Bool) (store Alloc!0 tmp0!7 true))"
+        assert lines[3:5] == fresh_facts("tmp0!7")
+        assert lines[8:10] == [
+            "(assert (=> true (forall ((i Ref)) (=> (select aux!1 i) (select Alloc!8 i)))))",
+            "(assert (=> true (not (select Alloc!8 null))))"]
 
 
 def test_criterion_5_dual_interpreter_equivalence():

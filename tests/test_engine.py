@@ -8,7 +8,7 @@ from solverify.engine.candidates import CandidatePredicate, generate_candidates
 from solverify.engine.houdini import houdini_infer
 from solverify.engine.queries import vc_gen
 from solverify.engine.smtio import SolverConfig, check_smt
-from solverify.engine.unroll import RecursionDepthExceeded, rename_stmt, unroll_harness
+from solverify.engine.unroll import RecursionDepthExceeded, unroll_harness
 from solverify.policy import parse_policy
 from solverify.sol import desugar_modifiers, parse_contract, typecheck
 from solverify.instrument import instrument_for_conformance
@@ -261,15 +261,6 @@ def test_unroll_inner_loop_blocking_assume():
     text = str(unrolled.body)
     assert "While" not in text
     assert text.count("Assume(cond=Op(op='!'") >= 1
-
-
-def test_rename_stmt_leaves_forall_bound_variable_alone():
-    body = I.seq(I.Havoc("i"),
-                 I.Assume(I.Forall("i", I.INT, I.op("==", I.Var("i"), I.Var("x")))))
-    renamed = rename_stmt(body, {"i": "i$1", "x": "x$1"})
-    assert renamed == I.seq(
-        I.Havoc("i$1"),
-        I.Assume(I.Forall("i", I.INT, I.op("==", I.Var("i"), I.Var("x$1")))))
 
 
 def test_recursion_depth_exceeded():

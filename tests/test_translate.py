@@ -1,13 +1,12 @@
 import pytest
 
-from conftest import fresh_facts
+from conftest import alloc_smt, fresh_facts
 from solverify.sol import ast as S
 from solverify.sol import desugar_modifiers, parse_contract, typecheck
 from solverify.translate import (
     TranslateError, Translation, generate_harness, map_type, translate_program,
 )
 from solverify.vir import ast as I
-from solverify.vir.prelude import ALLOC_SNAPSHOT, alloc_facts
 from solverify.vir.printer import print_expr
 
 
@@ -92,9 +91,9 @@ def test_require_becomes_assume_assert_stays():
 
 def test_nested_map_allocation_golden():
     """new (int => int => int)() lowers to one allocation statement, then the
-    store; the encoder expands it to the allocation sequence: fresh
-    reference, length zeroing, inner-level freshness and distinctness around
-    the unbounded allocation, leaf zero-init."""
+    store; the encoder states the allocation sequence: fresh reference,
+    length zeroing, inner-level freshness and distinctness around the
+    unbounded allocation, leaf zero-init."""
     tr = tp("""
     contract C {
         mapping(int => mapping(int => int)) x;
@@ -104,30 +103,24 @@ def test_nested_map_allocation_golden():
     body = I.seq_list(tr.ir.procedures["F_C"].body)
     assert body == [I.Alloc("tmp0", (I.INT, I.INT), I.INT),
                     I.Store("x_C", (I.Var("this"),), I.Var("tmp0"))]
-    facts = list(alloc_facts(body[0]))
-    kinds = [type(s).__name__ for s in facts]
-    assert kinds == ["Havoc", "Assume", "Assume", "Store", "Assume", "Assume",
-                     "Assume", "Assign", "Havoc", "Assume", "Assume", "Assume",
-                     "Assume", "Assume"]
-    assert facts[:4] == fresh_facts("tmp0")
-    assert facts[7:9] == [I.Assign(ALLOC_SNAPSHOT, I.Var("Alloc")), I.Havoc("Alloc")]
-    # line-for-line shapes of the quantified facts
-    assert print_expr(facts[4].cond) == "Length[tmp0] == 0"
-    assert print_expr(facts[5].cond) == \
-        "(forall i1: int :: Length[M_int_Ref[tmp0][i1]] == 0)"
-    assert print_expr(facts[6].cond) == \
-        "(forall i1: int :: !Alloc[M_int_Ref[tmp0][i1]])"
-    assert print_expr(facts[9].cond) == \
-        "(forall i: Ref :: Alloc$old[i] ==> Alloc[i])"
-    assert print_expr(facts[10].cond) == "!Alloc[null]"
-    assert print_expr(facts[11].cond) == \
-        "(forall i1: int :: Alloc[M_int_Ref[tmp0][i1]])"
-    assert print_expr(facts[12].cond) == \
-        ("(forall i1: int :: (forall i1_: int :: i1 == i1_ || "
-         "M_int_Ref[tmp0][i1] != M_int_Ref[tmp0][i1_]))")
-    assert print_expr(facts[13].cond) == \
-        ("(forall i1: int :: (forall i2: int :: "
-         "M_int_int[M_int_Ref[tmp0][i1]][i2] == 0))")
+    # line-for-line: aux!0 is the row M_int_Ref[tmp0], aux!1 the Alloc
+    # that allocates tmp0, Alloc!8 the Alloc after the unbounded allocation
+    assert alloc_smt(tr.ir, body[0]) == [
+        "(define-fun aux!0 () (Array Int Ref) (select M_int_Ref!4 tmp0!7))",
+        "(define-fun aux!1 () (Array Ref Bool) (store Alloc!0 tmp0!7 true))",
+        "(assert (forall ((r0 Ref)) (not (select Alloc!0 r0))))",
+        *fresh_facts("tmp0!7"),
+        "(assert (=> true (= (select Length!1 tmp0!7) 0)))",
+        "(assert (=> true (forall ((i1 Int)) (= (select Length!1 (select aux!0 i1)) 0))))",
+        "(assert (=> true (forall ((i1 Int)) (not (select aux!1 (select aux!0 i1))))))",
+        "(assert (=> true (forall ((i Ref)) (=> (select aux!1 i) (select Alloc!8 i)))))",
+        "(assert (=> true (not (select Alloc!8 null))))",
+        "(assert (=> true (forall ((i1 Int)) (select Alloc!8 (select aux!0 i1)))))",
+        "(assert (=> true (forall ((i1 Int)) (forall ((i1_ Int)) "
+        "(or (= i1 i1_) (not (= (select aux!0 i1) (select aux!0 i1_))))))))",
+        "(assert (=> true (forall ((i1 Int)) (forall ((i2 Int)) "
+        "(= (select (select M_int_int!3 (select aux!0 i1)) i2) 0)))))",
+        "(assert false)"]
 
 
 def test_new_array_sets_length_and_zeroes():
@@ -139,10 +132,14 @@ def test_new_array_sets_length_and_zeroes():
     """)
     body = I.seq_list(tr.ir.procedures["F_C"].body)
     assert body[0] == I.Alloc("tmp0", (I.INT,), I.INT, I.Var("n"))
-    facts = list(alloc_facts(body[0]))
-    assert facts[:4] == fresh_facts("tmp0")
-    assert facts[4] == I.Store("Length", (I.Var("tmp0"),), I.Var("n"))
-    assert isinstance(facts[5], I.Assume) and len(facts) == 6  # elements zeroed
+    # the assert reads the stored length back
+    length = I.Assert(I.op("==", I.select(I.Var("Length"), I.Var("tmp0")), I.Var("n")), "n")
+    assert alloc_smt(tr.ir, body[0], length, params=[("n", I.INT)]) == [
+        "(assert (forall ((r0 Ref)) (not (select Alloc!0 r0))))",
+        *fresh_facts("tmp0!7"),
+        "(assert (=> true (forall ((i1 Int)) (= (select (select M_int_int!3 tmp0!7) i1) 0))))",
+        "(assert (= sel!0 (and true (not (= (select (store Length!1 tmp0!7 n!5) tmp0!7) n!5)))))",
+        "(assert sel!0)"]
     assert isinstance(body[1], I.Store)
 
 
@@ -298,8 +295,13 @@ def test_new_contract_allocates_types_and_calls_ctor():
     """)
     body = I.seq_list(tr.ir.procedures["F_C"].body)
     assert body[0] == I.Alloc("tmp0", contract="A")
-    assert list(alloc_facts(body[0])) == fresh_facts("tmp0") + [I.Assume(
-        I.op("==", I.select(I.Var("DType"), I.Var("tmp0")), I.NamedConst("A")))]
+    allocated = I.Assert(I.select(I.Var("Alloc"), I.Var("tmp0")), "allocated")
+    assert alloc_smt(tr.ir, body[0], allocated) == [
+        "(assert (forall ((r0 Ref)) (not (select Alloc!0 r0))))",
+        *fresh_facts("tmp0!5"),
+        f"(assert (=> true (= (select DType!2 tmp0!5) {tr.ir.constants['A']})))",
+        "(assert (= sel!0 (and true (not (select (store Alloc!0 tmp0!5 true) tmp0!5)))))",
+        "(assert sel!0)"]
     assert body[1] == I.Call("A_Ctor", (I.Var("tmp0"), I.Var("this")))
     assert body[2] == I.Store("a_C", (I.Var("this"),), I.Var("tmp0"))
 
@@ -388,8 +390,6 @@ def _all_selects(e, out):
     elif isinstance(e, (I.Op, I.UFApply)):
         for a in e.args:
             _all_selects(a, out)
-    elif isinstance(e, I.Forall):
-        _all_selects(e.body, out)
 
 
 def test_map_registry_closure():

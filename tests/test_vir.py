@@ -2,20 +2,20 @@ import copy
 
 import pytest
 
+from conftest import alloc_smt, fresh_facts
 from solverify.vir.ast import (
-    BOOL, INT, REF, Alloc, Assert, Assign, Assume, BConst, Call, Forall, Havoc,
+    BOOL, INT, REF, Alloc, Assert, Assign, Assume, BConst, Call, Havoc,
     IConst, If, IrProcedure, IrProgram, MapType, NamedConst, RConst, Skip, Store,
-    Var, While, children, iter_stmt, map_stmt, op, select, seq,
+    Var, While, iter_stmt, op, select, seq,
 )
 from solverify.vir.interp import (
-    AssertFailed, Blocked, BudgetExhausted, Completed, UnsupportedQuantifier,
-    interpret,
+    AssertFailed, Blocked, BudgetExhausted, Completed, interpret,
 )
 from solverify.sol import parse_contract, typecheck
 from solverify.translate import translate_program
 from solverify.vir.parser import parse_ir
 from solverify.vir.prelude import (
-    ALLOC, LENGTH, alloc_facts, emit_prelude, lookup_map_name,
+    ALLOC, LENGTH, emit_prelude, lookup_map_name,
 )
 from solverify.vir.printer import print_ir
 
@@ -40,11 +40,17 @@ def _nested_map_program(depth: int = 2):
 # -- prelude shape -----------------------------------------------------------------
 
 def test_instance_alloc_facts():
-    x = Var("x")
-    assert list(alloc_facts(Alloc("x", contract="C"))) == [
-        Havoc("x"), Assume(op("!", select(Var(ALLOC), x))), Assume(op("!=", x, RConst(0))),
-        Store(ALLOC, (x,), BConst(True)),
-        Assume(op("==", select(Var("DType"), x), NamedConst("C")))]
+    """A fresh non-null reference, then allocated (the assert reads the
+    allocated Alloc back), of dynamic type C."""
+    program = emit_prelude()
+    program.constants["C"] = 2
+    allocated = Assert(select(Var(ALLOC), Var("x")), "allocated")
+    assert alloc_smt(program, Alloc("x", contract="C"), allocated) == [
+        "(assert (forall ((r0 Ref)) (not (select Alloc!0 r0))))",
+        *fresh_facts("x!4"),
+        "(assert (=> true (= (select DType!2 x!4) 2)))",
+        "(assert (= sel!0 (and true (not (select (store Alloc!0 x!4 true) x!4)))))",
+        "(assert sel!0)"]
 
 
 def test_prelude_globals_and_uf():
@@ -78,15 +84,6 @@ def test_print_parse_round_trip():
     assert print_ir(again) == text
     assert again.globals == program.globals
     assert set(again.procedures) == set(program.procedures)
-
-
-def test_forall_prints_bound_type():
-    program = emit_prelude()
-    program.add_proc(IrProcedure("t", [], [], [], Assume(
-        Forall("i1", INT, op("==", select(Var(LENGTH), Var("r")), Var("i1"))))))
-    text = print_ir(program)
-    assert "(forall i1: int ::" in text
-    assert parse_ir(text) == program
 
 
 def test_round_trip_with_all_statement_kinds():
@@ -158,11 +155,11 @@ def test_record_repr_names_each_field():
 
 
 def test_deepcopy_of_an_ir_expression_round_trips():
-    e = Forall("r", REF, op("==>", select(Var("alloc"), Var("r")), BConst(True)))
+    e = op("==>", select(Var("alloc"), Var("r")), BConst(True))
     c = copy.deepcopy(e)
-    assert c == e and c is not e and c.body is not e.body
+    assert c == e and c is not e and c.args is not e.args
     with pytest.raises(AttributeError):
-        c.var = "s"
+        c.op = "&&"
 
 
 # -- interpreter ------------------------------------------------------------------
@@ -275,14 +272,6 @@ def test_tape_drives_bool_havoc():
     program.add_proc(IrProcedure("t", [], [], [("b", BOOL)], body))
     assert isinstance(interpret(program, "t", tape=[1]), AssertFailed)
     assert isinstance(interpret(program, "t", tape=[0]), Completed)
-
-
-def test_forall_under_assert_unsupported():
-    program = emit_prelude()
-    program.add_proc(IrProcedure("t", [], [], [], Assert(
-        Forall("i", INT, op("==", Var("i"), Var("i"))))))
-    with pytest.raises(UnsupportedQuantifier):
-        interpret(program, "t")
 
 
 def test_assume_replacing_assert_never_turns_completed_into_failed():
@@ -437,42 +426,6 @@ def _fixture_programs():
             program = desugar_modifiers(instrument_for_conformance(
                 program, parse_policy(fixture_text(f"{policy}.json"))))
         yield sol, translate_program(program), root
-
-
-def _foralls_in(stmt) -> list:
-    found = []
-
-    def visit(e):
-        stack = [e]
-        while stack:
-            x = stack.pop()
-            if isinstance(x, Forall):
-                found.append(x)
-            stack.extend(children(x))
-        return e
-
-    map_stmt(stmt, expr=visit)
-    return found
-
-
-def test_no_quantifier_reaches_the_interpreter():
-    """The translated procedures of every fixture, and their harness unrolled
-    to k = 2, hold no forall: allocation is one statement."""
-    from solverify.engine.unroll import unroll_harness
-    from solverify.translate import generate_harness
-    for name, tr, root in _fixture_programs():
-        generate_harness(tr, root)
-        unrolled = unroll_harness(tr.ir, tr.ir.procedures["main"], 2)
-        for proc in [*tr.ir.procedures.values(), unrolled]:
-            assert _foralls_in(proc.body) == [], (name, proc.name)
-
-
-def test_forall_under_assume_unsupported():
-    program = emit_prelude()
-    program.add_proc(IrProcedure("t", [], [], [], Assume(
-        Forall("r", REF, op("!", select(Var(ALLOC), Var("r")))))))
-    with pytest.raises(UnsupportedQuantifier):
-        interpret(program, "t")
 
 
 def test_fixture_ir_reparses():
