@@ -235,9 +235,12 @@ class QueryBuilder:
         for each inner level j, over the lookup chains c(i1..ij) from `s.var`,
         zero length and no allocation, an unbounded allocation (Alloc
         havocked, only growing, null still unallocated) that allocates every
-        c(i1..ij), and distinctness of c within a row; then zero leaves."""
+        c(i1..ij), and distinctness of c within a row; then zero leaves.
+        The reference and each new Alloc are fresh symbols, not havocs: no
+        model slot, as `alloc` takes no input."""
         ref, alloc, length = I.Var(s.var), I.Var(ALLOC), I.Var(LENGTH)
-        ground = [I.Havoc(s.var), I.Assume(I.op("!", I.select(alloc, ref))),
+        self.env[s.var] = self.fresh(s.var, T.REF_S)
+        ground = [I.Assume(I.op("!", I.select(alloc, ref))),
                   I.Assume(I.op("!=", ref, I.RConst(0))),
                   I.Store(ALLOC, (ref,), I.BConst(True))]
         if s.contract is not None:
@@ -271,7 +274,7 @@ class QueryBuilder:
             assume(bound[:j], I.op("==", I.select(length, level), I.IConst(0)))
             assume(bound[:j], I.op("!", I.select(alloc, level)))
             old = self.env[ALLOC]  # read as `old` by the growth fact
-            self.exec_stmt(I.Havoc(ALLOC), guard)
+            self.env[ALLOC] = self.fresh(ALLOC, old.sort)
             i = I.Var("i")
             assume([("i", I.REF)], I.op("==>", I.select(I.Var("old"), i), I.select(alloc, i)),
                    {"old": old, ALLOC: self.env[ALLOC]})
