@@ -270,6 +270,8 @@ def _infer_expr(e: ast.SolExpr, scope: _Scope) -> ast.SolType:
     if isinstance(e, ast.StringLit):
         return ast.STRING
     if isinstance(e, ast.AddressLit):
+        if e.value != 0:  # the encoding names no address but null
+            raise TypeError_(e.pos, "the only address literal supported is 0x0")
         return ast.ADDRESS
     if isinstance(e, ast.MsgSender):
         return ast.ADDRESS

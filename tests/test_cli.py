@@ -385,6 +385,19 @@ def test_non_ascii_outside_strings_is_a_lex_error(tmp_path, capsys, stmts):
     assert err.startswith("error: 2:") and "unexpected character" in err
 
 
+def test_address_literal_other_than_null_is_an_input_error(tmp_path, capsys):
+    """The encoding read 0x1 and 0x2 as unconstrained references that a
+    model may make equal, while the interpreter keeps them apart, so this
+    input exited 4 (`ReplayMismatch`)."""
+    src = tmp_path / "hex.sol"
+    src.write_text("contract C { address a; constructor() public { a = 0x1; } "
+                   "function F() public { assert(a != 0x2); } }\n")
+    assert run_cli("verify", "--mode", "assertions", "--k", "2",
+                   "--sol", str(src)) == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: 1:") and "0x0" in err and "\n" not in err
+
+
 def _verify_function(tmp_path, ctor: str, body: str, params: str = "int a"):
     """Exit code and report of `contract C { int x; constructor() { ctor }
     function f(params) { body } }` in assertions mode at k = 3."""
