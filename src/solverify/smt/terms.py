@@ -122,11 +122,6 @@ def rebuild(bank: TermBank, t: Term, args: list) -> Term:
     return bank.mk(t.op, tuple(args), value=t.value, sort=t.sort)
 
 
-BOOL_OPS = {"and", "or", "not", "=>", "ite"}
-INT_OPS = {"+", "-", "*", "div", "mod", "neg"}
-REL_OPS = {"=", "distinct", "<", "<=", ">", ">="}
-
-
 def literal(value: bool | int) -> str:
     """SMT-LIB text of a boolean or integer value: `true`, `7`, `(- 7)`."""
     if isinstance(value, bool):
