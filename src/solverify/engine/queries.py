@@ -4,7 +4,9 @@ A loop-free, call-free procedure is symbolically executed into a single-
 assignment constraint system: assignments bind terms, havocs mint fresh
 symbols, branches merge through guarded join symbols, assumes become guarded
 hypotheses, asserts become guarded obligations with one selector symbol
-each, and an allocation becomes the facts `QueryBuilder._alloc` states.
+each, and an allocation becomes the facts `QueryBuilder._alloc` states: the
+quantified ones are the only quantifiers of a query, built over IR bodies by
+`QueryBuilder.forall`, as is the start state where nothing is allocated.
 The refutation query (hypotheses plus the disjunction of violated
 obligations) is satisfiable exactly when some execution fails an assert, and
 a model fixes every havoc'd input, so a transaction trace can be read off
@@ -233,11 +235,13 @@ class QueryBuilder:
         """What `s` guarantees: a fresh non-null reference in `s.var`, then
         allocated; for an instance, its dynamic type.  For a map, its length;
         for each inner level j, over the lookup chains c(i1..ij) from `s.var`,
-        zero length and no allocation, an unbounded allocation (Alloc
-        havocked, only growing, null still unallocated) that allocates every
+        zero length and no allocation, an unbounded allocation (a new Alloc,
+        only growing, null still unallocated) that allocates every
         c(i1..ij), and distinctness of c within a row; then zero leaves.
         The reference and each new Alloc are fresh symbols, not havocs: no
         model slot, as `alloc` takes no input."""
+        if s.var not in self.types:
+            raise VcError(f"alloc into undeclared {s.var}")
         ref, alloc, length = I.Var(s.var), I.Var(ALLOC), I.Var(LENGTH)
         self.env[s.var] = self.fresh(s.var, T.REF_S)
         ground = [I.Assume(I.op("!", I.select(alloc, ref))),

@@ -20,8 +20,8 @@ Concrete semantics for a symbolic language needs three documented devices:
   policy naming M_2..M_{n-1}: a missing read there mints a fresh allocated
   reference, whose own row in M_2 mints with the rest of the names, down
   to the last inner level.  Everything else a fresh reference reads is the
-  default (0, false or null), as `engine.queries` states for the
-  encoder.
+  default (0, false or null), as the encoder's `QueryBuilder._alloc`
+  states.
 """
 
 from __future__ import annotations
