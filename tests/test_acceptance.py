@@ -125,8 +125,9 @@ def test_criterion_4_translation_goldens():
         stmts = I.seq_list(tr2.ir.procedures["F_C"].body)
         assert [type(s).__name__ for s in stmts] == ["Alloc", "Store"]
         assert stmts[0] == I.Alloc("tmp0", (I.INT, I.INT), I.INT)
-        # the start state, ten facts, the (empty) goal; aux!1 is the Alloc
-        # that allocates tmp0, Alloc!8 the one after the unbounded allocation
+        # two shared terms, the start state, ten facts, the (empty) goal;
+        # aux!1 is the Alloc that allocates tmp0, Alloc!8 the one after the
+        # unbounded allocation
         lines = alloc_smt(tr2.ir, stmts[0])
         assert len(lines) == 2 + 1 + 10 + 1
         assert lines[1] == \
