@@ -730,6 +730,36 @@ def test_new_instance_is_never_null(tmp_path, capsys):
     assert "safe up to 2 transactions" in capsys.readouterr().out
 
 
+def _string_contract(check: str) -> str:
+    return ("contract C {\n    string m;\n"
+            "    constructor() public { m = \"a\"; }\n"
+            "    function Set() public { m = \"b\"; }\n"
+            f"    function Check() public {{ {check} }}\n}}\n")
+
+
+def test_distinct_string_literals_differ(tmp_path):
+    """\"a\" and \"b\" are distinct literals, so `Set` breaks `m == \"a\"`."""
+    src = _string_contract('assert(m == "a");')
+    path = tmp_path / "c.sol"
+    path.write_text(src)
+    report = tmp_path / "r.json"
+    assert run_cli("verify", "--mode", "assertions", "--k", "3", "--sol", str(path),
+                   "--report-json", str(report)) == EXIT_REFUTED
+    doc = json.loads(report.read_text())
+    assert [tx["fn"] for tx in doc["trace"]] == ["C", "Set", "Check"]
+    assert doc["failing_assertion"] == "C: assert at line 5"
+    assert _fails_in_source(src, doc["trace"])
+
+
+def test_unstored_string_literal_is_never_equal(tmp_path, capsys):
+    """Only \"a\" and \"b\" are ever stored, so `m != \"c\"` always holds."""
+    path = tmp_path / "c.sol"
+    path.write_text(_string_contract('assert(m != "c");'))
+    assert run_cli("verify", "--mode", "assertions", "--k", "3",
+                   "--sol", str(path)) == EXIT_PARTIAL
+    assert "safe up to 3 transactions" in capsys.readouterr().out
+
+
 # -- inner maps are fresh at every depth --------------------------------------
 
 def _map_contract(state: str, body: str) -> str:
