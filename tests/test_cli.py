@@ -760,6 +760,28 @@ def test_unstored_string_literal_is_never_equal(tmp_path, capsys):
     assert "safe up to 3 transactions" in capsys.readouterr().out
 
 
+def test_modifier_post_statement_runs_after_a_tail_return(tmp_path):
+    """`Get` returns x, then its modifier increments x; the desugared body
+    assigns the result before the post-statement instead of returning."""
+    path = tmp_path / "c.sol"
+    path.write_text(
+        "contract C {\n    int x;\n    constructor() public { x = 0; }\n"
+        "    modifier bump() { _; x = x + 1; }\n"
+        "    function Get() public bump() returns (int) { return x; }\n"
+        "    function F() public {\n        int r;\n        r = Get();\n"
+        "        assert(r + 1 == x);\n        assert(r == 0);\n    }\n}\n")
+    report = tmp_path / "r.json"
+    instrumented = tmp_path / "i.sol"
+    assert run_cli("verify", "--mode", "assertions", "--k", "3", "--sol", str(path),
+                   "--report-json", str(report),
+                   "--emit-instrumented", str(instrumented)) == EXIT_REFUTED
+    doc = json.loads(report.read_text())
+    assert [tx["fn"] for tx in doc["trace"]] == ["C", "F", "F"]
+    assert doc["failing_assertion"] == "C: assert at line 10"
+    text = instrumented.read_text()
+    assert "__ret = x;\n        x = x + 1;\n" in text and "return x;" not in text
+
+
 # -- inner maps are fresh at every depth --------------------------------------
 
 def _map_contract(state: str, body: str) -> str:
