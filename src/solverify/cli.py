@@ -52,7 +52,8 @@ def render_trace(trace: CounterexampleTrace) -> str:
     """One numbered line per transaction plus a failing-assert footer."""
     lines = []
     for i, tx in enumerate(trace.transactions, start=1):
-        args = ", ".join(str(a) for a in tx.args)
+        args = ", ".join(str(a).lower() if isinstance(a, bool) else str(a)
+                         for a in tx.args)
         sender = "0x0" if tx.sender == 0 else f"0x{tx.sender:x}"
         lines.append(f"tx{i}: {tx.fn}({args}) sender={sender}")
     if trace.failing_label:
