@@ -20,7 +20,7 @@ import itertools
 from solverify.record import record
 from solverify.smt import terms as T
 from solverify.vir import ast as I
-from solverify.vir.prelude import ALLOC, LENGTH, STR_TO_INT, dtype_is, lookup_map_name
+from solverify.vir.prelude import ALLOC, LENGTH, dtype_is, lookup_map_name
 
 BOOL_IR_OPS = {"&&": "and", "||": "or", "==>": "=>", "!": "not"}
 INT_IR_OPS = {"+": "+", "-": "-", "*": "*", "neg": "neg"}
@@ -75,7 +75,7 @@ class QueryBuilder:
         self.fresh_counter = itertools.count()
         self.hypotheses: list[T.Term] = []
         self.obligations: list[tuple[T.Term, T.Term, str]] = []  # (guard, cond, label)
-        self.decls: dict[str, object] = {}
+        self.decls: dict[str, object] = {}  # name -> sort
         self.env: dict[str, T.Term] = {}
         self.types: dict[str, I.IrType] = {}
         self.slots: dict[str, str] = {}
@@ -132,17 +132,6 @@ class QueryBuilder:
                 return bank.mk("not", (bank.mk("=", args, sort=T.BOOL_S),),
                                sort=T.BOOL_S)
             raise VcError(f"operator {e.op}")
-        if isinstance(e, I.UFApply):
-            if e.name == STR_TO_INT:
-                # interning codes are already collision-free integers
-                return self.term(e.args[0], env)
-            args = tuple(self.term(a, env) for a in e.args)
-            sig = self.program.ufs.get(e.name)
-            if sig is None:
-                raise VcError(f"unknown function {e.name}")
-            self.decls.setdefault(f"uf!{e.name}", ("uf", tuple(sort_of(t) for t in sig[0]),
-                                                   sort_of(sig[1])))
-            return bank.apply(f"uf!{e.name}", args, sort_of(sig[1]))
         if isinstance(e, I.Select):
             cur = self.term(e.base, env)
             for k in e.keys:
@@ -323,12 +312,7 @@ class QueryBuilder:
     def _render(self, assertions: list[T.Term], selectors) -> SmtQuery:
         lines = ["(set-logic ALL)", "(declare-sort Ref 0)"]
         for name in sorted(self.decls):
-            decl = self.decls[name]
-            if isinstance(decl, tuple) and decl and decl[0] == "uf":
-                args = " ".join(T.sort_to_sexpr(a) for a in decl[1])
-                lines.append(f"(declare-fun {name} ({args}) {T.sort_to_sexpr(decl[2])})")
-            else:
-                lines.append(f"(declare-fun {name} () {T.sort_to_sexpr(decl)})")
+            lines.append(f"(declare-fun {name} () {T.sort_to_sexpr(self.decls[name])})")
         lines.extend(_render_shared(assertions))
         lines.append("(check-sat)")
         wanted = sorted(set(list(self.slots.values())

@@ -17,9 +17,7 @@ from solverify import InputError, claim
 from solverify.sol.linearize import subtypes_of
 from solverify.vir import ast as I
 from solverify.vir.ast import BOOL, INT, REF, MapType
-from solverify.vir.prelude import (
-    LENGTH, STR_TO_INT, dtype_is, emit_prelude, lookup_map_name,
-)
+from solverify.vir.prelude import LENGTH, dtype_is, emit_prelude, lookup_map_name
 
 THIS = "this"
 MSG_SENDER = "msg_sender"
@@ -102,7 +100,7 @@ def translate_expr(env: TransEnv, e: S.SolExpr) -> I.IrExpr:
     if isinstance(e, S.AddressLit):
         return I.RConst(e.value)
     if isinstance(e, S.StringLit):
-        return I.UFApply(STR_TO_INT, (I.IConst(env.intern(e.value)),))
+        return I.IConst(env.intern(e.value))
     if isinstance(e, S.EnumMember):
         return I.IConst(e.value)
     if isinstance(e, S.MsgSender):

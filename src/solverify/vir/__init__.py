@@ -6,7 +6,7 @@ The quantified allocation axioms live in the encoder (`engine.queries`)."""
 
 from solverify.vir.ast import (  # noqa: F401
     INT, BOOL, REF, MapType,
-    BConst, IConst, NamedConst, Op, RConst, Select, UFApply, Var,
+    BConst, IConst, NamedConst, Op, RConst, Select, Var,
     Alloc, Assert, Assign, Assume, Call, Havoc, If, IrProcedure, IrProgram,
     Seq, Skip, Store, While,
 )

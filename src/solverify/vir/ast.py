@@ -94,12 +94,6 @@ class Op(IrExpr):
 
 
 @record(frozen=True)
-class UFApply(IrExpr):
-    name: str
-    args: tuple[IrExpr, ...]
-
-
-@record(frozen=True)
 class Select(IrExpr):
     base: IrExpr
     keys: tuple[IrExpr, ...]
@@ -227,9 +221,9 @@ def seq_list(s: IrStmt) -> list[IrStmt]:
 # -- traversal -----------------------------------------------------------------
 
 def children(e: IrExpr) -> tuple[IrExpr, ...]:
-    """The direct subexpressions of `e`: operator and function arguments, a
-    select's base then keys."""
-    if isinstance(e, (Op, UFApply)):
+    """The direct subexpressions of `e`: operator arguments, a select's base
+    then keys."""
+    if isinstance(e, Op):
         return e.args
     if isinstance(e, Select):
         return (e.base,) + e.keys
@@ -244,8 +238,6 @@ def map_expr(e: IrExpr, f: Callable[[IrExpr], IrExpr | None]) -> IrExpr:
         return out
     if isinstance(e, Op):
         return Op(e.op, tuple(map_expr(a, f) for a in e.args))
-    if isinstance(e, UFApply):
-        return UFApply(e.name, tuple(map_expr(a, f) for a in e.args))
     if isinstance(e, Select):
         return Select(map_expr(e.base, f), tuple(map_expr(k, f) for k in e.keys))
     return e
@@ -328,7 +320,6 @@ class IrProcedure:
 @record
 class IrProgram:
     globals: dict[str, IrType] = field(default_factory=dict)
-    ufs: dict[str, tuple[tuple[IrType, ...], IrType]] = field(default_factory=dict)
     constants: dict[str, int] = field(default_factory=dict)
     procedures: dict[str, IrProcedure] = field(default_factory=dict)
 

@@ -207,11 +207,6 @@ class Interp:
                     raise IrRuntimeError("select on a non-map value")
                 cur = self.map_get(cur, self.eval(k, env))
             return cur
-        if isinstance(e, ast.UFApply):
-            args = [self.eval(a, env) for a in e.args]
-            # StrToInt is interpreted as the identity on interned codes,
-            # which keeps distinct literals distinct.
-            return args[0] if args else 0
         if isinstance(e, ast.Op):
             return self._eval_op(e, env)
         raise IrRuntimeError(f"cannot evaluate {type(e).__name__}")

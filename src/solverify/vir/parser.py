@@ -157,15 +157,6 @@ class _P:
             return ast.IConst(int(t))
         if re.match(r"[A-Za-z_]", t):
             self.take()
-            if self.at("("):
-                self.take()
-                args = []
-                while not self.at(")"):
-                    if args:
-                        self.expect(",")
-                    args.append(self.parse_expr())
-                self.take()
-                return ast.UFApply(t, tuple(args))
             if t in self.constants:
                 return ast.NamedConst(t)
             return ast.Var(t)
@@ -290,21 +281,6 @@ class _P:
                 ty = self.parse_type()
                 self.expect(";")
                 program.globals[name] = ty
-                continue
-            if self.at("function"):
-                self.take()
-                name = self.take()
-                self.expect("(")
-                args = []
-                while not self.at(")"):
-                    if args:
-                        self.expect(",")
-                    args.append(self.parse_type())
-                self.take()
-                self.expect(":")
-                ret = self.parse_type()
-                self.expect(";")
-                program.ufs[name] = (tuple(args), ret)
                 continue
             if self.at("const"):
                 self.take()

@@ -1,8 +1,8 @@
 """Program-independent IR prelude.
 
-Declares the allocation bookkeeping (Alloc, Length, DType), the string
-interning function and the per-level lookup maps of each reachable map
-signature, and `dtype_is`, the dynamic-type test.  What an `alloc`
+Declares the allocation bookkeeping (Alloc, Length, DType) and the
+per-level lookup maps of each reachable map signature, and `dtype_is`, the
+dynamic-type test.  What an `alloc`
 statement guarantees is stated by the encoder (`engine.queries`).
 """
 
@@ -15,7 +15,6 @@ from solverify.vir.ast import (
 ALLOC = "Alloc"
 LENGTH = "Length"
 DTYPE = "DType"
-STR_TO_INT = "StrToInt"
 
 
 def type_tag(ty: IrType) -> str:
@@ -44,7 +43,6 @@ def emit_prelude(map_sigs=()) -> IrProgram:
     program.globals[ALLOC] = MapType(REF, BOOL)
     program.globals[LENGTH] = MapType(REF, INT)
     program.globals[DTYPE] = MapType(REF, INT)
-    program.ufs[STR_TO_INT] = ((INT,), INT)
     # the order of globals numbers their fresh symbols in a query
     for chain, leaf in sorted(map_sigs, key=lambda s: "_".join(
             type_tag(t) for t in (*s[0], s[1]))):

@@ -27,8 +27,6 @@ def print_expr(e: ast.IrExpr, parent_prec: int = 0) -> str:
         return e.name
     if isinstance(e, ast.Var):
         return e.name
-    if isinstance(e, ast.UFApply):
-        return f"{e.name}({', '.join(print_expr(a) for a in e.args)})"
     if isinstance(e, ast.Select):
         keys = "".join(f"[{print_expr(k)}]" for k in e.keys)
         return f"{print_expr(e.base, 9)}{keys}"
@@ -102,9 +100,6 @@ def print_ir(program: ast.IrProgram) -> str:
     lines: list[str] = []
     for name in sorted(program.globals):
         lines.append(f"var {name}: {program.globals[name]};")
-    for name in sorted(program.ufs):
-        args, ret = program.ufs[name]
-        lines.append(f"function {name}({', '.join(str(t) for t in args)}): {ret};")
     for name in sorted(program.constants):
         lines.append(f"const {name} = {program.constants[name]};")
     for name in sorted(program.procedures):

@@ -70,9 +70,9 @@ def test_string_literal_interned():
     """)
     assert tr.interner == {"hello": 1, "world": 2}
     body = I.seq_list(tr.ir.procedures["F_C"].body)
-    assert print_expr(body[0].value) == "StrToInt(1)"
-    assert print_expr(body[1].value) == "StrToInt(2)"
-    assert print_expr(body[2].value) == "StrToInt(1)"
+    assert print_expr(body[0].value) == "1"
+    assert print_expr(body[1].value) == "2"
+    assert print_expr(body[2].value) == "1"
 
 
 # -- statement rules ----------------------------------------------------------------
@@ -387,7 +387,7 @@ def _all_selects(e, out):
         _all_selects(e.base, out)
         for k in e.keys:
             _all_selects(k, out)
-    elif isinstance(e, (I.Op, I.UFApply)):
+    elif isinstance(e, I.Op):
         for a in e.args:
             _all_selects(a, out)
 

@@ -53,12 +53,11 @@ def test_instance_alloc_facts():
         "(assert sel!0)"]
 
 
-def test_prelude_globals_and_uf():
+def test_prelude_globals():
     program = emit_prelude()
     assert program.globals[ALLOC] == MapType(REF, BOOL)
     assert program.globals[LENGTH] == MapType(REF, INT)
     assert program.globals["DType"] == MapType(REF, INT)
-    assert "StrToInt" in program.ufs
 
 
 def test_prelude_declares_a_lookup_map_per_level():
