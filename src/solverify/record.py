@@ -13,7 +13,6 @@ kept.  Options:
   or what the class defines).  With `eq` and not frozen, `__hash__` is None.
 - `field(default=..., default_factory=..., compare=...)`: a default value,
   a callable called per instance, and exclusion from `==` and `hash`.
-- `__post_init__`, when the class has one, runs at the end of `__init__`.
 
 Two records are equal only if they are of the same class and their compared
 fields are equal as tuples, as with dataclasses.  Building the classes this
@@ -118,8 +117,6 @@ def _build(cls, frozen: bool, eq: bool):
         body.append(f"_d[{name!r}] = {value}" if frozen else f"self.{name} = {value}")
     if frozen and body:  # past the __setattr__ that refuses assignment
         body.insert(0, "_d = self.__dict__")
-    if hasattr(cls, "__post_init__"):
-        body.append("self.__post_init__()")
     exec("\n".join([f"def __init__({', '.join(params)}):",
                      *(f"    {line}" for line in body or ["pass"])]), env)
     methods = {"__init__": env["__init__"], "__repr__": _repr}

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 
-from solverify.record import record
+from solverify.record import field, record
 
 
 # -- sorts --------------------------------------------------------------------
@@ -151,14 +151,10 @@ def sexpr(t: Term) -> str:
 @record
 class Script:
     bank: TermBank
-    sorts: list[str] = None
-    decls: dict[str, tuple[tuple, object]] = None  # name -> (arg sorts, sort)
-    assertions: list[Term] = None
-
-    def __post_init__(self):
-        self.sorts = self.sorts or []
-        self.decls = self.decls or {}
-        self.assertions = self.assertions or []
+    sorts: list[str] = field(default_factory=list)
+    # name -> (arg sorts, sort)
+    decls: dict[str, tuple[tuple, object]] = field(default_factory=dict)
+    assertions: list[Term] = field(default_factory=list)
 
 
 # -- s-expression reader -----------------------------------------------------------
