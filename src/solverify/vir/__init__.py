@@ -1,7 +1,9 @@
-"""Verification IR: a small, quantifier-free Boogie-like language with maps,
-havoc, assume/assert, procedures, and instance and map allocation, plus a
-textual format (`printer`, `parser`) and a reference interpreter used as the
-replay oracle (`interp`), imported from their modules where they are used.
+"""Verification IR: a small Boogie-like language with maps, havoc,
+assume/assert, procedures, and instance and map allocation, and without
+quantifiers or uninterpreted functions (a string literal is its interned
+integer), plus a textual format (`printer`, `parser`) and a reference
+interpreter used as the replay oracle (`interp`), imported from their
+modules where they are used.
 The quantified allocation axioms live in the encoder (`engine.queries`)."""
 
 from solverify.vir.ast import (  # noqa: F401

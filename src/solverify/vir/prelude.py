@@ -2,8 +2,8 @@
 
 Declares the allocation bookkeeping (Alloc, Length, DType) and the
 per-level lookup maps of each reachable map signature, and `dtype_is`, the
-dynamic-type test.  What an `alloc`
-statement guarantees is stated by the encoder (`engine.queries`).
+dynamic-type test.  What an `alloc` statement guarantees is stated by the
+encoder (`engine.queries`).
 """
 
 from __future__ import annotations
