@@ -187,15 +187,10 @@ def test_render_trace_golden():
 
 
 def test_bool_argument_is_printed_in_solidity_spelling(tmp_path, capsys):
-    path = tmp_path / "c.sol"
-    path.write_text("contract C {\n    int x;\n    constructor() public { x = 0; }\n"
-                    "    function F(bool b) public { if (b) { x = 1; } }\n"
-                    "    function G() public { assert(x == 0); }\n}\n")
-    report = tmp_path / "r.json"
-    assert run_cli("verify", "--mode", "assertions", "--k", "3", "--sol", str(path),
-                   "--report-json", str(report)) == EXIT_REFUTED
-    assert "  tx2: F(true) sender=" in capsys.readouterr().out
-    assert json.loads(report.read_text())["trace"][1]["args"] == [True]
+    code, doc = _verify_function(tmp_path, "", "assert(!b);", params="bool b")
+    assert code == EXIT_REFUTED
+    assert "  tx2: f(true) sender=" in capsys.readouterr().out
+    assert doc["trace"][1]["args"] == [True]
 
 
 def test_report_lists_functions_without_transitions(tmp_path):
