@@ -236,11 +236,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_report(path: str, report: dict) -> bool:
+    """Write the JSON report; False, after an `error:` line, if it cannot."""
+    try:
+        with open(path, "w") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _write_error_report(path: str | None, verdict: str, error: str):
     if path:
-        with open(path, "w") as fh:
-            json.dump({"schema": REPORT_SCHEMA_VERSION, "verdict": verdict,
-                       "error": error}, fh, indent=2, sort_keys=True)
+        _write_report(path, {"schema": REPORT_SCHEMA_VERSION,
+                             "verdict": verdict, "error": error})
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -270,10 +280,9 @@ def main(argv: list[str] | None = None) -> int:
         _write_error_report(args.report_json, "InternalError",
                             traceback.format_exc())
         return EXIT_INTERNAL_ERROR
+    if cfg.report_json and not _write_report(cfg.report_json, report):
+        return EXIT_INPUT_ERROR  # a verdict is only returned with its report
     _print_report(report)
-    if cfg.report_json:
-        with open(cfg.report_json, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
     return code
 
 

@@ -322,8 +322,3 @@ def make_runtime_checks(program: ast.SolProgram) -> ast.SolProgram:
     for c in program.contracts:
         c.functions = [f for f in c.functions if f.name != NONDET_FN or f.body is not None]
     return program
-
-
-def count_nondet_calls(program: ast.SolProgram) -> int:
-    return sum(isinstance(x, ast.ExprCall) and x.fn == NONDET_FN
-               for body in ast.bodies(program) for x in ast.walk(body))

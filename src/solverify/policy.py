@@ -3,8 +3,8 @@
 A policy document is a JSON file describing, per workflow, a finite set of
 states with an initial state, the functions that drive transitions between
 states, and the roles (global or per-instance) allowed to invoke each
-transition.  This module parses, validates, and serializes that document; the
-rest of the pipeline consumes the immutable objects built here.
+transition.  This module parses and validates that document; the rest of
+the pipeline consumes the immutable objects built here.
 """
 
 from __future__ import annotations
@@ -319,37 +319,3 @@ def transitions_for_function(workflow: Workflow, fn: str) -> list[Transition]:
     if fn not in workflow.function_names():
         raise UnknownFunction(f"{fn!r} is not a function of workflow {workflow.name}")
     return [t for t in workflow.transitions if t.function == fn]
-
-
-def serialize_policy(policy: Policy) -> str:
-    """Inverse of parse_policy on validated policies (round-trip identity)."""
-    def sig_doc(sig: FunctionSig) -> dict:
-        return {"Parameters": [{"Name": n, "Type": t} for n, t in sig.params]}
-
-    doc = {
-        "ApplicationName": policy.name,
-        "ApplicationRoles": [{"Name": r} for r in sorted(policy.roles)],
-        "Workflows": [
-            {
-                "Name": w.name,
-                "Initiators": sorted(w.initiator_roles),
-                "StartState": w.initial_state,
-                "States": list(w.states),
-                "Properties": [{"Name": n, "Type": t} for n, t in w.properties],
-                "Constructor": sig_doc(w.constructor),
-                "Functions": [{"Name": f.name, **sig_doc(f)} for f in w.functions],
-                "Transitions": [
-                    {
-                        "StartState": t.start,
-                        "Function": t.function,
-                        "AllowedRoles": sorted(t.access.global_roles),
-                        "AllowedInstanceRoles": sorted(t.access.instance_roles),
-                        "NextStates": list(t.successors),
-                    }
-                    for t in w.transitions
-                ],
-            }
-            for w in policy.workflows
-        ],
-    }
-    return json.dumps(doc, indent=2)

@@ -6,7 +6,6 @@ the verifier runs `serve` in a fork of itself (`engine.smtio`);
 
 from __future__ import annotations
 
-import io
 import sys
 
 from solverify.smt.solver import Solved, solve
@@ -107,13 +106,6 @@ def serve(inp, out):
 def main() -> int:
     serve(sys.stdin, sys.stdout)
     return 0
-
-
-def run(text: str) -> str:
-    """One-shot convenience for tests: feed a script, capture the output."""
-    out = io.StringIO()
-    serve(io.StringIO(text), out)
-    return out.getvalue().strip()
 
 
 if __name__ == "__main__":

@@ -1,9 +1,9 @@
 """Frontend for the core Solidity subset: lexer, parser, typechecker,
 inheritance linearizer, modifier desugarer, conformance checker, plus a
-printer (`printer`) and a reference interpreter used as a testing oracle
-(`interp`), imported from their modules where they are used.  The
+printer (`printer`), imported from its module where it is used.  The
 conformance checker, which needs the policy module, loads on first use of
-`check_syntactic_conformance`."""
+`check_syntactic_conformance`.  The source-level reference semantics the
+tests compare the pipeline with is test code (`tests/sol_semantics.py`)."""
 
 from solverify.sol.ast import (  # noqa: F401
     AddressType,

@@ -82,7 +82,7 @@ class TransEnv:
     def intern(self, text: str) -> int:
         interner = self.tr.interner
         if text not in interner:
-            interner[text] = len(interner) + 1
+            interner[text] = len(interner)
         return interner[text]
 
 
@@ -321,7 +321,7 @@ def _translate_call(env: TransEnv, s, receiver: S.SolExpr | None) -> I.IrStmt:
 @record
 class Translation:
     ir: I.IrProgram
-    interner: dict[str, int]
+    interner: dict[str, int]  # literal -> code; "" is 0, an unset string
     source: S.SolProgram
     state_maps: dict[tuple[str, str], str]  # (owner, var) -> IR global
     procs: dict[tuple[str, str | None], str]  # (contract, fn or None) -> procedure
@@ -386,7 +386,7 @@ def translate_program(program: S.SolProgram) -> Translation:
     maps and then the contract constants; the procedures after the
     prelude's and the harness."""
     ir = emit_prelude(_collect_map_sigs(program))
-    tr = Translation(ir=ir, interner={}, source=program, state_maps={}, procs={},
+    tr = Translation(ir=ir, interner={"": 0}, source=program, state_maps={}, procs={},
                      consts={})
     globals_taken = {*ir.globals, INST, CTOR_SENDER, SENDER, THIS, MSG_SENDER, RET}
     procs_taken = {*ir.procedures, HARNESS}

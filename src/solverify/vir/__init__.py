@@ -1,9 +1,10 @@
 """Verification IR: a small Boogie-like language with maps, havoc,
 assume/assert, procedures, and instance and map allocation, and without
 quantifiers or uninterpreted functions (a string literal is its interned
-integer), plus a textual format (`printer`, `parser`) and a reference
+integer), plus a printer of its textual format (`printer`) and a reference
 interpreter used as the replay oracle (`interp`), imported from their
-modules where they are used.
+modules where they are used.  The parser of the textual format, which only
+checks that printed IR re-parses, is test code (`tests/vir_parser.py`).
 The quantified allocation axioms live in the encoder (`engine.queries`)."""
 
 from solverify.vir.ast import (  # noqa: F401

@@ -107,15 +107,6 @@ def select(base: IrExpr, *keys: IrExpr) -> Select:
     return Select(base, tuple(keys))
 
 
-def disj(*parts: IrExpr) -> IrExpr:
-    if not parts:
-        return BConst(False)
-    out = parts[0]
-    for p in parts[1:]:
-        out = op("||", out, p)
-    return out
-
-
 # -- statements ---------------------------------------------------------------
 
 class IrStmt:

@@ -1,7 +1,8 @@
 """Deterministic textual form of IR programs (.vir files).
 
-Section order: globals, uninterpreted functions, constants, procedures, each
-alphabetical.  The output re-parses to a structurally equal program.
+Section order: globals, constants, procedures, each alphabetical.  The
+output re-parses to a structurally equal program; the parser that checks
+this is test code (`tests/vir_parser.py`).
 """
 
 from __future__ import annotations

@@ -1,3 +1,5 @@
+import io
+import json
 import os
 
 import pytest
@@ -32,6 +34,48 @@ def fresh_facts(ref: str, alloc: str = "Alloc!0") -> list[str]:
     afterwards reads as `(store alloc ref true)`."""
     return [f"(assert (=> true (not (select {alloc} {ref}))))",
             f"(assert (=> true (not (= {ref} null))))"]
+
+
+def run_smt(text: str) -> str:
+    """The bundled solver's answers to the script `text`, one per line."""
+    from solverify.smt.cli import serve
+    out = io.StringIO()
+    serve(io.StringIO(text), out)
+    return out.getvalue().strip()
+
+
+def serialize_policy(policy) -> str:
+    """Inverse of `parse_policy` on validated policies (round-trip identity)."""
+    def sig_doc(sig) -> dict:
+        return {"Parameters": [{"Name": n, "Type": t} for n, t in sig.params]}
+
+    doc = {
+        "ApplicationName": policy.name,
+        "ApplicationRoles": [{"Name": r} for r in sorted(policy.roles)],
+        "Workflows": [
+            {
+                "Name": w.name,
+                "Initiators": sorted(w.initiator_roles),
+                "StartState": w.initial_state,
+                "States": list(w.states),
+                "Properties": [{"Name": n, "Type": t} for n, t in w.properties],
+                "Constructor": sig_doc(w.constructor),
+                "Functions": [{"Name": f.name, **sig_doc(f)} for f in w.functions],
+                "Transitions": [
+                    {
+                        "StartState": t.start,
+                        "Function": t.function,
+                        "AllowedRoles": sorted(t.access.global_roles),
+                        "AllowedInstanceRoles": sorted(t.access.instance_roles),
+                        "NextStates": list(t.successors),
+                    }
+                    for t in w.transitions
+                ],
+            }
+            for w in policy.workflows
+        ],
+    }
+    return json.dumps(doc, indent=2)
 
 
 def get_value_replying_solver(tmp_path, reply: str) -> str:

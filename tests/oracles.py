@@ -1,15 +1,22 @@
 """Independent oracles: exhaustive breadth-first search over transaction
-sequences (ground truth for bounded checking) and brute-force greatest
-inductive subset (ground truth for invariant inference)."""
+sequences (ground truth for bounded checking), the finitization that makes
+the bounded check comparable with it, and brute-force greatest inductive
+subset (ground truth for invariant inference)."""
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
+from unittest import mock
 
+from solverify.engine import bmc
 from solverify.engine.candidates import CandidatePredicate
 from solverify.engine.houdini import _build_checks, _proc_query
+from solverify.engine.queries import vc_gen
 from solverify.engine.smtio import SolverConfig, check_smt
-from solverify.translate import HarnessInfo, Translation
+from solverify.engine.unroll import harness_var
+from solverify.translate import CTOR_SENDER, HARNESS, SENDER, HarnessInfo, Translation
 from solverify.vir import ast as I
 from solverify.vir.interp import Interp, MapValue
 from solverify.vir.prelude import DTYPE
@@ -58,6 +65,48 @@ def _nondet_count(tr: Translation, proc_name: str) -> int:
     proc = tr.ir.procedures[proc_name]
     import re
     return sum(1 for name, ty in proc.locals if re.match(r"^nd\d+$", name))
+
+
+@contextlib.contextmanager
+def pinned_inputs(tr: Translation, hinfo: HarnessInfo, senders: list[int],
+                  int_args: list[int]):
+    """Within the block, `bmc.bounded_check` searches the domains of
+    `bfs_search`: in each query it encodes, every havoc of a harness input
+    is followed by an assume that pins it (senders to the id pool `senders`,
+    integer arguments to `int_args`, reference arguments to the pool or
+    null).  Trace extraction still gets the unpinned procedure: it renames
+    the model's references, which the pins (reference literals) would not
+    survive, and a model of the pinned query is one of the unpinned one."""
+    harness = tr.ir.procedures[HARNESS]
+    local_types = dict(harness.params + harness.returns + harness.locals)
+    arg_bases = set(hinfo.ctor_args)
+    for _, _, _, arg_vars in hinfo.branches:
+        arg_bases.update(arg_vars)
+
+    def domain(var: str) -> list[I.IrExpr]:
+        base = harness_var(var)
+        if base in (CTOR_SENDER, SENDER):
+            return [I.RConst(v) for v in senders]
+        if base in arg_bases and local_types.get(base) == I.INT:
+            return [I.IConst(v) for v in int_args]
+        if base in arg_bases and local_types.get(base) == I.REF:
+            return [I.RConst(v) for v in senders] + [I.RConst(0)]
+        return []
+
+    def pin(s: I.IrStmt) -> I.IrStmt | None:
+        if not isinstance(s, I.Havoc) or not (values := domain(s.var)):
+            return None
+        cases = [I.op("==", I.Var(s.var), v) for v in values]
+        return I.seq(s, I.Assume(functools.reduce(
+            lambda a, b: I.op("||", a, b), cases)))
+
+    def pinned_vc_gen(program: I.IrProgram, proc: I.IrProcedure):
+        return vc_gen(program, I.IrProcedure(
+            proc.name, proc.params, proc.returns, proc.locals,
+            I.map_stmt(proc.body, pin)))
+
+    with mock.patch.object(bmc, "vc_gen", pinned_vc_gen):
+        yield
 
 
 def bfs_search(tr: Translation, hinfo: HarnessInfo, k_max: int,

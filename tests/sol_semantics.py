@@ -1,10 +1,11 @@
 """Reference semantics for the typed, desugared subset.
 
 Direct evaluation over contract instances with Python-level maps; strings
-evaluate to their interned codes so results line up with the IR encoding.
-Used as the source-level oracle for translation equivalence and for runtime
-semantics questions; reverts (failed require) and assertion failures are
-distinct outcomes.
+evaluate to their interned codes (`""`, an unset string, is 0) so results
+line up with the IR encoding.  The tests use it as the source-level oracle
+for translation equivalence and for runtime semantics questions; of the
+pipeline it imports only the Solidity AST and `@record`.  Reverts (failed
+require) and assertion failures are distinct outcomes.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ class World:
 
     def intern(self, text: str) -> int:
         if text not in self.interner:
-            self.interner[text] = len(self.interner) + 1
+            self.interner[text] = len(self.interner)
         return self.interner[text]
 
     def new_instance(self, contract: str, args: list, sender) -> Instance:
@@ -314,5 +315,5 @@ def _exec(s: ast.SolStmt, frame: Frame, ret: list):
 def make_world(program: ast.SolProgram, interner: dict[str, int] | None = None,
                tape=()) -> World:
     return World(program=program,
-                 interner=interner if interner is not None else {},
+                 interner=interner if interner is not None else {"": 0},
                  tape=list(tape))

@@ -8,15 +8,13 @@ import contextlib
 import time
 
 from conftest import alloc_smt, fixture_text, fresh_facts
-from oracles import bfs_search
+from oracles import bfs_search, pinned_inputs
 from solverify.engine import verify
-from solverify.engine.bmc import Domains, bounded_check
+from solverify.engine.bmc import bounded_check
 from solverify.engine.queries import vc_gen
 from solverify.engine.smtio import SolverConfig, check_smt
 from solverify.engine.trace import replay_trace
-from solverify.instrument import (
-    count_nondet_calls, instrument_for_conformance, make_runtime_checks,
-)
+from solverify.instrument import instrument_for_conformance, make_runtime_checks
 from solverify.policy import parse_policy
 from solverify.sol import desugar_modifiers, parse_contract, typecheck
 from solverify.translate import generate_harness, translate_program
@@ -173,9 +171,9 @@ def test_criterion_6_bounded_completeness_against_bfs():
         senders = te.SENDERS
         for name, src, expected_k in te.FINITIZED:
             tr, hinfo, _ = build(src)
-            domains = Domains(int_args=[0, 1, 2], senders=senders)
-            outcome = bounded_check(tr, hinfo, k_max=4, domains=domains,
-                                    solver=SolverConfig(timeout=300))
+            with pinned_inputs(tr, hinfo, senders=senders, int_args=[0, 1, 2]):
+                outcome = bounded_check(tr, hinfo, k_max=4,
+                                        solver=SolverConfig(timeout=300))
             found = bfs_search(tr, hinfo, 4, senders=senders,
                                int_args=[0, 1, 2])
             if found is None:
@@ -227,7 +225,7 @@ def test_criterion_9_runtime_checks():
     with criterion(9, "runtime variant has zero nondet calls and every "
                       "emitted check is implied by the original under all "
                       "nondet valuations"):
-        from test_instrument import assert_weakening_sound
+        from test_instrument import assert_weakening_sound, count_nondet_calls
         fixtures = [
             ("helloblockchain.sol", "helloblockchain.json"),
             ("assettransfer_fixed.sol", "assettransfer.json"),

@@ -79,6 +79,42 @@ def test_unreadable_file_exit_three(capsys):
     assert code == EXIT_INPUT_ERROR
 
 
+def test_unwritable_report_after_a_verdict_is_an_input_error(capsys, tmp_path):
+    """A verdict's exit code is returned only with its report written."""
+    report = tmp_path / "missing" / "report.json"
+    code = run_cli("verify", "--policy", fixture_path("helloblockchain.json"),
+                   "--sol", fixture_path("helloblockchain.sol"),
+                   "--report-json", str(report))
+    assert code == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {report}: ")
+    assert "\n" not in captured.err.strip()
+    assert "verdict" not in captured.out
+    assert not report.parent.exists()
+
+
+@pytest.mark.parametrize("policy, code, message", [
+    ("/nonexistent/app.json", EXIT_INPUT_ERROR,
+     "error: cannot read /nonexistent/app.json"),
+    (None, EXIT_INTERNAL_ERROR, "internal error: RuntimeError: verifier broken"),
+], ids=["input-error", "internal-error"])
+def test_unwritable_report_keeps_the_exit_code_of_a_failed_run(
+        policy, code, message, monkeypatch, capsys, tmp_path):
+    import solverify.cli as cli
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("verifier broken")
+
+    monkeypatch.setattr(cli, "engine_verify", boom)
+    report = tmp_path / "missing" / "report.json"
+    assert run_cli("verify", "--policy", policy or fixture_path("helloblockchain.json"),
+                   "--sol", fixture_path("helloblockchain.sol"),
+                   "--report-json", str(report)) == code
+    first, second = capsys.readouterr().err.strip().split("\n")
+    assert first.startswith(message)
+    assert second.startswith(f"error: cannot write {report}: ")
+
+
 def test_nonconformant_exit_three(capsys, tmp_path):
     bad = tmp_path / "bad.sol"
     bad.write_text(open(fixture_path("helloblockchain.sol")).read()
@@ -133,7 +169,7 @@ def test_emit_artifacts(tmp_path, capsys):
     parse_contract(text)
     ir_text = ir.read_text()
     assert "procedure DigitalLocker_Ctor" in ir_text
-    from solverify.vir.parser import parse_ir
+    from vir_parser import parse_ir
     parse_ir(ir_text)
     dumps = os.listdir(smt_dir)
     assert any(name.endswith(".smt2") for name in dumps)
@@ -632,7 +668,7 @@ def _fails_in_source(src: str, trace: list) -> bool:
     """Whether the calls of `trace` fail an assertion in the source-level
     semantics."""
     from solverify.sol import desugar_modifiers, parse_contract, typecheck
-    from solverify.sol.interp import SolAssertFail, make_world
+    from sol_semantics import SolAssertFail, make_world
 
     def sender(value):
         return None if value == 0 else ("addr", value)
@@ -765,6 +801,16 @@ def test_unstored_string_literal_is_never_equal(tmp_path, capsys):
     assert run_cli("verify", "--mode", "assertions", "--k", "3",
                    "--sol", str(path)) == EXIT_PARTIAL
     assert "safe up to 3 transactions" in capsys.readouterr().out
+
+
+def test_unset_string_equals_the_empty_literal(tmp_path, capsys):
+    """An unset `string` is `""`: both are the code 0."""
+    path = tmp_path / "c.sol"
+    path.write_text('contract C { string m; constructor() public { } '
+                    'function F() public { assert(m == ""); } }')
+    assert run_cli("verify", "--mode", "assertions", "--k", "2",
+                   "--sol", str(path)) == EXIT_PARTIAL
+    assert "safe up to 2 transactions" in capsys.readouterr().out
 
 
 def test_modifier_post_statement_runs_after_a_tail_return(tmp_path):

@@ -1,9 +1,9 @@
 import pytest
 
 from conftest import get_value_replying_solver
-from oracles import bfs_search, greatest_inductive_subset
+from oracles import bfs_search, greatest_inductive_subset, pinned_inputs
 from solverify.engine import verify
-from solverify.engine.bmc import Domains, bounded_check
+from solverify.engine.bmc import bounded_check
 from solverify.engine.candidates import CandidatePredicate, generate_candidates
 from solverify.engine.houdini import houdini_infer
 from solverify.engine.queries import vc_gen
@@ -386,9 +386,9 @@ FINITIZED = [
 @pytest.mark.parametrize("name,src,expected_k", FINITIZED)
 def test_bmc_agrees_with_exhaustive_search(name, src, expected_k):
     tr, hinfo, _ = build(src)
-    domains = Domains(int_args=[0, 1, 2], senders=SENDERS)
-    outcome = bounded_check(tr, hinfo, k_max=4, domains=domains,
-                            solver=SolverConfig(timeout=120))
+    with pinned_inputs(tr, hinfo, senders=SENDERS, int_args=[0, 1, 2]):
+        outcome = bounded_check(tr, hinfo, k_max=4,
+                                solver=SolverConfig(timeout=120))
     found = bfs_search(tr, hinfo, 4, senders=SENDERS, int_args=[0, 1, 2])
     if expected_k is None:
         assert outcome.trace is None
@@ -405,11 +405,27 @@ def test_pinned_domains_extract_with_any_sender_pool():
     """Extraction renames the model's references, so it must not run the
     domain pins (reference literals) that only narrowed the search."""
     tr, hinfo, _ = build(SENDERDEP)
-    outcome = bounded_check(tr, hinfo, k_max=3,
-                            domains=Domains(int_args=[0, 1, 2], senders=[5, 7]),
-                            solver=SolverConfig(timeout=120))
+    with pinned_inputs(tr, hinfo, senders=[5, 7], int_args=[0, 1, 2]):
+        outcome = bounded_check(tr, hinfo, k_max=3,
+                                solver=SolverConfig(timeout=120))
     assert outcome.trace.k == 2
     assert [tx.fn for tx in outcome.trace.transactions] == ["S", "Poke", "Poke"]
+
+
+def test_pinned_inputs_narrow_the_bounded_check():
+    """An argument outside the pinned domain cannot fail the assertion, and
+    the pins end with the block."""
+    tr, hinfo, _ = build("""
+    contract P {
+        constructor() public { }
+        function F(int v) public { assert(v != 5); }
+    }
+    """)
+    with pinned_inputs(tr, hinfo, senders=SENDERS, int_args=[0, 1, 2]):
+        pinned = bounded_check(tr, hinfo, k_max=1, solver=SolverConfig(timeout=120))
+    assert pinned.trace is None and pinned.bound == 1
+    outcome = bounded_check(tr, hinfo, k_max=1, solver=SolverConfig(timeout=120))
+    assert [tx.args for tx in outcome.trace.transactions] == [[], [5]]
 
 
 def test_counter_unreachable_at_k2():

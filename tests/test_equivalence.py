@@ -10,8 +10,8 @@ import random
 
 import pytest
 
+from sol_semantics import SolArr, make_world
 from solverify.sol import desugar_modifiers, parse_contract, typecheck
-from solverify.sol.interp import SolArr, make_world
 from solverify.translate import translate_program
 from solverify.vir import ast as I
 from solverify.vir.interp import Completed, MapValue, interpret

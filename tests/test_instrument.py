@@ -4,12 +4,17 @@ import pytest
 
 from solverify.instrument import (
     NONDET_FN, NotSyntacticallyConformant, access_predicate,
-    count_nondet_calls, instrument_for_conformance, make_runtime_checks,
-    runtime_check_condition, state_predicate,
+    instrument_for_conformance, make_runtime_checks, runtime_check_condition,
+    state_predicate,
 )
 from solverify.policy import AccessSet, parse_policy
 from solverify.sol import ast, desugar_modifiers, parse_contract, typecheck
 from solverify.sol.printer import print_expr
+
+
+def count_nondet_calls(program: ast.SolProgram) -> int:
+    return sum(isinstance(x, ast.ExprCall) and x.fn == NONDET_FN
+               for body in ast.bodies(program) for x in ast.walk(body))
 
 
 @pytest.fixture(scope="module")
@@ -294,7 +299,7 @@ def test_runtime_checks_enforce_at_execution(hb_source, hb_policy_text):
     and stays quiet on a conforming one."""
     from solverify.policy import parse_policy
     from solverify.sol.desugar import desugar_modifiers
-    from solverify.sol.interp import SolAssertFail, make_world
+    from sol_semantics import SolAssertFail, make_world
 
     policy = parse_policy(hb_policy_text)
     buggy_src = hb_source.replace(

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
+from conftest import serialize_policy
 from solverify.policy import (
     AccessSet, Diagnostic, DuplicateName, FunctionSig, Policy, SchemaError,
-    Transition, UnknownFunction, Workflow, parse_policy, serialize_policy,
+    Transition, UnknownFunction, Workflow, parse_policy,
     transitions_for_function, validate_policy,
 )
 

@@ -4,14 +4,15 @@ import json
 
 from hypothesis import given, settings, strategies as st
 
+from conftest import serialize_policy
 from solverify.engine.queries import QueryBuilder
 from solverify.instrument import NONDET_FN, runtime_check_condition
-from solverify.policy import parse_policy, serialize_policy
+from solverify.policy import parse_policy
 from solverify.sol import ast
 from solverify.vir import ast as I
 from solverify.vir.interp import Interp
-from solverify.vir.parser import parse_ir
 from solverify.vir.printer import print_ir
+from vir_parser import parse_ir
 
 ident = st.from_regex(r"[A-Z][a-zA-Z0-9]{0,6}", fullmatch=True)
 

@@ -11,9 +11,10 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import run_smt
 from solverify.engine.queries import _render_shared
 from solverify.smt import solver
-from solverify.smt.cli import run, serve
+from solverify.smt.cli import serve
 from solverify.smt.solver import _sat_solve
 from solverify.smt.terms import (
     BOOL_S, INT_S, TermBank, array_sort, parse_script, read_sexprs,
@@ -21,7 +22,7 @@ from solverify.smt.terms import (
 
 
 def answer(script: str) -> str:
-    return run(script).splitlines()[0]
+    return run_smt(script).splitlines()[0]
 
 
 # -- basics --------------------------------------------------------------------
@@ -95,7 +96,7 @@ def test_define_fun_expands():
 
 
 def test_get_value():
-    out = run("""
+    out = run_smt("""
     (declare-const x Int)(declare-const b Bool)
     (assert (= x 41))(assert b)
     (check-sat)(get-value (x b))""")
@@ -123,7 +124,7 @@ def test_distinctness_axiom_gives_sat_with_distinct_refs():
     # a satisfiable aliasing question on a two-level map: the inner refs are
     # forced distinct, cross-checked against the interpreter semantics where
     # fresh rows mint distinct references
-    out = run("""
+    out = run_smt("""
     (set-logic ALL)
     (declare-sort Ref 0)
     (declare-const v Ref)
@@ -248,23 +249,23 @@ def test_trigger_matching_refutes_what_full_grounding_refutes(case):
 
 
 def test_session_reset():
-    out = run("(assert false)(check-sat)(reset)(assert true)(check-sat)")
+    out = run_smt("(assert false)(check-sat)(reset)(assert true)(check-sat)")
     assert out.splitlines() == ["unsat", "sat"]
 
 
 def test_echo():
-    assert run('(echo "ping")') == "ping"
+    assert run_smt('(echo "ping")') == "ping"
 
 
 def test_stray_close_paren_is_an_error_and_serving_continues():
-    lines = run(")(check-sat)").splitlines()
+    lines = run_smt(")(check-sat)").splitlines()
     assert len(lines) == 2
     assert lines[0].startswith("(error")
     assert lines[1] == "sat"
 
 
 def test_comments_and_strings_do_not_split_commands():
-    out = run('(echo "a (b) ; c") ; note (\n(assert true) ; )\n(check-sat)')
+    out = run_smt('(echo "a (b) ; c") ; note (\n(assert true) ; )\n(check-sat)')
     assert out.splitlines() == ["a (b) ; c", "sat"]
 
 
@@ -285,7 +286,7 @@ def test_each_command_is_answered_before_the_next_line_is_read():
 
 
 def test_get_model():
-    out = run("""
+    out = run_smt("""
     (declare-const x Int)
     (assert (= x 3))
     (check-sat)(get-model)""")
@@ -430,7 +431,7 @@ def _int_values(out: str) -> dict[str, int]:
 
 
 def test_disequality_against_a_lower_bound_is_separated():
-    out = run("""
+    out = run_smt("""
     (declare-const x Int)
     (assert (>= x 3))(assert (not (= x 3)))
     (check-sat)(get-value (x))""")
@@ -448,7 +449,7 @@ def test_disequality_against_a_forced_value_is_unsat():
 def test_disequality_over_terms_without_edges_is_tested():
     # y and z occur in no bound: without potentials of their own the
     # disequality went untested and the model failed validation (unknown)
-    out = run("""
+    out = run_smt("""
     (declare-const x Int)(declare-const y Int)(declare-const z Int)
     (assert (> x 0))(assert (or (<= x 0) (not (= z (+ y (- 1))))))
     (check-sat)(get-value (x y z))""")
@@ -471,7 +472,7 @@ def test_disequality_term_shares_its_congruence_class_potential():
 def test_forced_disequality_conflict_blames_both_bounds():
     # with x <= 3 chosen, x = 3 is forced by both bounds; a conflict that
     # dropped x <= 3 would rule out x >= 5 as well
-    out = run("""
+    out = run_smt("""
     (declare-const x Int)
     (assert (>= x 3))(assert (or (>= x 5) (<= x 3)))(assert (not (= x 3)))
     (check-sat)(get-value (x))""")
@@ -543,7 +544,7 @@ def test_difference_logic_agrees_with_enumeration(case):
     script = "".join(f"(declare-const {n} Int)" for n in names)
     for clause in clauses:
         script += f"(assert (or {' '.join(text for text, _ in clause)}))"
-    out = run(script + f"(check-sat)(get-value ({' '.join(names)}))")
+    out = run_smt(script + f"(check-sat)(get-value ({' '.join(names)}))")
     got = out.splitlines()[0]
     if got == "sat":
         values = _int_values(out)

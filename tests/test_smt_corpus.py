@@ -25,9 +25,8 @@ import shlex
 import sys
 import tempfile
 
-from conftest import fixture_path
+from conftest import fixture_path, run_smt
 from solverify.cli import main
-from solverify.smt import cli as smt_cli
 
 CORPUS = fixture_path(os.path.join("smt", "corpus.json"))
 BUNDLED = shlex.join([sys.executable, "-m", "solverify.smt.cli"])
@@ -85,7 +84,7 @@ def dump_corpus(workdir: str) -> dict:
                 text = fh.read()
             queries[fname] = {
                 "sha256": hashlib.sha256(text.encode()).hexdigest(),
-                "answer": smt_cli.run(text).splitlines()[0],
+                "answer": run_smt(text).splitlines()[0],
             }
         corpus[name] = {"exit": code, "report": report,
                         "ir_sha256": _sha256(ir_path),

@@ -2,6 +2,7 @@
 external solvers as subprocesses, the per-query read deadline, and the
 modules a run imports."""
 
+import ast
 import json
 import os
 import subprocess
@@ -150,9 +151,49 @@ def test_failure_in_the_forked_solver_reaches_the_verifier_as_a_crash(tmp_path):
     assert json.loads(report.read_text())["verdict"] == "InternalError"
 
 
-LAZY = ("solverify.vir.interp", "solverify.vir.parser", "solverify.vir.printer",
-        "solverify.sol.printer", "solverify.sol.interp", "solverify.smt.solver",
-        "solverify.smt.sat")
+LAZY = ("solverify.vir.interp", "solverify.vir.printer", "solverify.sol.printer",
+        "solverify.smt.solver", "solverify.smt.sat")
+
+
+def _package_imports() -> dict[str, set[str]]:
+    """Each module of the package, and the modules of the package that its
+    import statements load, those inside functions included.  A name
+    imported from a package counts as its submodule when it is one, and a
+    module loads the packages that hold it."""
+    paths = {}
+    for dirpath, _, files in os.walk(os.path.join(SRC, "solverify")):
+        for file in files:
+            if file.endswith(".py"):
+                name = os.path.relpath(os.path.join(dirpath, file[:-3]), SRC)
+                paths[name.replace(os.sep, ".").removesuffix(".__init__")] = \
+                    os.path.join(dirpath, file)
+    imports = {}
+    for name, path in paths.items():
+        named = {name}
+        with open(path) as fh:
+            for node in ast.walk(ast.parse(fh.read())):
+                if isinstance(node, ast.Import):
+                    named.update(alias.name for alias in node.names)
+                elif isinstance(node, ast.ImportFrom):
+                    named.add(node.module)
+                    named.update(f"{node.module}.{alias.name}" for alias in node.names)
+        prefixes = {module.rsplit(".", i)[0] for module in named
+                    for i in range(module.count(".") + 1)}
+        imports[name] = prefixes & paths.keys()
+    return imports
+
+
+def test_every_package_module_is_reachable_from_the_entry_points():
+    """The package holds only what the verifier and its solver can import:
+    code that only the tests use lives beside them."""
+    imports = _package_imports()
+    reached, todo = set(), ["solverify.cli", "solverify.smt.cli"]
+    while todo:
+        module = todo.pop()
+        if module not in reached:
+            reached.add(module)
+            todo.extend(imports[module])
+    assert sorted(imports.keys() - reached) == []
 
 
 def _modules_loaded_by(module: str) -> set[str]:

@@ -68,7 +68,7 @@ def test_string_literal_interned():
         function F() public { m = "hello"; m = "world"; m = "hello"; }
     }
     """)
-    assert tr.interner == {"hello": 1, "world": 2}
+    assert tr.interner == {"": 0, "hello": 1, "world": 2}
     body = I.seq_list(tr.ir.procedures["F_C"].body)
     assert print_expr(body[0].value) == "1"
     assert print_expr(body[1].value) == "2"
@@ -514,7 +514,7 @@ def test_contract_constants_reparse_and_keep_their_verdict(case):
     its spelling with a global or a local, and the verdict is the one the
     program gets with the contract renamed apart."""
     from solverify.engine import verify
-    from solverify.vir.parser import parse_ir
+    from vir_parser import parse_ir
     from solverify.vir.printer import print_ir
 
     def run(src: str, root: str):

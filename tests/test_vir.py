@@ -13,11 +13,11 @@ from solverify.vir.interp import (
 )
 from solverify.sol import parse_contract, typecheck
 from solverify.translate import translate_program
-from solverify.vir.parser import parse_ir
 from solverify.vir.prelude import (
     ALLOC, LENGTH, emit_prelude, lookup_map_name,
 )
 from solverify.vir.printer import print_ir
+from vir_parser import parse_ir
 
 
 def prelude_with(*sigs):

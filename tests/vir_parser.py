@@ -1,4 +1,5 @@
-"""Parser for the .vir textual format (inverse of the printer)."""
+"""Parser for the .vir textual format (inverse of `solverify.vir.printer`):
+the tests check that printed IR re-parses to the same program."""
 
 from __future__ import annotations
 
