@@ -8,7 +8,10 @@ bundled solver gives it, so a change to query text (traversal order,
 fresh-name numbering, rendering) or to an answer shows up here.  It also
 records the run's exit code, its `--report-json` without timings (verdict,
 invariant, and for a refutation the trace's senders and arguments), and the
-sha256 of its `--emit-ir` and `--emit-instrumented` output.
+sha256 of its `--emit-ir` and `--emit-instrumented` output.  For a
+conformance invocation it also records the sha256 of the runtime-check
+variant, which an `instrument-only --runtime-checks --emit-instrumented` run
+prints.
 
 After an intended change, regenerate it with
 
@@ -65,7 +68,8 @@ def _sha256(path: str) -> str:
 
 def dump_corpus(workdir: str) -> dict:
     """{invocation: {"exit", "report", "ir_sha256", "instrumented_sha256",
-    "queries": {dumped file: {"sha256", "answer"}}}}"""
+    "queries": {dumped file: {"sha256", "answer"}}}}, and for a conformance
+    invocation "runtime_checks_sha256" too."""
     corpus = {}
     for name, args in INVOCATIONS.items():
         base = os.path.join(workdir, name)
@@ -90,6 +94,12 @@ def dump_corpus(workdir: str) -> dict:
                         "ir_sha256": _sha256(ir_path),
                         "instrumented_sha256": _sha256(inst_path),
                         "queries": queries}
+        if args[:2] == ["--mode", "conformance"]:
+            runtime_path = base + ".runtime.sol"
+            assert main(["verify", "--mode", "instrument-only", *args[2:],
+                         "--runtime-checks",
+                         "--emit-instrumented", runtime_path]) == 0, name
+            corpus[name]["runtime_checks_sha256"] = _sha256(runtime_path)
     return corpus
 
 
@@ -109,7 +119,8 @@ def changed_fields(old: dict, new: dict) -> list[str]:
     out = []
     for name in sorted(set(old) | set(new)):
         was, now = old.get(name, {}), new.get(name, {})
-        for key in ("exit", "ir_sha256", "instrumented_sha256"):
+        for key in ("exit", "ir_sha256", "instrumented_sha256",
+                    "runtime_checks_sha256"):
             if was.get(key) != now.get(key):
                 out.append(f"{name} {key}")
         report_was, report_now = was.get("report", {}), now.get("report", {})
@@ -131,6 +142,9 @@ def test_changed_fields_names_each_changed_report_key():
     assert changed_fields(old, new) == [
         'c report.trace_text: "tx1: C() sender=0x2711" -> "tx1: C() sender=0x2713"']
     assert changed_fields(old, old) == []
+    assert changed_fields({"c": {"runtime_checks_sha256": "a"}},
+                          {"c": {"runtime_checks_sha256": "b"}}) == [
+        "c runtime_checks_sha256"]
 
 
 if __name__ == "__main__":
