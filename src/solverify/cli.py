@@ -49,10 +49,12 @@ class RunConfig:
 
 
 def render_trace(trace: CounterexampleTrace) -> str:
-    """One numbered line per transaction plus a failing-assert footer."""
+    """One numbered line per transaction plus a failing-assert footer;
+    arguments are in Solidity spelling."""
     lines = []
     for i, tx in enumerate(trace.transactions, start=1):
-        args = ", ".join(str(a).lower() if isinstance(a, bool) else str(a)
+        args = ", ".join(str(a).lower() if isinstance(a, bool)
+                         else f'"{a}"' if isinstance(a, str) else str(a)
                          for a in tx.args)
         sender = "0x0" if tx.sender == 0 else f"0x{tx.sender:x}"
         lines.append(f"tx{i}: {tx.fn}({args}) sender={sender}")
@@ -152,6 +154,8 @@ def run(cfg: RunConfig):
         report["invariant"] = [c.text for c in result.invariant]
         code = EXIT_FULLY_VERIFIED
     elif result.verdict == "Refuted":
+        for tx in result.trace.transactions:
+            tx.args = tr.source_args(root, tx.fn, tx.args)
         report["k"] = result.k
         report["trace"] = [
             {"fn": tx.fn, "sender": tx.sender, "args": tx.args,

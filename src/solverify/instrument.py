@@ -6,319 +6,164 @@ in the initial state, and every function driven by at least one transition
 gains entry snapshots of the state variable and all instance-role variables
 plus one trailing assertion per transition.  Global-role membership is not
 on-chain, so it is modeled by a definition-free boolean function whose value
-is unconstrained at each call; a separate rewrite turns the instrumented
-program into an executable runtime-check variant with those calls
-eliminated.
+is unconstrained at each call.
+
+A checker is built from untyped nodes, as the parser would produce them, and
+typed by `typecheck_modifier`, so its names bind as its printed source reads
+them.  The names it invents (the checker, the choice function, the
+snapshots) are claimed apart from those the workflow contract can see.  A
+separate rewrite turns the instrumented program into an executable
+runtime-check variant with every expression call eliminated.
 """
 
 from __future__ import annotations
 
-from solverify import InputError, claim
-from solverify.policy import AccessSet, Policy, Workflow, transitions_for_function
+from solverify import claim
+from solverify.policy import AccessSet, Policy, transitions_for_function
 from solverify.sol import ast
-from solverify.sol.conformance import STATE_VAR, check_syntactic_conformance
+from solverify.sol.conformance import STATE_VAR
+from solverify.sol.typecheck import typecheck_modifier
 
 NONDET_FN = "nondet"
 
 
-class NotSyntacticallyConformant(InputError):
-    def __init__(self, diagnostics):
-        self.diagnostics = diagnostics
-        super().__init__("; ".join(str(d) for d in diagnostics))
-
-
-class UnknownAccessEntry(InputError):
-    pass
-
-
-class UnknownState(InputError):
-    pass
-
-
 def _disjoin(parts: list[ast.SolExpr]) -> ast.SolExpr:
-    if not parts:
-        e = ast.BoolLit(False)
-        e.ty = ast.BOOL
-        return e
-    out = parts[0]
+    out = parts[0] if parts else ast.BoolLit(False)
     for p in parts[1:]:
         out = ast.Op(op="||", args=[out, p])
-        out.ty = ast.BOOL
     return out
 
 
-def _typed_var(name: str, ty: ast.SolType, binding: str, owner: str | None = None) -> ast.Var:
-    v = ast.Var(name=name)
-    v.ty = ty
-    v.binding = binding
-    v.owner = owner
-    return v
+def access_predicate(ac: AccessSet, nondet_fn: str,
+                     role_vars: dict[str, str]) -> ast.SolExpr:
+    """Membership of msg.sender in the access set.  Empty sets are false, a
+    global role is a call of the choice function `nondet_fn` (off-chain
+    membership), an instance role compares msg.sender with the variable
+    `role_vars` names for it.  Disjuncts come out sorted by name, globals
+    before instance roles on ties."""
+    entries = sorted([(name, False) for name in ac.global_roles]
+                     + [(name, True) for name in ac.instance_roles])
+    return _disjoin([ast.Op(op="==", args=[ast.MsgSender(), ast.Var(role_vars[name])])
+                     if instance else ast.ExprCall(fn=nondet_fn, args=[])
+                     for name, instance in entries])
 
 
-def _nondet_call() -> ast.ExprCall:
-    e = ast.ExprCall(fn=NONDET_FN, args=[])
-    e.ty = ast.BOOL
-    return e
-
-
-def access_predicate(ac: AccessSet, workflow: Workflow,
-                     role_var: dict[str, tuple[str, str]] | None = None) -> ast.SolExpr:
-    """Membership of msg.sender in the access set.  Empty sets are false,
-    global roles are unconstrained (off-chain membership), instance roles
-    compare against the role variable.  Disjuncts come out sorted by name,
-    globals before instance roles on ties."""
-    inst_names = set(workflow.instance_role_names())
-    for r in ac.instance_roles:
-        if r not in inst_names:
-            raise UnknownAccessEntry(f"unknown instance role {r!r}")
-
-    entries = sorted([(name, "0g") for name in ac.global_roles]
-                     + [(name, "1i") for name in ac.instance_roles],
-                     key=lambda e: (e[0], e[1]))
-    parts: list[ast.SolExpr] = []
-    for name, kind in entries:
-        if kind == "0g":
-            parts.append(_nondet_call())
-        else:
-            owner = role_var.get(name, (None, None))[0] if role_var else None
-            eq = ast.Op(op="==", args=[ast.MsgSender(),
-                                       _typed_var(name, ast.ADDRESS, "state", owner)])
-            eq.args[0].ty = ast.ADDRESS
-            eq.ty = ast.BOOL
-            parts.append(eq)
-    return _disjoin(parts)
-
-
-def state_predicate(states, workflow: Workflow, enum_name: str = "StateType",
-                    members: list[str] | None = None,
-                    state_var: str = STATE_VAR, owner: str | None = None) -> ast.SolExpr:
-    """Membership of the contract state in a set of policy states, as a
-    sorted disjunction of equalities; false for the empty set."""
-    members = members if members is not None else list(workflow.states)
-    parts = []
-    for s in sorted(states):
-        if s not in workflow.state_set():
-            raise UnknownState(f"unknown state {s!r}")
-        member = ast.EnumMember(enum=enum_name, member=s)
-        member.value = members.index(s)
-        member.ty = ast.INT
-        eq = ast.Op(op="==", args=[_typed_var(state_var, ast.INT, "state", owner), member])
-        eq.ty = ast.BOOL
-        parts.append(eq)
-    return _disjoin(parts)
-
-
-def _substitute_old(e: ast.SolExpr, mapping: dict[str, str]) -> ast.SolExpr:
-    """Replace state-variable reads with their entry snapshots."""
-    e = ast.copy_tree(e)
-    for x in ast.walk(e):
-        if isinstance(x, ast.Var) and x.binding == "state" and x.name in mapping:
-            x.name = mapping[x.name]
-            x.binding = "local"
-            x.owner = None
-    return e
-
-
-def _implies(ante: ast.SolExpr, cons: ast.SolExpr) -> ast.SolExpr:
-    e = ast.Op(op="==>", args=[ante, cons])
-    e.ty = ast.BOOL
-    return e
-
-
-def _conj(a: ast.SolExpr, b: ast.SolExpr) -> ast.SolExpr:
-    e = ast.Op(op="&&", args=[a, b])
-    e.ty = ast.BOOL
-    return e
-
-
-def _workflow_context(program: ast.SolProgram, workflow: Workflow):
-    contract = program.contract(workflow.name)
-    owner, _ = program.resolve(workflow.name, "state_var", STATE_VAR)
-    enum_name = program.contract(owner).enum_vars[STATE_VAR]
-    _, members = program.resolve(workflow.name, "enum", enum_name)
-    role_var = {}
-    for q, _r in workflow.instance_roles:
-        qowner, _ = program.resolve(workflow.name, "state_var", q)
-        role_var[q] = (qowner, q)
-    return contract, owner, enum_name, members, role_var
+def state_predicate(states, enum_name: str, state_var: str) -> ast.SolExpr:
+    """Membership of `state_var` in a set of policy states of the enum
+    `enum_name`, as a sorted disjunction of equalities; false for the empty
+    set."""
+    return _disjoin([ast.Op(op="==", args=[ast.Var(state_var), ast.EnumMember(enum_name, s)])
+                     for s in sorted(states)])
 
 
 def instrument_for_conformance(program: ast.SolProgram, policy: Policy) -> ast.SolProgram:
-    """Attach checker modifiers per workflow.  The result still carries the
-    modifiers (printable artifact); run desugar_modifiers before translating.
+    """Attach checker modifiers per workflow to a copy of a syntactically
+    conformant program (`check_syntactic_conformance` finds nothing).  The
+    result still carries the modifiers (printable artifact); run
+    desugar_modifiers before translating.
     """
-    diags = check_syntactic_conformance(program, policy)
-    if diags:
-        raise NotSyntacticallyConformant(diags)
-
     program = ast.copy_tree(program)
     for workflow in policy.workflows:
-        contract, owner, enum_name, members, role_var = _workflow_context(program, workflow)
+        contract = program.contract(workflow.name)
+        visible = [program.contract(c) for c in program.order[workflow.name]]
+        owner, _ = program.resolve(workflow.name, "state_var", STATE_VAR)
+        enum_name = program.contract(owner).enum_vars[STATE_VAR]
+        roles = workflow.instance_role_names()
 
-        if contract.function(NONDET_FN) is None:
-            contract.functions.append(ast.SolFunction(
-                name=NONDET_FN, params=[], body=None, returns=ast.BOOL))
+        # Invented names are claimed apart from those the contract can see.
+        modifiers = {m.name for c in visible for m in c.modifiers}
+        nondet = claim(NONDET_FN, {f.name for c in visible for f in c.functions})
+        state_vars = {n for c in visible for n, _ in c.state_vars}
+        old_state = claim("oldState", state_vars)
+        old_roles = {q: claim("old" + q, state_vars) for q in roles}
+        contract.functions.append(ast.SolFunction(
+            name=nondet, params=[], body=None, returns=ast.BOOL))
 
-        def spred(states):
-            return state_predicate(states, workflow, enum_name, members,
-                                   state_var=STATE_VAR, owner=owner)
+        def attach(fn: ast.SolFunction, spelling: str, pre, post):
+            checker = ast.ModifierDef(name=claim(spelling, modifiers),
+                                      pre_stmts=pre, post_stmts=post)
+            typecheck_modifier(program, contract, checker)
+            contract.modifiers.append(checker)
+            fn.applied_modifiers.insert(0, checker.name)
 
         # Constructor: an authorized creation must end in the initial state.
-        ctor_assert = ast.Assert(
-            cond=_implies(access_predicate(AccessSet(global_roles=workflow.initiator_roles),
-                                           workflow, role_var),
-                          spred({workflow.initial_state})),
+        initiators = AccessSet(global_roles=workflow.initiator_roles)
+        attach(contract.constructor, "constructor_checker", [], [ast.Assert(
+            cond=ast.Op(op="==>", args=[
+                access_predicate(initiators, nondet, {}),
+                state_predicate({workflow.initial_state}, enum_name, STATE_VAR)]),
             label=f"{workflow.name}.{workflow.name}: initial state must be "
-                  f"{workflow.initial_state}")
-        # Checkers are named apart from every modifier the contract can see.
-        taken = {m.name for c in program.order[workflow.name]
-                 for m in program.contract(c).modifiers}
-        checker = claim("constructor_checker", taken)
-        contract.modifiers.append(ast.ModifierDef(
-            name=checker, pre_stmts=[], post_stmts=[ctor_assert]))
-        contract.constructor.applied_modifiers.insert(0, checker)
+                  f"{workflow.initial_state}")])
 
         # Transition functions: snapshot entry state, assert per transition.
-        old_names = {STATE_VAR: "oldState"}
-        for q in workflow.instance_role_names():
-            old_names[q] = "old" + q
-
         for sig in workflow.functions:
             taus = transitions_for_function(workflow, sig.name)
             if not taus:
                 continue
-            pre: list[ast.SolStmt] = [
-                ast.DeclStmt(name="oldState", ty=ast.INT,
-                             init=_typed_var(STATE_VAR, ast.INT, "state", owner))]
-            for q in workflow.instance_role_names():
-                pre.append(ast.DeclStmt(
-                    name="old" + q, ty=ast.ADDRESS,
-                    init=_typed_var(q, ast.ADDRESS, "state", role_var[q][0])))
-            post: list[ast.SolStmt] = []
-            for tau in taus:
-                ante = _conj(access_predicate(tau.access, workflow, role_var),
-                             spred({tau.start}))
-                ante = _substitute_old(ante, old_names)
-                cons = spred(set(tau.successors))
-                post.append(ast.Assert(
-                    cond=_implies(ante, cons),
-                    label=f"{workflow.name}.{sig.name}: transition "
-                          f"{tau.start} -> {{{', '.join(sorted(tau.successors))}}}"))
-            checker = claim(f"{sig.name}_checker", taken)
-            contract.modifiers.append(ast.ModifierDef(
-                name=checker, pre_stmts=pre, post_stmts=post))
-            contract.function(sig.name).applied_modifiers.insert(0, checker)
+            pre = [ast.DeclStmt(name=old_state, ty=ast.INT, init=ast.Var(STATE_VAR))]
+            pre += [ast.DeclStmt(name=old_roles[q], ty=ast.ADDRESS, init=ast.Var(q))
+                    for q in roles]
+            post = [ast.Assert(
+                cond=ast.Op(op="==>", args=[
+                    ast.Op(op="&&", args=[
+                        access_predicate(tau.access, nondet, old_roles),
+                        state_predicate({tau.start}, enum_name, old_state)]),
+                    state_predicate(set(tau.successors), enum_name, STATE_VAR)]),
+                label=f"{workflow.name}.{sig.name}: transition "
+                      f"{tau.start} -> {{{', '.join(sorted(tau.successors))}}}")
+                for tau in taus]
+            attach(contract.function(sig.name), f"{sig.name}_checker", pre, post)
     return program
 
 
 # ---------------------------------------------------------------------------
 # Runtime-check variant
 
-def _nnf(e: ast.SolExpr, negate: bool = False) -> ast.SolExpr:
-    """Negation-normal form over the boolean skeleton; atoms are left alone
-    (or wrapped in a single negation)."""
-    if isinstance(e, ast.Op) and e.op == "!":
-        return _nnf(e.args[0], not negate)
-    if isinstance(e, ast.Op) and e.op == "==>":
-        a, b = e.args
-        # a ==> b is !a || b
-        if negate:
-            return _conj(_nnf(a, False), _nnf(b, True))
-        out = ast.Op(op="||", args=[_nnf(a, True), _nnf(b, False)])
-        out.ty = ast.BOOL
-        return out
-    if isinstance(e, ast.Op) and e.op in ("&&", "||"):
-        op = e.op
-        if negate:
-            op = "||" if op == "&&" else "&&"
-        out = ast.Op(op=op, args=[_nnf(e.args[0], negate), _nnf(e.args[1], negate)])
-        out.ty = ast.BOOL
-        return out
-    if isinstance(e, ast.BoolLit):
-        out = ast.BoolLit(value=(not e.value) if negate else e.value)
-        out.ty = ast.BOOL
-        return out
-    e = ast.copy_tree(e)
-    if negate:
-        out = ast.Op(op="!", args=[e])
-        out.ty = ast.BOOL
-        return out
-    return e
-
-
-def _replace_nondet(e: ast.SolExpr) -> ast.SolExpr:
-    """On an NNF expression, replace positive occurrences of the
-    nondeterministic call with true and negated ones with false.  Either way
-    the literal becomes true; NNF is monotone in its literals, so the result
-    is implied by the original under every nondet valuation."""
-    if isinstance(e, ast.ExprCall) and e.fn == NONDET_FN:
-        out = ast.BoolLit(value=True)
-        out.ty = ast.BOOL
-        return out
-    if isinstance(e, ast.Op) and e.op == "!" and \
-            isinstance(e.args[0], ast.ExprCall) and e.args[0].fn == NONDET_FN:
-        out = ast.BoolLit(value=True)  # the call itself becomes false
-        out.ty = ast.BOOL
-        return out
-    if isinstance(e, ast.Op):
-        out = ast.Op(op=e.op, args=[_replace_nondet(a) for a in e.args])
-        out.ty = e.ty
-        return out
-    return e
-
-
-def _fold_bools(e: ast.SolExpr) -> ast.SolExpr:
-    if not isinstance(e, ast.Op):
-        return e
-    args = [_fold_bools(a) for a in e.args]
-    out = ast.Op(op=e.op, args=args)
-    out.ty = e.ty
-
-    def lit(x):
-        return x.value if isinstance(x, ast.BoolLit) else None
-
-    if e.op == "&&":
-        a, b = lit(args[0]), lit(args[1])
-        if a is False or b is False:
-            return ast.BoolLit(value=False)
-        if a is True:
-            return args[1]
-        if b is True:
-            return args[0]
-    elif e.op == "||":
-        a, b = lit(args[0]), lit(args[1])
-        if a is True or b is True:
-            return ast.BoolLit(value=True)
-        if a is False:
-            return args[1]
-        if b is False:
-            return args[0]
-    elif e.op == "!":
-        a = lit(args[0])
-        if a is not None:
-            return ast.BoolLit(value=not a)
-    return out
-
-
-def runtime_check_condition(cond: ast.SolExpr) -> ast.SolExpr:
-    """NNF plus nondet elimination: positive occurrences of the unconstrained
-    call become true, negated ones false.  In a require the call occurs
-    positively (so the guard passes); in a checker assert it occurs only in
-    the antecedent, so the check weakens and any failure is a genuine
-    violation."""
-    nnf = _nnf(cond)
-    return _fold_bools(_replace_nondet(nnf))
+def runtime_check_condition(cond: ast.SolExpr, negate: bool) -> ast.SolExpr:
+    """`cond`, negated if `negate`, in negation-normal form, with every atom
+    that contains an expression call replaced by true and the constants
+    folded, in one recursion.  Such an atom becomes true under either
+    polarity; NNF is monotone in its literals, so the result is implied by
+    the original under every value of the calls.  In a require a
+    global-role call occurs positively (so the guard passes); in a checker
+    assert it occurs only in the antecedent, so the check weakens and any
+    failure is a genuine violation."""
+    if isinstance(cond, ast.Op) and cond.op == "!":
+        return runtime_check_condition(cond.args[0], not negate)
+    if isinstance(cond, ast.Op) and cond.op in ("&&", "||", "==>"):
+        # a ==> b is !a || b; negation swaps && and || (De Morgan).
+        conj = (cond.op == "&&") != negate
+        a = runtime_check_condition(cond.args[0], negate != (cond.op == "==>"))
+        b = runtime_check_condition(cond.args[1], negate)
+        values = [x.value if isinstance(x, ast.BoolLit) else None for x in (a, b)]
+        if (not conj) in values:
+            return ast.BoolLit(not conj)
+        if values[0] is conj:
+            return b
+        if values[1] is conj:
+            return a
+        return ast.Op(op="&&" if conj else "||", args=[a, b])
+    if isinstance(cond, ast.BoolLit):
+        return ast.BoolLit(cond.value != negate)
+    if any(isinstance(x, ast.ExprCall) for x in ast.walk(cond)):
+        return ast.BoolLit(True)
+    cond = ast.copy_tree(cond)
+    return ast.Op(op="!", args=[cond]) if negate else cond
 
 
 def make_runtime_checks(program: ast.SolProgram) -> ast.SolProgram:
-    """Executable variant of an instrumented program: no nondet calls remain,
-    and every transformed check is implied by the original one under every
-    valuation of the nondet atoms."""
+    """Executable variant of an instrumented program: every expression call
+    is eliminated and every definition-free function dropped.  Each check is
+    rewritten by `runtime_check_condition`, so it is implied by the original
+    one under every value of the calls; a call anywhere else takes false,
+    one of the values the choice may take."""
     program = ast.copy_tree(program)
     for body in ast.bodies(program):
-        for s in ast.statements(body):
-            if isinstance(s, (ast.Require, ast.Assert)):
-                s.cond = runtime_check_condition(s.cond)
+        for x in ast.walk(body):
+            if isinstance(x, (ast.Require, ast.Assert)):
+                x.cond = runtime_check_condition(x.cond, False)
+            ast.map_children(x, lambda e: ast.BoolLit(False)
+                             if isinstance(e, ast.ExprCall) else e)
     for c in program.contracts:
-        c.functions = [f for f in c.functions if f.name != NONDET_FN or f.body is not None]
+        c.functions = [f for f in c.functions if f.body is not None]
     return program

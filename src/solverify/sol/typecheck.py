@@ -3,7 +3,9 @@
 Annotates every expression with its type, resolves variable bindings through
 the inheritance linearization, lowers enums to integers (member names are
 kept on the contract for diagnostics), and rejects deep-copy array
-assignments and duplicate state variables across the hierarchy.
+assignments and duplicate state variables across the hierarchy.  Modifiers
+are typed by `typecheck_modifier`, which the instrumenter also calls on the
+checker modifiers it builds from untyped nodes.
 """
 
 from __future__ import annotations
@@ -104,10 +106,18 @@ def typecheck(program: ast.SolProgram) -> ast.SolProgram:
             scope = _Scope(program, c, fn)
             _check_block(fn.body, scope, tail=True)
         for m in c.modifiers:
-            scope = _Scope(program, c, None)
-            _check_block(m.pre_stmts, scope, tail=False)
-            _check_block(m.post_stmts, scope, tail=False)
+            typecheck_modifier(program, c, m)
     return program
+
+
+def typecheck_modifier(program: ast.SolProgram, contract: ast.SolContract,
+                       modifier: ast.ModifierDef):
+    """Annotate the statements of `modifier`, declared in `contract`, in
+    place.  Its pre- and post-statements share one scope, with no
+    parameters."""
+    scope = _Scope(program, contract, None)
+    _check_block(modifier.pre_stmts, scope, tail=False)
+    _check_block(modifier.post_stmts, scope, tail=False)
 
 
 def _check_block(stmts: list[ast.SolStmt], scope: _Scope, tail: bool):

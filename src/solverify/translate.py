@@ -347,6 +347,18 @@ class Translation:
         c = self.source.contract(contract)
         return [map_type(t) for _, t in c.constructor.params]
 
+    def source_args(self, contract: str, fn: str, args: list) -> list:
+        """The arguments of a trace's call of `fn` on `contract` (`fn` is
+        `contract` for its constructor) as the source spells them: a string
+        argument is the literal interned as its code, or, for a code no
+        literal has, `#<code>` claimed apart from every literal."""
+        params = (self.source.contract(contract).constructor if fn == contract
+                  else self.source.resolve(contract, "function", fn)[1]).params
+        literals = {code: text for text, code in self.interner.items()}
+        return [(literals[a] if a in literals else claim(f"#{a}", set(self.interner)))
+                if isinstance(t, S.StringType) else a
+                for a, (_, t) in zip(args, params)]
+
 
 def _collect_map_sigs(program: S.SolProgram) -> set:
     """The signature of every mapping type a translated declaration can

@@ -666,19 +666,23 @@ def test_trace_skips_nondets_of_calls_not_made(tmp_path, capsys, field, go):
 
 def _fails_in_source(src: str, trace: list) -> bool:
     """Whether the calls of `trace` fail an assertion in the source-level
-    semantics."""
+    semantics.  A string argument is the text of a source value, which the
+    semantics interns as it interns literals."""
     from solverify.sol import desugar_modifiers, parse_contract, typecheck
     from sol_semantics import SolAssertFail, make_world
 
     def sender(value):
         return None if value == 0 else ("addr", value)
 
+    def args(tx):
+        return [world.intern(a) if isinstance(a, str) else a for a in tx["args"]]
+
     world = make_world(desugar_modifiers(typecheck(parse_contract(src))))
     ctor, *calls = trace
     try:
-        inst = world.new_instance(ctor["fn"], ctor["args"], sender(ctor["sender"]))
+        inst = world.new_instance(ctor["fn"], args(ctor), sender(ctor["sender"]))
         for tx in calls:
-            world.call_function(inst, tx["fn"], tx["args"], sender(tx["sender"]))
+            world.call_function(inst, tx["fn"], args(tx), sender(tx["sender"]))
     except SolAssertFail:
         return True
     return False
@@ -759,6 +763,92 @@ def test_user_modifier_named_like_a_checker_keeps_the_check(tmp_path):
     assert [tx["fn"] for tx in doc["trace"]] == ["HelloBlockchain", "SendResponse"]
 
 
+
+def test_choice_function_is_named_apart_from_source_functions(tmp_path):
+    """A source function `nondet(int x)` keeps its name; the checkers call
+    the choice function `nondet_1`, which the emitted source declares."""
+    src = fixture_text("helloblockchain.sol").replace(
+        "    function SendResponse(",
+        "    function nondet(int x) public { Responder = msg.sender; }\n\n"
+        "    function SendResponse(")
+    path = tmp_path / "hb.sol"
+    path.write_text(src)
+    instrumented = tmp_path / "i.sol"
+    assert run_cli("verify", "--policy", fixture_path("helloblockchain.json"),
+                   "--sol", str(path), "--k", "3",
+                   "--emit-instrumented", str(instrumented)) == EXIT_FULLY_VERIFIED
+    text = instrumented.read_text()
+    assert "assert(nondet_1() ==> State == StateType.Request);" in text
+    assert "function nondet_1() public returns (bool);" in text
+    assert "nondet()" not in text
+
+
+def test_snapshots_are_named_apart_from_state_variables(tmp_path):
+    """With a state variable `oldRequestor`, the snapshot of `Requestor` is
+    `oldRequestor_1`, so the snapshot of `oldRequestor` reads the state
+    variable, as the emitted source says."""
+    doc = json.loads(fixture_text("helloblockchain.json"))
+    workflow = doc["Workflows"][0]
+    for prop in workflow["Properties"]:
+        if prop["Name"] == "Responder":
+            prop["Name"] = "oldRequestor"
+    for tau in workflow["Transitions"]:
+        if tau["Function"] == "SendResponse":
+            tau["AllowedRoles"], tau["AllowedInstanceRoles"] = [], ["oldRequestor"]
+    policy = tmp_path / "hb.json"
+    policy.write_text(json.dumps(doc))
+    path = tmp_path / "hb.sol"
+    path.write_text(fixture_text("helloblockchain.sol").replace("Responder", "oldRequestor"))
+    instrumented = tmp_path / "i.sol"
+    assert run_cli("verify", "--policy", str(policy), "--sol", str(path), "--k", "3",
+                   "--emit-instrumented", str(instrumented)) == EXIT_FULLY_VERIFIED
+    text = instrumented.read_text()
+    assert "address oldRequestor_1 = Requestor;" in text
+    assert "address oldoldRequestor = oldRequestor;" in text
+    assert "msg.sender == oldoldRequestor && oldState == StateType.Request" in text
+
+
+def test_runtime_checks_eliminate_calls_inside_atoms(tmp_path):
+    """A call inside an atom makes the whole atom true: `nondet() == false`
+    becomes `true`, not `true == false`, a guard that never passes."""
+    src = fixture_text("helloblockchain.sol").replace(
+        "    function SendRequest(string requestMessage) public {\n",
+        "    function nondet() public returns (bool);\n\n"
+        "    function SendRequest(string requestMessage) public {\n"
+        "        require(nondet() == false);\n")
+    path = tmp_path / "hb.sol"
+    path.write_text(src)
+    runtime = tmp_path / "runtime.sol"
+    assert run_cli("verify", "--mode", "instrument-only", "--runtime-checks",
+                   "--policy", fixture_path("helloblockchain.json"),
+                   "--sol", str(path),
+                   "--emit-instrumented", str(runtime)) == EXIT_FULLY_VERIFIED
+    text = runtime.read_text()
+    assert "        require(true);\n" in text
+    assert "nondet" not in text
+
+
+def test_conformance_is_checked_once_per_run(tmp_path):
+    """The CLI checks syntactic conformance; the instrumenter does not check
+    it again.  Calls are counted by code object, whatever name a module
+    imported the function under."""
+    from solverify.sol.conformance import check_syntactic_conformance
+    code = check_syntactic_conformance.__code__
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(frame)
+
+    sys.setprofile(profile)
+    try:
+        result = run_cli("verify", "--policy", fixture_path("helloblockchain.json"),
+                         "--sol", fixture_path("helloblockchain.sol"), "--k", "1")
+    finally:
+        sys.setprofile(None)
+    assert result == EXIT_FULLY_VERIFIED
+    assert len(calls) == 1
+
 def test_new_instance_is_never_null(tmp_path, capsys):
     """A contract created by `new` is a non-null reference in the encoding
     as in the replay; the encoding used to let it be null, and the replay
@@ -812,6 +902,28 @@ def test_unset_string_equals_the_empty_literal(tmp_path, capsys):
                    "--sol", str(path)) == EXIT_PARTIAL
     assert "safe up to 2 transactions" in capsys.readouterr().out
 
+
+@pytest.mark.parametrize("check, spelling", [
+    ('assert(m != "a");', r'"a"'),
+    # a string distinct from both literals, which no literal spells
+    ('assert(m == "" || m == "a");', r'"#-?[0-9]+"'),
+], ids=["literal", "no_literal"])
+def test_string_argument_is_printed_in_solidity_spelling(tmp_path, capsys, check,
+                                                        spelling):
+    import re
+    src = ("contract C { string m; constructor() public { }\n"
+           "    function Set(string s) public { m = s; }\n"
+           f"    function F() public {{ {check} }} }}\n")
+    path = tmp_path / "c.sol"
+    path.write_text(src)
+    report = tmp_path / "r.json"
+    assert run_cli("verify", "--mode", "assertions", "--k", "3", "--sol", str(path),
+                   "--report-json", str(report)) == EXIT_REFUTED
+    assert re.search(rf"\n  tx2: Set\({spelling}\) sender=", capsys.readouterr().out)
+    doc = json.loads(report.read_text())
+    [arg] = doc["trace"][1]["args"]
+    assert re.fullmatch(spelling, json.dumps(arg))
+    assert _fails_in_source(src, doc["trace"])
 
 def test_modifier_post_statement_runs_after_a_tail_return(tmp_path):
     """`Get` returns x, then its modifier increments x; the desugared body

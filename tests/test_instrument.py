@@ -3,9 +3,8 @@ import itertools
 import pytest
 
 from solverify.instrument import (
-    NONDET_FN, NotSyntacticallyConformant, access_predicate,
-    instrument_for_conformance, make_runtime_checks, runtime_check_condition,
-    state_predicate,
+    NONDET_FN, access_predicate, instrument_for_conformance,
+    make_runtime_checks, runtime_check_condition, state_predicate,
 )
 from solverify.policy import AccessSet, parse_policy
 from solverify.sol import ast, desugar_modifiers, parse_contract, typecheck
@@ -26,51 +25,42 @@ def hb(hb_source, hb_policy_text):
 
 # -- predicate builders -----------------------------------------------------------
 
-def test_access_predicate_empty(hb):
-    _, policy = hb
-    w = policy.workflows[0]
-    assert print_expr(access_predicate(AccessSet(), w)) == "false"
+def test_access_predicate_empty():
+    assert print_expr(access_predicate(AccessSet(), NONDET_FN, {})) == "false"
 
 
-def test_access_predicate_instance_role(hb):
-    _, policy = hb
-    w = policy.workflows[0]
-    e = access_predicate(AccessSet(instance_roles=frozenset({"Requestor"})), w)
+def test_access_predicate_instance_role():
+    e = access_predicate(AccessSet(instance_roles=frozenset({"Requestor"})),
+                         NONDET_FN, {"Requestor": "Requestor"})
     assert print_expr(e) == "msg.sender == Requestor"
 
 
-def test_access_predicate_global_role(hb):
-    _, policy = hb
-    w = policy.workflows[0]
-    e = access_predicate(AccessSet(global_roles=frozenset({"Responder"})), w)
+def test_access_predicate_global_role():
+    e = access_predicate(AccessSet(global_roles=frozenset({"Responder"})),
+                         NONDET_FN, {})
     assert print_expr(e) == "nondet()"
 
 
-def test_access_predicate_union_sorted(hb):
+def test_access_predicate_union_sorted():
     # expanding the union case by hand: global RESPONDER sorts before the
     # instance role Requestor, so the nondet disjunct comes first
-    _, policy = hb
-    w = policy.workflows[0]
     e = access_predicate(AccessSet(global_roles=frozenset({"RESPONDER"}),
-                                   instance_roles=frozenset({"Requestor"})), w)
+                                   instance_roles=frozenset({"Requestor"})),
+                         NONDET_FN, {"Requestor": "Requestor"})
     assert print_expr(e) == "nondet() || msg.sender == Requestor"
 
 
-def test_state_predicate_singleton(hb):
-    _, policy = hb
-    w = policy.workflows[0]
-    e = state_predicate({"Request"}, w)
+def test_state_predicate_singleton():
+    e = state_predicate({"Request"}, "StateType", "State")
     assert print_expr(e) == "State == StateType.Request"
 
 
-def test_state_predicate_empty(hb):
-    _, policy = hb
-    assert print_expr(state_predicate(set(), policy.workflows[0])) == "false"
+def test_state_predicate_empty():
+    assert print_expr(state_predicate(set(), "StateType", "State")) == "false"
 
 
-def test_state_predicate_union_sorted(hb):
-    _, policy = hb
-    e = state_predicate({"Respond", "Request"}, policy.workflows[0])
+def test_state_predicate_union_sorted():
+    e = state_predicate({"Respond", "Request"}, "StateType", "State")
     assert print_expr(e) == \
         "State == StateType.Request || State == StateType.Respond"
 
@@ -104,13 +94,6 @@ def test_helloblockchain_checker_modifiers(hb):
     assert print_expr(resp.post_stmts[0].cond) == \
         ("nondet() && oldState == StateType.Request "
          "==> State == StateType.Respond")
-
-
-def test_not_conformant_rejected(hb_policy_text):
-    policy = parse_policy(hb_policy_text)
-    program = typecheck(parse_contract("contract HelloBlockchain { }"))
-    with pytest.raises(NotSyntacticallyConformant):
-        instrument_for_conformance(program, policy)
 
 
 def test_zero_transition_workflow_only_ctor_assert(hb_source, hb_policy_text):
@@ -205,10 +188,40 @@ def test_nnf_only_transformation_preserves_nondet_free():
     e = ast.Op(op="==>", args=[
         ast.Op(op="==", args=[ast.Var("a"), ast.IntLit(1)]),
         ast.Op(op="==", args=[ast.Var("b"), ast.IntLit(2)])])
-    out = runtime_check_condition(e)
+    out = runtime_check_condition(e, False)
     # logically unchanged modulo negation-normal form
     assert print_expr(out) == "!(a == 1) || b == 2"
 
+
+
+def test_runtime_call_inside_an_atom_makes_the_atom_true():
+    """The whole atom goes, not just the call: `nondet() == false` with the
+    call replaced would be `true == false`, which the original does not
+    imply."""
+    atom = ast.Op(op="==", args=[ast.ExprCall(fn="nondet", args=[]), ast.BoolLit(False)])
+    assert print_expr(runtime_check_condition(atom, False)) == "true"
+    assert print_expr(runtime_check_condition(atom, True)) == "true"
+    cond = ast.Op(op="&&", args=[atom, ast.Op(op="==", args=[ast.Var("a"), ast.IntLit(1)])])
+    assert print_expr(runtime_check_condition(cond, False)) == "a == 1"
+
+
+def test_runtime_drops_every_definition_free_function():
+    """Every expression call goes, whatever the function's name: a check
+    weakens, and a call elsewhere takes false."""
+    program = typecheck(parse_contract(
+        "contract C { int s; constructor() public { s = 0; }\n"
+        "    function coin() public returns (bool);\n"
+        "    function F() public { require(!coin() || s == 0); bool b = coin();\n"
+        "        if (coin()) { s = 1; } } }"))
+    runtime = make_runtime_checks(program)
+    c = runtime.contracts[0]
+    assert c.function("coin") is None
+    assert not any(isinstance(x, ast.ExprCall) for body in ast.bodies(runtime)
+                   for x in ast.walk(body))
+    body = c.function("F").body
+    assert print_expr(body[0].cond) == "true"
+    assert print_expr(body[1].init) == "false"
+    assert print_expr(body[2].cond) == "false"
 
 # -- weakening soundness by truth tables ----------------------------------------
 
@@ -255,7 +268,7 @@ def count_nondets(e):
 def assert_weakening_sound(original):
     """phi[sigma] implies phi' for every nondet valuation sigma and every
     atom valuation: checked by full truth-table enumeration."""
-    emitted = runtime_check_condition(original)
+    emitted = runtime_check_condition(original, False)
     k = count_nondets(original)
     assert k <= 4
     atoms: dict = {}

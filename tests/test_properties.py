@@ -108,7 +108,7 @@ def test_runtime_check_weakening_sound(expr):
 @given(bool_exprs())
 @settings(max_examples=60, deadline=None)
 def test_runtime_check_has_no_nondets(expr):
-    out = runtime_check_condition(expr)
+    out = runtime_check_condition(expr, False)
     assert _count_nondets(out) == 0
 
 

@@ -75,6 +75,22 @@ def test_string_literal_interned():
     assert print_expr(body[2].value) == "1"
 
 
+def test_source_args_spell_strings_by_inverting_the_interner():
+    """A code is its literal; a code that no literal has is `#<code>`,
+    claimed apart from the literals, so `#5` here is `#5_1`."""
+    tr = tp("""
+    contract C {
+        string m;
+        constructor(string s) public { m = "#5"; }
+        function Set(string s, int n) public { m = s; }
+    }
+    """)
+    assert tr.source_args("C", "Set", [1, 5]) == ["#5", 5]
+    assert tr.source_args("C", "Set", [5, 1]) == ["#5_1", 1]
+    assert tr.source_args("C", "C", [0]) == [""]
+    assert tr.source_args("C", "C", [-2]) == ["#-2"]
+
+
 # -- statement rules ----------------------------------------------------------------
 
 def test_require_becomes_assume_assert_stays():
