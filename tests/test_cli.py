@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -763,7 +764,6 @@ def test_user_modifier_named_like_a_checker_keeps_the_check(tmp_path):
     assert [tx["fn"] for tx in doc["trace"]] == ["HelloBlockchain", "SendResponse"]
 
 
-
 def test_choice_function_is_named_apart_from_source_functions(tmp_path):
     """A source function `nondet(int x)` keeps its name; the checkers call
     the choice function `nondet_1`, which the emitted source declares."""
@@ -849,6 +849,7 @@ def test_conformance_is_checked_once_per_run(tmp_path):
     assert result == EXIT_FULLY_VERIFIED
     assert len(calls) == 1
 
+
 def test_new_instance_is_never_null(tmp_path, capsys):
     """A contract created by `new` is a non-null reference in the encoding
     as in the replay; the encoding used to let it be null, and the replay
@@ -910,7 +911,6 @@ def test_unset_string_equals_the_empty_literal(tmp_path, capsys):
 ], ids=["literal", "no_literal"])
 def test_string_argument_is_printed_in_solidity_spelling(tmp_path, capsys, check,
                                                         spelling):
-    import re
     src = ("contract C { string m; constructor() public { }\n"
            "    function Set(string s) public { m = s; }\n"
            f"    function F() public {{ {check} }} }}\n")
@@ -924,6 +924,7 @@ def test_string_argument_is_printed_in_solidity_spelling(tmp_path, capsys, check
     [arg] = doc["trace"][1]["args"]
     assert re.fullmatch(spelling, json.dumps(arg))
     assert _fails_in_source(src, doc["trace"])
+
 
 def test_modifier_post_statement_runs_after_a_tail_return(tmp_path):
     """`Get` returns x, then its modifier increments x; the desugared body

@@ -193,7 +193,6 @@ def test_nnf_only_transformation_preserves_nondet_free():
     assert print_expr(out) == "!(a == 1) || b == 2"
 
 
-
 def test_runtime_call_inside_an_atom_makes_the_atom_true():
     """The whole atom goes, not just the call: `nondet() == false` with the
     call replaced would be `true == false`, which the original does not
@@ -222,6 +221,7 @@ def test_runtime_drops_every_definition_free_function():
     assert print_expr(body[0].cond) == "true"
     assert print_expr(body[1].init) == "false"
     assert print_expr(body[2].cond) == "false"
+
 
 # -- weakening soundness by truth tables ----------------------------------------
 
