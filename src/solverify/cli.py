@@ -6,8 +6,9 @@ optional machine-readable JSON one).  Exit codes: 0 fully verified, 1
 refuted, 2 partially verified, 3 input error, 4 internal error (a crash of
 the verifier or of its solver, never a verdict).
 
-The policy, conformance and instrumentation modules are imported where a run
-first needs them, so an assertions-mode run never loads them.
+A verifying run starts its solver before it imports the pipeline, so the
+solver starts up beside the front end.  Pipeline modules are imported where
+a run first needs them: an assertions-mode run never loads the policy ones.
 """
 
 from __future__ import annotations
@@ -19,11 +20,9 @@ import sys
 import time
 
 from solverify import InputError, __version__
-from solverify.engine import verify as engine_verify
+from solverify.engine import smtio
 from solverify.engine.smtio import SolverConfig
 from solverify.record import field, record
-from solverify.sol import desugar_modifiers, parse_contract, typecheck
-from solverify.translate import generate_harness, translate_program
 
 EXIT_FULLY_VERIFIED = 0
 EXIT_REFUTED = 1
@@ -84,6 +83,10 @@ def run(cfg: RunConfig):
     policy = None
     if cfg.mode in ("conformance", "instrument-only") and not cfg.policy_path:
         raise InputError(f"{cfg.mode} mode needs --policy")
+    if cfg.mode != "instrument-only":
+        smtio.start(cfg.solver)
+    from solverify.sol import desugar_modifiers, parse_contract, typecheck
+    from solverify.translate import generate_harness, translate_program
     if cfg.policy_path:
         from solverify.policy import parse_policy
         policy = parse_policy(_read(cfg.policy_path))
@@ -141,9 +144,9 @@ def run(cfg: RunConfig):
         report["seconds"] = time.monotonic() - started
         return report, EXIT_FULLY_VERIFIED
 
-    result = engine_verify(tr, hinfo,
-                           policy=policy if cfg.mode == "conformance" else None,
-                           k_max=cfg.k_max, solver=cfg.solver)
+    from solverify.engine.verify import verify
+    result = verify(tr, hinfo, policy=policy if cfg.mode == "conformance" else None,
+                    k_max=cfg.k_max, solver=cfg.solver)
     report["verdict"] = result.verdict
     report["timings"] = {
         "invariant_seconds": round(result.timings.invariant_seconds, 3),

@@ -4,13 +4,16 @@ Queries are SMT-LIB2 scripts over a solver process's standard streams.  An
 external solver (`--solver`, or the SMT_SOLVER environment variable) runs as
 a subprocess.  Without one, the bundled solver is served from a fork of this
 process: a separate process that needs no second interpreter start-up and
-imports only the solver's own modules.  The forked child serves its pipes
-and leaves by `os._exit`, never returning into the verifier.  One process serves a whole verification run: queries are framed
-with an echo marker and separated by reset.  Each query's exchange waits on
-the pipes with a read deadline; past it the solver is killed and reaped, that
-query reports unknown, and the next one starts a fresh process.  No thread is
-started, so every fork is made from a single-threaded process.  The solver's
-stderr goes to a temporary file whose tail is attached when the solver fails.
+imports only the solver's own modules.  The forked child serves its pipes and
+leaves by `os._exit`, never returning into the verifier.  A run calls `start`
+before it imports the pipeline (which this module never imports), so the
+solver starts beside the verifier's front end.  One process serves a whole
+verification run: queries are framed with an echo marker and separated by
+reset.  Each query's exchange waits on the pipes with a read deadline; past it
+the solver is killed and reaped, that query reports unknown, and the next one
+starts a fresh process.  No thread is started, so every fork is made from a
+single-threaded process.  The solver's stderr goes to a temporary file whose
+tail is attached when the solver fails.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import tempfile
 import time
 
 from solverify import InputError
-from solverify.engine.queries import SmtQuery
 from solverify.record import field, record
 from solverify.smt.terms import read_sexprs
 
@@ -50,12 +52,6 @@ class CheckResult:
 
     def value(self, symbol: str, default=None):
         return self.values.get(symbol, default)
-
-
-def solver_argv(solver_path: str | None = None) -> list[str] | None:
-    """The external solver's command line; None for the bundled solver."""
-    command = solver_path or os.environ.get("SMT_SOLVER")
-    return shlex.split(command) if command else None
 
 
 class ForkedSolver:
@@ -205,9 +201,8 @@ class SolverSession:
         self.to_solver = self.from_solver = -1
 
     def ask(self, script_text: str, timeout: float) -> str:
-        """Send one query (without exit) and read its output block.  Past
-        `timeout` seconds the solver is killed and the answer is empty."""
-        self._ensure()
+        """Send one query (without exit) to the started solver and read its
+        output block.  Past `timeout` seconds it is killed, the answer empty."""
         body = script_text.replace("(exit)", "")
         payload = memoryview(f"{body}\n(echo \"{MARKER}\")\n(reset)\n".encode())
         deadline = time.monotonic() + timeout
@@ -251,14 +246,7 @@ def _before_marker(out: bytes) -> str | None:
     return None
 
 
-_sessions: dict[tuple[str, ...] | None, SolverSession] = {}
-
-
-def _session_for(argv: list[str] | None) -> SolverSession:
-    key = tuple(argv) if argv is not None else None
-    if key not in _sessions:
-        _sessions[key] = SolverSession(argv)
-    return _sessions[key]
+_sessions: dict[str | None, SolverSession] = {}
 
 
 def close_sessions():
@@ -278,6 +266,16 @@ class SolverConfig:
     dump_dir: str | None = None
 
 
+def start(config: SolverConfig) -> SolverSession:
+    """The session of the configured solver, its process started (anew if
+    it has died).  A query's timeout covers the query, not this start."""
+    command = config.solver_path or os.environ.get("SMT_SOLVER")
+    if command not in _sessions:
+        _sessions[command] = SolverSession(shlex.split(command) if command else None)
+    _sessions[command]._ensure()
+    return _sessions[command]
+
+
 def check_smt(query: SmtQuery, config: SolverConfig = SolverConfig(),
               name: str = "query") -> CheckResult:
     """Run the query through the solver process; timeouts map to unknown.
@@ -287,7 +285,7 @@ def check_smt(query: SmtQuery, config: SolverConfig = SolverConfig(),
         os.makedirs(config.dump_dir, exist_ok=True)
         with open(os.path.join(config.dump_dir, f"{name}.smt2"), "w") as fh:
             fh.write(query.text)
-    session = _session_for(solver_argv(config.solver_path))
+    session = start(config)
     out = session.ask(query.text, config.timeout).strip()
     if not out:
         return CheckResult(status="unknown")  # timeout

@@ -9,7 +9,7 @@ import time
 
 from conftest import alloc_smt, fixture_text, fresh_facts
 from oracles import bfs_search, pinned_inputs
-from solverify.engine import verify
+from solverify.engine.verify import verify
 from solverify.engine.bmc import bounded_check
 from solverify.engine.queries import vc_gen
 from solverify.engine.smtio import SolverConfig, check_smt

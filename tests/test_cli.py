@@ -101,12 +101,12 @@ def test_unwritable_report_after_a_verdict_is_an_input_error(capsys, tmp_path):
 ], ids=["input-error", "internal-error"])
 def test_unwritable_report_keeps_the_exit_code_of_a_failed_run(
         policy, code, message, monkeypatch, capsys, tmp_path):
-    import solverify.cli as cli
+    import solverify.engine.verify as engine_verify
 
     def boom(*args, **kwargs):
         raise RuntimeError("verifier broken")
 
-    monkeypatch.setattr(cli, "engine_verify", boom)
+    monkeypatch.setattr(engine_verify, "verify", boom)
     report = tmp_path / "missing" / "report.json"
     assert run_cli("verify", "--policy", policy or fixture_path("helloblockchain.json"),
                    "--sol", fixture_path("helloblockchain.sol"),
@@ -494,12 +494,12 @@ def _assert_internal_error(code, capsys, report):
 
 
 def test_internal_failure_exits_four(monkeypatch, capsys, tmp_path):
-    import solverify.cli as cli
+    import solverify.engine.verify as engine_verify
 
     def boom(*args, **kwargs):
         raise RuntimeError("invariant broken\nsecond line")
 
-    monkeypatch.setattr(cli, "engine_verify", boom)
+    monkeypatch.setattr(engine_verify, "verify", boom)
     report = tmp_path / "r.json"
     code = run_cli("verify", "--mode", "assertions",
                    "--sol", fixture_path("nested_maps.sol"), "--root", "C",

@@ -2,7 +2,7 @@ import pytest
 
 from conftest import get_value_replying_solver
 from oracles import bfs_search, greatest_inductive_subset, pinned_inputs
-from solverify.engine import verify
+from solverify.engine.verify import verify
 from solverify.engine.bmc import bounded_check
 from solverify.engine.candidates import CandidatePredicate, generate_candidates
 from solverify.engine.houdini import houdini_infer

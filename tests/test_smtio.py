@@ -57,7 +57,7 @@ def _check(text: str, timeout: float) -> str:
 
 
 def test_timeout_kills_the_forked_solver_and_the_next_query_forks_afresh():
-    session = smtio._session_for(smtio.solver_argv())
+    session = smtio.start(smtio.SolverConfig())
     assert _check("(assert true)(check-sat)", 30) == "sat"
     first = session.proc
     assert isinstance(first, smtio.ForkedSolver)
@@ -84,7 +84,7 @@ def test_closing_a_forked_session_waits_without_sleeping(monkeypatch):
     smtio.close_sessions()
     monkeypatch.setattr(smt_cli, "serve", slow_to_exit)
     assert _check("(assert true)(check-sat)", 30) == "sat"
-    pid = smtio._session_for(smtio.solver_argv()).proc.pid
+    pid = smtio.start(smtio.SolverConfig()).proc.pid
     sleeps = []
     monkeypatch.setattr(time, "sleep", sleeps.append)
     smtio.close_sessions()
@@ -206,6 +206,9 @@ def test_importing_the_cli_loads_no_solver_printer_or_interpreter():
     loaded = _modules_loaded_by("solverify.cli")
     assert "solverify.engine.smtio" in loaded
     assert not loaded & set(LAZY)
+    # nor the pipeline, which a run imports after starting its solver
+    assert not loaded & {"solverify.sol", "solverify.translate", "solverify.vir",
+                         "solverify.engine.queries", "solverify.engine.verify"}
     # records come from solverify.record, which needs neither of these;
     # subprocess (external solvers) and traceback (crashes) load when used
     assert not loaded & {"dataclasses", "inspect", "subprocess", "traceback"}
@@ -239,6 +242,45 @@ def test_a_run_loads_only_the_modules_its_mode_uses():
     assert code == EXIT_FULLY_VERIFIED
     assert "solverify.engine.candidates" in loaded
     assert "solverify.engine.trace" not in loaded
+
+
+RECORD_SOLVER_STARTS = """
+import sys
+from solverify.engine import smtio
+ensure, translate_loaded = smtio.SolverSession._ensure, []
+
+def recorded(self):
+    if self.proc is None:
+        translate_loaded.append("solverify.translate" in sys.modules)
+    ensure(self)
+
+smtio.SolverSession._ensure = recorded
+from solverify.cli import main
+code = main(sys.argv[1:])
+print("exit", code, *translate_loaded)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    HELLO,
+    ["verify", "--mode", "assertions", "--sol", fixture_path("nested_maps.sol"),
+     "--root", "C", "--k", "2"],
+    [*HELLO, "--solver", BUNDLED],
+], ids=["conformance", "assertions", "external"])
+def test_a_verifying_run_starts_its_solver_before_importing_the_pipeline(argv):
+    proc = _run_python(RECORD_SOLVER_STARTS, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].split() == ["exit", "0", "False"]
+
+
+def test_an_instrument_only_run_starts_no_solver(monkeypatch, tmp_path):
+    starts = []
+    monkeypatch.setattr(smtio.SolverSession, "_ensure", lambda self: starts.append(self))
+    smtio.close_sessions()
+    assert main([*HELLO, "--mode", "instrument-only", "--runtime-checks",
+                 "--emit-instrumented", str(tmp_path / "runtime.sol")]) \
+        == EXIT_FULLY_VERIFIED
+    assert starts == [] and smtio._sessions == {}
 
 
 @pytest.mark.parametrize("name", sorted(INVOCATIONS))

@@ -529,7 +529,7 @@ def test_contract_constants_reparse_and_keep_their_verdict(case):
     """`--emit-ir` text re-parses to the same program when a contract shares
     its spelling with a global or a local, and the verdict is the one the
     program gets with the contract renamed apart."""
-    from solverify.engine import verify
+    from solverify.engine.verify import verify
     from vir_parser import parse_ir
     from solverify.vir.printer import print_ir
 
