@@ -13,7 +13,8 @@ typed by `typecheck_modifier`, so its names bind as its printed source reads
 them.  The names it invents (the checker, the choice function, the
 snapshots) are claimed apart from those the workflow contract can see.  A
 separate rewrite turns the instrumented program into an executable
-runtime-check variant with every expression call eliminated.
+runtime-check variant with every expression call eliminated and every check
+that this leaves true dropped.
 """
 
 from __future__ import annotations
@@ -151,12 +152,19 @@ def runtime_check_condition(cond: ast.SolExpr, negate: bool) -> ast.SolExpr:
     return ast.Op(op="!", args=[cond]) if negate else cond
 
 
+def _checks_something(s: ast.SolStmt) -> bool:
+    return not (isinstance(s, (ast.Require, ast.Assert))
+                and isinstance(s.cond, ast.BoolLit) and s.cond.value)
+
+
 def make_runtime_checks(program: ast.SolProgram) -> ast.SolProgram:
     """Executable variant of an instrumented program: every expression call
     is eliminated and every definition-free function dropped.  Each check is
     rewritten by `runtime_check_condition`, so it is implied by the original
     one under every value of the calls; a call anywhere else takes false,
-    one of the values the choice may take."""
+    one of the values the choice may take.  A check that becomes true is
+    dropped, and so is each snapshot (a modifier's copy of a variable) that
+    nothing left reads."""
     program = ast.copy_tree(program)
     for body in ast.bodies(program):
         for x in ast.walk(body):
@@ -164,6 +172,16 @@ def make_runtime_checks(program: ast.SolProgram) -> ast.SolProgram:
                 x.cond = runtime_check_condition(x.cond, False)
             ast.map_children(x, lambda e: ast.BoolLit(False)
                              if isinstance(e, ast.ExprCall) else e)
+        for stmts in [body, *(getattr(s, f) for s in ast.statements(body)
+                              for f in s.STRUCT_FIELDS)]:
+            if isinstance(stmts, list):
+                stmts[:] = filter(_checks_something, stmts)
     for c in program.contracts:
         c.functions = [f for f in c.functions if f.body is not None]
+        for m in c.modifiers:
+            read = {x.name for x in ast.walk(m.pre_stmts + m.post_stmts)
+                    if isinstance(x, ast.Var)}
+            m.pre_stmts = [s for s in m.pre_stmts if not (
+                isinstance(s, ast.DeclStmt) and isinstance(s.init, ast.Var)
+                and s.name not in read)]
     return program

@@ -187,7 +187,7 @@ def test_runtime_checks_artifact(tmp_path, capsys):
     text = inst.read_text()
     assert "SendResponse_checker" in text  # instrumented
     assert "nondet" not in text            # with the unconstrained calls gone
-    assert "assert(true)" in text          # the weakened global-role check
+    assert "assert(true)" not in text      # the weakened global-role check, dropped
     from solverify.sol import parse_contract
     parse_contract(text)
 
@@ -810,7 +810,8 @@ def test_snapshots_are_named_apart_from_state_variables(tmp_path):
 
 def test_runtime_checks_eliminate_calls_inside_atoms(tmp_path):
     """A call inside an atom makes the whole atom true: `nondet() == false`
-    becomes `true`, not `true == false`, a guard that never passes."""
+    becomes `true`, a guard that is dropped, not `true == false`, a guard
+    that never passes."""
     src = fixture_text("helloblockchain.sol").replace(
         "    function SendRequest(string requestMessage) public {\n",
         "    function nondet() public returns (bool);\n\n"
@@ -824,7 +825,7 @@ def test_runtime_checks_eliminate_calls_inside_atoms(tmp_path):
                    "--sol", str(path),
                    "--emit-instrumented", str(runtime)) == EXIT_FULLY_VERIFIED
     text = runtime.read_text()
-    assert "        require(true);\n" in text
+    assert "require(" not in text
     assert "nondet" not in text
 
 

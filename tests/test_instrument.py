@@ -162,11 +162,17 @@ def test_inserted_predicates_are_pure(hb):
 
 # -- runtime-check transformation ------------------------------------------------
 
-def test_runtime_sendresponse_becomes_true(hb):
+def test_runtime_drops_true_checks_and_unread_snapshots(hb):
+    """A check that weakens to true checks nothing, and a snapshot that no
+    remaining check reads is never used: both go from the runtime variant."""
     program, policy = hb
     runtime = make_runtime_checks(instrument_for_conformance(program, policy))
-    resp = runtime.contracts[0].modifier("SendResponse_checker")
-    assert print_expr(resp.post_stmts[0].cond) == "true"
+    c = runtime.contracts[0]
+    for name in ("constructor_checker", "SendResponse_checker"):
+        assert c.modifier(name).pre_stmts == c.modifier(name).post_stmts == []
+    request = c.modifier("SendRequest_checker")
+    assert [s.name for s in request.pre_stmts] == ["oldState", "oldRequestor"]
+    assert len(request.post_stmts) == 1
 
 
 def test_runtime_keeps_nondet_free_check(hb):
@@ -217,10 +223,26 @@ def test_runtime_drops_every_definition_free_function():
     assert c.function("coin") is None
     assert not any(isinstance(x, ast.ExprCall) for body in ast.bodies(runtime)
                    for x in ast.walk(body))
-    body = c.function("F").body
-    assert print_expr(body[0].cond) == "true"
-    assert print_expr(body[1].init) == "false"
-    assert print_expr(body[2].cond) == "false"
+    body = c.function("F").body  # the require weakened to true is dropped
+    assert print_expr(body[0].init) == "false"
+    assert print_expr(body[1].cond) == "false"
+    assert len(body) == 2
+
+
+def test_runtime_drops_true_checks_in_blocks_and_keeps_other_declarations():
+    """A check nested in a block goes once it is true; a modifier's unread
+    declaration stays unless it copies a variable (its initializer may
+    revert)."""
+    program = typecheck(parse_contract(
+        "contract C { int s; constructor() public { s = 0; }\n"
+        "    function coin() public returns (bool);\n"
+        "    modifier m() { int copy = s; int q = 1 / s; _; }\n"
+        "    function F() m() public { if (s == 0) { require(coin()); s = 1; }"
+        " else { assert(s > 0); } } }"))
+    c = make_runtime_checks(program).contracts[0]
+    assert [d.name for d in c.modifier("m").pre_stmts] == ["q"]
+    branch = c.function("F").body[0]
+    assert [type(x).__name__ for x in branch.then + branch.els] == ["Assign", "Assert"]
 
 
 # -- weakening soundness by truth tables ----------------------------------------
