@@ -33,6 +33,14 @@ EXIT_INTERNAL_ERROR = 4
 REPORT_SCHEMA_VERSION = 1
 
 
+class NotConformant(InputError):
+    """The contracts do not match the policy syntactically."""
+
+    def __init__(self, diagnostics: list[str]):
+        self.diagnostics = diagnostics
+        super().__init__("not syntactically conformant:\n  " + "\n  ".join(diagnostics))
+
+
 @record
 class RunConfig:
     mode: str = "conformance"  # conformance | assertions | instrument-only
@@ -113,10 +121,8 @@ def run(cfg: RunConfig):
             check_syntactic_conformance, functions_without_transitions,
         )
         diags = check_syntactic_conformance(program, policy)
-        report["syntactic_diagnostics"] = [str(d) for d in diags]
         if diags:
-            raise InputError("not syntactically conformant:\n  "
-                             + "\n  ".join(str(d) for d in diags))
+            raise NotConformant([str(d) for d in diags])
         report["functions_without_transitions"] = \
             functions_without_transitions(program, policy)
         program = instrument_for_conformance(program, policy)
@@ -254,10 +260,10 @@ def _write_report(path: str, report: dict) -> bool:
     return True
 
 
-def _write_error_report(path: str | None, verdict: str, error: str):
+def _write_error_report(path: str | None, verdict: str, error: str, **fields):
     if path:
         _write_report(path, {"schema": REPORT_SCHEMA_VERSION,
-                             "verdict": verdict, "error": error})
+                             "verdict": verdict, "error": error, **fields})
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -278,7 +284,9 @@ def main(argv: list[str] | None = None) -> int:
         report, code = run(cfg)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        _write_error_report(args.report_json, "InputError", str(exc))
+        fields = {"syntactic_diagnostics": exc.diagnostics} \
+            if isinstance(exc, NotConformant) else {}
+        _write_error_report(args.report_json, "InputError", str(exc), **fields)
         return EXIT_INPUT_ERROR
     except Exception as exc:  # a failure of the verifier or its solver
         import traceback

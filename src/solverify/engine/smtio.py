@@ -120,8 +120,12 @@ class SolverSession:
         self.to_solver = self.from_solver = -1  # this side's pipe ends
 
     def _ensure(self):
+        """Start the solver unless it runs; one that exited by itself (not
+        killed by this session at a timeout) is a crash, and is reaped."""
         if self.proc is not None and self.proc.poll() is not None:
+            error = self.crashed(f"solver exited with code {self.proc.returncode}")
             self._kill()
+            raise error
         if self.proc is not None:
             return
         self._close_stderr()
@@ -267,8 +271,9 @@ class SolverConfig:
 
 
 def start(config: SolverConfig) -> SolverSession:
-    """The session of the configured solver, its process started (anew if
-    it has died).  A query's timeout covers the query, not this start."""
+    """The session of the configured solver, its process started (anew
+    after a timeout killed it).  A query's timeout covers the query, not
+    this start."""
     command = config.solver_path or os.environ.get("SMT_SOLVER")
     if command not in _sessions:
         _sessions[command] = SolverSession(shlex.split(command) if command else None)

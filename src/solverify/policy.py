@@ -5,6 +5,10 @@ states with an initial state, the functions that drive transitions between
 states, and the roles (global or per-instance) allowed to invoke each
 transition.  This module parses and validates that document; the rest of
 the pipeline consumes the immutable objects built here.
+
+`SCHEMA` is the one statement of the document's shape; keys it does not name
+are ignored.  A fault of shape, a repeated name or an undeclared one raises
+SchemaError at the `$`-rooted JSON path of the value at fault.
 """
 
 from __future__ import annotations
@@ -26,11 +30,9 @@ class SchemaError(PolicyError):
         super().__init__(f"{path}: {reason}")
 
 
-class DuplicateName(PolicyError):
-    def __init__(self, kind: str, name: str):
-        self.kind = kind
-        self.name = name
-        super().__init__(f"duplicate {kind} name: {name!r}")
+class DuplicateName(SchemaError):
+    def __init__(self, path: str, kind: str, name: str):
+        super().__init__(path, f"duplicate {kind} name {name!r}")
 
 
 class UnknownFunction(PolicyError):
@@ -107,211 +109,129 @@ class Policy:
         raise KeyError(name)
 
 
-def _require(doc: dict, key: str, path: str, want: type):
-    if key not in doc:
-        raise SchemaError(f"{path}.{key}", "missing required field")
+NAME = "non-empty string"
+
+# A dict is an object with those required fields, a one-item list a list of
+# such items, `str` a string and NAME a non-empty one.
+SCHEMA = {
+    "ApplicationName": str,
+    "ApplicationRoles": [{"Name": NAME}],
+    "Workflows": [{
+        "Name": str,
+        "Initiators": [NAME],
+        "StartState": str,
+        "States": [NAME],
+        "Properties": [{"Name": str, "Type": str}],
+        "Constructor": {"Parameters": [{"Name": str, "Type": str}]},
+        "Functions": [{"Name": str, "Parameters": [{"Name": str, "Type": str}]}],
+        "Transitions": [{"StartState": str, "Function": str, "AllowedRoles": [str],
+                         "AllowedInstanceRoles": [str], "NextStates": [str]}],
+    }],
+}
+
+
+def _check(doc, shape, path: str) -> None:
+    """Raise SchemaError at the path of the first value in `doc` that does
+    not fit `shape`; the recursion goes no deeper than SCHEMA."""
+    if isinstance(shape, dict):
+        if not isinstance(doc, dict):
+            raise SchemaError(path, "expected object")
+        for key, inner in shape.items():
+            if key not in doc:
+                raise SchemaError(f"{path}.{key}", "missing required field")
+            _check(doc[key], inner, f"{path}.{key}")
+    elif isinstance(shape, list):
+        if not isinstance(doc, list):
+            raise SchemaError(path, "expected array")
+        for i, item in enumerate(doc):
+            _check(item, shape[0], f"{path}[{i}]")
+    elif not isinstance(doc, str) or (shape is NAME and not doc):
+        raise SchemaError(path, f"expected {'string' if shape is str else NAME}")
+
+
+def _unique(names: list[str], path: str, kind: str) -> list[str]:
+    """`names`, one per item of the list at `path`; DuplicateName at the
+    first item whose name repeats an earlier one."""
+    for i, name in enumerate(names):
+        if names.index(name) != i:
+            raise DuplicateName(f"{path}[{i}]", kind, name)
+    return names
+
+
+def _declared(doc: dict, key: str, known, path: str, code: str, what: str) -> None:
+    """SchemaError, its reason led by `code`, at the first name under `key`
+    (one name or a list of them) that is not in `known`."""
     value = doc[key]
-    if not isinstance(value, want):
-        raise SchemaError(f"{path}.{key}", f"expected {want.__name__}")
-    return value
+    named = [("", value)] if isinstance(value, str) else \
+        [(f"[{i}]", name) for i, name in enumerate(value)]
+    for at, name in named:
+        if name not in known:
+            raise SchemaError(f"{path}.{key}{at}", f"{code}: {what} {name!r} not declared")
 
 
-def _name_list(items, path: str, kind: str) -> list[str]:
-    out = []
-    for i, item in enumerate(items):
-        if not isinstance(item, str) or not item:
-            raise SchemaError(f"{path}[{i}]", "expected non-empty string")
-        if item in out:
-            raise DuplicateName(kind, item)
-        out.append(item)
-    return out
+def _pairs(doc: dict, key: str, path: str, kind: str) -> tuple[tuple[str, str], ...]:
+    """The name and type of each item of the list under `key`, names unique."""
+    _unique([item["Name"] for item in doc[key]], f"{path}.{key}", kind)
+    return tuple((item["Name"], item["Type"]) for item in doc[key])
 
 
-def _parse_params(items, path: str) -> tuple[tuple[str, str], ...]:
-    params = []
-    seen = set()
-    for i, item in enumerate(items):
-        if not isinstance(item, dict):
-            raise SchemaError(f"{path}[{i}]", "expected object")
-        name = _require(item, "Name", f"{path}[{i}]", str)
-        ptype = _require(item, "Type", f"{path}[{i}]", str)
-        if name in seen:
-            raise DuplicateName("parameter", name)
-        seen.add(name)
-        params.append((name, ptype))
-    return tuple(params)
-
-
-def _parse_workflow(doc: dict, path: str, roles: list[str]) -> Workflow:
-    name = _require(doc, "Name", path, str)
-    initiators = _name_list(_require(doc, "Initiators", path, list), f"{path}.Initiators", "initiator")
-    start_state = _require(doc, "StartState", path, str)
-    states = _name_list(_require(doc, "States", path, list), f"{path}.States", "state")
-
-    properties = []
-    instance_roles = []
-    for i, item in enumerate(_require(doc, "Properties", path, list)):
-        ppath = f"{path}.Properties[{i}]"
-        if not isinstance(item, dict):
-            raise SchemaError(ppath, "expected object")
-        pname = _require(item, "Name", ppath, str)
-        ptype = _require(item, "Type", ppath, str)
-        if any(pname == existing for existing, _ in properties):
-            raise DuplicateName("property", pname)
-        properties.append((pname, ptype))
-        if ptype in roles:
-            instance_roles.append((pname, ptype))
-
-    ctor_doc = _require(doc, "Constructor", path, dict)
-    constructor = FunctionSig(
-        name=name,
-        params=_parse_params(_require(ctor_doc, "Parameters", f"{path}.Constructor", list),
-                             f"{path}.Constructor.Parameters"),
-    )
-
-    functions = []
-    fn_names = set()
-    for i, item in enumerate(_require(doc, "Functions", path, list)):
-        fpath = f"{path}.Functions[{i}]"
-        if not isinstance(item, dict):
-            raise SchemaError(fpath, "expected object")
-        fname = _require(item, "Name", fpath, str)
-        if fname in fn_names:
-            raise DuplicateName("function", fname)
-        fn_names.add(fname)
-        functions.append(FunctionSig(
-            name=fname,
-            params=_parse_params(_require(item, "Parameters", fpath, list), f"{fpath}.Parameters"),
-        ))
+def _workflow(doc: dict, path: str, roles: list[str]) -> Workflow:
+    """The workflow of a document that fits SCHEMA, once its names are
+    unique and every name it refers to is declared."""
+    states = _unique(doc["States"], f"{path}.States", "state")
+    _declared(doc, "StartState", states, path, "InitialStateUnknown", "initial state")
+    initiators = _unique(doc["Initiators"], f"{path}.Initiators", "initiator")
+    _declared(doc, "Initiators", roles, path, "UnknownInitiatorRole", "initiator")
+    properties = _pairs(doc, "Properties", path, "property")
+    instance_roles = tuple(p for p in properties if p[1] in roles)
+    functions = tuple(FunctionSig(f["Name"], _pairs(f, "Parameters", f"{path}.Functions[{i}]",
+                                                    "parameter"))
+                      for i, f in enumerate(doc["Functions"]))
+    fn_names = _unique([f.name for f in functions], f"{path}.Functions", "function")
 
     transitions = []
-    for i, item in enumerate(_require(doc, "Transitions", path, list)):
+    for i, t in enumerate(doc["Transitions"]):
         tpath = f"{path}.Transitions[{i}]"
-        if not isinstance(item, dict):
-            raise SchemaError(tpath, "expected object")
-        t_start = _require(item, "StartState", tpath, str)
-        t_fn = _require(item, "Function", tpath, str)
-        allowed = _require(item, "AllowedRoles", tpath, list)
-        allowed_inst = _require(item, "AllowedInstanceRoles", tpath, list)
-        next_states = _require(item, "NextStates", tpath, list)
-        if not next_states:
+        if not t["NextStates"]:
             raise SchemaError(f"{tpath}.NextStates", "must be non-empty")
-        for lst, lpath in ((allowed, "AllowedRoles"), (allowed_inst, "AllowedInstanceRoles"),
-                           (next_states, "NextStates")):
-            for j, entry in enumerate(lst):
-                if not isinstance(entry, str):
-                    raise SchemaError(f"{tpath}.{lpath}[{j}]", "expected string")
+        for key, known, code, what in (
+                ("StartState", states, "UnknownState", "start state"),
+                ("Function", fn_names, "UnknownTransitionFunction", "function"),
+                ("NextStates", states, "UnknownState", "successor state"),
+                ("AllowedRoles", roles, "UnknownAccessEntry", "global role"),
+                ("AllowedInstanceRoles", [n for n, _ in instance_roles],
+                 "UnknownAccessEntry", "instance role")):
+            _declared(t, key, known, tpath, code, what)
         transitions.append(Transition(
-            start=t_start,
-            function=t_fn,
-            access=AccessSet(global_roles=frozenset(allowed),
-                             instance_roles=frozenset(allowed_inst)),
-            successors=tuple(next_states),
-        ))
+            t["StartState"], t["Function"],
+            AccessSet(frozenset(t["AllowedRoles"]), frozenset(t["AllowedInstanceRoles"])),
+            tuple(t["NextStates"])))
 
-    return Workflow(
-        name=name,
-        states=tuple(states),
-        initial_state=start_state,
-        properties=tuple(properties),
-        instance_roles=tuple(instance_roles),
-        functions=tuple(functions),
-        constructor=constructor,
-        initiator_roles=frozenset(initiators),
-        transitions=tuple(transitions),
-    )
+    constructor = FunctionSig(doc["Name"], _pairs(doc["Constructor"], "Parameters",
+                                                  f"{path}.Constructor", "parameter"))
+    return Workflow(name=doc["Name"], states=tuple(states), initial_state=doc["StartState"],
+                    properties=properties, instance_roles=instance_roles,
+                    functions=functions, constructor=constructor,
+                    initiator_roles=frozenset(initiators), transitions=tuple(transitions))
 
 
 def parse_policy(text: str) -> Policy:
-    """Parse a policy document.  Raises SchemaError/DuplicateName on malformed
-    input; referential problems (unknown states, roles...) surface as
-    diagnostics from validate_policy, except those the schema itself forbids.
-    """
+    """Parse a policy document; a malformed one raises SchemaError (or its
+    subclass DuplicateName) at the JSON path of its first fault."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"invalid JSON: {exc}") from None
     except RecursionError:
         raise SchemaError("$", "JSON nested too deeply") from None
-    if not isinstance(doc, dict):
-        raise SchemaError("$", "expected top-level object")
-
-    app_name = _require(doc, "ApplicationName", "$", str)
-    roles = []
-    for i, item in enumerate(_require(doc, "ApplicationRoles", "$", list)):
-        rpath = f"$.ApplicationRoles[{i}]"
-        if not isinstance(item, dict):
-            raise SchemaError(rpath, "expected object")
-        rname = _require(item, "Name", rpath, str)
-        if not rname:
-            raise SchemaError(rpath, "role name must be non-empty")
-        if rname in roles:
-            raise DuplicateName("role", rname)
-        roles.append(rname)
-
-    workflows = []
-    wf_names = set()
-    for i, item in enumerate(_require(doc, "Workflows", "$", list)):
-        wpath = f"$.Workflows[{i}]"
-        if not isinstance(item, dict):
-            raise SchemaError(wpath, "expected object")
-        wf = _parse_workflow(item, wpath, roles)
-        if wf.name in wf_names:
-            raise DuplicateName("workflow", wf.name)
-        wf_names.add(wf.name)
-        workflows.append(wf)
-
-    policy = Policy(name=app_name, roles=frozenset(roles), workflows=tuple(workflows))
-    problems = validate_policy(policy)
-    if problems:
-        # Referential integrity is part of the schema contract for parsing.
-        first = problems[0]
-        raise SchemaError(first.location, f"{first.code}: {first.message}")
-    return policy
-
-
-def validate_policy(policy: Policy) -> list[Diagnostic]:
-    """Check every structural invariant; an empty list means the policy is
-    well-formed.  Diagnostics are data, not exceptions."""
-    out: list[Diagnostic] = []
-
-    for w in policy.workflows:
-        loc = f"workflow {w.name}"
-        states = w.state_set()
-        if w.initial_state not in states:
-            out.append(Diagnostic("InitialStateUnknown", loc,
-                                  f"initial state {w.initial_state!r} not in declared states"))
-        for pname, role in w.instance_roles:
-            if role not in policy.roles:
-                out.append(Diagnostic("UnknownRole", f"{loc}.{pname}",
-                                      f"instance role type {role!r} not a declared role"))
-        for r in w.initiator_roles:
-            if r not in policy.roles:
-                out.append(Diagnostic("UnknownInitiatorRole", loc,
-                                      f"initiator {r!r} not a declared role"))
-        fn_names = set(w.function_names())
-        inst_names = set(w.instance_role_names())
-        for i, t in enumerate(w.transitions):
-            tloc = f"{loc}.transitions[{i}]"
-            if t.start not in states:
-                out.append(Diagnostic("UnknownState", tloc,
-                                      f"start state {t.start!r} not declared"))
-            for s in t.successors:
-                if s not in states:
-                    out.append(Diagnostic("UnknownState", tloc,
-                                          f"successor state {s!r} not declared"))
-            if t.function not in fn_names:
-                out.append(Diagnostic("UnknownTransitionFunction", tloc,
-                                      f"function {t.function!r} not declared"))
-            for r in t.access.global_roles:
-                if r not in policy.roles:
-                    out.append(Diagnostic("UnknownAccessEntry", tloc,
-                                          f"global role {r!r} not declared"))
-            for q in t.access.instance_roles:
-                if q not in inst_names:
-                    out.append(Diagnostic("UnknownAccessEntry", tloc,
-                                          f"instance role {q!r} not declared"))
-    return out
+    _check(doc, SCHEMA, "$")
+    roles = _unique([r["Name"] for r in doc["ApplicationRoles"]],
+                    "$.ApplicationRoles", "role")
+    workflows = [_workflow(w, f"$.Workflows[{i}]", roles)
+                 for i, w in enumerate(doc["Workflows"])]
+    _unique([w.name for w in workflows], "$.Workflows", "workflow")
+    return Policy(name=doc["ApplicationName"], roles=frozenset(roles),
+                  workflows=tuple(workflows))
 
 
 def transitions_for_function(workflow: Workflow, fn: str) -> list[Transition]:

@@ -162,13 +162,25 @@ def _store_into(env: TransEnv, lhs: S.SolExpr, value: I.IrExpr) -> I.IrStmt:
     raise TranslateError("left-hand side is not assignable")
 
 
+def _default(env: TransEnv, t: S.SolType) -> tuple[list[I.IrStmt], I.IrExpr]:
+    """The value a variable of type `t` starts with, and the statements that
+    make it: a new empty mapping or array, else 0, false or null."""
+    if isinstance(t, S.MappingType):
+        tmp = env.fresh_temp(REF)
+        length = I.IConst(0) if t.is_array and not isinstance(t.value, S.MappingType) \
+            else None
+        return [I.Alloc(tmp, *map_signature(t), length)], I.Var(tmp)
+    return [], {INT: I.IConst(0), BOOL: I.BConst(False), REF: I.RConst(0)}[map_type(t)]
+
+
 def translate_stmt(env: TransEnv, s: S.SolStmt) -> list[I.IrStmt]:
     if isinstance(s, S.DeclStmt):
         name = env.names[s.name]
         env.locals.append((name, map_type(s.ty)))
         if s.init is not None:
             return [I.Assign(name, translate_expr(env, s.init))]
-        return []
+        init, value = _default(env, s.ty)
+        return init + [I.Assign(name, value)]
     if isinstance(s, S.Assign):
         return [_store_into(env, s.lhs, translate_expr(env, _hoist_nondets(env, s.rhs)))]
     if isinstance(s, S.Require):
@@ -449,7 +461,11 @@ def _translate_function(tr: Translation, c: S.SolContract, fn: S.SolFunction) ->
     params = [(THIS, REF)] + [(env.names[n], map_type(t)) for n, t in fn.params] \
         + [(MSG_SENDER, REF)]
     returns = [(RET, map_type(fn.returns))] if fn.returns is not None else []
-    stmts = [t for s in fn.body for t in translate_stmt(env, s)]
+    stmts: list[I.IrStmt] = []
+    if returns:  # a body that ends without `return` returns the default
+        init, value = _default(env, fn.returns)
+        stmts = init + [I.Assign(RET, value)]
+    stmts += [t for s in fn.body for t in translate_stmt(env, s)]
     return _finish_proc(env, tr.procs[c.name, fn.name], params, returns, stmts)
 
 
@@ -471,19 +487,8 @@ def _translate_constructor(tr: Translation, c: S.SolContract) -> I.IrProcedure:
 
     # Zero / fresh initialization of the contract's own state variables.
     for n, t in c.state_vars:
-        target = tr.state_maps[c.name, n]
-        if isinstance(t, S.MappingType):
-            tmp = env.fresh_temp(REF)
-            length = I.IConst(0) if t.is_array and not isinstance(t.value, S.MappingType) \
-                else None
-            stmts.append(I.Alloc(tmp, *map_signature(t), length))
-            stmts.append(I.Store(target, (I.Var(THIS),), I.Var(tmp)))
-        elif isinstance(t, S.BoolType):
-            stmts.append(I.Store(target, (I.Var(THIS),), I.BConst(False)))
-        elif isinstance(t, (S.AddressType, S.ContractType)):
-            stmts.append(I.Store(target, (I.Var(THIS),), I.RConst(0)))
-        else:
-            stmts.append(I.Store(target, (I.Var(THIS),), I.IConst(0)))
+        init, value = _default(env, t)
+        stmts += init + [I.Store(tr.state_maps[c.name, n], (I.Var(THIS),), value)]
 
     stmts += [t for s in ctor.body for t in translate_stmt(env, s)]
     return _finish_proc(env, tr.procs[c.name, None], params, [], stmts)

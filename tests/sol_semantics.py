@@ -117,7 +117,7 @@ class World:
             raise SolRuntimeError(f"{fn.name}: bad arity")
         frame = Frame(world=self, inst=inst, sender=sender,
                       env={n: v for (n, _), v in zip(fn.params, args)})
-        ret = [None]
+        ret = [None if fn.returns is None else self.default_value(fn.returns)]
         _exec_block(fn.body, frame, ret)
         return ret[0]
 

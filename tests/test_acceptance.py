@@ -111,7 +111,7 @@ def test_criterion_4_translation_goldens():
         }
         """)
         body = I.seq_list(tr.ir.procedures["F_C"].body)
-        assign = [s for s in body if isinstance(s, I.Assign)][0]
+        assign = [s for s in body if isinstance(s, I.Assign)][-1]
         assert print_expr(assign.expr) == "M_int_int[M_int_Ref[x_C[this]][0]][1]"
 
         tr2, _, _ = build("""

@@ -8,11 +8,13 @@ import sys
 import pytest
 
 from conftest import fixture_path, fixture_text, get_value_replying_solver
+from sol_semantics import SolAssertFail, make_world
 from solverify.cli import (
     EXIT_FULLY_VERIFIED, EXIT_INPUT_ERROR, EXIT_INTERNAL_ERROR, EXIT_PARTIAL,
     EXIT_REFUTED, main, render_trace,
 )
 from solverify.engine.trace import CounterexampleTrace, Transaction
+from solverify.sol import desugar_modifiers, parse_contract, typecheck
 
 
 def run_cli(*args) -> int:
@@ -120,12 +122,18 @@ def test_nonconformant_exit_three(capsys, tmp_path):
     bad = tmp_path / "bad.sol"
     bad.write_text(open(fixture_path("helloblockchain.sol")).read()
                    .replace("function SendResponse", "function SendOther"))
+    report = tmp_path / "report.json"
     code = run_cli("verify", "--mode", "conformance",
                    "--policy", fixture_path("helloblockchain.json"),
-                   "--sol", str(bad), "--root", "HelloBlockchain")
+                   "--sol", str(bad), "--root", "HelloBlockchain",
+                   "--report-json", str(report))
     assert code == EXIT_INPUT_ERROR
     err = capsys.readouterr().err
     assert "MissingFunction" in err
+    doc = json.loads(report.read_text())
+    assert doc["verdict"] == "InputError"
+    assert [d.split()[0] for d in doc["syntactic_diagnostics"]] == ["MissingFunction"]
+    assert all(d in doc["error"] for d in doc["syntactic_diagnostics"])
 
 
 def test_assertions_mode_refutes_assert_as_require(capsys, tmp_path):
@@ -485,6 +493,44 @@ def test_zero_divisor_assumed_only_where_the_division_runs(tmp_path):
     assert [(tx["fn"], tx["args"]) for tx in doc["trace"]] == [("C", []), ("f", [0])]
 
 
+def _holds_in_source_semantics(path, fn: str) -> bool:
+    """Whether `fn` of the one contract `C` in `path`, called once after its
+    constructor, runs without a failing assertion in `tests/sol_semantics.py`."""
+    program = desugar_modifiers(typecheck(parse_contract(path.read_text())))
+    world = make_world(program)
+    inst = world.new_instance("C", [], sender=("eoa", 1))
+    try:
+        world.call_function(inst, fn, [], sender=("eoa", 1))
+    except SolAssertFail:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("body", [
+    "int y; assert(y == 0);",
+    "bool b; address a; assert(!b && a == 0x0);",
+    "int i = 0; while (i < 2) { int y; assert(y == 0); y = 1; i = i + 1; }",
+    "int[] a; a.push(1); int[] b; b.push(2); assert(a[0] == 1 && a.length == 1);",
+], ids=["int", "bool_and_address", "in_a_loop_body", "arrays"])
+def test_a_local_declared_without_an_initializer_starts_at_its_default(tmp_path, body):
+    # each run of the declaration resets the local, as in the source
+    # semantics; the query used to leave it unconstrained (exit 4 on the
+    # first two, a wrong Refuted on the last two)
+    code, doc = _verify_function(tmp_path, "", body, params="")
+    assert (code, doc["verdict"]) == (EXIT_FULLY_VERIFIED, "FullyVerified")
+    assert _holds_in_source_semantics(tmp_path / "c.sol", "f")
+
+
+def test_a_function_that_ends_without_return_returns_its_default(tmp_path):
+    src = tmp_path / "c.sol"
+    src.write_text("contract C { int x; constructor() public { }\n"
+                   "    function G() public returns (int) { x = 1; }\n"
+                   "    function F() public { x = G(); assert(x == 0); } }\n")
+    assert run_cli("verify", "--mode", "assertions", "--k", "2",
+                   "--sol", str(src)) == EXIT_FULLY_VERIFIED
+    assert _holds_in_source_semantics(src, "F")
+
+
 def _assert_internal_error(code, capsys, report):
     assert code == EXIT_INTERNAL_ERROR
     err = capsys.readouterr().err.strip()
@@ -609,6 +655,75 @@ def test_policy_nested_too_deeply_exits_three(tmp_path, capsys):
         run_cli("verify", "--policy", str(deep),
                 "--sol", fixture_path("helloblockchain.sol")), capsys)
     assert "nested too deeply" in err
+
+
+def _set(path: str, value):
+    """A mutation of the helloblockchain policy: `value` at `path`, a key
+    path into the document (`None` deletes the key, a callable receives
+    the old value and returns the new one)."""
+    *parents, last = [int(k) if k.isdigit() else k for k in path.split("/")]
+
+    def mutate(doc):
+        for key in parents:
+            doc = doc[key]
+        if value is None:
+            del doc[last]
+        else:
+            doc[last] = value(doc[last]) if callable(value) else value
+    return mutate
+
+
+W0, T0, T1 = "$.Workflows[0]", "$.Workflows[0].Transitions[0]", "$.Workflows[0].Transitions[1]"
+
+
+@pytest.mark.parametrize("mutate, error", [
+    (_set("Workflows/0/StartState", None), f"{W0}.StartState: missing required field"),
+    (_set("Workflows/0/Constructor", []), f"{W0}.Constructor: expected object"),
+    (_set("ApplicationRoles", {"Name": "R"}), "$.ApplicationRoles: expected array"),
+    (_set("Workflows/0/Transitions/0/NextStates", [1]),
+     f"{T0}.NextStates[0]: expected string"),
+    (_set("Workflows/0/States/1", ""), f"{W0}.States[1]: expected non-empty string"),
+    (_set("ApplicationRoles", lambda roles: roles + roles[1:]),
+     "$.ApplicationRoles[2]: duplicate role name 'Responder'"),
+    (_set("Workflows/0/States", lambda states: states + states[:1]),
+     f"{W0}.States[2]: duplicate state name 'Request'"),
+    (_set("Workflows/0/Functions", lambda fns: fns + fns[:1]),
+     f"{W0}.Functions[2]: duplicate function name 'SendRequest'"),
+    (_set("Workflows/0/StartState", "Nowhere"),
+     f"{W0}.StartState: InitialStateUnknown: initial state 'Nowhere' not declared"),
+    (_set("Workflows/0/Transitions/1/StartState", "Nowhere"),
+     f"{T1}.StartState: UnknownState: start state 'Nowhere' not declared"),
+    (_set("Workflows/0/Transitions/0/NextStates", ["Request", "Nowhere"]),
+     f"{T0}.NextStates[1]: UnknownState: successor state 'Nowhere' not declared"),
+    (_set("Workflows/0/Transitions/0/Function", "Nope"),
+     f"{T0}.Function: UnknownTransitionFunction: function 'Nope' not declared"),
+    (_set("Workflows/0/Initiators", ["Nobody"]),
+     f"{W0}.Initiators[0]: UnknownInitiatorRole: initiator 'Nobody' not declared"),
+    (_set("Workflows/0/Transitions/0/AllowedRoles", ["Nobody"]),
+     f"{T0}.AllowedRoles[0]: UnknownAccessEntry: global role 'Nobody' not declared"),
+    (_set("Workflows/0/Transitions/1/AllowedInstanceRoles", ["Nobody"]),
+     f"{T1}.AllowedInstanceRoles[0]: UnknownAccessEntry: instance role 'Nobody' not declared"),
+    (_set("Workflows/0/Transitions/0/NextStates", []), f"{T0}.NextStates: must be non-empty"),
+    (_set("Workflows/0/DisplayName", "Hello"), None),
+], ids=["missing_field", "object_type", "list_type", "string_type", "empty_name",
+        "duplicate_role", "duplicate_state", "duplicate_function", "unknown_start_state",
+        "unknown_transition_start", "unknown_successor", "unknown_function",
+        "unknown_initiator", "unknown_global_role", "unknown_instance_role",
+        "empty_next_states", "extra_key"])
+def test_malformed_policy_is_reported_at_the_path_of_its_fault(
+        tmp_path, capsys, mutate, error):
+    doc = json.loads(fixture_text("helloblockchain.json"))
+    mutate(doc)
+    policy, report = tmp_path / "p.json", tmp_path / "r.json"
+    policy.write_text(json.dumps(doc))
+    code = run_cli("verify", "--policy", str(policy), "--k", "2",
+                   "--sol", fixture_path("helloblockchain.sol"), "--report-json", str(report))
+    verdict = json.loads(report.read_text())["verdict"]
+    if error is None:  # keys the schema does not name are ignored
+        assert (code, verdict) == (EXIT_FULLY_VERIFIED, "FullyVerified")
+        return
+    assert _assert_input_error(code, capsys) == f"error: {error}"
+    assert verdict == "InputError"
 
 
 @pytest.mark.parametrize("argv", [

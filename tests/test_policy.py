@@ -4,9 +4,8 @@ import pytest
 
 from conftest import serialize_policy
 from solverify.policy import (
-    AccessSet, Diagnostic, DuplicateName, FunctionSig, Policy, SchemaError,
-    Transition, UnknownFunction, Workflow, parse_policy,
-    transitions_for_function, validate_policy,
+    AccessSet, Diagnostic, DuplicateName, FunctionSig, SchemaError, Transition,
+    UnknownFunction, Workflow, parse_policy, transitions_for_function,
 )
 
 
@@ -43,7 +42,6 @@ def _minimal_doc(**overrides):
 def test_degenerate_policy_valid():
     policy = parse_policy(json.dumps(_minimal_doc()))
     assert policy.workflows[0].transitions == ()
-    assert validate_policy(policy) == []
 
 
 def test_unknown_state_in_transition_rejected():
@@ -92,25 +90,29 @@ def _raw_workflow(**overrides):
 
 
 def test_validate_initial_state_unknown():
-    policy = Policy(name="P", roles=frozenset({"R"}),
-                    workflows=(_raw_workflow(initial_state="X"),))
-    codes = [d.code for d in validate_policy(policy)]
-    assert codes == ["InitialStateUnknown"]
+    doc = _minimal_doc()
+    doc["Workflows"][0]["StartState"] = "X"
+    with pytest.raises(SchemaError) as err:
+        parse_policy(json.dumps(doc))
+    assert err.value.path == "$.Workflows[0].StartState"
+    assert err.value.reason.startswith("InitialStateUnknown: ")
 
 
 def test_validate_unknown_access_entry():
-    tau = Transition(start="A", function="F",
-                     access=AccessSet(instance_roles=frozenset({"Nobody"})),
-                     successors=("B",))
-    policy = Policy(name="P", roles=frozenset({"R"}),
-                    workflows=(_raw_workflow(transitions=(tau,)),))
-    codes = [d.code for d in validate_policy(policy)]
-    assert "UnknownAccessEntry" in codes
+    doc = _minimal_doc()
+    doc["Workflows"][0]["Functions"] = [{"Name": "F", "Parameters": []}]
+    doc["Workflows"][0]["Transitions"] = [{
+        "StartState": "S", "Function": "F", "AllowedRoles": [],
+        "AllowedInstanceRoles": ["Nobody"], "NextStates": ["S"],
+    }]
+    with pytest.raises(SchemaError) as err:
+        parse_policy(json.dumps(doc))
+    assert err.value.path == "$.Workflows[0].Transitions[0].AllowedInstanceRoles[0]"
+    assert err.value.reason.startswith("UnknownAccessEntry: ")
 
 
 def test_validated_policy_passes_exhaustive_scan(hb_policy_text):
     policy = parse_policy(hb_policy_text)
-    assert validate_policy(policy) == []
     for w in policy.workflows:
         states = w.state_set()
         for t in w.transitions:

@@ -126,6 +126,7 @@ def test_forked_solver_never_runs_the_verifiers_atexit_hooks(tmp_path):
 SERVE_RAISES = """
 import sys
 import solverify.cli as cli
+import solverify.engine.smtio as smtio
 import solverify.smt.cli as smt_cli
 
 def serve(inp, out):
@@ -135,8 +136,13 @@ def counted(*args):
     open(sys.argv[1], "a").write("report\\n")
     write_report(*args)
 
+def forked(self, *args):  # returns only in the verifier
+    fork(self, *args)
+    open(sys.argv[1], "a").write("fork\\n")
+
 smt_cli.serve = serve
 write_report, cli._write_error_report = cli._write_error_report, counted
+fork, smtio.ForkedSolver.__init__ = smtio.ForkedSolver.__init__, forked
 sys.exit(cli.main(sys.argv[2:]))
 """
 
@@ -147,7 +153,7 @@ def test_failure_in_the_forked_solver_reaches_the_verifier_as_a_crash(tmp_path):
     assert proc.returncode == EXIT_INTERNAL_ERROR
     assert proc.stderr.startswith("internal error: SolverCrashed")
     assert "RuntimeError: serve failed in the child" in proc.stderr  # its stderr tail
-    assert log.read_text() == "report\n"  # the child wrote none
+    assert log.read_text() == "fork\nreport\n"  # forked once; the child wrote none
     assert json.loads(report.read_text())["verdict"] == "InternalError"
 
 

@@ -40,7 +40,7 @@ def test_nested_lookup_golden():
     }
     """)
     body = tr.ir.procedures["F_C"].body
-    assign = [s for s in I.seq_list(body) if isinstance(s, I.Assign)][0]
+    assign = [s for s in I.seq_list(body) if isinstance(s, I.Assign)][-1]
     assert print_expr(assign.expr) == "M_int_int[M_int_Ref[x_C[this]][0]][1]"
 
 
