@@ -1,17 +1,16 @@
 """SMT-LIB2 solver process: reads commands from stdin and answers check-sat,
-get-value, get-model, and echo on stdout.  Runs one-shot or as a persistent
-session (state clears on `reset`).  When no external solver is configured,
-the verifier runs `serve` in a fork of itself (`engine.smtio`);
-`python -m solverify.smt.cli` runs it as a program of its own."""
+get-value and echo on stdout, and any command it does not take with one
+`(error ...)` line.  Runs one-shot or as a persistent session (state clears
+on `reset`).  When no external solver is configured, the verifier runs
+`serve` in a fork of itself (`engine.smtio`); `python -m solverify.smt.cli`
+runs it as a program of its own."""
 
 from __future__ import annotations
 
 import sys
 
 from solverify.smt.solver import Solved, solve
-from solverify.smt.terms import (
-    ScriptParser, is_array_sort, iter_sexprs, literal, sexpr, sort_to_sexpr,
-)
+from solverify.smt.terms import ScriptParser, iter_sexprs, literal, sexpr
 
 
 def format_value(v) -> str:
@@ -68,20 +67,6 @@ class Session:
                 f"({sexpr(t)} {format_value(self.solved.value_of(t))})"
                 for t in terms)
             self.emit(f"({pairs})")
-            return True
-        if head == "get-model":
-            if self.solved is None or self.solved.answer != "sat":
-                self.emit('(error "model is not available")')
-                return True
-            decls = []
-            for name in sorted(self.parser.script.decls):
-                args, sort = self.parser.script.decls[name]
-                if args or is_array_sort(sort):
-                    continue
-                value = self.solved.value_of(self.parser.bank.sym(name, sort))
-                decls.append(f"  (define-fun {name} () {sort_to_sexpr(sort)} "
-                             f"{format_value(value)})")
-            self.emit("(\n" + "\n".join(decls) + "\n)")
             return True
         try:
             self.parser.feed(sx)

@@ -1,9 +1,10 @@
 """Decision procedure for the query fragment the verifier emits.
 
-Scope: boolean structure over equality with uninterpreted functions, arrays
+Scope: boolean structure over equality of uninterpreted-sort terms, arrays
 (reduced to reads over base arrays by read-over-write rewriting), integer
-difference arithmetic, and universally quantified allocation axioms handled
-by instantiating them where their triggers match terms of the query.
+difference arithmetic, and universally quantified allocation axioms, where
+`QueryBuilder` states them, handled by instantiating them where their
+triggers match terms of the query.
 
 `unsat` answers are sound: instantiation only adds consequences, and any
 constraint outside the handled fragment is ignored rather than used, which
@@ -54,11 +55,6 @@ class Simplifier:
             return t
         if t.op == "select":
             return self._select(args[0], args[1])
-        if t.op == "distinct":
-            eqs = [self._fold(self._mk("=", pair, sort=BOOL_S))
-                   for pair in itertools.combinations(args, 2)]
-            parts = [self._fold(self._mk("not", [eq], sort=BOOL_S)) for eq in eqs]
-            return self._fold(self._mk("and", parts, sort=BOOL_S))
         return self._fold(self._mk(t.op, args, value=t.value, sort=t.sort))
 
     def _select(self, base: Term, key: Term) -> Term:
@@ -407,7 +403,7 @@ class CC:
 
 
 # ---------------------------------------------------------------------------
-# Theory solver: EUF + integer difference constraints
+# Theory solver: congruence closure + integer difference constraints
 
 ZERO = -1  # origin of the difference graph; a value is a potential minus ZERO's
 COMPARISONS = {"<": ">=", "<=": ">", ">": "<=", ">=": "<"}  # op -> its negation
@@ -487,7 +483,7 @@ class Theory:
             else:
                 const, coeffs = lin if op in ("<", "<=") else _negate(lin)
                 bounds = [(const + (op in ("<", ">")), coeffs)]
-        elif atom.op in ("select", "app"):  # boolean-sorted theory atoms
+        elif atom.op == "select":  # a boolean-sorted theory atom
             merge = (atom, self.bank.boolval(value))
         # plain boolean symbols carry no theory content
         edges = []
@@ -848,63 +844,48 @@ class GroundSolver:
                                        self.fixed)
 
 
-def _polarity_extract(bank: TermBank, t: Term, proxies: list, polarity: bool,
+def _polarity_extract(bank: TermBank, t: Term, proxies: list,
                       forall_memo: dict) -> Term:
-    """Replace positive-polarity foralls with proxy booleans; a negative
-    occurrence is outside the fragment.  Only the boolean structure above a
-    quantifier is walked."""
+    """The assertion `t` with its forall replaced by a proxy boolean, where
+    `QueryBuilder` builds one: the whole assertion, or the consequent of an
+    `=>` whose premise has no quantifier.  Anywhere else a quantifier is
+    outside the fragment."""
     if not _has_forall(t, forall_memo):
         return t
-    if t.op == "forall":
-        if not polarity:
-            raise SolverUnknown("negative quantifier")
-        proxy = bank.sym(f"qproxy!{len(proxies)}", BOOL_S)
-        proxies.append((proxy, t))
-        return proxy
-
-    def sub(x: Term, pol: bool) -> Term:
-        return _polarity_extract(bank, x, proxies, pol, forall_memo)
-
-    if t.op == "not":
-        return bank.mk("not", (sub(t.args[0], not polarity),), sort=BOOL_S)
-    if t.op in ("and", "or"):
-        return bank.mk(t.op, tuple(sub(a, polarity) for a in t.args), sort=BOOL_S)
-    if t.op == "=>":
-        a = sub(t.args[0], not polarity)
-        return bank.mk("=>", (a, sub(t.args[1], polarity)), sort=BOOL_S)
-    if t.op == "ite" and t.sort == BOOL_S:
-        c = t.args[0]  # both polarities; quantifier-free conditions only
-        if _has_forall(c, forall_memo):
-            raise SolverUnknown("quantifier in ite condition")
-        a = sub(t.args[1], polarity)
-        return bank.mk("ite", (c, a, sub(t.args[2], polarity)), sort=BOOL_S)
-    raise SolverUnknown("quantifier in unsupported position")
+    premise = None
+    if t.op == "=>" and not _has_forall(t.args[0], forall_memo):
+        premise, t = t.args
+    if t.op != "forall":
+        raise SolverUnknown("quantifier in unsupported position")
+    proxy = bank.sym(f"qproxy!{len(proxies)}", BOOL_S)
+    proxies.append((proxy, t))
+    return proxy if premise is None else bank.mk("=>", (premise, proxy), sort=BOOL_S)
 
 
 def _has_forall(t: Term, memo: dict) -> bool:
     return fold([t], lambda x, below: x.op == "forall" or any(below), memo)[0]
 
 
-def _collect_pools(bank: TermBank, roots: list[Term]) -> tuple[dict, CC]:
-    """The instantiation index, the ground `select`/`app` terms by (op,
-    value), and the may-equal closure that triggers match modulo: a CC in
-    which both sides of every ground non-Bool, non-Int equality (of either
-    polarity) and every such ite and its branches are merged."""
-    index: dict = {}
+def _collect_pools(bank: TermBank, roots: list[Term]) -> tuple[list, CC]:
+    """The instantiation pool, the ground `select` terms, and the may-equal
+    closure that triggers match modulo: a CC in which both sides of every
+    ground non-Bool, non-Int equality (of either polarity) and every such ite
+    and its branches are merged."""
+    selects: list[Term] = []
     cc = CC(bank)
 
     def visit(t: Term, args_bound: list[bool]) -> bool:
         if t.op == "boundvar" or any(args_bound):
             return True
-        if t.op in ("select", "app"):
-            index.setdefault((t.op, t.value), []).append(t)
+        if t.op == "select":
+            selects.append(t)
         elif t.op in ("=", "ite") and t.args[-1].sort not in (BOOL_S, INT_S):
             for other in t.args[1:]:
                 cc.merge(t if t.op == "ite" else t.args[0], other, 0)
         return False
 
     fold(roots, visit)
-    return index, cc
+    return selects, cc
 
 
 def _match(cc: CC, free: dict, pat: Term, g: Term, binding: dict) -> list[dict]:
@@ -927,11 +908,11 @@ def _match(cc: CC, free: dict, pat: Term, g: Term, binding: dict) -> list[dict]:
 
 
 def _instantiate(bank: TermBank, simp: Simplifier, proxies: list,
-                 pools: tuple[dict, CC], seen_instances: set) -> list[Term]:
+                 pools: tuple[list, CC], seen_instances: set) -> list[Term]:
     """Instances of each axiom at the matches of its triggers: each
-    `select`/`app` pattern of its body that covers every bound variable,
-    else one multi-pattern joined from patterns until they cover them all."""
-    index, cc = pools
+    `select` pattern of its body that covers every bound variable, else one
+    multi-pattern joined from patterns until they cover them all."""
+    selects, cc = pools
     out = []
     for proxy, forall in proxies:
         names = []
@@ -944,7 +925,7 @@ def _instantiate(bank: TermBank, simp: Simplifier, proxies: list,
         def scope(t: Term, below: list[frozenset]) -> frozenset:
             bound = (frozenset([t.value]) if t.op == "boundvar" and t.value in names
                      else frozenset().union(*below))
-            if bound and t.op in ("select", "app"):
+            if bound and t.op == "select":
                 patterns.append(t)
             return bound
 
@@ -962,7 +943,7 @@ def _instantiate(bank: TermBank, simp: Simplifier, proxies: list,
         for trigger in [(p,) for p in patterns if free[p.tid] == need] or [multi]:
             found = [{}]
             for pat in trigger:
-                found = [b for part in found for g in index.get((pat.op, pat.value), ())
+                found = [b for part in found for g in selects
                          for b in _match(cc, free, pat, g, part)]
             combos.update(tuple(b[name] for name in order) for b in found)
         for combo in sorted(combos, key=lambda c: [t.tid for t in c]):
@@ -1029,8 +1010,7 @@ def solve(script: Script) -> Solved:
         roots = [simp.run(a) for a in script.assertions]
         proxies: list = []
         forall_memo: dict = {}
-        roots = [_polarity_extract(bank, r, proxies, True, forall_memo)
-                 for r in roots]
+        roots = [_polarity_extract(bank, r, proxies, forall_memo) for r in roots]
         # Instances attach as proxy => instance; the formula itself forces a
         # proxy true exactly on the paths where its axiom was assumed.
 

@@ -2,8 +2,8 @@
 
 Terms are hash-consed through a TermBank so structurally equal subterms share
 one node; the solver relies on node identity for caching.  The script parser
-covers the command subset the pipeline emits (plus what common solvers print
-back for get-value).
+reads the commands and operators the pipeline emits and rejects any other
+form.
 """
 
 from __future__ import annotations
@@ -82,9 +82,6 @@ class TermBank:
     def sym(self, name: str, sort) -> Term:
         return self.mk("sym", value=name, sort=sort)
 
-    def apply(self, name: str, args: tuple, sort) -> Term:
-        return self.mk("app", args, value=name, sort=sort)
-
 
 def fold(roots, combine, memo: dict | None = None, children=None) -> list:
     """Post-order evaluation over the term DAG below `roots`.
@@ -138,7 +135,7 @@ def node_text(t: Term, args: list[str]) -> str:
     if t.op == "forall":
         var, var_sort = t.value
         return f"(forall (({var} {sort_to_sexpr(var_sort)})) {args[0]})"
-    head = t.value if t.op == "app" else "-" if t.op == "neg" else t.op
+    head = "-" if t.op == "neg" else t.op
     return f"({head} {' '.join(args)})"
 
 
@@ -152,8 +149,7 @@ def sexpr(t: Term) -> str:
 class Script:
     bank: TermBank
     sorts: list[str] = field(default_factory=list)
-    # name -> (arg sorts, sort)
-    decls: dict[str, tuple[tuple, object]] = field(default_factory=dict)
+    decls: dict[str, object] = field(default_factory=dict)  # name -> sort
     assertions: list[Term] = field(default_factory=list)
 
 
@@ -232,13 +228,13 @@ class ScriptParser:
     def __init__(self):
         self.bank = TermBank()
         self.script = Script(bank=self.bank)
-        self.defines: dict[str, tuple[list[tuple[str, object]], Term]] = {}
+        self.defines: dict[str, Term] = {}  # define-fun name -> its term
 
     def feed(self, sx):
         _feed_command(self, sx)
 
     def to_term(self, sx) -> Term:
-        return _script_term(self, sx, {})
+        return _script_term(self, sx)
 
 
 def parse_script(text: str) -> Script:
@@ -248,12 +244,11 @@ def parse_script(text: str) -> Script:
     return parser.script
 
 
-def _script_term(parser: ScriptParser, sx, env: dict) -> Term:
+def _script_term(parser: ScriptParser, sx) -> Term:
     """The term an s-expression denotes; evaluated with an explicit work
     stack, so nesting depth is not limited by recursion."""
     bank = parser.bank
     script = parser.script
-    defines = parser.defines
 
     def atom(sx: str, env: dict) -> Term:
         if sx == "true":
@@ -265,15 +260,9 @@ def _script_term(parser: ScriptParser, sx, env: dict) -> Term:
         if sx in env:
             return env[sx]
         if sx in script.decls:
-            args, sort = script.decls[sx]
-            if args:
-                raise ScriptError(f"{sx} needs arguments")
-            return bank.sym(sx, sort)
-        if sx in defines:
-            params, body = defines[sx]
-            if params:
-                raise ScriptError(f"{sx} needs arguments")
-            return body
+            return bank.sym(sx, script.decls[sx])
+        if sx in parser.defines:
+            return parser.defines[sx]
         raise ScriptError(f"unknown symbol {sx!r}")
 
     def apply(head, args: tuple) -> Term:
@@ -283,9 +272,7 @@ def _script_term(parser: ScriptParser, sx, env: dict) -> Term:
             return bank.mk("neg", args, sort=INT_S)
         if head in ("+", "-", "*", "div", "mod"):
             return bank.mk(head, args, sort=INT_S)
-        if head in ("<", "<=", ">", ">=", "=", "distinct"):
-            return bank.mk(head, args, sort=BOOL_S)
-        if head in ("and", "or", "not", "=>"):
+        if head in ("<", "<=", ">", ">=", "=", "and", "or", "not", "=>"):
             return bank.mk(head, args, sort=BOOL_S)
         if head == "ite":
             return bank.mk("ite", args, sort=args[1].sort)
@@ -296,35 +283,19 @@ def _script_term(parser: ScriptParser, sx, env: dict) -> Term:
             return bank.mk("select", args, sort=base_sort[2])
         if head == "store":
             return bank.mk("store", args, sort=args[0].sort)
-        if head in script.decls:
-            arg_sorts, sort = script.decls[head]
-            return bank.apply(head, args, sort)
-        if head in defines:
-            params, body = defines[head]
-            if len(params) != len(args):
-                raise ScriptError(f"{head}: arity mismatch")
-            sub = {name: arg for (name, _), arg in zip(params, args)}
-            return substitute(bank, body, sub)
         raise ScriptError(f"unknown operator {head!r}")
 
-    def pop(n: int) -> list[Term]:
-        taken = results[len(results) - n:]
-        del results[len(results) - n:]
-        return taken
-
     results: list[Term] = []
-    # ("eval", sx, env) | ("let", names, body, env) | ("forall", bindings)
-    # | ("apply", head, n): the last three consume finished results
-    work: list[tuple] = [("eval", sx, env)]
+    # ("eval", sx, env) | ("forall", bindings) | ("apply", head, n): the
+    # last two consume finished results
+    work: list[tuple] = [("eval", sx, {})]
     while work:
         task = work.pop()
         kind = task[0]
         if kind == "apply":
-            results.append(apply(task[1], tuple(pop(task[2]))))
-            continue
-        if kind == "let":
-            _, names, body, outer = task
-            work.append(("eval", body, {**outer, **dict(zip(names, pop(len(names))))}))
+            args = tuple(results[len(results) - task[2]:])
+            del results[len(results) - task[2]:]
+            results.append(apply(task[1], args))
             continue
         if kind == "forall":
             body = results.pop()
@@ -335,14 +306,7 @@ def _script_term(parser: ScriptParser, sx, env: dict) -> Term:
         _, sx, env = task
         if isinstance(sx, str):
             results.append(atom(sx, env))
-            continue
-        head = sx[0]
-        if head == "let":
-            work.append(("let", [name for name, _ in sx[1]], sx[2], env))
-            work.extend(("eval", value, env) for _, value in reversed(sx[1]))
-        elif head in ("forall", "exists"):
-            if head == "exists":
-                raise ScriptError("exists is not supported")
+        elif sx[0] == "forall":
             body_env = dict(env)
             bindings = []
             for name, sort_sx in sx[1]:
@@ -351,39 +315,31 @@ def _script_term(parser: ScriptParser, sx, env: dict) -> Term:
                 body_env[name] = bank.mk("boundvar", value=name, sort=sort)
             work.append(("forall", bindings))
             work.append(("eval", sx[2], body_env))
-        elif head == "!":
-            work.append(("eval", sx[1], env))  # strip annotations (:pattern ...)
         else:
-            work.append(("apply", head, len(sx) - 1))
+            work.append(("apply", sx[0], len(sx) - 1))
             work.extend(("eval", a, env) for a in reversed(sx[1:]))
     return results[0]
 
 
 def _feed_command(parser: ScriptParser, sx):
+    """Apply one command; any command outside the set the pipeline writes
+    (and `declare-const`) is a ScriptError."""
     script = parser.script
-    bank = parser.bank
     if not isinstance(sx, list) or not sx:
         raise ScriptError(f"bad command {sx}")
     cmd = sx[0]
-    if cmd in ("set-logic", "set-option", "set-info"):
+    if cmd == "set-logic":
         return
-    elif cmd == "declare-sort":
+    if cmd == "declare-sort" and sx[2:] == ["0"]:
         script.sorts.append(sx[1])
-    elif cmd == "declare-fun":
-        name = sx[1]
-        arg_sorts = tuple(_parse_sort(a, script.sorts) for a in sx[2])
-        sort = _parse_sort(sx[3], script.sorts)
-        script.decls[name] = (arg_sorts, sort)
     elif cmd == "declare-const":
-        script.decls[sx[1]] = ((), _parse_sort(sx[2], script.sorts))
-    elif cmd == "define-fun":
-        name = sx[1]
-        params = [(p[0], _parse_sort(p[1], script.sorts)) for p in sx[2]]
-        env = {p: bank.mk("boundvar", value=p, sort=s) for p, s in params}
-        body = _script_term(parser, sx[4], env)
-        parser.defines[name] = (params, body)
+        script.decls[sx[1]] = _parse_sort(sx[2], script.sorts)
+    elif cmd == "declare-fun" and sx[2] == []:
+        script.decls[sx[1]] = _parse_sort(sx[3], script.sorts)
+    elif cmd == "define-fun" and sx[2] == []:
+        parser.defines[sx[1]] = _script_term(parser, sx[4])
     elif cmd == "assert":
-        script.assertions.append(_script_term(parser, sx[1], {}))
+        script.assertions.append(_script_term(parser, sx[1]))
     else:
         raise ScriptError(f"unsupported command {cmd}")
 

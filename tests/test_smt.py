@@ -56,9 +56,9 @@ def test_arithmetic_chains():
 
 def test_congruence():
     assert answer("""
-    (declare-fun f (Int) Int)
+    (declare-const f (Array Int Int))
     (declare-const a Int)(declare-const b Int)
-    (assert (= a b))(assert (not (= (f a) (f b))))
+    (assert (= a b))(assert (not (= (select f a) (select f b))))
     (check-sat)""") == "unsat"
 
 
@@ -79,18 +79,18 @@ def test_read_over_write():
     (check-sat)""") == "unsat"
 
 
-def test_ite_and_let():
+def test_ite():
     assert answer("""
     (declare-const x Int)
-    (assert (let ((y (ite (> x 0) 1 2))) (and (> x 5) (not (= y 1)))))
+    (assert (and (> x 5) (not (= (ite (> x 0) 1 2) 1))))
     (check-sat)""") == "unsat"
 
 
 def test_define_fun_expands():
     assert answer("""
     (declare-const x Int)
-    (define-fun double ((a Int)) Int (* 2 a))
-    (assert (= (double x) 7))
+    (define-fun double () Int (* 2 x))
+    (assert (= double 7))
     (check-sat)""") == "unknown"  # 2x = 7 has no integer solution; the
     # difference fragment cannot prove it, and the model check rejects
 
@@ -139,6 +139,18 @@ def test_distinctness_axiom_gives_sat_with_distinct_refs():
     assert lines[0] == "sat"
     pairs = dict((p[0], p[1]) for p in read_sexprs(lines[1])[0])
     assert pairs["r0"] != pairs["r1"]
+
+
+@pytest.mark.parametrize("position", ["(and {} b)", "(or {} b)", "(ite b {} b)",
+                                      "(=> {} b)"])
+def test_quantifier_outside_the_built_positions_is_unknown(position):
+    # QueryBuilder states a quantifier only as a whole assertion or as the
+    # consequent of an implication with a quantifier-free premise
+    axiom = "(forall ((i Int)) (= (select m i) 0))"
+    assert answer(f"""
+    (declare-const m (Array Int Int))(declare-const b Bool)
+    (assert {position.format(axiom)})
+    (check-sat)""") == "unknown"
 
 
 def test_negative_quantifier_is_unknown():
@@ -285,12 +297,23 @@ def test_each_command_is_answered_before_the_next_line_is_read():
     assert answers_seen == [[], [], ["sat"], ["sat"], ["sat", "unsat"]]
 
 
-def test_get_model():
-    out = run_smt("""
-    (declare-const x Int)
-    (assert (= x 3))
-    (check-sat)(get-model)""")
-    assert "define-fun x () Int 3" in out
+@pytest.mark.parametrize("form", [
+    "(assert (let ((y x)) (= y 1)))",
+    "(assert (! (= x 1) :named one))",
+    "(assert (exists ((i Int)) (= i x)))",
+    "(assert (distinct x 1))",
+    "(declare-fun f () Int)(assert (= (f x) 1))",
+    "(declare-fun f (Int) Int)",
+    "(define-fun f ((a Int)) Int a)",
+    "(set-option :produce-models true)",
+    "(set-info :status sat)",
+    "(assert (= x 1))(check-sat)(get-model)",
+])
+def test_form_the_pipeline_never_writes_is_one_error(form):
+    lines = run_smt(f"(declare-const x Int){form}(reset)(assert false)(check-sat)"
+                    ).splitlines()
+    assert [line for line in lines if line.startswith("(error")] == lines[-2:-1]
+    assert lines[-1] == "unsat"
 
 
 # -- the executable over real pipes ----------------------------------------------
@@ -459,13 +482,13 @@ def test_disequality_over_terms_without_edges_is_tested():
 
 
 def test_disequality_term_shares_its_congruence_class_potential():
-    # f(b) occurs in no bound, but a = b makes it f(a), which the bounds
+    # f[b] occurs in no bound, but a = b makes it f[a], which the bounds
     # force to z: a potential of its own would answer sat
     assert answer("""
     (declare-fun a () Int)(declare-fun b () Int)(declare-fun z () Int)
-    (declare-fun f (Int) Int)
-    (assert (= a b))(assert (<= (f a) z))(assert (>= (f a) z))
-    (assert (not (= (f b) z)))
+    (declare-fun f () (Array Int Int))
+    (assert (= a b))(assert (<= (select f a) z))(assert (>= (select f a) z))
+    (assert (not (= (select f b) z)))
     (check-sat)""") == "unsat"
 
 
@@ -484,10 +507,10 @@ def test_forced_disequality_conflict_blames_both_bounds():
 def test_deep_congruence_is_explained(depth):
     def apply(v):
         for _ in range(depth):
-            v = f"(f {v})"
+            v = f"(select f {v})"
         return v
     assert answer(f"""
-    (declare-sort U 0)(declare-fun f (U) U)
+    (declare-sort U 0)(declare-fun f () (Array U U))
     (declare-const a U)(declare-const b U)
     (assert (= a b))(assert (not (= {apply("a")} {apply("b")})))
     (check-sat)""") == "unsat"
