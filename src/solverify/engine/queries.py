@@ -310,28 +310,35 @@ class QueryBuilder:
         return self._render(self.hypotheses + [goal], selectors)
 
     def _render(self, assertions: list[T.Term], selectors) -> SmtQuery:
-        lines = ["(set-logic ALL)", "(declare-sort Ref 0)"]
-        for name in sorted(self.decls):
-            lines.append(f"(declare-fun {name} () {T.sort_to_sexpr(self.decls[name])})")
-        lines.extend(_render_shared(assertions))
-        lines.append("(check-sat)")
+        """The query text; it declares the symbols the assertions read and
+        those `get-value` asks for, no other."""
+        body, read = _render_shared(assertions)
         wanted = sorted(set(list(self.slots.values())
                             + [s for s, _ in selectors] + ["null"]))
+        lines = ["(set-logic ALL)", "(declare-sort Ref 0)"]
+        for name in sorted(read.union(wanted)):
+            lines.append(f"(declare-fun {name} () {T.sort_to_sexpr(self.decls[name])})")
+        lines.extend(body)
+        lines.append("(check-sat)")
         lines.append(f"(get-value ({' '.join(wanted)}))")
         lines.append("(exit)")
         return SmtQuery(text="\n".join(lines) + "\n", slots=dict(self.slots),
                         selectors=list(selectors))
 
 
-def _render_shared(assertions: list[T.Term]) -> list[str]:
+def _render_shared(assertions: list[T.Term]) -> tuple[list[str], set[str]]:
     """Print assertions with repeated subterms named by define-fun, keeping
-    the emitted text proportional to the term DAG.  Terms under a binder
-    stay inline (they may mention bound variables)."""
+    the emitted text proportional to the term DAG, and name the symbols
+    they read.  Terms under a binder stay inline (they may mention bound
+    variables)."""
     nodes: list[T.Term] = []
     has_bound: dict[int, bool] = {}
+    read: set[str] = set()
 
     def scan(t: T.Term, args_bound: list[bool]) -> bool:
         nodes.append(t)
+        if t.op == "sym":
+            read.add(t.value)
         return t.op == "boundvar" or any(args_bound)
 
     T.fold(assertions, scan, has_bound)
@@ -355,7 +362,7 @@ def _render_shared(assertions: list[T.Term]) -> list[str]:
         return text
 
     bodies = [f"(assert {text})" for text in T.fold(assertions, render, texts)]
-    return defs + bodies
+    return defs + bodies, read
 
 
 def vc_gen(program: I.IrProgram, proc: I.IrProcedure) -> tuple[QueryBuilder, SmtQuery]:

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from conftest import get_value_replying_solver
@@ -300,6 +302,17 @@ def test_vcgen_instrumented_hb_k4_unsat(hb_source, hb_policy_text):
     unrolled = unroll_harness(tr.ir, tr.ir.procedures["main"], 4)
     _, query = vc_gen(tr.ir, unrolled)
     assert check_smt(query, SolverConfig(timeout=300)).status == "unsat"
+
+
+def test_vcgen_declares_only_the_symbols_it_reads_or_asks_for(hb_source, hb_policy_text):
+    # the start values of inlined locals are assigned before they are read
+    tr, _, _ = build(hb_source, hb_policy_text, "HelloBlockchain")
+    unrolled = unroll_harness(tr.ir, tr.ir.procedures["main"], 2)
+    lines = vc_gen(tr.ir, unrolled)[1].text.splitlines()
+    declared = {line.split()[1] for line in lines if line.startswith("(declare-fun")}
+    used = " ".join(line for line in lines
+                    if line.startswith(("(define-fun", "(assert", "(get-value")))
+    assert declared and declared <= set(re.findall(r"[^\s()]+", used))
 
 
 def test_only_the_encoder_and_solver_io_import_smt_terms():

@@ -597,12 +597,13 @@ def test_deep_store_chain_through_every_stage():
     read = _store_chain(bank, [bank.sym(f"k{i}", INT_S) for i in range(depth)], x)
     goals = [bank.mk("=", (read, bank.intval(1)), sort=BOOL_S),  # boolean ite chain
              bank.mk("=", (read, y), sort=BOOL_S)]                # integer ite chain
-    lines = _render_shared(goals)
+    rendered = _render_shared(goals)
+    lines = rendered[0]
     script = parse_script("(declare-fun x () Int)(declare-fun y () Int)"
                           "(declare-fun m () (Array Int Int))"
                           + "".join(f"(declare-fun k{i} () Int)" for i in range(depth))
                           + "".join(lines))
-    assert _render_shared(script.assertions) == lines
+    assert _render_shared(script.assertions) == rendered
     simp = solver.Simplifier(script.bank)
     roots = [simp.run(a) for a in script.assertions]
     assert [r.op for r in roots] == ["ite", "="]
