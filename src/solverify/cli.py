@@ -38,7 +38,7 @@ class NotConformant(InputError):
 
     def __init__(self, diagnostics: list[str]):
         self.diagnostics = diagnostics
-        super().__init__("not syntactically conformant:\n  " + "\n  ".join(diagnostics))
+        super().__init__("not syntactically conformant: " + "; ".join(diagnostics))
 
 
 @record
@@ -103,6 +103,8 @@ def run(cfg: RunConfig):
     typecheck(program)
     desugar_modifiers(program)
 
+    if not program.contracts:
+        raise InputError("no contract in the sources")
     root = cfg.root
     if root is None:
         if policy is not None and len(policy.workflows) == 1:

@@ -121,6 +121,7 @@ def test_unwritable_report_keeps_the_exit_code_of_a_failed_run(
 def test_nonconformant_exit_three(capsys, tmp_path):
     bad = tmp_path / "bad.sol"
     bad.write_text(open(fixture_path("helloblockchain.sol")).read()
+                   .replace("function SendRequest", "function SendOne")
                    .replace("function SendResponse", "function SendOther"))
     report = tmp_path / "report.json"
     code = run_cli("verify", "--mode", "conformance",
@@ -128,12 +129,20 @@ def test_nonconformant_exit_three(capsys, tmp_path):
                    "--sol", str(bad), "--root", "HelloBlockchain",
                    "--report-json", str(report))
     assert code == EXIT_INPUT_ERROR
-    err = capsys.readouterr().err
-    assert "MissingFunction" in err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: not syntactically conformant: ")
+    assert "'SendRequest'" in err[0] and "'SendResponse'" in err[0]
     doc = json.loads(report.read_text())
     assert doc["verdict"] == "InputError"
-    assert [d.split()[0] for d in doc["syntactic_diagnostics"]] == ["MissingFunction"]
+    assert [d.split()[0] for d in doc["syntactic_diagnostics"]] == ["MissingFunction"] * 2
     assert all(d in doc["error"] for d in doc["syntactic_diagnostics"])
+
+
+def test_source_without_a_contract_exit_three(capsys, tmp_path):
+    empty = tmp_path / "empty.sol"
+    empty.write_text("")
+    assert run_cli("verify", "--mode", "assertions", "--sol", str(empty)) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == "error: no contract in the sources\n"
 
 
 def test_assertions_mode_refutes_assert_as_require(capsys, tmp_path):
