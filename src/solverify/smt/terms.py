@@ -322,8 +322,8 @@ def _script_term(parser: ScriptParser, sx) -> Term:
 
 
 def _feed_command(parser: ScriptParser, sx):
-    """Apply one command; any command outside the set the pipeline writes
-    (and `declare-const`) is a ScriptError."""
+    """Apply one command: one the pipeline writes, or `declare-const`.  Any
+    other is a ScriptError."""
     script = parser.script
     if not isinstance(sx, list) or not sx:
         raise ScriptError(f"bad command {sx}")
