@@ -38,7 +38,7 @@ class Session:
             self.solved = None
             self.poisoned = False
             return True
-        if head == "echo":
+        if head == "echo" and len(sx) == 2:
             self.emit(str(sx[1]).strip('"'))
             return True
         if self.poisoned:

@@ -308,6 +308,7 @@ def test_each_command_is_answered_before_the_next_line_is_read():
     "(set-option :produce-models true)",
     "(set-info :status sat)",
     "(assert (= x 1))(check-sat)(get-model)",
+    "(echo)",
 ])
 def test_form_the_pipeline_never_writes_is_one_error(form):
     lines = run_smt(f"(declare-const x Int){form}(reset)(assert false)(check-sat)"
